@@ -44,7 +44,7 @@ def main(argv=None):
         gap = float(np.abs(spect.eigenvalues.real).min())
         table = bb.resolvent_sweep(pencil, -args.lambda_max, args.lambda_max, args.steps)
         i = int(np.argmax(table.norms))
-        print(f"{n:>4} {pencil.B.shape[0]:>5} {gap:>12.3e} "
+        print(f"{n:>4} {2 * pencil.n_positions:>5} {gap:>12.3e} "
               f"{table.norms[i]:>12.6f} {table.lambdas[i]:>10.4f}")
         last = table
 

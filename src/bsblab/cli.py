@@ -221,14 +221,11 @@ def _write_rows(path: str, header: str, rows) -> None:
 
 
 def _dump_matrices(pencil, out_dir: str) -> None:
-    # nonzero entries in row-major order: "row col value"
+    # nonzero entries in row-major order, which is np.nonzero's: "row col value"
     for name in ("S", "M", "D", "B", "K"):
         matrix = getattr(pencil, name)
-        lines = []
-        for i in range(matrix.shape[0]):
-            for j in range(matrix.shape[1]):
-                if matrix[i, j] != 0.0:
-                    lines.append(f"{i} {j} {_fmt(matrix[i, j])}")
+        rows, cols = np.nonzero(matrix)
+        lines = [f"{i} {j} {_fmt(matrix[i, j])}" for i, j in zip(rows, cols)]
         _write_text(os.path.join(out_dir, f"{name}.coo.txt"), "\n".join(lines) + "\n")
 
 

@@ -7,7 +7,9 @@ The trapezoidal (Crank-Nicolson) step
 inherits the dissipation identity of the pencil exactly: with the midpoint
 ym = (y + y+)/2 one has E(y+) - E(y) = dt * dissipation(ym) up to solver
 roundoff, for every dt. Backward Euler is kept alongside as the blunt
-first-order cross-check; it over-damps and is never energy-exact.
+first-order cross-check; it over-damps and is never energy-exact. Both are
+solved in the reduced N x N form of the second-order system (see
+_theta_step), never on the 2N x 2N pencil.
 """
 
 from __future__ import annotations
@@ -135,21 +137,47 @@ def _solve_factored(lu_piv, rhs: np.ndarray) -> np.ndarray:
     return scipy.linalg.lu_solve(lu_piv, rhs)
 
 
+def _theta_step(pencil: SystemPencil, dt: float, theta: float, scheme: str):
+    """Factor one theta-scheme step matrix; return the step (p, q, S p) -> (p+, q+).
+
+    The theta-scheme (B - theta dt K) y+ = (B + (1 - theta) dt K) y has the
+    first block row S (p+ - p) = dt S ((1 - theta) q + theta q+). S is SPD,
+    so p+ = p + dt ((1 - theta) q + theta q+), and eliminating p+ from the
+    second block row leaves one N x N system for q+:
+
+        A q+ = (M - (1 - theta) dt D - theta (1 - theta) dt^2 S) q - dt S p,
+        A = M + theta dt D + theta^2 dt^2 S.
+
+    A is LU-factored rather than Cholesky-factored because it can be
+    indefinite for negative dt with damping. The caller passes S p since
+    simulate already computes it for the energy record.
+    """
+    a = pencil.M + (theta * dt) * pencil.D + (theta * dt) ** 2 * pencil.S
+    explicit = (pencil.M - ((1.0 - theta) * dt) * pencil.D
+                - (theta * (1.0 - theta) * dt * dt) * pencil.S)
+    try:
+        lu_piv = scipy.linalg.lu_factor(a)
+    except scipy.linalg.LinAlgError as exc:
+        raise SolveFailure(f"{scheme} factorization failed: {exc}") from exc
+
+    def step(p: np.ndarray, q: np.ndarray, sp: np.ndarray):
+        q_next = _solve_factored(lu_piv, explicit @ q - dt * sp)
+        p_next = p + dt * ((1.0 - theta) * q + theta * q_next)
+        for part in (p_next, q_next):
+            if not np.all(np.isfinite(part.real)) or not np.all(np.isfinite(part.imag)):
+                raise SolveFailure(f"{scheme} step produced non-finite values")
+        return p_next, q_next
+
+    return step
+
+
 def step_trapezoidal(pencil: SystemPencil, y: StateVector, dt: float) -> StateVector:
     """One trapezoidal step. Negative dt runs the scheme backward in time."""
     _require_match(pencil, y)
     if not np.isfinite(dt) or dt == 0:
         raise ValueError(f"dt must be finite and nonzero, got {dt}")
-    a_minus = pencil.B - (dt / 2.0) * pencil.K
-    a_plus = pencil.B + (dt / 2.0) * pencil.K
-    try:
-        lu_piv = scipy.linalg.lu_factor(a_minus)
-        result = _solve_factored(lu_piv, a_plus @ y.to_array())
-    except scipy.linalg.LinAlgError as exc:
-        raise SolveFailure(f"trapezoidal solve failed: {exc}") from exc
-    if not np.all(np.isfinite(result.real)) or not np.all(np.isfinite(result.imag)):
-        raise SolveFailure("trapezoidal solve produced non-finite values")
-    return StateVector.from_array(result)
+    step = _theta_step(pencil, dt, 0.5, "trapezoidal")
+    return StateVector(*step(y.p, y.q, pencil.S @ y.p))
 
 
 def step_backward_euler(pencil: SystemPencil, y: StateVector, dt: float) -> StateVector:
@@ -157,14 +185,8 @@ def step_backward_euler(pencil: SystemPencil, y: StateVector, dt: float) -> Stat
     _require_match(pencil, y)
     if not np.isfinite(dt) or dt <= 0:
         raise ValueError(f"dt must be finite and > 0, got {dt}")
-    try:
-        lu_piv = scipy.linalg.lu_factor(pencil.B - dt * pencil.K)
-        result = _solve_factored(lu_piv, pencil.B @ y.to_array())
-    except scipy.linalg.LinAlgError as exc:
-        raise SolveFailure(f"backward Euler solve failed: {exc}") from exc
-    if not np.all(np.isfinite(result.real)) or not np.all(np.isfinite(result.imag)):
-        raise SolveFailure("backward Euler solve produced non-finite values")
-    return StateVector.from_array(result)
+    step = _theta_step(pencil, dt, 1.0, "backward Euler")
+    return StateVector(*step(y.p, y.q, pencil.S @ y.p))
 
 
 def simulate(
@@ -190,41 +212,34 @@ def simulate(
         raise ValueError(f"snapshot_every must be >= 0, got {snapshot_every}")
 
     steps = max(1, int(round(t_final / dt)))
-    n = pencil.n_positions
-    a_plus = pencil.B + (dt / 2.0) * pencil.K
-    try:
-        lu_piv = scipy.linalg.lu_factor(pencil.B - (dt / 2.0) * pencil.K)
-    except scipy.linalg.LinAlgError as exc:
-        raise SolveFailure(f"factorization of the implicit matrix failed: {exc}") from exc
+    step = _theta_step(pencil, dt, 0.5, "trapezoidal")
 
-    y = y0.to_array()
+    p, q = y0.p, y0.q
     times = dt * np.arange(steps + 1)
     e_arr = np.empty(steps + 1)
     d_arr = np.empty(steps + 1)
     c_arr = np.empty(steps + 1)
     snapshots = []
 
-    def record(i, yvec):
-        p, q = yvec[:n], yvec[n:]
+    def record(i, p, q):
         sp = pencil.S @ p
         mq = pencil.M @ q
         e_arr[i] = 0.5 * (np.vdot(p, sp).real + np.vdot(q, mq).real)
         d_arr[i] = -np.vdot(q, pencil.D @ q).real
         c_arr[i] = np.vdot(p, mq).real
+        return sp
 
-    record(0, y)
+    sp = record(0, p, q)
     if snapshot_every > 0:
-        snapshots.append((0.0, StateVector.from_array(y.copy())))
+        snapshots.append((0.0, StateVector(p.copy(), q.copy())))
     for i in range(1, steps + 1):
-        y = _solve_factored(lu_piv, a_plus @ y)
-        if not np.all(np.isfinite(y.real)) or not np.all(np.isfinite(y.imag)):
-            raise SolveFailure(f"non-finite state at step {i}")
-        record(i, y)
+        p, q = step(p, q, sp)
+        sp = record(i, p, q)
         if snapshot_every > 0 and (i % snapshot_every == 0 or i == steps):
-            snapshots.append((float(times[i]), StateVector.from_array(y.copy())))
+            snapshots.append((float(times[i]), StateVector(p.copy(), q.copy())))
 
     return SimOutput(
         trace=EnergyTrace(times=times, energy=e_arr, dissipation=d_arr, cross=c_arr),
         snapshots=snapshots,
-        final_state=StateVector.from_array(y),
+        final_state=StateVector(p, q),
     )

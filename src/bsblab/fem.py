@@ -15,16 +15,18 @@ clamped node dropped; then the string interior deflections left to right;
 then beam-2 DOFs node-major with its clamped node dropped. The total count
 is N = 2*n1 + (n2 - 1) + 2*n3.
 
-The assembled pencil is
+Assembly stores three N x N matrices: S the position Gram (beam bending
+plus string stiffness), M the mass matrix, and D the damping Gram (rho1 and
+rho2 times the beam slope Grams plus beta times the string mass). They
+define the second-order system S p' = S q, M q' = -S p - D q, whose
+first-order pencil
 
-    B = [[S, 0], [0, M]],      K = [[0, S], [-S, -D]],
+    B = [[S, 0], [0, M]],      K = [[0, S], [-S, -D]]
 
-with S the position Gram (beam bending plus string stiffness), M the mass
-matrix, and D the damping Gram (rho1 and rho2 times the beam slope Grams
-plus beta times the string mass). States y = (p, q) then obey B y' = K y,
-the energy is (1/2)(p^T S p + q^T M q), and Re(y^H K y) = -q^H D q holds
-exactly, which is the discrete image of the dissipation identity of the
-continuous semigroup.
+is built on demand. States y = (p, q) obey B y' = K y, the energy is
+(1/2)(p^T S p + q^T M q), and Re(y^H K y) = -q^H D q holds exactly, which
+is the discrete image of the dissipation identity of the continuous
+semigroup.
 """
 
 from __future__ import annotations
@@ -89,18 +91,39 @@ class DofMap:
 
 @dataclass(frozen=True)
 class SystemPencil:
-    """Dense matrices of the first-order system B y' = K y."""
+    """The dense N x N matrices S, M, D of the second-order system.
+
+    The 2N x 2N blocks B and K of the first-order form B y' = K y are
+    derived from them on every access.
+    """
 
     S: np.ndarray
     M: np.ndarray
     D: np.ndarray
-    B: np.ndarray
-    K: np.ndarray
     regime: DampingCase
 
     @property
     def n_positions(self) -> int:
         return self.S.shape[0]
+
+    @property
+    def B(self) -> np.ndarray:
+        """blockdiag(S, M), built on each access."""
+        n = self.n_positions
+        B = np.zeros((2 * n, 2 * n))
+        B[:n, :n] = self.S
+        B[n:, n:] = self.M
+        return B
+
+    @property
+    def K(self) -> np.ndarray:
+        """[[0, S], [-S, -D]], built on each access."""
+        n = self.n_positions
+        K = np.zeros((2 * n, 2 * n))
+        K[:n, n:] = self.S
+        K[n:, :n] = -self.S
+        K[n:, n:] = -self.D
+        return K
 
 
 @dataclass
@@ -272,7 +295,7 @@ def assemble_pencil(
     dofs: DofMap,
     element_order: str = "forward",
 ) -> SystemPencil:
-    """Assemble S, M, D and the pencil blocks B, K.
+    """Assemble S, M and D.
 
     element_order ("forward" or "reversed") only changes the element
     iteration order; it exists so the order-independence of the summation
@@ -311,27 +334,7 @@ def assemble_pencil(
         _accumulate(M, idx, mass)
         _accumulate(D, idx, cfg.beta * mass)
 
-    return SystemPencil(
-        S=S, M=M, D=D, B=_block_b(S, M), K=_block_k(S, D),
-        regime=classify_damping(cfg),
-    )
-
-
-def _block_b(S: np.ndarray, M: np.ndarray) -> np.ndarray:
-    n = S.shape[0]
-    B = np.zeros((2 * n, 2 * n))
-    B[:n, :n] = S
-    B[n:, n:] = M
-    return B
-
-
-def _block_k(S: np.ndarray, D: np.ndarray) -> np.ndarray:
-    n = S.shape[0]
-    K = np.zeros((2 * n, 2 * n))
-    K[:n, n:] = S
-    K[n:, :n] = -S
-    K[n:, n:] = -D
-    return K
+    return SystemPencil(S=S, M=M, D=D, regime=classify_damping(cfg))
 
 
 def discretize(cfg: StructureConfig, n1: int, n2: int, n3: int):
@@ -367,7 +370,7 @@ def assemble_string_pencil(length: float, beta: float, n: int) -> SystemPencil:
         _accumulate(M, idx, mass)
     D = beta * M
     regime = DampingCase.UDU if beta > 0 else DampingCase.CONSERVATIVE
-    return SystemPencil(S=S, M=M, D=D, B=_block_b(S, M), K=_block_k(S, D), regime=regime)
+    return SystemPencil(S=S, M=M, D=D, regime=regime)
 
 
 def assemble_beam_pencil(length: float, n: int, rho: float = 0.0) -> SystemPencil:
@@ -400,7 +403,7 @@ def assemble_beam_pencil(length: float, n: int, rho: float = 0.0) -> SystemPenci
         _accumulate(M, idx, mass)
         _accumulate(D, idx, rho * slope)
     regime = DampingCase.CONSERVATIVE if rho == 0 else DampingCase.OTHER
-    return SystemPencil(S=S, M=M, D=D, B=_block_b(S, M), K=_block_k(S, D), regime=regime)
+    return SystemPencil(S=S, M=M, D=D, regime=regime)
 
 
 # --- initial data ----------------------------------------------------------

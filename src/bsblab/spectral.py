@@ -1,8 +1,9 @@
 """Spectrum, resolvent norms and closed-form mode oracles.
 
 The generalized eigenproblem K x = mu B x is whitened through the Cholesky
-factor B = G G^T into the ordinary problem for C = G^{-1} K G^{-T}, which
-is similar to the generator restricted to the discrete space and, crucially,
+factor B = G G^T, with G = blockdiag(Ls, Lm) built from S = Ls Ls^T and
+M = Lm Lm^T, into the ordinary problem for C = G^{-1} K G^{-T}, which is
+similar to the generator restricted to the discrete space and, crucially,
 isometric in the energy norm: 2-norms of whitened objects are energy norms
 of the originals. The resolvent norm along the imaginary axis is therefore
 
@@ -22,7 +23,7 @@ from .model import DampingCase
 
 
 class FactorizationFailure(RuntimeError):
-    """B is not symmetric positive definite to working precision."""
+    """S or M is not symmetric positive definite to working precision."""
 
 
 class EmptySpectrum(RuntimeError):
@@ -56,14 +57,26 @@ class ResolventTable:
 
 
 def _whiten(pencil: SystemPencil):
-    """Cholesky factor G of B and the whitened matrix C = G^{-1} K G^{-T}."""
+    """Cholesky factors Ls of S and Lm of M, and the whitened matrix C.
+
+    With G = blockdiag(Ls, Lm) the pencil whitens to C = G^{-1} K G^{-T}
+    = [[0, X^T], [-X, -Lm^{-1} D Lm^{-T}]] where X = Lm^{-1} Ls, so C is
+    exactly skew when D = 0.
+    """
     try:
-        g = scipy.linalg.cholesky(pencil.B, lower=True)
+        ls = scipy.linalg.cholesky(pencil.S, lower=True)
+        lm = scipy.linalg.cholesky(pencil.M, lower=True)
     except scipy.linalg.LinAlgError as exc:
-        raise FactorizationFailure(f"B admits no Cholesky factorization: {exc}") from exc
-    y = scipy.linalg.solve_triangular(g, pencil.K, lower=True)
-    c = scipy.linalg.solve_triangular(g, y.T, lower=True).T
-    return g, c
+        raise FactorizationFailure(f"S or M admits no Cholesky factorization: {exc}") from exc
+    x = scipy.linalg.solve_triangular(lm, ls, lower=True)
+    dl = scipy.linalg.solve_triangular(lm, pencil.D, lower=True)
+    dw = scipy.linalg.solve_triangular(lm, dl.T, lower=True).T
+    n = pencil.n_positions
+    c = np.zeros((2 * n, 2 * n))
+    c[:n, n:] = x.T
+    c[n:, :n] = -x
+    c[n:, n:] = -dw
+    return ls, lm, c
 
 
 def _sorted_eigenvalues(mu: np.ndarray) -> np.ndarray:
@@ -77,7 +90,7 @@ def eigenvalues(pencil: SystemPencil) -> SpectrumReport:
     """Whitened eigensolve of the pencil (K, B)."""
     if pencil.n_positions == 0:
         raise EmptySpectrum("pencil has no degrees of freedom")
-    _, c = _whiten(pencil)
+    *_, c = _whiten(pencil)
     mu = _sorted_eigenvalues(scipy.linalg.eigvals(c))
     return SpectrumReport(
         eigenvalues=mu,
@@ -104,17 +117,19 @@ def slowest_mode(pencil: SystemPencil):
     """
     if pencil.n_positions == 0:
         raise EmptySpectrum("pencil has no degrees of freedom")
-    g, c = _whiten(pencil)
+    ls, lm, c = _whiten(pencil)
     mu, vecs = scipy.linalg.eig(c)
     pick = np.lexsort((mu.imag, mu.real))[-1]
-    z = vecs[:, pick]
-    x = scipy.linalg.solve_triangular(g, z.astype(np.complex128), lower=True, trans="T")
-    e = 0.5 * np.vdot(x, pencil.B @ x).real
+    z = vecs[:, pick].astype(np.complex128)
+    n = pencil.n_positions
+    xp = scipy.linalg.solve_triangular(ls, z[:n], lower=True, trans="T")
+    xq = scipy.linalg.solve_triangular(lm, z[n:], lower=True, trans="T")
+    x = np.concatenate([xp, xq])
+    e = 0.5 * (np.vdot(xp, pencil.S @ xp).real + np.vdot(xq, pencil.M @ xq).real)
     x = x / math.sqrt(e)
     k = int(np.argmax(np.abs(x)))
     phase = x[k] / abs(x[k])
     x = x / phase
-    n = pencil.n_positions
     y_re = StateVector(x[:n].real.copy(), x[n:].real.copy())
     y_im = StateVector(x[:n].imag.copy(), x[n:].imag.copy())
     return complex(mu[pick]), y_re, y_im
@@ -128,7 +143,7 @@ def resolvent_norm(pencil: SystemPencil, lam: float) -> float:
     """
     if not np.isfinite(lam):
         raise NonpositiveParameter(f"lambda must be finite, got {lam}")
-    _, c = _whiten(pencil)
+    *_, c = _whiten(pencil)
     return _axis_norm(c, float(lam))
 
 
@@ -153,7 +168,7 @@ def resolvent_sweep(
         raise NonpositiveParameter(
             f"need lambda_min < lambda_max, got [{lambda_min}, {lambda_max}]"
         )
-    _, c = _whiten(pencil)
+    *_, c = _whiten(pencil)
     grid = np.linspace(lambda_min, lambda_max, int(steps))
     cache: dict[float, float] = {}
     norms = np.empty(grid.shape[0])

@@ -204,9 +204,9 @@ def test_verify_passes_and_is_reproducible(tmp_path, config_file):
     # stdout mentions the out-dir, so compare everything except that line
     trim = lambda s: [ln for ln in s.splitlines() if "report.json" not in ln]
     assert trim(p1.stdout) == trim(p2.stdout)
-    assert p1.stdout.count("PASS") >= 20
-    assert "FAIL" not in p1.stdout
     payload = json.loads(r1)
+    assert p1.stdout.count("PASS") == len(payload["invariant_results"]) == 19
+    assert "FAIL" not in p1.stdout
     assert payload["all_pass"] is True
 
 

@@ -113,6 +113,30 @@ def test_backward_euler_is_first_order_trapezoidal_second(ddd_system):
         assert order == pytest.approx(expected_order, abs=0.35)
 
 
+@pytest.mark.parametrize("complex_valued", [False, True])
+def test_reduced_steps_match_the_first_order_pencil(ddd_system, complex_valued):
+    """The N x N step reproduces the 2N x 2N theta-scheme on (B, K).
+
+    The reference solves the first-order systems directly:
+    (B - dt/2 K) y+ = (B + dt/2 K) y for the trapezoidal step, forward and
+    backward in time, and (B - dt K) y+ = B y for backward Euler.
+    """
+    _, _, _, pencil = ddd_system
+    B, K = pencil.B, pencil.K
+    y = random_state(pencil, 7, complex_valued=complex_valued)
+    y_arr = y.to_array()
+
+    def close(got, want):
+        return np.linalg.norm(got.to_array() - want) <= 1e-12 * np.linalg.norm(want)
+
+    for dt in (1e-3, -1e-3):
+        want = np.linalg.solve(B - (dt / 2) * K, (B + (dt / 2) * K) @ y_arr)
+        assert close(bb.step_trapezoidal(pencil, y, dt), want)
+    dt = 1e-3
+    want = np.linalg.solve(B - dt * K, B @ y_arr)
+    assert close(bb.step_backward_euler(pencil, y, dt), want)
+
+
 def test_step_input_validation(ddd_system):
     _, _, _, pencil = ddd_system
     y = plateau(ddd_system)

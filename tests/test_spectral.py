@@ -21,8 +21,6 @@ def tiny_pencil():
     eye = np.eye(1)
     return fem.SystemPencil(
         S=eye, M=eye, D=eye,
-        B=np.eye(2),
-        K=np.array([[0.0, 1.0], [-1.0, -1.0]]),
         regime=DampingCase.OTHER,
     )
 
