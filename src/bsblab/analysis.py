@@ -458,10 +458,11 @@ def _check_conjugate_symmetry(ctx):
 
 def _check_resolvent_lower_bound(ctx):
     mu = ctx.spect.eigenvalues
+    *_, c = spectral._whiten(ctx.pencil)
     worst = 0.0
     for lam in (-31.4, -5.0, 0.0, 3.7, 11.3, 26.9, 50.0):
         dist = float(np.min(np.abs(1j * lam - mu)))
-        norm = spectral.resolvent_norm(ctx.pencil, lam)
+        norm = spectral._axis_norm(c, lam)
         if dist == 0.0:
             if not math.isinf(norm):
                 worst = max(worst, 1.0)

@@ -54,7 +54,6 @@ _MODULE_ERRORS = (
     spectral.NonpositiveParameter,
     analysis.NonpositiveEnergy,
     analysis.WindowTooSmall,
-    ValueError,
 )
 
 
@@ -292,7 +291,8 @@ def _cmd_resolvent(spec: RunSpec) -> int:
     _write_rows(path, "lambda,norm",
                 ((_fmt(lam), _fmt(nrm)) for lam, nrm in zip(table.lambdas, table.norms)))
     print(f"resolvent: sup over [{_fmt(spec.lambda_min)}, {_fmt(spec.lambda_max)}] "
-          f"({spec.lambda_steps} points) = {_fmt(table.sup)}")
+          f"({spec.lambda_steps} points, {table.distinct_points} distinct |lambda|, "
+          f"at most {int(table.iterations.max())} Lanczos iterations) = {_fmt(table.sup)}")
     print(f"wrote {path}")
     return 0
 

@@ -8,6 +8,16 @@ isometric in the energy norm: 2-norms of whitened objects are energy norms
 of the originals. The resolvent norm along the imaginary axis is therefore
 
     R(lambda) = 1 / sigma_min(i lambda I - C).
+
+`resolvent_norm` evaluates one point by a dense SVD of i lambda I - C; it
+is the reference. `resolvent_sweep` factors once, C = Z T Z* with T upper
+triangular (complex Schur form; Z is never formed, since unitary Z leaves
+2-norms alone), and gets R(lambda)^2 at each distinct |lambda| as the
+largest eigenvalue of A^{-*} A^{-1}, A = i lambda I - T, by Lanczos with
+full reorthogonalization: two triangular solves per iteration. Lanczos
+stops once the Ritz residual beta_k |s_k| is at most 1e-12 of the Ritz
+value, and after at most dim C iterations, where the Krylov space is
+exhausted and the Ritz value is exact.
 """
 
 from __future__ import annotations
@@ -23,7 +33,8 @@ from .model import DampingCase
 
 
 class FactorizationFailure(RuntimeError):
-    """S or M is not symmetric positive definite to working precision."""
+    """S or M is not symmetric positive definite to working precision, or
+    the Schur form of the whitened matrix did not converge."""
 
 
 class EmptySpectrum(RuntimeError):
@@ -48,12 +59,21 @@ class SpectrumReport:
 
 @dataclass
 class ResolventTable:
+    """Axis points, resolvent norms and, per point, the Lanczos iterations
+    behind its value (mirrored points share one computation)."""
+
     lambdas: np.ndarray
     norms: np.ndarray
+    iterations: np.ndarray
 
     @property
     def sup(self) -> float:
         return float(np.max(self.norms))
+
+    @property
+    def distinct_points(self) -> int:
+        """Number of distinct |lambda|, i.e. of norms actually computed."""
+        return int(np.unique(np.abs(self.lambdas)).size)
 
 
 def _whiten(pencil: SystemPencil):
@@ -153,14 +173,91 @@ def _axis_norm(c: np.ndarray, lam: float) -> float:
     return math.inf if smin == 0.0 else 1.0 / smin
 
 
+# Lanczos stops when the Ritz residual is at most this fraction of the
+# Ritz value; the squared norm is then accurate to about that, relative.
+LANCZOS_TOL = 1e-12
+
+
+def _axis_grid(lambda_min: float, lambda_max: float, steps: int) -> np.ndarray:
+    """Uniform grid that is bitwise antisymmetric when lambda_min == -lambda_max.
+
+    Point k is mid + half * j / (steps - 1) with the integer
+    j = 2k - (steps - 1), so mirrored points differ only in the sign of j.
+    np.linspace agrees to rounding but is not symmetric bitwise, which
+    would defeat the mirror cache of resolvent_sweep.
+    """
+    mid = 0.5 * lambda_min + 0.5 * lambda_max
+    half = 0.5 * lambda_max - 0.5 * lambda_min
+    j = 2.0 * np.arange(steps) - (steps - 1)
+    grid = mid + half * (j / (steps - 1))
+    grid[0], grid[-1] = lambda_min, lambda_max
+    return grid
+
+
+def _schur_factor(c: np.ndarray) -> np.ndarray:
+    """Upper-triangular factor T of the complex Schur form C = Z T Z*.
+
+    LAPACK zgees without Schur vectors, in place on a complex copy of C.
+    """
+    gees = scipy.linalg.lapack.zgees
+    a = np.asfortranarray(c, dtype=np.complex128)
+    lwork = int(gees(lambda w: None, a, compute_v=0, lwork=-1)[-2][0].real)
+    t, *_, info = gees(lambda w: None, a, compute_v=0, lwork=lwork, overwrite_a=1)
+    if info != 0:
+        raise FactorizationFailure(f"complex Schur form did not converge (info = {info})")
+    return t
+
+
+def _lanczos_inverse_norm(a: np.ndarray, start: np.ndarray):
+    """||A^{-1}||_2 for upper-triangular A, and the Lanczos iterations taken.
+
+    Lanczos with full reorthogonalization on A^{-*} A^{-1}. A singular or
+    non-finite triangular solve means A is singular to working precision
+    and gives +inf, as in _axis_norm.
+    """
+    m = a.shape[0]
+    basis = np.empty((m, m), dtype=np.complex128)
+    alphas = np.empty(m)
+    betas = np.empty(m)
+    q = start / np.linalg.norm(start)
+    for k in range(m):
+        basis[k] = q
+        try:
+            w = scipy.linalg.solve_triangular(a, q, check_finite=False)
+            u = scipy.linalg.solve_triangular(a, w, trans="C", check_finite=False)
+        except scipy.linalg.LinAlgError:
+            return math.inf, k + 1
+        if not np.all(np.isfinite(u)):
+            return math.inf, k + 1
+        v = basis[: k + 1]
+        h = v.conj() @ u
+        alphas[k] = h[k].real
+        u -= v.T @ h
+        # twice: near convergence u is almost in span(v), and one pass of
+        # classical Gram-Schmidt then leaves it visibly non-orthogonal
+        u -= v.T @ (v.conj() @ u)
+        betas[k] = np.linalg.norm(u)
+        theta, s = scipy.linalg.eigh_tridiagonal(
+            alphas[: k + 1], betas[:k], select="i", select_range=(k, k)
+        )
+        theta = float(theta[0])
+        if betas[k] * abs(s[-1, 0]) <= LANCZOS_TOL * theta:
+            break
+        q = u / betas[k]
+    # after m iterations the Krylov space is all of C^m and theta is exact
+    return math.sqrt(theta), k + 1
+
+
 def resolvent_sweep(
     pencil: SystemPencil, lambda_min: float, lambda_max: float, steps: int
 ) -> ResolventTable:
     """Resolvent norms on a uniform grid of axis points.
 
-    The pencil is real, so the norm is even in lambda; values are computed
-    for |lambda| and mirrored, which halves the work on symmetric grids
-    without changing any value.
+    The pencil is real, so the norm is even in lambda; it is computed once
+    per distinct |lambda| and mirrored, which halves the work on grids
+    symmetric about 0 (their points are mirrored bitwise, see _axis_grid).
+    Each value comes from the Schur factor of the whitened matrix by
+    Lanczos; resolvent_norm is the dense reference for one point.
     """
     if int(steps) != steps or steps < 2:
         raise NonpositiveParameter(f"steps must be an integer >= 2, got {steps}")
@@ -168,16 +265,22 @@ def resolvent_sweep(
         raise NonpositiveParameter(
             f"need lambda_min < lambda_max, got [{lambda_min}, {lambda_max}]"
         )
+    grid = _axis_grid(float(lambda_min), float(lambda_max), int(steps))
     *_, c = _whiten(pencil)
-    grid = np.linspace(lambda_min, lambda_max, int(steps))
-    cache: dict[float, float] = {}
-    norms = np.empty(grid.shape[0])
-    for i, lam in enumerate(grid):
-        key = abs(float(lam))
-        if key not in cache:
-            cache[key] = _axis_norm(c, key)
-        norms[i] = cache[key]
-    return ResolventTable(lambdas=grid, norms=norms)
+    t = _schur_factor(c)
+    del c
+    rng = np.random.default_rng(0)
+    start = rng.standard_normal(t.shape[0]) + 1j * rng.standard_normal(t.shape[0])
+    # A = i lambda I - T in place of T: only the diagonal changes per point
+    a = np.negative(t, out=t)
+    diagonal = a.diagonal().copy()
+    keys, where = np.unique(np.abs(grid), return_inverse=True)
+    norms = np.empty(keys.size)
+    iterations = np.empty(keys.size, dtype=np.int64)
+    for i, key in enumerate(keys):
+        np.fill_diagonal(a, diagonal + 1j * key)
+        norms[i], iterations[i] = _lanczos_inverse_norm(a, start)
+    return ResolventTable(lambdas=grid, norms=norms[where], iterations=iterations[where])
 
 
 # --- closed-form oracles ---------------------------------------------------

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from bsblab import cli
+from bsblab import cli, spectral
 from bsblab.cli import RunSpec, UsageError, parse_args, read_config
 
 
@@ -258,3 +258,21 @@ def test_run_function_returns_exit_codes(tmp_path, config_file):
     assert cli.run(spec) == 0
     spec = parse_args(["spectrum", "--config", "/no/such/file.cfg"])
     assert cli.run(spec) == 2
+
+
+def test_only_module_errors_exit_with_status_one(tmp_path, config_file, monkeypatch):
+    spec = parse_args(["spectrum", "--config", config_file,
+                       "--n1", "2", "--n2", "2", "--n3", "2",
+                       "--out-dir", str(tmp_path / "x")])
+
+    def fail(exc):
+        def raiser(*args, **kwargs):
+            raise exc
+        return raiser
+
+    # a plain ValueError is a programming error, not a model error
+    monkeypatch.setattr(cli, "eigenvalues", fail(ValueError("not a module error")))
+    with pytest.raises(ValueError, match="not a module error"):
+        cli.run(spec)
+    monkeypatch.setattr(cli, "eigenvalues", fail(spectral.NonpositiveParameter("bad")))
+    assert cli.run(spec) == 1

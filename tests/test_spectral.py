@@ -218,8 +218,14 @@ def test_resolvent_far_field_decay(ddd_cfg):
 def test_resolvent_blows_up_on_a_conservative_eigenfrequency(cons_system):
     _, _, _, pencil = cons_system
     eig = spectral.eigenvalues(pencil).eigenvalues
-    lam0 = eig[eig.imag > 1e-6].imag.min()
-    assert spectral.resolvent_norm(pencil, float(lam0)) >= 1e5
+    lam0 = float(eig[eig.imag > 1e-6].imag.min())
+    assert spectral.resolvent_norm(pencil, lam0) >= 1e5
+    # the sweep pins its end points, so both land on the eigenfrequency
+    table = spectral.resolvent_sweep(pencil, -lam0, lam0, 3)
+    assert table.lambdas[0] == -lam0 and table.lambdas[-1] == lam0
+    for norm in (table.norms[0], table.norms[-1]):
+        assert math.isinf(norm) or norm >= 1e5
+    assert np.all((table.iterations >= 1) & (table.iterations <= 2 * pencil.n_positions))
 
 
 def test_resolvent_sweep_grid_and_mirror(ddd_system):
@@ -233,6 +239,43 @@ def test_resolvent_sweep_grid_and_mirror(ddd_system):
     assert np.array_equal(table.norms, table.norms[::-1])
     assert table.sup == table.norms.max()
     assert np.all(np.isfinite(table.norms))
+
+
+def test_sweep_grid_is_exactly_symmetric():
+    # mirrored points must be bitwise negatives so each |lambda| is computed
+    # once; np.linspace(-50, 50, 2001) gives 1669 distinct |lambda|
+    for steps, distinct in ((301, 151), (2001, 1001)):
+        table = spectral.resolvent_sweep(tiny_pencil(), -50.0, 50.0, steps)
+        assert np.array_equal(table.lambdas, -table.lambdas[::-1])
+        assert table.distinct_points == distinct
+        assert np.max(np.abs(table.lambdas - np.linspace(-50.0, 50.0, steps))) <= 1e-12
+    table = spectral.resolvent_sweep(tiny_pencil(), -3.0, 17.0, 2001)
+    assert table.lambdas[0] == -3.0 and table.lambdas[-1] == 17.0
+    assert np.max(np.abs(table.lambdas - np.linspace(-3.0, 17.0, 2001))) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["ddd_system", "udu_system", "cons_system"])
+@pytest.mark.parametrize("lo,hi,steps", [(-50.0, 50.0, 41), (-3.0, 17.0, 21)])
+def test_sweep_matches_the_dense_svd_reference(request, name, lo, hi, steps):
+    """Schur + Lanczos sweep against one svdvals per point."""
+    _, _, _, pencil = request.getfixturevalue(name)
+    eig = spectral.eigenvalues(pencil).eigenvalues
+    table = spectral.resolvent_sweep(pencil, lo, hi, steps)
+    for lam, norm, its in zip(table.lambdas, table.norms, table.iterations):
+        want = spectral.resolvent_norm(pencil, float(lam))
+        assert norm == pytest.approx(want, rel=1e-9)
+        assert norm * np.abs(1j * lam - eig).min() >= 1.0 - 1e-9
+        assert 1 <= its <= 2 * pencil.n_positions
+
+
+def test_lanczos_maps_a_singular_factor_to_inf():
+    a = np.triu(np.ones((4, 4), dtype=complex))
+    start = np.ones(4, dtype=complex)
+    norm, its = spectral._lanczos_inverse_norm(a, start)
+    assert norm == pytest.approx(1.0 / np.linalg.svd(a, compute_uv=False).min(), rel=1e-12)
+    assert 1 <= its <= 4
+    a[2, 2] = 0.0
+    assert spectral._lanczos_inverse_norm(a, start) == (math.inf, 1)
 
 
 def test_resolvent_parameter_validation(ddd_system):
