@@ -38,7 +38,7 @@ from .model import (
     default_initial_data,
     validate_config,
 )
-from .spectral import eigenvalues, slowest_mode
+from .spectral import eigenvalues
 
 
 class NonpositiveEnergy(ValueError):
@@ -199,13 +199,17 @@ def _decay_run(cfg: StructureConfig, pencil: SystemPencil,
                dt: float | None, t_final: float | None):
     """Slowest-mode simulation with a timestep that resolves the mode.
 
+    Returns the spectrum report of the eigensolve that picked the mode
+    along with the mode, the initial state, the run and the dt and t_final
+    used.
+
     The default dt is min(1e-3 slowest-string-period, 0.1/|mu|); the
     trapezoidal rate distortion is then at most (0.1)^2/4, a quarter of a
     percent. The default duration covers 25 e-foldings of the mode but is
     clamped to [200, 10000] steps. Explicit dt or t_final win over the
     defaults.
     """
-    mu, y_re, y_im = slowest_mode(pencil)
+    mu, y_re, y_im, spect = spectral._slowest_mode_and_spectrum(pencil)
     if dt is None:
         dt = min(default_dt(cfg), 0.1 / max(abs(mu), 1e-12))
     if t_final is None:
@@ -216,7 +220,7 @@ def _decay_run(cfg: StructureConfig, pencil: SystemPencil,
         t_final = steps * dt
     y0 = StateVector(y_re.p + 1j * y_im.p, y_re.q + 1j * y_im.q)
     sim = simulate(pencil, y0, dt, t_final)
-    return mu, y0, sim, dt, t_final
+    return spect, mu, y0, sim, dt, t_final
 
 
 def _rate_ratio(regime: DampingCase, alpha: float, spect) -> float:
@@ -256,8 +260,7 @@ def certify_decay(
     The lightweight sibling of cross_validate: same simulation and same
     ratio verdict, none of the invariant sweep.
     """
-    spect = eigenvalues(pencil)
-    mu, _, sim, dt_used, t_final_used = _decay_run(cfg, pencil, dt, t_final)
+    spect, mu, _, sim, dt_used, t_final_used = _decay_run(cfg, pencil, dt, t_final)
     fit = fit_decay(sim.trace)
     regime = pencil.regime
     ratio = _rate_ratio(regime, fit.alpha, spect)
@@ -282,11 +285,9 @@ class _Context:
     pencil: SystemPencil
     spect: spectral.SpectrumReport
     sim: SimOutput
-    fit: DecayFit
     mode_state: StateVector
     dt: float
     t_final: float
-    weight: float
 
 
 _CHECK_SEED = 1136
@@ -573,20 +574,18 @@ def cross_validate(
     zero, the ratio is reported as nan and the ratio check as
     not_applicable.
     """
-    spect = eigenvalues(pencil)
     if energy_weight is None:
         energy_weight = default_energy_weight(pencil)
     if not np.isfinite(energy_weight) or energy_weight <= 0:
         raise NonpositiveWeight(f"energy_weight must be finite and > 0, got {energy_weight}")
 
-    mu, y0, sim, dt_used, t_final_used = _decay_run(cfg, pencil, dt, t_final)
+    spect, _, y0, sim, dt_used, t_final_used = _decay_run(cfg, pencil, dt, t_final)
     fit = fit_decay(sim.trace)
     regime = pencil.regime
     ratio = _rate_ratio(regime, fit.alpha, spect)
 
     ctx = _Context(cfg=cfg, mesh=mesh, dofs=dofs, pencil=pencil, spect=spect,
-                   sim=sim, fit=fit, mode_state=y0, dt=dt_used,
-                   t_final=t_final_used, weight=energy_weight)
+                   sim=sim, mode_state=y0, dt=dt_used, t_final=t_final_used)
     results = []
     for name, check in _REGISTRY:
         passed, residual, note = check(ctx)

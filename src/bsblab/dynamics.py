@@ -9,7 +9,11 @@ ym = (y + y+)/2 one has E(y+) - E(y) = dt * dissipation(ym) up to solver
 roundoff, for every dt. Backward Euler is kept alongside as the blunt
 first-order cross-check; it over-damps and is never energy-exact. Both are
 solved in the reduced N x N form of the second-order system (see
-_theta_step), never on the 2N x 2N pencil.
+_theta_step), never on the 2N x 2N pencil, and on its band: the
+half-bandwidth b is read off the nonzeros of S, M and D (3 on assembled
+meshes), the step matrix is factored once by banded LU, and every
+mat-vec of a step and of simulate's energy record is a banded BLAS call,
+so a step costs O(N b).
 """
 
 from __future__ import annotations
@@ -129,15 +133,46 @@ def default_dt(cfg: StructureConfig) -> float:
     return 2e-3 * (cfg.l2 - cfg.l1)
 
 
-def _solve_factored(lu_piv, rhs: np.ndarray) -> np.ndarray:
-    # real factors; complex right-hand sides split into two real solves
-    if np.iscomplexobj(rhs):
-        return (scipy.linalg.lu_solve(lu_piv, rhs.real)
-                + 1j * scipy.linalg.lu_solve(lu_piv, rhs.imag))
-    return scipy.linalg.lu_solve(lu_piv, rhs)
+def _half_bandwidth(pencil: SystemPencil) -> int:
+    """Largest |i - j| over the nonzeros of S, M and D (3 on assembled meshes)."""
+    rows, cols = np.nonzero((pencil.S != 0) | (pencil.M != 0) | (pencil.D != 0))
+    return int(np.abs(rows - cols).max(initial=0))
 
 
-def _theta_step(pencil: SystemPencil, dt: float, theta: float, scheme: str):
+def _band(a: np.ndarray, b: int, pad: int = 0) -> np.ndarray:
+    """a in LAPACK general-band storage with kl = ku = b: a[i, j] sits in
+    row pad + b + i - j, column j. dgbtrf needs pad = b rows of fill-in room."""
+    n = a.shape[0]
+    ab = np.zeros((pad + 2 * b + 1, n))
+    for k in range(-b, b + 1):  # k = j - i
+        ab[pad + b - k, max(k, 0):n + min(k, 0)] = np.diagonal(a, k)
+    return ab
+
+
+def _band_product(a: np.ndarray, b: int):
+    """Return x, y, beta -> a @ x + beta * y by banded BLAS, for real or complex x.
+
+    scipy's gbmv wrappers want at least kl + ku + 1 rows, so a band wider
+    than that (2b + 1 > N, dense test pencils) runs as an m x N product
+    whose extra rows are zero, cut back to N.
+    """
+    n = a.shape[0]
+    m = max(n, 2 * b + 1)
+    ab = _band(a, b)
+    abz = ab.astype(np.complex128)
+    dgbmv, zgbmv = scipy.linalg.blas.dgbmv, scipy.linalg.blas.zgbmv
+
+    def product(x: np.ndarray, y: np.ndarray | None = None, beta: float = 0.0) -> np.ndarray:
+        if y is not None and m > n:
+            y = np.concatenate([y, np.zeros(m - n, y.dtype)])
+        if np.iscomplexobj(x):
+            return zgbmv(m, n, b, b, 1.0, abz, x, beta=beta, y=y)[:n]
+        return dgbmv(m, n, b, b, 1.0, ab, x, beta=beta, y=y)[:n]
+
+    return product
+
+
+def _theta_step(pencil: SystemPencil, dt: float, theta: float, scheme: str, b: int):
     """Factor one theta-scheme step matrix; return the step (p, q, S p) -> (p+, q+).
 
     The theta-scheme (B - theta dt K) y+ = (B + (1 - theta) dt K) y has the
@@ -148,24 +183,35 @@ def _theta_step(pencil: SystemPencil, dt: float, theta: float, scheme: str):
         A q+ = (M - (1 - theta) dt D - theta (1 - theta) dt^2 S) q - dt S p,
         A = M + theta dt D + theta^2 dt^2 S.
 
-    A is LU-factored rather than Cholesky-factored because it can be
-    indefinite for negative dt with damping. The caller passes S p since
-    simulate already computes it for the energy record.
+    Both matrices have the half-bandwidth b of S, M and D
+    (_half_bandwidth). A is factored once by banded LU (dgbtrf) rather than
+    banded Cholesky because it can be indefinite for negative dt with
+    damping; the factor stays real and a complex right-hand side is solved
+    as one two-column real system (dgbtrs). Each step then costs O(N b).
+    The caller passes S p since simulate already computes it for the
+    energy record.
     """
+    n = pencil.n_positions
     a = pencil.M + (theta * dt) * pencil.D + (theta * dt) ** 2 * pencil.S
-    explicit = (pencil.M - ((1.0 - theta) * dt) * pencil.D
-                - (theta * (1.0 - theta) * dt * dt) * pencil.S)
-    try:
-        lu_piv = scipy.linalg.lu_factor(a)
-    except scipy.linalg.LinAlgError as exc:
-        raise SolveFailure(f"{scheme} factorization failed: {exc}") from exc
+    explicit = _band_product(pencil.M - ((1.0 - theta) * dt) * pencil.D
+                             - (theta * (1.0 - theta) * dt * dt) * pencil.S, b)
+    lu, piv, info = scipy.linalg.lapack.dgbtrf(_band(a, b, pad=b), b, b)
+    if info != 0:
+        raise SolveFailure(f"{scheme} factorization failed: dgbtrf info = {info}")
+    dgbtrs = scipy.linalg.lapack.dgbtrs
 
     def step(p: np.ndarray, q: np.ndarray, sp: np.ndarray):
-        q_next = _solve_factored(lu_piv, explicit @ q - dt * sp)
+        if np.iscomplexobj(sp):
+            q = np.asarray(q, np.complex128)
+        rhs = explicit(q, sp, -dt)
+        if np.iscomplexobj(rhs):
+            x, _ = dgbtrs(lu, b, b, rhs.view(np.float64).reshape(n, 2), piv)
+            q_next = np.ascontiguousarray(x).view(np.complex128)[:, 0]
+        else:
+            q_next, _ = dgbtrs(lu, b, b, rhs, piv, overwrite_b=1)
         p_next = p + dt * ((1.0 - theta) * q + theta * q_next)
-        for part in (p_next, q_next):
-            if not np.all(np.isfinite(part.real)) or not np.all(np.isfinite(part.imag)):
-                raise SolveFailure(f"{scheme} step produced non-finite values")
+        if not (np.isfinite(p_next).all() and np.isfinite(q_next).all()):
+            raise SolveFailure(f"{scheme} step produced non-finite values")
         return p_next, q_next
 
     return step
@@ -176,7 +222,7 @@ def step_trapezoidal(pencil: SystemPencil, y: StateVector, dt: float) -> StateVe
     _require_match(pencil, y)
     if not np.isfinite(dt) or dt == 0:
         raise ValueError(f"dt must be finite and nonzero, got {dt}")
-    step = _theta_step(pencil, dt, 0.5, "trapezoidal")
+    step = _theta_step(pencil, dt, 0.5, "trapezoidal", _half_bandwidth(pencil))
     return StateVector(*step(y.p, y.q, pencil.S @ y.p))
 
 
@@ -185,7 +231,7 @@ def step_backward_euler(pencil: SystemPencil, y: StateVector, dt: float) -> Stat
     _require_match(pencil, y)
     if not np.isfinite(dt) or dt <= 0:
         raise ValueError(f"dt must be finite and > 0, got {dt}")
-    step = _theta_step(pencil, dt, 1.0, "backward Euler")
+    step = _theta_step(pencil, dt, 1.0, "backward Euler", _half_bandwidth(pencil))
     return StateVector(*step(y.p, y.q, pencil.S @ y.p))
 
 
@@ -212,7 +258,9 @@ def simulate(
         raise ValueError(f"snapshot_every must be >= 0, got {snapshot_every}")
 
     steps = max(1, int(round(t_final / dt)))
-    step = _theta_step(pencil, dt, 0.5, "trapezoidal")
+    b = _half_bandwidth(pencil)
+    step = _theta_step(pencil, dt, 0.5, "trapezoidal", b)
+    s_times, m_times, d_times = (_band_product(a, b) for a in (pencil.S, pencil.M, pencil.D))
 
     p, q = y0.p, y0.q
     times = dt * np.arange(steps + 1)
@@ -222,10 +270,10 @@ def simulate(
     snapshots = []
 
     def record(i, p, q):
-        sp = pencil.S @ p
-        mq = pencil.M @ q
+        sp = s_times(p)
+        mq = m_times(q)
         e_arr[i] = 0.5 * (np.vdot(p, sp).real + np.vdot(q, mq).real)
-        d_arr[i] = -np.vdot(q, pencil.D @ q).real
+        d_arr[i] = -np.vdot(q, d_times(q)).real
         c_arr[i] = np.vdot(p, mq).real
         return sp
 

@@ -259,6 +259,10 @@ _ELEMENT_KINDS = {
     "string_mass": (p1_shapes, 0, 2),
 }
 
+# Gauss-Legendre (points, weights) per kind, built once; leggauss is
+# deterministic, so the local matrices are bitwise those of a per-call rule.
+_GAUSS_RULES = {kind: leggauss(npts) for kind, (_, _, npts) in _ELEMENT_KINDS.items()}
+
 
 def element_matrices(kind: str, h: float) -> np.ndarray:
     """Local Gram matrix of one element, by Gauss quadrature.
@@ -272,8 +276,8 @@ def element_matrices(kind: str, h: float) -> np.ndarray:
         raise ValueError(f"unknown element kind {kind!r}")
     if not np.isfinite(h) or h <= 0:
         raise NonpositiveLength(f"element length must be finite and > 0, got {h}")
-    shapes, deriv, npts = _ELEMENT_KINDS[kind]
-    pts, wts = leggauss(npts)
+    shapes, deriv, _ = _ELEMENT_KINDS[kind]
+    pts, wts = _GAUSS_RULES[kind]
     size = 4 if shapes is hermite_shapes else 2
     out = np.zeros((size, size))
     for t, w in zip(pts, wts):

@@ -106,18 +106,22 @@ def _sorted_eigenvalues(mu: np.ndarray) -> np.ndarray:
     return mu[np.lexsort((mu.imag, mu.real))]
 
 
+def _spectrum_report(mu: np.ndarray, regime: DampingCase) -> SpectrumReport:
+    mu = _sorted_eigenvalues(mu)
+    return SpectrumReport(
+        eigenvalues=mu,
+        abscissa=float(np.max(mu.real)),
+        min_axis_distance=float(np.min(np.abs(mu.real))),
+        regime=regime,
+    )
+
+
 def eigenvalues(pencil: SystemPencil) -> SpectrumReport:
     """Whitened eigensolve of the pencil (K, B)."""
     if pencil.n_positions == 0:
         raise EmptySpectrum("pencil has no degrees of freedom")
     *_, c = _whiten(pencil)
-    mu = _sorted_eigenvalues(scipy.linalg.eigvals(c))
-    return SpectrumReport(
-        eigenvalues=mu,
-        abscissa=float(np.max(mu.real)),
-        min_axis_distance=float(np.min(np.abs(mu.real))),
-        regime=pencil.regime,
-    )
+    return _spectrum_report(scipy.linalg.eigvals(c), pencil.regime)
 
 
 def spectral_abscissa(pencil: SystemPencil) -> float:
@@ -134,6 +138,16 @@ def slowest_mode(pencil: SystemPencil):
     real axis. Meaningful in a dissipative regime; without damping the
     largest real part is numerically zero and the returned mode is simply
     one of the undamped oscillations.
+    """
+    mu, y_re, y_im, _ = _slowest_mode_and_spectrum(pencil)
+    return mu, y_re, y_im
+
+
+def _slowest_mode_and_spectrum(pencil: SystemPencil):
+    """slowest_mode plus the SpectrumReport of the same eigensolve.
+
+    The eigenvalues come from the eig call that picks the mode, so they
+    may differ from those of eigenvalues() (eigvals) in the last digits.
     """
     if pencil.n_positions == 0:
         raise EmptySpectrum("pencil has no degrees of freedom")
@@ -152,7 +166,7 @@ def slowest_mode(pencil: SystemPencil):
     x = x / phase
     y_re = StateVector(x[:n].real.copy(), x[n:].real.copy())
     y_im = StateVector(x[:n].imag.copy(), x[n:].imag.copy())
-    return complex(mu[pick]), y_re, y_im
+    return complex(mu[pick]), y_re, y_im, _spectrum_report(mu, pencil.regime)
 
 
 def resolvent_norm(pencil: SystemPencil, lam: float) -> float:

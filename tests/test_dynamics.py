@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import bsblab as bb
 from bsblab import dynamics, fem
+from bsblab.model import DampingCase
 
 from conftest import random_state
 
@@ -113,6 +114,29 @@ def test_backward_euler_is_first_order_trapezoidal_second(ddd_system):
         assert order == pytest.approx(expected_order, abs=0.35)
 
 
+def theta_reference(pencil, y, dt, theta):
+    """(B - theta dt K) y+ = (B + (1 - theta) dt K) y, solved on the 2N pencil."""
+    B, K = pencil.B, pencil.K
+    return np.linalg.solve(B - (theta * dt) * K, (B + ((1 - theta) * dt) * K) @ y.to_array())
+
+
+def close(got, want):
+    return np.linalg.norm(got.to_array() - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def dense_pencil(damping, seed=5, n=6):
+    """Random SPD S and M and a rank-3 PSD D scaled by damping: every
+    entry is nonzero, so the half-bandwidth is n - 1."""
+    rng = np.random.default_rng(seed)
+
+    def spd():
+        g = rng.standard_normal((n, n))
+        return g @ g.T + n * np.eye(n)
+
+    g = rng.standard_normal((n, 3))
+    return fem.SystemPencil(S=spd(), M=spd(), D=damping * (g @ g.T), regime=DampingCase.OTHER)
+
+
 @pytest.mark.parametrize("complex_valued", [False, True])
 def test_reduced_steps_match_the_first_order_pencil(ddd_system, complex_valued):
     """The N x N step reproduces the 2N x 2N theta-scheme on (B, K).
@@ -122,19 +146,69 @@ def test_reduced_steps_match_the_first_order_pencil(ddd_system, complex_valued):
     backward in time, and (B - dt K) y+ = B y for backward Euler.
     """
     _, _, _, pencil = ddd_system
-    B, K = pencil.B, pencil.K
     y = random_state(pencil, 7, complex_valued=complex_valued)
-    y_arr = y.to_array()
-
-    def close(got, want):
-        return np.linalg.norm(got.to_array() - want) <= 1e-12 * np.linalg.norm(want)
-
     for dt in (1e-3, -1e-3):
-        want = np.linalg.solve(B - (dt / 2) * K, (B + (dt / 2) * K) @ y_arr)
-        assert close(bb.step_trapezoidal(pencil, y, dt), want)
+        assert close(bb.step_trapezoidal(pencil, y, dt), theta_reference(pencil, y, dt, 0.5))
     dt = 1e-3
-    want = np.linalg.solve(B - dt * K, B @ y_arr)
-    assert close(bb.step_backward_euler(pencil, y, dt), want)
+    assert close(bb.step_backward_euler(pencil, y, dt), theta_reference(pencil, y, dt, 1.0))
+
+
+@pytest.mark.parametrize("complex_valued", [False, True])
+def test_banded_steps_on_a_full_bandwidth_pencil(complex_valued):
+    """A dense pencil is a band of half-width N - 1 and steps like any other."""
+    pencil = dense_pencil(damping=1.0)
+    assert dynamics._half_bandwidth(pencil) == pencil.n_positions - 1
+    y = random_state(pencil, 11, complex_valued=complex_valued)
+    for dt in (1e-2, -1e-2):
+        assert close(bb.step_trapezoidal(pencil, y, dt), theta_reference(pencil, y, dt, 0.5))
+    assert close(bb.step_backward_euler(pencil, y, 1e-2), theta_reference(pencil, y, 1e-2, 1.0))
+
+
+@pytest.mark.parametrize("complex_valued", [False, True])
+def test_backward_step_with_an_indefinite_step_matrix(complex_valued):
+    """Negative dt against strong damping makes A = M + dt/2 D + dt^2/4 S
+    indefinite, which no Cholesky factor admits; the LU step still matches."""
+    pencil = dense_pencil(damping=50.0)
+    dt = -1.0
+    a = pencil.M + (dt / 2) * pencil.D + (dt / 2) ** 2 * pencil.S
+    eig = np.linalg.eigvalsh(a)
+    assert eig[0] < 0.0 < eig[-1]
+    y = random_state(pencil, 13, complex_valued=complex_valued)
+    assert close(bb.step_trapezoidal(pencil, y, dt), theta_reference(pencil, y, dt, 0.5))
+
+
+def test_step_failures_raise_solve_failure():
+    """A singular step matrix fails the factorization; overflow fails the step."""
+    zero = np.zeros((3, 3))
+    singular = fem.SystemPencil(S=zero, M=zero, D=zero, regime=DampingCase.OTHER)
+    y = bb.StateVector(np.ones(3), np.ones(3))
+    with pytest.raises(dynamics.SolveFailure, match="factorization"):
+        bb.step_trapezoidal(singular, y, 1e-3)
+    eye = np.eye(3)
+    huge = fem.SystemPencil(S=1e300 * eye, M=eye, D=zero, regime=DampingCase.OTHER)
+    with pytest.raises(dynamics.SolveFailure, match="non-finite"):
+        bb.simulate(huge, bb.StateVector(1e300 * np.ones(3), np.ones(3)), 1e-3, 1e-3)
+
+
+def test_simulate_trace_matches_its_snapshots(ddd_system):
+    """The banded energy record equals the dense functionals on the states,
+    and the run equals a chain of single trapezoidal steps."""
+    _, _, _, pencil = ddd_system
+    assert dynamics._half_bandwidth(pencil) == 3
+    y0 = random_state(pencil, 17, complex_valued=True)
+    dt, steps = 1e-3, 30
+    sim = bb.simulate(pencil, y0, dt, steps * dt, snapshot_every=1)
+    states = [y for _, y in sim.snapshots]
+    assert len(states) == steps + 1
+    for got, functional in ((sim.trace.energy, bb.energy),
+                            (sim.trace.dissipation, bb.dissipation),
+                            (sim.trace.cross, bb.cross_functional)):
+        want = np.array([functional(pencil, y) for y in states])
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    y = y0
+    for _ in range(steps):
+        y = bb.step_trapezoidal(pencil, y, dt)
+    assert close(sim.final_state, y.to_array())
 
 
 def test_step_input_validation(ddd_system):
