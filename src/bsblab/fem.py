@@ -287,56 +287,61 @@ def element_matrices(kind: str, h: float) -> np.ndarray:
     return out
 
 
-def _accumulate(matrix: np.ndarray, idx: np.ndarray, local: np.ndarray) -> None:
-    keep = idx >= 0
-    gi = idx[keep]
-    matrix[np.ix_(gi, gi)] += local[np.ix_(keep, keep)]
+def _scatter(size: int, idx: np.ndarray, local: np.ndarray) -> np.ndarray:
+    """Sum element matrices into a size x size matrix.
+
+    idx is an (E, k) array holding the global DOF of each local DOF of each
+    element, -1 for a clamped DOF; local is the (E, k, k) stack of element
+    matrices, or one (k, k) matrix shared by all elements. Every global
+    entry collects at most two contributions, so the sum does not depend on
+    the order in which they arrive.
+    """
+    local = np.broadcast_to(local, (len(idx),) + np.shape(local)[-2:])
+    rows = np.broadcast_to(idx[:, :, None], local.shape)
+    cols = np.broadcast_to(idx[:, None, :], local.shape)
+    keep = (rows >= 0) & (cols >= 0)
+    out = np.zeros((size, size))
+    np.add.at(out, (rows[keep], cols[keep]), local[keep])
+    return out
 
 
-def assemble_pencil(
-    cfg: StructureConfig,
-    mesh: Mesh,
-    dofs: DofMap,
-    element_order: str = "forward",
-) -> SystemPencil:
+def _element_stack(kind: str, nodes: np.ndarray) -> np.ndarray:
+    """element_matrices(kind, h) for every element length h of a member."""
+    return np.stack([element_matrices(kind, h) for h in np.diff(nodes)])
+
+
+def _element_pairs(table: np.ndarray) -> np.ndarray:
+    """(E, k) element index array from a per-node table: node e, then node e + 1."""
+    return np.column_stack([table[:-1], table[1:]])
+
+
+def assemble_pencil(cfg: StructureConfig, mesh: Mesh, dofs: DofMap) -> SystemPencil:
     """Assemble S, M and D.
 
-    element_order ("forward" or "reversed") only changes the element
-    iteration order; it exists so the order-independence of the summation
-    can be certified. Each global entry collects at most two element
-    contributions, so the result is bit-identical either way.
+    Every element matrix is built at its own length nodes[e + 1] - nodes[e]
+    and scattered into place by one helper (_scatter); each global entry
+    collects at most two element contributions.
     """
     validate_config(cfg)
-    if element_order not in ("forward", "reversed"):
-        raise ValueError(f"element_order must be 'forward' or 'reversed', got {element_order!r}")
-
     n = dofs.n_dofs
     S = np.zeros((n, n))
     M = np.zeros((n, n))
     D = np.zeros((n, n))
 
-    def order(count):
-        r = range(count)
-        return reversed(r) if element_order == "reversed" else r
-
-    for beam, nodes, count, rho in (
-        (dofs.beam1, mesh.nodes1, mesh.n1, cfg.rho1),
-        (dofs.beam2, mesh.nodes3, mesh.n3, cfg.rho2),
+    for table, nodes, rho in (
+        (dofs.beam1, mesh.nodes1, cfg.rho1),
+        (dofs.beam2, mesh.nodes3, cfg.rho2),
     ):
-        for e in order(count):
-            h = nodes[e + 1] - nodes[e]
-            idx = np.concatenate([beam[e], beam[e + 1]])
-            _accumulate(S, idx, element_matrices("beam_bending", h))
-            _accumulate(M, idx, element_matrices("beam_mass", h))
-            _accumulate(D, idx, rho * element_matrices("beam_slope", h))
+        idx = _element_pairs(table)
+        S += _scatter(n, idx, _element_stack("beam_bending", nodes))
+        M += _scatter(n, idx, _element_stack("beam_mass", nodes))
+        D += _scatter(n, idx, rho * _element_stack("beam_slope", nodes))
 
-    for e in order(mesh.n2):
-        h = mesh.nodes2[e + 1] - mesh.nodes2[e]
-        idx = np.array([dofs.string[e], dofs.string[e + 1]])
-        mass = element_matrices("string_mass", h)
-        _accumulate(S, idx, element_matrices("string_stiffness", h))
-        _accumulate(M, idx, mass)
-        _accumulate(D, idx, cfg.beta * mass)
+    idx = _element_pairs(dofs.string)
+    mass = _element_stack("string_mass", mesh.nodes2)
+    S += _scatter(n, idx, _element_stack("string_stiffness", mesh.nodes2))
+    M += _scatter(n, idx, mass)
+    D += _scatter(n, idx, cfg.beta * mass)
 
     return SystemPencil(S=S, M=M, D=D, regime=classify_damping(cfg))
 
@@ -361,17 +366,10 @@ def assemble_string_pencil(length: float, beta: float, n: int) -> SystemPencil:
     if int(n) != n or n < 2:
         raise ZeroElements(f"a pinned string needs n >= 2 elements, got {n}")
     n = int(n)
-    idx_of = np.concatenate([[-1], np.arange(n - 1), [-1]])
+    idx = _element_pairs(np.concatenate([[-1], np.arange(n - 1), [-1]]))
     h = length / n
-    size = n - 1
-    S = np.zeros((size, size))
-    M = np.zeros((size, size))
-    stiff = element_matrices("string_stiffness", h)
-    mass = element_matrices("string_mass", h)
-    for e in range(n):
-        idx = idx_of[e:e + 2]
-        _accumulate(S, idx, stiff)
-        _accumulate(M, idx, mass)
+    S = _scatter(n - 1, idx, element_matrices("string_stiffness", h))
+    M = _scatter(n - 1, idx, element_matrices("string_mass", h))
     D = beta * M
     regime = DampingCase.UDU if beta > 0 else DampingCase.CONSERVATIVE
     return SystemPencil(S=S, M=M, D=D, regime=regime)
@@ -390,22 +388,13 @@ def assemble_beam_pencil(length: float, n: int, rho: float = 0.0) -> SystemPenci
     if int(n) != n or n < 1:
         raise ZeroElements(f"n must be an integer >= 1, got {n}")
     n = int(n)
-    idx_of = np.full((n + 1, 2), -1, dtype=int)
-    for j in range(1, n + 1):
-        idx_of[j] = (2 * (j - 1), 2 * (j - 1) + 1)
+    table = np.full((n + 1, 2), -1, dtype=int)
+    table[1:] = np.arange(2 * n).reshape(n, 2)
+    idx = _element_pairs(table)
     h = length / n
-    size = 2 * n
-    S = np.zeros((size, size))
-    M = np.zeros((size, size))
-    D = np.zeros((size, size))
-    bend = element_matrices("beam_bending", h)
-    mass = element_matrices("beam_mass", h)
-    slope = element_matrices("beam_slope", h)
-    for e in range(n):
-        idx = np.concatenate([idx_of[e], idx_of[e + 1]])
-        _accumulate(S, idx, bend)
-        _accumulate(M, idx, mass)
-        _accumulate(D, idx, rho * slope)
+    S = _scatter(2 * n, idx, element_matrices("beam_bending", h))
+    M = _scatter(2 * n, idx, element_matrices("beam_mass", h))
+    D = _scatter(2 * n, idx, rho * element_matrices("beam_slope", h))
     regime = DampingCase.CONSERVATIVE if rho == 0 else DampingCase.OTHER
     return SystemPencil(S=S, M=M, D=D, regime=regime)
 

@@ -178,12 +178,7 @@ def resolvent_norm(pencil: SystemPencil, lam: float) -> float:
     if not np.isfinite(lam):
         raise NonpositiveParameter(f"lambda must be finite, got {lam}")
     *_, c = _whiten(pencil)
-    return _axis_norm(c, float(lam))
-
-
-def _axis_norm(c: np.ndarray, lam: float) -> float:
-    t = 1j * lam * np.eye(c.shape[0]) - c
-    smin = float(scipy.linalg.svdvals(t)[-1])
+    smin = float(scipy.linalg.svdvals(1j * float(lam) * np.eye(c.shape[0]) - c)[-1])
     return math.inf if smin == 0.0 else 1.0 / smin
 
 
@@ -227,7 +222,7 @@ def _lanczos_inverse_norm(a: np.ndarray, start: np.ndarray):
 
     Lanczos with full reorthogonalization on A^{-*} A^{-1}. A singular or
     non-finite triangular solve means A is singular to working precision
-    and gives +inf, as in _axis_norm.
+    and gives +inf, as in resolvent_norm.
     """
     m = a.shape[0]
     basis = np.empty((m, m), dtype=np.complex128)
@@ -280,6 +275,17 @@ def resolvent_sweep(
             f"need lambda_min < lambda_max, got [{lambda_min}, {lambda_max}]"
         )
     grid = _axis_grid(float(lambda_min), float(lambda_max), int(steps))
+    norms, iterations = _axis_norms(pencil, grid)
+    return ResolventTable(lambdas=grid, norms=norms, iterations=iterations)
+
+
+def _axis_norms(pencil: SystemPencil, lambdas: np.ndarray):
+    """Resolvent norms at the axis points i*lambdas, and the Lanczos
+    iterations behind each.
+
+    Whitens once, takes the Schur factor T once, and runs Lanczos once per
+    distinct |lambda|; mirrored points share that value.
+    """
     *_, c = _whiten(pencil)
     t = _schur_factor(c)
     del c
@@ -288,13 +294,13 @@ def resolvent_sweep(
     # A = i lambda I - T in place of T: only the diagonal changes per point
     a = np.negative(t, out=t)
     diagonal = a.diagonal().copy()
-    keys, where = np.unique(np.abs(grid), return_inverse=True)
+    keys, where = np.unique(np.abs(lambdas), return_inverse=True)
     norms = np.empty(keys.size)
     iterations = np.empty(keys.size, dtype=np.int64)
     for i, key in enumerate(keys):
         np.fill_diagonal(a, diagonal + 1j * key)
         norms[i], iterations[i] = _lanczos_inverse_norm(a, start)
-    return ResolventTable(lambdas=grid, norms=norms[where], iterations=iterations[where])
+    return norms[where], iterations[where]
 
 
 # --- closed-form oracles ---------------------------------------------------

@@ -205,7 +205,7 @@ def test_verify_passes_and_is_reproducible(tmp_path, config_file):
     trim = lambda s: [ln for ln in s.splitlines() if "report.json" not in ln]
     assert trim(p1.stdout) == trim(p2.stdout)
     payload = json.loads(r1)
-    assert p1.stdout.count("PASS") == len(payload["invariant_results"]) == 19
+    assert p1.stdout.count("PASS") == len(payload["invariant_results"]) == 14
     assert "FAIL" not in p1.stdout
     assert payload["all_pass"] is True
 

@@ -198,14 +198,62 @@ def test_block_structure(ddd_system):
     assert np.array_equal(pencil.K[n:, n:], -pencil.D)
 
 
-def test_assembly_is_order_independent(ddd_cfg):
-    mesh = fem.build_mesh(ddd_cfg, 7, 6, 5)
-    dofs = fem.build_dof_map(mesh)
-    fwd = fem.assemble_pencil(ddd_cfg, mesh, dofs)
-    rev = fem.assemble_pencil(ddd_cfg, mesh, dofs, element_order="reversed")
-    # bitwise, not approximately: every entry sees at most two summands
-    for name in ("S", "M", "D"):
-        assert np.array_equal(getattr(fwd, name), getattr(rev, name))
+def loop_assembly(size, elements):
+    """S, M, D summed element by element, each (indices, S_e, M_e, D_e) in turn."""
+    out = [np.zeros((size, size)) for _ in range(3)]
+    for idx, *locals_ in elements:
+        idx = np.asarray(idx)
+        keep = idx >= 0
+        for matrix, local in zip(out, locals_):
+            matrix[np.ix_(idx[keep], idx[keep])] += local[np.ix_(keep, keep)]
+    return out
+
+
+def assert_bitwise(pencil, expected):
+    for name, want in zip("SMD", expected):
+        got = getattr(pencil, name)
+        assert np.array_equal(got, want), name
+        assert got.tobytes() == want.tobytes(), name  # also tells 0.0 from -0.0
+
+
+def coupled_elements(cfg, mesh, dofs):
+    """(indices, S_e, M_e, D_e) for every element, beams first, then the string."""
+    em = fem.element_matrices
+    elements = []
+    for table, nodes, rho in ((dofs.beam1, mesh.nodes1, cfg.rho1),
+                              (dofs.beam2, mesh.nodes3, cfg.rho2)):
+        for e in range(len(nodes) - 1):
+            h = nodes[e + 1] - nodes[e]
+            elements.append((np.concatenate([table[e], table[e + 1]]), em("beam_bending", h),
+                             em("beam_mass", h), rho * em("beam_slope", h)))
+    for e in range(mesh.n2):
+        h = mesh.nodes2[e + 1] - mesh.nodes2[e]
+        mass = em("string_mass", h)
+        elements.append(([dofs.string[e], dofs.string[e + 1]], em("string_stiffness", h),
+                         mass, cfg.beta * mass))
+    return elements
+
+
+def test_assembly_matches_a_per_element_loop(ddd_cfg, udu_cfg):
+    for cfg in (ddd_cfg, udu_cfg):
+        for counts in ((7, 6, 5), (3, 1, 2), (1, 1, 1)):
+            mesh = fem.build_mesh(cfg, *counts)
+            dofs = fem.build_dof_map(mesh)
+            expected = loop_assembly(dofs.n_dofs, coupled_elements(cfg, mesh, dofs))
+            assert_bitwise(fem.assemble_pencil(cfg, mesh, dofs), expected)
+
+    h = 2.0 / 8
+    stiff, mass = fem.element_matrices("string_stiffness", h), fem.element_matrices("string_mass", h)
+    ends = [-1, *range(7), -1]
+    elements = [((ends[e], ends[e + 1]), stiff, mass, 0.5 * mass) for e in range(8)]
+    assert_bitwise(fem.assemble_string_pencil(2.0, 0.5, 8), loop_assembly(7, elements))
+
+    h = 1.5 / 6
+    local = [fem.element_matrices(kind, h) for kind in ("beam_bending", "beam_mass", "beam_slope")]
+    local[2] = 0.3 * local[2]
+    node = [(-1, -1)] + [(2 * j, 2 * j + 1) for j in range(6)]
+    elements = [((*node[e], *node[e + 1]), *local) for e in range(6)]
+    assert_bitwise(fem.assemble_beam_pencil(1.5, 6, rho=0.3), loop_assembly(12, elements))
 
 
 @settings(max_examples=25, deadline=None)
