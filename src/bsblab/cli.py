@@ -48,7 +48,6 @@ _MODULE_ERRORS = (
     fem.OutOfDomain,
     dynamics.DimensionMismatch,
     dynamics.SolveFailure,
-    dynamics.NonpositiveWeight,
     spectral.FactorizationFailure,
     spectral.EmptySpectrum,
     spectral.NonpositiveParameter,
@@ -114,7 +113,6 @@ class RunSpec:
     lambda_max: float = 50.0
     lambda_steps: int = 2001
     count: int = 5
-    energy_weight: float | None = None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -171,8 +169,6 @@ def parse_args(argv) -> RunSpec:
     add_common(ver)
     ver.add_argument("--dt", type=float, default=None)
     ver.add_argument("--t-final", type=float, default=None)
-    ver.add_argument("--c4", type=float, default=None, dest="energy_weight",
-                     help="energy weight of the Lyapunov functional")
 
     ns = parser.parse_args(argv)
     spec = RunSpec(**vars(ns))
@@ -196,8 +192,6 @@ def parse_args(argv) -> RunSpec:
         raise UsageError(f"--snapshot-points must be >= 2, got {spec.snapshot_points}")
     if spec.count < 1:
         raise UsageError(f"--count must be >= 1, got {spec.count}")
-    if spec.energy_weight is not None and not spec.energy_weight > 0:
-        raise UsageError(f"--c4 must be > 0, got {spec.energy_weight}")
     return spec
 
 
@@ -343,8 +337,7 @@ def _cmd_modes(spec: RunSpec) -> int:
 
 def _cmd_verify(spec: RunSpec) -> int:
     cfg, mesh, dofs, pencil = _prepare(spec)
-    report = cross_validate(cfg, mesh, dofs, pencil, dt=spec.dt,
-                            t_final=spec.t_final, energy_weight=spec.energy_weight)
+    report = cross_validate(cfg, mesh, dofs, pencil, dt=spec.dt, t_final=spec.t_final)
     path = os.path.join(spec.out_dir, "report.json")
     _write_text(path, render_report(report))
     for r in report.invariant_results:

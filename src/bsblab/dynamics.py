@@ -6,14 +6,12 @@ The trapezoidal (Crank-Nicolson) step
 
 inherits the dissipation identity of the pencil exactly: with the midpoint
 ym = (y + y+)/2 one has E(y+) - E(y) = dt * dissipation(ym) up to solver
-roundoff, for every dt. Backward Euler is kept alongside as the blunt
-first-order cross-check; it over-damps and is never energy-exact. Both are
-solved in the reduced N x N form of the second-order system (see
-_theta_step), never on the 2N x 2N pencil, and on its band: the
-half-bandwidth b is read off the nonzeros of S, M and D (3 on assembled
-meshes), the step matrix is factored once by banded LU, and every
-mat-vec of a step and of simulate's energy record is a banded BLAS call,
-so a step costs O(N b).
+roundoff, for every dt. It is the only scheme. A step is solved in the
+reduced N x N form of the second-order system (see _trapezoidal_step),
+never on the 2N x 2N pencil, and on its band: the half-bandwidth b is
+read off the nonzeros of S, M and D (3 on assembled meshes), the step
+matrix is factored once by banded LU, and every mat-vec of a step and of
+simulate's energy record is a banded BLAS call, so a step costs O(N b).
 """
 
 from __future__ import annotations
@@ -172,16 +170,15 @@ def _band_product(a: np.ndarray, b: int):
     return product
 
 
-def _theta_step(pencil: SystemPencil, dt: float, theta: float, scheme: str, b: int):
-    """Factor one theta-scheme step matrix; return the step (p, q, S p) -> (p+, q+).
+def _trapezoidal_step(pencil: SystemPencil, dt: float, b: int):
+    """Factor the trapezoidal step matrix; return the step (p, q, S p) -> (p+, q+).
 
-    The theta-scheme (B - theta dt K) y+ = (B + (1 - theta) dt K) y has the
-    first block row S (p+ - p) = dt S ((1 - theta) q + theta q+). S is SPD,
-    so p+ = p + dt ((1 - theta) q + theta q+), and eliminating p+ from the
-    second block row leaves one N x N system for q+:
+    The step (B - dt/2 K) y+ = (B + dt/2 K) y has the first block row
+    S (p+ - p) = dt S (q + q+)/2. S is SPD, so p+ = p + dt (q + q+)/2, and
+    eliminating p+ from the second block row leaves one N x N system for q+:
 
-        A q+ = (M - (1 - theta) dt D - theta (1 - theta) dt^2 S) q - dt S p,
-        A = M + theta dt D + theta^2 dt^2 S.
+        A q+ = (M - dt/2 D - dt^2/4 S) q - dt S p,
+        A = M + dt/2 D + dt^2/4 S.
 
     Both matrices have the half-bandwidth b of S, M and D
     (_half_bandwidth). A is factored once by banded LU (dgbtrf) rather than
@@ -192,12 +189,12 @@ def _theta_step(pencil: SystemPencil, dt: float, theta: float, scheme: str, b: i
     energy record.
     """
     n = pencil.n_positions
-    a = pencil.M + (theta * dt) * pencil.D + (theta * dt) ** 2 * pencil.S
-    explicit = _band_product(pencil.M - ((1.0 - theta) * dt) * pencil.D
-                             - (theta * (1.0 - theta) * dt * dt) * pencil.S, b)
+    a = pencil.M + (0.5 * dt) * pencil.D + (0.5 * dt) ** 2 * pencil.S
+    explicit = _band_product(pencil.M - (0.5 * dt) * pencil.D
+                             - (0.25 * dt * dt) * pencil.S, b)
     lu, piv, info = scipy.linalg.lapack.dgbtrf(_band(a, b, pad=b), b, b)
     if info != 0:
-        raise SolveFailure(f"{scheme} factorization failed: dgbtrf info = {info}")
+        raise SolveFailure(f"trapezoidal factorization failed: dgbtrf info = {info}")
     dgbtrs = scipy.linalg.lapack.dgbtrs
 
     def step(p: np.ndarray, q: np.ndarray, sp: np.ndarray):
@@ -209,9 +206,9 @@ def _theta_step(pencil: SystemPencil, dt: float, theta: float, scheme: str, b: i
             q_next = np.ascontiguousarray(x).view(np.complex128)[:, 0]
         else:
             q_next, _ = dgbtrs(lu, b, b, rhs, piv, overwrite_b=1)
-        p_next = p + dt * ((1.0 - theta) * q + theta * q_next)
+        p_next = p + dt * (0.5 * q + 0.5 * q_next)
         if not (np.isfinite(p_next).all() and np.isfinite(q_next).all()):
-            raise SolveFailure(f"{scheme} step produced non-finite values")
+            raise SolveFailure("trapezoidal step produced non-finite values")
         return p_next, q_next
 
     return step
@@ -222,16 +219,7 @@ def step_trapezoidal(pencil: SystemPencil, y: StateVector, dt: float) -> StateVe
     _require_match(pencil, y)
     if not np.isfinite(dt) or dt == 0:
         raise ValueError(f"dt must be finite and nonzero, got {dt}")
-    step = _theta_step(pencil, dt, 0.5, "trapezoidal", _half_bandwidth(pencil))
-    return StateVector(*step(y.p, y.q, pencil.S @ y.p))
-
-
-def step_backward_euler(pencil: SystemPencil, y: StateVector, dt: float) -> StateVector:
-    """One backward Euler step (B - dt K) y+ = B y; first order, over-damps."""
-    _require_match(pencil, y)
-    if not np.isfinite(dt) or dt <= 0:
-        raise ValueError(f"dt must be finite and > 0, got {dt}")
-    step = _theta_step(pencil, dt, 1.0, "backward Euler", _half_bandwidth(pencil))
+    step = _trapezoidal_step(pencil, dt, _half_bandwidth(pencil))
     return StateVector(*step(y.p, y.q, pencil.S @ y.p))
 
 
@@ -259,7 +247,7 @@ def simulate(
 
     steps = max(1, int(round(t_final / dt)))
     b = _half_bandwidth(pencil)
-    step = _theta_step(pencil, dt, 0.5, "trapezoidal", b)
+    step = _trapezoidal_step(pencil, dt, b)
     s_times, m_times, d_times = (_band_product(a, b) for a in (pencil.S, pencil.M, pencil.D))
 
     p, q = y0.p, y0.q

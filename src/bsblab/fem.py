@@ -23,10 +23,12 @@ first-order pencil
 
     B = [[S, 0], [0, M]],      K = [[0, S], [-S, -D]]
 
-is built on demand. States y = (p, q) obey B y' = K y, the energy is
+is built on demand, as the first-order reference for the tests and for
+--dump-matrices. States y = (p, q) obey B y' = K y, the energy is
 (1/2)(p^T S p + q^T M q), and Re(y^H K y) = -q^H D q holds exactly, which
 is the discrete image of the dissipation identity of the continuous
-semigroup.
+semigroup. It follows from the block form of K once S is symmetric, so
+at run time only the symmetry of S, M and D is checked.
 """
 
 from __future__ import annotations
@@ -306,8 +308,13 @@ def _scatter(size: int, idx: np.ndarray, local: np.ndarray) -> np.ndarray:
 
 
 def _element_stack(kind: str, nodes: np.ndarray) -> np.ndarray:
-    """element_matrices(kind, h) for every element length h of a member."""
-    return np.stack([element_matrices(kind, h) for h in np.diff(nodes)])
+    """element_matrices(kind, h) for every element length h of a member.
+
+    A linspace member has only a few distinct lengths, so each distinct h
+    is integrated once and the stack indexes into those matrices.
+    """
+    lengths, which = np.unique(np.diff(nodes), return_inverse=True)
+    return np.stack([element_matrices(kind, h) for h in lengths])[which]
 
 
 def _element_pairs(table: np.ndarray) -> np.ndarray:
@@ -319,8 +326,9 @@ def assemble_pencil(cfg: StructureConfig, mesh: Mesh, dofs: DofMap) -> SystemPen
     """Assemble S, M and D.
 
     Every element matrix is built at its own length nodes[e + 1] - nodes[e]
-    and scattered into place by one helper (_scatter); each global entry
-    collects at most two element contributions.
+    (once per distinct length) and scattered into place by one helper
+    (_scatter); each global entry collects at most two element
+    contributions.
     """
     validate_config(cfg)
     n = dofs.n_dofs

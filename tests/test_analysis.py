@@ -1,8 +1,10 @@
 import json
 import math
+import types
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import bsblab as bb
 from bsblab import analysis, dynamics, fem
@@ -73,8 +75,32 @@ def test_cross_validate_certifies_the_fully_damped_case(ddd_system):
     assert rep.mesh_counts == (10, 10, 10)
     names = [r.name for r in rep.invariant_results]
     assert len(names) == len(set(names))
-    assert "fem.dissipativity_identity" in names
+    assert "fem.dissipativity_identity" not in names  # unit-tested, holds by the block form of K
     assert "spectral.abscissa_nonpositive" in names
+
+
+def test_gram_check_catches_an_asymmetric_damping_matrix(ddd_system):
+    """One off-diagonal entry of D moved by one ulp fails the symmetry check."""
+    _, _, _, pencil = ddd_system
+    ctx = types.SimpleNamespace(pencil=pencil)
+    assert analysis._check_gram_matrices_spd(ctx)[0]
+    d = pencil.D.copy()
+    d[0, 1] = np.nextafter(d[0, 1], np.inf)
+    ctx = types.SimpleNamespace(pencil=fem.SystemPencil(pencil.S, pencil.M, d, pencil.regime))
+    passed, residual, _ = analysis._check_gram_matrices_spd(ctx)
+    assert not passed and residual == 1.0
+
+
+def test_whitening_check_rejects_a_collapsed_spectrum(ddd_cfg, monkeypatch):
+    """Every whitened value sitting on one QZ value fails: the match is two-sided."""
+    ctx = types.SimpleNamespace(cfg=ddd_cfg)
+    assert analysis._check_whitening_consistency(ctx)[0]
+    _, _, small = fem.discretize(ddd_cfg, 3, 3, 3)
+    one = scipy.linalg.eigvals(small.K, small.B)[0]
+    collapsed = types.SimpleNamespace(eigenvalues=np.full(2 * small.n_positions, one))
+    monkeypatch.setattr(analysis, "eigenvalues", lambda pencil: collapsed)
+    passed, residual, _ = analysis._check_whitening_consistency(ctx)
+    assert not passed and residual > 1e-8
 
 
 def test_cross_validate_on_the_conservative_twin(cons_system):

@@ -80,7 +80,7 @@ def test_parse_args_rejections(config_file):
         ["simulate", "--config", config_file, "--dt", "0"],
         ["simulate", "--config", config_file, "--n2", "0"],
         ["simulate", "--config", config_file, "--snapshot-points", "1"],
-        ["verify", "--config", config_file, "--c4", "-1"],
+        ["verify", "--config", config_file, "--c4", "2"],  # no such flag
         ["modes", "--config", config_file, "--count", "0"],
         ["spectrum"],                       # --config is required
         ["frobnicate", "--config", config_file],
@@ -205,7 +205,11 @@ def test_verify_passes_and_is_reproducible(tmp_path, config_file):
     trim = lambda s: [ln for ln in s.splitlines() if "report.json" not in ln]
     assert trim(p1.stdout) == trim(p2.stdout)
     payload = json.loads(r1)
-    assert p1.stdout.count("PASS") == len(payload["invariant_results"]) == 14
+    assert list(payload) == [  # the exact keys, written in sorted order
+        "abscissa", "all_pass", "alpha_fit", "dt", "invariant_results", "mesh",
+        "min_axis_distance", "r_squared", "ratio", "ratio_check", "regime", "t_final",
+    ]
+    assert p1.stdout.count("PASS") == len(payload["invariant_results"]) == 13
     assert "FAIL" not in p1.stdout
     assert payload["all_pass"] is True
 

@@ -23,6 +23,6 @@ def test_readme_library_example_runs(capsys):
     exec(compile(code, str(README), "exec"), scope)
     report = scope["report"]
     assert report.mesh_counts == (4, 4, 4)
-    assert len(report.invariant_results) == 14
+    assert len(report.invariant_results) == 13
     assert report.all_pass
     assert '"invariant_results"' in capsys.readouterr().out
