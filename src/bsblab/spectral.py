@@ -18,6 +18,16 @@ full reorthogonalization: two triangular solves per iteration. Lanczos
 stops once the Ritz residual beta_k |s_k| is at most 1e-12 of the Ritz
 value, and after at most dim C iterations, where the Krylov space is
 exhausted and the Ritz value is exact.
+
+With X = Lm^{-1} Ls the whitened matrix is
+
+    C = [[0, X^T], [-X, -Lm^{-1} D Lm^{-T}]],
+
+so without damping C is exactly skew and its eigenvalues are +-i times
+the singular values of X. `eigenvalues` uses that: an undamped pencil
+(D == 0) gets its spectrum from `svdvals` of the N x N matrix X, with
+every real part exactly 0; a damped one from a dense eigensolve of the
+2N x 2N matrix C.
 """
 
 from __future__ import annotations
@@ -76,6 +86,16 @@ class ResolventTable:
         return int(np.unique(np.abs(self.lambdas)).size)
 
 
+def _cholesky_coupling(pencil: SystemPencil):
+    """Cholesky factors Ls of S and Lm of M, and the coupling X = Lm^{-1} Ls."""
+    try:
+        ls = scipy.linalg.cholesky(pencil.S, lower=True)
+        lm = scipy.linalg.cholesky(pencil.M, lower=True)
+    except scipy.linalg.LinAlgError as exc:
+        raise FactorizationFailure(f"S or M admits no Cholesky factorization: {exc}") from exc
+    return ls, lm, scipy.linalg.solve_triangular(lm, ls, lower=True)
+
+
 def _whiten(pencil: SystemPencil):
     """Cholesky factors Ls of S and Lm of M, and the whitened matrix C.
 
@@ -83,12 +103,7 @@ def _whiten(pencil: SystemPencil):
     = [[0, X^T], [-X, -Lm^{-1} D Lm^{-T}]] where X = Lm^{-1} Ls, so C is
     exactly skew when D = 0.
     """
-    try:
-        ls = scipy.linalg.cholesky(pencil.S, lower=True)
-        lm = scipy.linalg.cholesky(pencil.M, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise FactorizationFailure(f"S or M admits no Cholesky factorization: {exc}") from exc
-    x = scipy.linalg.solve_triangular(lm, ls, lower=True)
+    ls, lm, x = _cholesky_coupling(pencil)
     dl = scipy.linalg.solve_triangular(lm, pencil.D, lower=True)
     dw = scipy.linalg.solve_triangular(lm, dl.T, lower=True).T
     n = pencil.n_positions
@@ -117,11 +132,25 @@ def _spectrum_report(mu: np.ndarray, regime: DampingCase) -> SpectrumReport:
 
 
 def eigenvalues(pencil: SystemPencil) -> SpectrumReport:
-    """Whitened eigensolve of the pencil (K, B)."""
+    """Whitened eigensolve of the pencil (K, B).
+
+    Without damping (D == 0 entry for entry) the spectrum is +-i sigma(X),
+    the singular values of the N x N coupling X = Lm^{-1} Ls, with every
+    real part exactly 0; the canonical order is then ascending frequency
+    and mirrored entries are exact negatives. Otherwise it is a dense
+    eigensolve of the 2N x 2N whitened matrix C.
+    """
     if pencil.n_positions == 0:
         raise EmptySpectrum("pencil has no degrees of freedom")
-    *_, c = _whiten(pencil)
-    return _spectrum_report(scipy.linalg.eigvals(c), pencil.regime)
+    if pencil.D.any():
+        *_, c = _whiten(pencil)
+        return _spectrum_report(scipy.linalg.eigvals(c), pencil.regime)
+    *_, x = _cholesky_coupling(pencil)
+    sigma = scipy.linalg.svdvals(x)
+    # filled in place: 1j * w would give -0.0 real parts where w < 0
+    mu = np.zeros(2 * sigma.size, dtype=np.complex128)
+    mu.imag = np.concatenate([-sigma, sigma])
+    return _spectrum_report(mu, pencil.regime)
 
 
 def spectral_abscissa(pencil: SystemPencil) -> float:
@@ -146,8 +175,11 @@ def slowest_mode(pencil: SystemPencil):
 def _slowest_mode_and_spectrum(pencil: SystemPencil):
     """slowest_mode plus the SpectrumReport of the same eigensolve.
 
-    The eigenvalues come from the eig call that picks the mode, so they
-    may differ from those of eigenvalues() (eigvals) in the last digits.
+    The eigenvalues come from the dense eig call on C that picks the mode,
+    for damped and undamped pencils alike. They may differ from those of
+    eigenvalues() in the last digits: that takes a damped spectrum from
+    eigvals on C and an undamped one from the singular values of X, whose
+    real parts are exactly 0 where eig leaves them at rounding level.
     """
     if pencil.n_positions == 0:
         raise EmptySpectrum("pencil has no degrees of freedom")

@@ -100,6 +100,65 @@ def test_slowest_mode_matches_abscissa(ddd_system):
     assert resid <= 1e-6 * np.abs(mu) if np.abs(mu) > 1 else 1e-6
 
 
+def dense_whitened_reference(pencil):
+    """Eigenvalues of the 2N x 2N whitened matrix by dense eigvals, built
+    here from the Cholesky factors rather than by spectral._whiten."""
+    ls = scipy.linalg.cholesky(pencil.S, lower=True)
+    lm = scipy.linalg.cholesky(pencil.M, lower=True)
+    x = scipy.linalg.solve_triangular(lm, ls, lower=True)
+    zero = np.zeros_like(x)
+    return scipy.linalg.eigvals(np.block([[zero, x.T], [-x, zero]]))
+
+
+def undamped_pencils(cons_cfg):
+    for n in (6, 20):
+        yield fem.discretize(cons_cfg, n, n, n)[2]
+    yield fem.assemble_beam_pencil(1.0, 30)
+    yield fem.assemble_string_pencil(math.pi, 0.0, 30)
+
+
+def test_undamped_spectrum_matches_the_dense_whitened_eigensolve(cons_cfg):
+    for pencil in undamped_pencils(cons_cfg):
+        assert not pencil.D.any()
+        eig = spectral.eigenvalues(pencil).eigenvalues
+        ref = dense_whitened_reference(pencil)
+        assert eig.shape == ref.shape == (2 * pencil.n_positions,)
+        scale = np.abs(ref).max()
+        gaps = np.abs(eig[:, None] - ref[None, :])
+        assert gaps.min(axis=1).max() <= 1e-12 * scale
+        assert gaps.min(axis=0).max() <= 1e-12 * scale
+        low = np.sort(eig.imag[eig.imag > 0])[:20]
+        low_ref = np.sort(ref.imag[ref.imag > 0])[:20]
+        assert low.size == low_ref.size == 20
+        assert np.max(np.abs(low - low_ref) / low_ref) <= 1e-10
+
+
+def test_undamped_spectrum_is_exactly_on_the_axis(cons_cfg, cons_system):
+    _, _, _, pencil = cons_system
+    for p in (pencil, *undamped_pencils(cons_cfg)):
+        rep = spectral.eigenvalues(p)
+        eig = rep.eigenvalues
+        # +0.0 everywhere: spectrum.csv must not print "-0"
+        assert np.all(eig.real == 0.0) and not np.signbit(eig.real).any()
+        assert np.all(np.diff(eig.imag) >= 0.0)
+        assert np.array_equal(eig[::-1].imag, -eig.imag)
+        assert rep.abscissa == 0.0 and rep.min_axis_distance == 0.0
+        assert spectral.spectral_abscissa(p) == 0.0
+
+
+def test_both_routes_reject_an_indefinite_or_empty_pencil():
+    eye, indefinite = np.eye(2), np.diag([1.0, -1.0])
+    for damping in (np.zeros((2, 2)), eye):
+        for s, m in ((indefinite, eye), (eye, indefinite)):
+            pencil = fem.SystemPencil(S=s, M=m, D=damping, regime=DampingCase.OTHER)
+            with pytest.raises(spectral.FactorizationFailure):
+                spectral.eigenvalues(pencil)
+    empty = np.zeros((0, 0))
+    with pytest.raises(spectral.EmptySpectrum):
+        spectral.eigenvalues(fem.SystemPencil(S=empty, M=empty, D=empty,
+                                              regime=DampingCase.OTHER))
+
+
 # --- closed-form member oracles ---------------------------------------------------
 
 def test_string_modes_closed_form_frozen_case():
