@@ -211,8 +211,8 @@ def _certify(cfg: StructureConfig, pencil: SystemPencil,
              dt: float | None, t_final: float | None):
     """Slowest-mode run with a timestep that resolves the mode, fitted and judged.
 
-    Returns the certificate, the spectrum report of the eigensolve that
-    picked the mode, the initial state and the run.
+    Returns the certificate, the spectrum report (its last eigenvalue is
+    the mode), the complex unit-energy mode state and the run.
 
     The default dt is min(1e-3 slowest-string-period, 0.1/|mu|); the
     trapezoidal rate distortion is then at most (0.1)^2/4, a quarter of a
@@ -222,7 +222,9 @@ def _certify(cfg: StructureConfig, pencil: SystemPencil,
     abscissa at eigensolver noise) the ratio is nan and the verdict
     not_applicable.
     """
-    mu, y_re, y_im, spect = spectral._slowest_mode_and_spectrum(pencil)
+    spect = eigenvalues(pencil)
+    mu = complex(spect.eigenvalues[-1])
+    y0 = spectral._eigenmode(pencil, mu)
     if dt is None:
         dt = min(default_dt(cfg), 0.1 / max(abs(mu), 1e-12))
     if t_final is None:
@@ -231,7 +233,6 @@ def _certify(cfg: StructureConfig, pencil: SystemPencil,
             t_final = min(t_final, 25.0 / (2.0 * abs(mu.real)))
         steps = min(10000, max(200, int(round(t_final / dt))))
         t_final = steps * dt
-    y0 = StateVector(y_re.p + 1j * y_im.p, y_re.q + 1j * y_im.q)
     sim = simulate(pencil, y0, dt, t_final)
     fit = fit_decay(sim.trace)
     regime = pencil.regime

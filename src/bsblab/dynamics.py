@@ -138,10 +138,10 @@ def _half_bandwidth(pencil: SystemPencil) -> int:
 
 
 def _band(a: np.ndarray, b: int, pad: int = 0) -> np.ndarray:
-    """a in LAPACK general-band storage with kl = ku = b: a[i, j] sits in
-    row pad + b + i - j, column j. dgbtrf needs pad = b rows of fill-in room."""
+    """a in LAPACK general-band storage with kl = ku = b, in a's dtype: a[i, j]
+    sits in row pad + b + i - j, column j. ?gbtrf needs pad = b fill-in rows."""
     n = a.shape[0]
-    ab = np.zeros((pad + 2 * b + 1, n))
+    ab = np.zeros((pad + 2 * b + 1, n), dtype=a.dtype)
     for k in range(-b, b + 1):  # k = j - i
         ab[pad + b - k, max(k, 0):n + min(k, 0)] = np.diagonal(a, k)
     return ab

@@ -28,6 +28,11 @@ the singular values of X. `eigenvalues` uses that: an undamped pencil
 (D == 0) gets its spectrum from `svdvals` of the N x N matrix X, with
 every real part exactly 0; a damped one from a dense eigensolve of the
 2N x 2N matrix C.
+
+`slowest_mode` and the decay certificate take mu as the last of these
+eigenvalues, so `decay` and `verify` report the spectrum `spectrum` writes,
+and its eigenvector (p, mu p) from a banded solve on the N x N quadratic
+Q(mu) = mu^2 M + mu D + S (Tisseur & Meerbergen, SIAM Review 43, 2001).
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .dynamics import _band, _half_bandwidth, energy
 from .fem import StateVector, SystemPencil
 from .model import DampingCase
 
@@ -87,23 +93,23 @@ class ResolventTable:
 
 
 def _cholesky_coupling(pencil: SystemPencil):
-    """Cholesky factors Ls of S and Lm of M, and the coupling X = Lm^{-1} Ls."""
+    """Cholesky factor Lm of M and the coupling X = Lm^{-1} Ls, S = Ls Ls^T."""
     try:
         ls = scipy.linalg.cholesky(pencil.S, lower=True)
         lm = scipy.linalg.cholesky(pencil.M, lower=True)
     except scipy.linalg.LinAlgError as exc:
         raise FactorizationFailure(f"S or M admits no Cholesky factorization: {exc}") from exc
-    return ls, lm, scipy.linalg.solve_triangular(lm, ls, lower=True)
+    return lm, scipy.linalg.solve_triangular(lm, ls, lower=True)
 
 
-def _whiten(pencil: SystemPencil):
-    """Cholesky factors Ls of S and Lm of M, and the whitened matrix C.
+def _whiten(pencil: SystemPencil) -> np.ndarray:
+    """The whitened matrix C.
 
     With G = blockdiag(Ls, Lm) the pencil whitens to C = G^{-1} K G^{-T}
     = [[0, X^T], [-X, -Lm^{-1} D Lm^{-T}]] where X = Lm^{-1} Ls, so C is
     exactly skew when D = 0.
     """
-    ls, lm, x = _cholesky_coupling(pencil)
+    lm, x = _cholesky_coupling(pencil)
     dl = scipy.linalg.solve_triangular(lm, pencil.D, lower=True)
     dw = scipy.linalg.solve_triangular(lm, dl.T, lower=True).T
     n = pencil.n_positions
@@ -111,24 +117,7 @@ def _whiten(pencil: SystemPencil):
     c[:n, n:] = x.T
     c[n:, :n] = -x
     c[n:, n:] = -dw
-    return ls, lm, c
-
-
-def _sorted_eigenvalues(mu: np.ndarray) -> np.ndarray:
-    # canonical order: ascending real part, then ascending imaginary part;
-    # LAPACK's native order is implementation-defined and must not leak
-    # into reports.
-    return mu[np.lexsort((mu.imag, mu.real))]
-
-
-def _spectrum_report(mu: np.ndarray, regime: DampingCase) -> SpectrumReport:
-    mu = _sorted_eigenvalues(mu)
-    return SpectrumReport(
-        eigenvalues=mu,
-        abscissa=float(np.max(mu.real)),
-        min_axis_distance=float(np.min(np.abs(mu.real))),
-        regime=regime,
-    )
+    return c
 
 
 def eigenvalues(pencil: SystemPencil) -> SpectrumReport:
@@ -143,14 +132,23 @@ def eigenvalues(pencil: SystemPencil) -> SpectrumReport:
     if pencil.n_positions == 0:
         raise EmptySpectrum("pencil has no degrees of freedom")
     if pencil.D.any():
-        *_, c = _whiten(pencil)
-        return _spectrum_report(scipy.linalg.eigvals(c), pencil.regime)
-    *_, x = _cholesky_coupling(pencil)
-    sigma = scipy.linalg.svdvals(x)
-    # filled in place: 1j * w would give -0.0 real parts where w < 0
-    mu = np.zeros(2 * sigma.size, dtype=np.complex128)
-    mu.imag = np.concatenate([-sigma, sigma])
-    return _spectrum_report(mu, pencil.regime)
+        mu = scipy.linalg.eigvals(_whiten(pencil))
+    else:
+        _, x = _cholesky_coupling(pencil)
+        sigma = scipy.linalg.svdvals(x)
+        # filled in place: 1j * w would give -0.0 real parts where w < 0
+        mu = np.zeros(2 * sigma.size, dtype=np.complex128)
+        mu.imag = np.concatenate([-sigma, sigma])
+    # canonical order: ascending real part, then ascending imaginary part;
+    # LAPACK's native order is implementation-defined and must not leak
+    # into reports.
+    mu = mu[np.lexsort((mu.imag, mu.real))]
+    return SpectrumReport(
+        eigenvalues=mu,
+        abscissa=float(np.max(mu.real)),
+        min_axis_distance=float(np.min(np.abs(mu.real))),
+        regime=pencil.regime,
+    )
 
 
 def spectral_abscissa(pencil: SystemPencil) -> float:
@@ -160,45 +158,44 @@ def spectral_abscissa(pencil: SystemPencil) -> float:
 def slowest_mode(pencil: SystemPencil):
     """Eigenpair with the largest real part, energy-normalized.
 
-    Returns (mu, y_re, y_im) where y_re + i y_im is the eigenvector scaled
-    to unit energy. Ties break lexicographically by (Re, Im), so of a
-    conjugate pair the upper half-plane member is returned; the phase is
-    fixed by rotating the largest-magnitude component onto the positive
-    real axis. Meaningful in a dissipative regime; without damping the
-    largest real part is numerically zero and the returned mode is simply
-    one of the undamped oscillations.
+    Returns (mu, y_re, y_im): mu = eigenvalues(pencil).eigenvalues[-1], so
+    ties break by (Re, Im), a conjugate pair gives its upper member and an
+    undamped pencil its highest frequency; y_re + i y_im is the eigenvector
+    at unit energy, its largest-magnitude component real and positive.
     """
-    mu, y_re, y_im, _ = _slowest_mode_and_spectrum(pencil)
-    return mu, y_re, y_im
+    mu = complex(eigenvalues(pencil).eigenvalues[-1])
+    y = _eigenmode(pencil, mu)
+    return (mu, StateVector(y.p.real.copy(), y.q.real.copy()),
+            StateVector(y.p.imag.copy(), y.q.imag.copy()))
 
 
-def _slowest_mode_and_spectrum(pencil: SystemPencil):
-    """slowest_mode plus the SpectrumReport of the same eigensolve.
+def _eigenmode(pencil: SystemPencil, mu: complex) -> StateVector:
+    """Complex unit-energy eigenvector (p, mu p) for the eigenvalue mu.
 
-    The eigenvalues come from the dense eig call on C that picks the mode,
-    for damped and undamped pencils alike. They may differ from those of
-    eigenvalues() in the last digits: that takes a damped spectrum from
-    eigvals on C and an undamped one from the singular values of X, whose
-    real parts are exactly 0 where eig leaves them at rounding level.
+    p spans the null space of Q(mu): banded LU (zgbtrf), then two steps of
+    inverse iteration (zgbtrs) from a fixed-seed start. Zero pivots of an
+    exactly singular Q(mu) (info > 0) become eps (|mu|^2 |M|_1 + |mu| |D|_1
+    + |S|_1), as in LAPACK's zlaein; |Q(mu)|_1 itself can be 0.
     """
-    if pencil.n_positions == 0:
-        raise EmptySpectrum("pencil has no degrees of freedom")
-    ls, lm, c = _whiten(pencil)
-    mu, vecs = scipy.linalg.eig(c)
-    pick = np.lexsort((mu.imag, mu.real))[-1]
-    z = vecs[:, pick].astype(np.complex128)
     n = pencil.n_positions
-    xp = scipy.linalg.solve_triangular(ls, z[:n], lower=True, trans="T")
-    xq = scipy.linalg.solve_triangular(lm, z[n:], lower=True, trans="T")
-    x = np.concatenate([xp, xq])
-    e = 0.5 * (np.vdot(xp, pencil.S @ xp).real + np.vdot(xq, pencil.M @ xq).real)
-    x = x / math.sqrt(e)
-    k = int(np.argmax(np.abs(x)))
-    phase = x[k] / abs(x[k])
-    x = x / phase
-    y_re = StateVector(x[:n].real.copy(), x[n:].real.copy())
-    y_im = StateVector(x[:n].imag.copy(), x[n:].imag.copy())
-    return complex(mu[pick]), y_re, y_im, _spectrum_report(mu, pencil.regime)
+    b = _half_bandwidth(pencil)
+    zgbtrf, zgbtrs = scipy.linalg.lapack.zgbtrf, scipy.linalg.lapack.zgbtrs
+    lu, piv, info = zgbtrf(_band(mu * mu * pencil.M + mu * pencil.D + pencil.S, b, pad=b), b, b)
+    if info < 0:
+        raise FactorizationFailure(f"banded LU of Q(mu) failed: zgbtrf info = {info}")
+    if info > 0:
+        norm = (abs(mu) ** 2 * np.linalg.norm(pencil.M, 1)
+                + abs(mu) * np.linalg.norm(pencil.D, 1) + np.linalg.norm(pencil.S, 1))
+        pivots = lu[2 * b]  # the diagonal of U, as a view into lu
+        pivots[pivots == 0] = np.finfo(float).eps * norm
+    rng = np.random.default_rng(0)
+    x, _ = zgbtrs(lu, b, b, rng.standard_normal(n) + 1j * rng.standard_normal(n), piv)
+    x, _ = zgbtrs(lu, b, b, x / np.linalg.norm(x), piv)
+    y = np.concatenate([x, mu * x])
+    y /= math.sqrt(energy(pencil, StateVector(y[:n], y[n:])))
+    k = int(np.argmax(np.abs(y)))
+    y /= y[k] / abs(y[k])
+    return StateVector(y[:n], y[n:])
 
 
 def resolvent_norm(pencil: SystemPencil, lam: float) -> float:
@@ -209,7 +206,7 @@ def resolvent_norm(pencil: SystemPencil, lam: float) -> float:
     """
     if not np.isfinite(lam):
         raise NonpositiveParameter(f"lambda must be finite, got {lam}")
-    *_, c = _whiten(pencil)
+    c = _whiten(pencil)
     smin = float(scipy.linalg.svdvals(1j * float(lam) * np.eye(c.shape[0]) - c)[-1])
     return math.inf if smin == 0.0 else 1.0 / smin
 
@@ -318,7 +315,7 @@ def _axis_norms(pencil: SystemPencil, lambdas: np.ndarray):
     Whitens once, takes the Schur factor T once, and runs Lanczos once per
     distinct |lambda|; mirrored points share that value.
     """
-    *_, c = _whiten(pencil)
+    c = _whiten(pencil)
     t = _schur_factor(c)
     del c
     rng = np.random.default_rng(0)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -171,6 +172,19 @@ def test_decay_json_contract(tmp_path, config_file):
         "one_sided_pass", "one_sided_fail", "not_applicable",
     }
     assert 0.9 <= payload["ratio"] <= 1.1
+
+
+@pytest.mark.parametrize("name", ["ddd", "udu", "conservative"])
+def test_decay_reports_the_spectrum_that_spectrum_writes(tmp_path, name):
+    config = str(Path(__file__).resolve().parents[1] / "configs" / f"{name}.cfg")
+    mesh = ["--n1", "40", "--n2", "40", "--n3", "40", "--out-dir", str(tmp_path)]
+    assert cli.main(["spectrum", "--config", config, *mesh]) == 0
+    assert cli.main(["decay", "--config", config, *mesh]) == 0
+    last = (tmp_path / "spectrum.csv").read_text().splitlines()[-1]
+    last_re, last_im = map(float, last.split(","))
+    payload = json.loads((tmp_path / "decay.json").read_text())
+    assert payload["abscissa"] == payload["mode_re"] == last_re
+    assert payload["mode_im"] == last_im
 
 
 def test_modes_table(tmp_path, config_file):

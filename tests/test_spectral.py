@@ -90,14 +90,46 @@ def test_spectral_abscissa_shortcut(ddd_system):
     assert bb.spectral_abscissa(pencil) == spectral.eigenvalues(pencil).abscissa
 
 
-def test_slowest_mode_matches_abscissa(ddd_system):
-    _, _, _, pencil = ddd_system
+def quadratic_residual(pencil, mu, p):
+    """Backward error ||Q(mu) p|| / ((|mu|^2 ||M|| + |mu| ||D|| + ||S||) ||p||)
+    of p as a null vector of Q(mu) = mu^2 M + mu D + S, in 2-norms."""
+    q = mu * mu * pencil.M + mu * pencil.D + pencil.S
+    scale = sum(abs(w) * np.linalg.norm(a, 2) for w, a in
+                ((mu * mu, pencil.M), (mu, pencil.D), (1.0, pencil.S)))
+    return np.linalg.norm(q @ p) / (scale * np.linalg.norm(p))
+
+
+@pytest.mark.parametrize("n", [6, 20])
+@pytest.mark.parametrize("cfg_name", ["ddd_cfg", "udu_cfg", "cons_cfg"])
+def test_slowest_mode_matches_abscissa(cfg_name, n, request):
+    _, _, pencil = fem.discretize(request.getfixturevalue(cfg_name), n, n, n)
     mu, y_re, y_im = spectral.slowest_mode(pencil)
-    rep = spectral.eigenvalues(pencil)
-    assert mu.real == pytest.approx(rep.abscissa, rel=1e-12)
-    y = y_re.to_array() + 1j * y_im.to_array()
-    resid = np.linalg.norm(pencil.K @ y - mu * (pencil.B @ y))
-    assert resid <= 1e-6 * np.abs(mu) if np.abs(mu) > 1 else 1e-6
+    # the last eigenvalue in canonical order, bitwise: decay and verify
+    # report the spectrum that `spectrum` writes
+    assert mu == spectral.eigenvalues(pencil).eigenvalues[-1]
+    p = y_re.p + 1j * y_im.p
+    q = y_re.q + 1j * y_im.q
+    assert quadratic_residual(pencil, mu, p) <= 1e-13
+    assert np.linalg.norm(q - mu * p) <= 1e-12 * np.linalg.norm(q)
+    assert bb.energy(pencil, bb.StateVector(p, q)) == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("s_diag,mu_want,p_want", [
+    ([1.0], 1j, [1.0]),           # Q(i) = 0
+    ([1.0, 4.0], 2j, [0.0, 1.0]),  # Q(2i) = diag(-3, 0), mode e_2
+], ids=["q-zero", "q-diag"])
+def test_slowest_mode_when_q_is_exactly_singular(s_diag, mu_want, p_want):
+    s = np.diag(s_diag)
+    eye = np.eye(s.shape[0])
+    pencil = fem.SystemPencil(S=s, M=eye, D=0.0 * eye, regime=DampingCase.CONSERVATIVE)
+    mu, y_re, y_im = spectral.slowest_mode(pencil)
+    assert mu == pytest.approx(mu_want, abs=1e-14)
+    p = y_re.p + 1j * y_im.p
+    q = y_re.q + 1j * y_im.q
+    # p is a unit multiple of e_k
+    assert abs(abs(np.vdot(p_want, p)) - np.linalg.norm(p)) <= 1e-14 * np.linalg.norm(p)
+    assert np.linalg.norm(q - mu * p) <= 1e-12 * np.linalg.norm(q)
+    assert bb.energy(pencil, bb.StateVector(p, q)) == pytest.approx(1.0, rel=1e-12)
 
 
 def dense_whitened_reference(pencil):
@@ -148,15 +180,15 @@ def test_undamped_spectrum_is_exactly_on_the_axis(cons_cfg, cons_system):
 
 def test_both_routes_reject_an_indefinite_or_empty_pencil():
     eye, indefinite = np.eye(2), np.diag([1.0, -1.0])
-    for damping in (np.zeros((2, 2)), eye):
-        for s, m in ((indefinite, eye), (eye, indefinite)):
-            pencil = fem.SystemPencil(S=s, M=m, D=damping, regime=DampingCase.OTHER)
-            with pytest.raises(spectral.FactorizationFailure):
-                spectral.eigenvalues(pencil)
     empty = np.zeros((0, 0))
-    with pytest.raises(spectral.EmptySpectrum):
-        spectral.eigenvalues(fem.SystemPencil(S=empty, M=empty, D=empty,
-                                              regime=DampingCase.OTHER))
+    for solve in (spectral.eigenvalues, spectral.slowest_mode):
+        for damping in (np.zeros((2, 2)), eye):
+            for s, m in ((indefinite, eye), (eye, indefinite)):
+                pencil = fem.SystemPencil(S=s, M=m, D=damping, regime=DampingCase.OTHER)
+                with pytest.raises(spectral.FactorizationFailure):
+                    solve(pencil)
+        with pytest.raises(spectral.EmptySpectrum):
+            solve(fem.SystemPencil(S=empty, M=empty, D=empty, regime=DampingCase.OTHER))
 
 
 # --- closed-form member oracles ---------------------------------------------------
