@@ -12,6 +12,11 @@ never on the 2N x 2N pencil, and on its band: the half-bandwidth b is
 read off the nonzeros of S, M and D (3 on assembled meshes), the step
 matrix is factored once by banded LU, and every mat-vec of a step and of
 simulate's energy record is a banded BLAS call, so a step costs O(N b).
+Bands are stored in Fortran order, the layout BLAS and LAPACK read, so
+no call copies them, and a run's dtype (real or complex) is fixed from
+its initial state before the first step, so each product binds one BLAS
+routine and a complex right-hand side is solved in a buffer the step
+owns (see _trapezoidal_step).
 """
 
 from __future__ import annotations
@@ -139,38 +144,47 @@ def _half_bandwidth(pencil: SystemPencil) -> int:
 
 def _band(a: np.ndarray, b: int, pad: int = 0) -> np.ndarray:
     """a in LAPACK general-band storage with kl = ku = b, in a's dtype: a[i, j]
-    sits in row pad + b + i - j, column j. ?gbtrf needs pad = b fill-in rows."""
+    sits in row pad + b + i - j, column j. ?gbtrf needs pad = b fill-in rows.
+
+    The band is allocated in Fortran order, the column-major layout BLAS and
+    LAPACK read, so the wrappers pass it through without copying it.
+    """
     n = a.shape[0]
-    ab = np.zeros((pad + 2 * b + 1, n), dtype=a.dtype)
+    ab = np.zeros((pad + 2 * b + 1, n), dtype=a.dtype, order="F")
     for k in range(-b, b + 1):  # k = j - i
         ab[pad + b - k, max(k, 0):n + min(k, 0)] = np.diagonal(a, k)
     return ab
 
 
-def _band_product(a: np.ndarray, b: int):
-    """Return x, y, beta -> a @ x + beta * y by banded BLAS, for real or complex x.
+def _band_product(a: np.ndarray, b: int, dtype):
+    """Return x, y, beta -> a @ x + beta * y by banded BLAS in the run's dtype.
 
-    scipy's gbmv wrappers want at least kl + ku + 1 rows, so a band wider
-    than that (2b + 1 > N, dense test pencils) runs as an m x N product
-    whose extra rows are zero, cut back to N.
+    dtype (float64 or complex128) is fixed here, so the closure binds one
+    of dgbmv and zgbmv and holds the band in that dtype; x and y should
+    have it too, or the wrapper casts them on every call. scipy's gbmv
+    wrappers want at least kl + ku + 1 rows, so a band wider than that
+    (2b + 1 > N, dense test pencils) runs as an m x N product whose extra
+    rows are zero, cut back to N.
     """
     n = a.shape[0]
     m = max(n, 2 * b + 1)
-    ab = _band(a, b)
-    abz = ab.astype(np.complex128)
-    dgbmv, zgbmv = scipy.linalg.blas.dgbmv, scipy.linalg.blas.zgbmv
+    ab = _band(a, b).astype(dtype, copy=False)
+    gbmv = scipy.linalg.blas.zgbmv if ab.dtype == np.complex128 else scipy.linalg.blas.dgbmv
 
     def product(x: np.ndarray, y: np.ndarray | None = None, beta: float = 0.0) -> np.ndarray:
         if y is not None and m > n:
             y = np.concatenate([y, np.zeros(m - n, y.dtype)])
-        if np.iscomplexobj(x):
-            return zgbmv(m, n, b, b, 1.0, abz, x, beta=beta, y=y)[:n]
-        return dgbmv(m, n, b, b, 1.0, ab, x, beta=beta, y=y)[:n]
+        return gbmv(m, n, b, b, 1.0, ab, x, beta=beta, y=y)[:n]
 
     return product
 
 
-def _trapezoidal_step(pencil: SystemPencil, dt: float, b: int):
+def _run_dtype(y: StateVector):
+    """complex128 when either half of the state is complex, else float64."""
+    return np.complex128 if np.iscomplexobj(y.p) or np.iscomplexobj(y.q) else np.float64
+
+
+def _trapezoidal_step(pencil: SystemPencil, dt: float, b: int, dtype):
     """Factor the trapezoidal step matrix; return the step (p, q, S p) -> (p+, q+).
 
     The step (B - dt/2 K) y+ = (B + dt/2 K) y has the first block row
@@ -183,31 +197,46 @@ def _trapezoidal_step(pencil: SystemPencil, dt: float, b: int):
     Both matrices have the half-bandwidth b of S, M and D
     (_half_bandwidth). A is factored once by banded LU (dgbtrf) rather than
     banded Cholesky because it can be indefinite for negative dt with
-    damping; the factor stays real and a complex right-hand side is solved
-    as one two-column real system (dgbtrs). Each step then costs O(N b).
-    The caller passes S p since simulate already computes it for the
-    energy record.
+    damping. The factor stays real. dtype is the run's (_run_dtype): the
+    explicit product binds its gbmv once, and for a complex run the step
+    owns a (2, N) float buffer whose transpose is a Fortran-ordered N x 2
+    array; each right-hand side is split into its real and imaginary rows
+    there and solved in place as one two-column real system (dgbtrs), and
+    q+ is assembled by assigning .real and .imag, which keeps signed zeros.
+    Each step then costs O(N b). The caller passes S p since simulate
+    already computes it for the energy record.
     """
     n = pencil.n_positions
     a = pencil.M + (0.5 * dt) * pencil.D + (0.5 * dt) ** 2 * pencil.S
     explicit = _band_product(pencil.M - (0.5 * dt) * pencil.D
-                             - (0.25 * dt * dt) * pencil.S, b)
+                             - (0.25 * dt * dt) * pencil.S, b, dtype)
     lu, piv, info = scipy.linalg.lapack.dgbtrf(_band(a, b, pad=b), b, b)
     if info != 0:
         raise SolveFailure(f"trapezoidal factorization failed: dgbtrf info = {info}")
     dgbtrs = scipy.linalg.lapack.dgbtrs
 
+    if np.dtype(dtype) == np.complex128:
+        parts = np.empty((2, n))
+        columns = parts.T
+
+        def solve(rhs):
+            parts[0] = rhs.real
+            parts[1] = rhs.imag
+            dgbtrs(lu, b, b, columns, piv, overwrite_b=1)
+            q_next = np.empty(n, np.complex128)
+            q_next.real = parts[0]
+            q_next.imag = parts[1]
+            return q_next
+    else:
+        def solve(rhs):
+            return dgbtrs(lu, b, b, rhs, piv, overwrite_b=1)[0]
+
     def step(p: np.ndarray, q: np.ndarray, sp: np.ndarray):
-        if np.iscomplexobj(sp):
-            q = np.asarray(q, np.complex128)
-        rhs = explicit(q, sp, -dt)
-        if np.iscomplexobj(rhs):
-            x, _ = dgbtrs(lu, b, b, rhs.view(np.float64).reshape(n, 2), piv)
-            q_next = np.ascontiguousarray(x).view(np.complex128)[:, 0]
-        else:
-            q_next, _ = dgbtrs(lu, b, b, rhs, piv, overwrite_b=1)
+        q_next = solve(explicit(q, sp, -dt))
         p_next = p + dt * (0.5 * q + 0.5 * q_next)
-        if not (np.isfinite(p_next).all() and np.isfinite(q_next).all()):
+        # dt is finite and nonzero, so a non-finite entry of q+ makes the
+        # same entry of p+ non-finite: one test covers both halves
+        if not np.isfinite(p_next).all():
             raise SolveFailure("trapezoidal step produced non-finite values")
         return p_next, q_next
 
@@ -219,7 +248,7 @@ def step_trapezoidal(pencil: SystemPencil, y: StateVector, dt: float) -> StateVe
     _require_match(pencil, y)
     if not np.isfinite(dt) or dt == 0:
         raise ValueError(f"dt must be finite and nonzero, got {dt}")
-    step = _trapezoidal_step(pencil, dt, _half_bandwidth(pencil))
+    step = _trapezoidal_step(pencil, dt, _half_bandwidth(pencil), _run_dtype(y))
     return StateVector(*step(y.p, y.q, pencil.S @ y.p))
 
 
@@ -247,8 +276,9 @@ def simulate(
 
     steps = max(1, int(round(t_final / dt)))
     b = _half_bandwidth(pencil)
-    step = _trapezoidal_step(pencil, dt, b)
-    s_times, m_times, d_times = (_band_product(a, b) for a in (pencil.S, pencil.M, pencil.D))
+    dtype = _run_dtype(y0)
+    step = _trapezoidal_step(pencil, dt, b, dtype)
+    s_times, m_times, d_times = (_band_product(a, b, dtype) for a in (pencil.S, pencil.M, pencil.D))
 
     p, q = y0.p, y0.q
     times = dt * np.arange(steps + 1)

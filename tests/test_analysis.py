@@ -145,6 +145,32 @@ def test_explicit_dt_and_t_final_are_respected(ddd_system):
     assert cert.t_final == 2.0
 
 
+def test_fit_timestep_invariance_reuses_the_mode_run(ddd_system, monkeypatch):
+    """The dt fit over the first 1000 steps of the mode run gives exactly the
+    residual of two fresh runs; a mode run shorter than that is not reused."""
+    cfg, _, _, pencil = ddd_system
+    cert, spect, y0, sim = analysis._certify(cfg, pencil, None, None)
+    dt = cert.dt
+    assert sim.trace.times.size > 1001
+    a = bb.fit_decay(bb.simulate(pencil, y0, dt, 1000 * dt).trace)
+    b = bb.fit_decay(bb.simulate(pencil, y0, dt / 2, 1000 * dt).trace)
+    want = abs(b.alpha - a.alpha) / max(abs(a.alpha), 2.0 * abs(spect.abscissa), 1e-9)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return bb.simulate(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "simulate", counted)
+    for run, runs in ((sim, [dt / 2]), (bb.simulate(pencil, y0, dt, 500 * dt), [dt, dt / 2])):
+        calls.clear()
+        ctx = analysis._Context(cfg=cfg, mesh=None, dofs=None, pencil=pencil, spect=spect,
+                                sim=run, mode_state=y0, dt=dt)
+        passed, residual, _ = analysis._check_fit_timestep_invariance(ctx)
+        assert passed and residual == want
+        assert calls == runs
+
+
 def test_lyapunov_audit_runs_on_simulation_output(ddd_system):
     cfg, mesh, dofs, pencil = ddd_system
     y0 = fem.interpolate(bb.default_initial_data(cfg), mesh, dofs)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -182,6 +183,9 @@ def test_step_failures_raise_solve_failure():
     huge = fem.SystemPencil(S=1e300 * eye, M=eye, D=zero, regime=DampingCase.OTHER)
     with pytest.raises(dynamics.SolveFailure, match="non-finite"):
         bb.simulate(huge, bb.StateVector(1e300 * np.ones(3), np.ones(3)), 1e-3, 1e-3)
+    # complex arithmetic on the overflowed values meets inf * 0
+    with np.errstate(invalid="ignore"), pytest.raises(dynamics.SolveFailure, match="non-finite"):
+        bb.simulate(huge, bb.StateVector(1e300j * np.ones(3), 1j * np.ones(3)), 1e-3, 1e-3)
 
 
 def test_simulate_trace_matches_its_snapshots(ddd_system):
@@ -203,6 +207,76 @@ def test_simulate_trace_matches_its_snapshots(ddd_system):
     for _ in range(steps):
         y = bb.step_trapezoidal(pencil, y, dt)
     assert close(sim.final_state, y.to_array())
+
+
+def test_band_storage_is_fortran_ordered():
+    """The band is column-major, as BLAS and LAPACK read it, and a[i, j]
+    sits in row pad + b + i - j of column j, in a's dtype."""
+    a = np.arange(1.0, 37.0).reshape(6, 6)
+    a[np.abs(np.subtract.outer(np.arange(6), np.arange(6))) > 2] = 0.0
+    for m in (a, a * (1 + 2j)):
+        for pad in (0, 2):
+            ab = dynamics._band(m, 2, pad=pad)
+            assert ab.flags.f_contiguous and ab.dtype == m.dtype
+            assert ab.shape == (pad + 5, 6)
+            for i, j in zip(*np.nonzero(m)):
+                assert ab[pad + 2 + i - j, j] == m[i, j]
+            assert np.count_nonzero(ab) == np.count_nonzero(m)
+
+
+def complex_step_reference(pencil, dt, p, q, sp):
+    """The complex step through the two-column copy: dgbtrs on the interleaved
+    right-hand side viewed as an N x 2 real array, which f2py copies."""
+    n, b = pencil.n_positions, dynamics._half_bandwidth(pencil)
+    a = pencil.M + (0.5 * dt) * pencil.D + (0.5 * dt) ** 2 * pencil.S
+    explicit = pencil.M - (0.5 * dt) * pencil.D - (0.25 * dt * dt) * pencil.S
+    rhs = dynamics._band_product(explicit, b, np.complex128)(q, sp, -dt)
+    lu, piv, _ = scipy.linalg.lapack.dgbtrf(dynamics._band(a, b, pad=b), b, b)
+    x, _ = scipy.linalg.lapack.dgbtrs(lu, b, b, rhs.view(np.float64).reshape(n, 2), piv)
+    q_next = np.ascontiguousarray(x).view(np.complex128)[:, 0]
+    return p + dt * (0.5 * q + 0.5 * q_next), q_next
+
+
+def test_complex_step_matches_the_two_column_copy_bitwise(ddd_system):
+    """Solving in the step's own buffer changes no bit of the complex step."""
+    _, _, _, pencil = ddd_system
+    b = dynamics._half_bandwidth(pencil)
+    y = random_state(pencil, 19, complex_valued=True)
+    for dt in (1e-3, -1e-3):
+        step = dynamics._trapezoidal_step(pencil, dt, b, np.complex128)
+        sp = dynamics._band_product(pencil.S, b, np.complex128)(y.p)
+        got = step(y.p, y.q, sp)
+        want = complex_step_reference(pencil, dt, y.p, y.q, sp)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_step_buffers_carry_no_state(ddd_system):
+    """Two live closures, one closure fed two states in turn, and two
+    simulate runs in a row all reproduce the same trajectory bitwise."""
+    _, _, _, pencil = ddd_system
+    b, dt = dynamics._half_bandwidth(pencil), 1e-3
+    s_times = dynamics._band_product(pencil.S, b, np.complex128)
+    y = random_state(pencil, 23, complex_valued=True)
+    z = random_state(pencil, 29, complex_valued=True)
+
+    def run(step, other=None, steps=5):
+        p, q, trail = y.p, y.q, []
+        for _ in range(steps):
+            if other is not None:
+                other(z.p, z.q, s_times(z.p))
+            p, q = step(p, q, s_times(p))
+            trail.append(np.concatenate([p, q]))
+        return trail
+
+    ref = run(dynamics._trapezoidal_step(pencil, dt, b, np.complex128))
+    first = dynamics._trapezoidal_step(pencil, dt, b, np.complex128)
+    second = dynamics._trapezoidal_step(pencil, dt, b, np.complex128)
+    for trail in (run(first, other=second), run(first, other=first)):
+        assert all(np.array_equal(got, want) for got, want in zip(trail, ref))
+    one, two = (bb.simulate(pencil, y, dt, 20 * dt) for _ in range(2))
+    for field in ("energy", "dissipation", "cross"):
+        assert np.array_equal(getattr(one.trace, field), getattr(two.trace, field))
+    assert np.array_equal(one.final_state.to_array(), two.final_state.to_array())
 
 
 def test_step_input_validation(ddd_system):
