@@ -286,7 +286,8 @@ def _cmd_resolvent(spec: RunSpec) -> int:
                 ((_fmt(lam), _fmt(nrm)) for lam, nrm in zip(table.lambdas, table.norms)))
     print(f"resolvent: sup over [{_fmt(spec.lambda_min)}, {_fmt(spec.lambda_max)}] "
           f"({spec.lambda_steps} points, {table.distinct_points} distinct |lambda|, "
-          f"at most {int(table.iterations.max())} Lanczos iterations) = {_fmt(table.sup)}")
+          f"{table.total_iterations} Lanczos iterations, at most "
+          f"{int(table.iterations.max())} per point) = {_fmt(table.sup)}")
     print(f"wrote {path}")
     return 0
 

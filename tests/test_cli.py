@@ -3,8 +3,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import bsblab as bb
 from bsblab import cli, spectral
 from bsblab.cli import RunSpec, UsageError, parse_args, read_config
 
@@ -156,6 +158,22 @@ def test_resolvent_row_count_and_sup(tmp_path, config_file):
     assert "sup" in proc.stdout
 
 
+def test_resolvent_prints_the_lanczos_work_with_the_sup_last(tmp_path, capsys):
+    config = str(Path(__file__).resolve().parents[1] / "configs" / "udu.cfg")
+    assert cli.main(["resolvent", "--config", config, "--n1", "10", "--n2", "10", "--n3", "10",
+                     "--lambda-min", "-50", "--lambda-max", "50", "--lambda-steps", "41",
+                     "--out-dir", str(tmp_path)]) == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    _, _, pencil = bb.discretize(bb.validate_config(read_config(config)), 10, 10, 10)
+    table = spectral.resolvent_sweep(pencil, -50.0, 50.0, 41)
+    # mirrored points share one Lanczos run, so each |lambda| counts once
+    per_key = dict(zip(np.abs(table.lambdas).tolist(), table.iterations.tolist()))
+    assert len(per_key) == 21
+    assert f", {sum(per_key.values())} Lanczos iterations, " in line
+    assert f"at most {table.iterations.max()} per point) = " in line
+    assert line.endswith(f" = {cli._fmt(table.sup)}")
+
+
 def test_decay_json_contract(tmp_path, config_file):
     out = tmp_path / "out"
     proc = run_cli("decay", "--config", config_file,
@@ -234,9 +252,6 @@ def test_dump_matrices_round_trip(tmp_path, config_file):
                    "--n1", "2", "--n2", "2", "--n3", "2",
                    "--dump-matrices", "--out-dir", str(out))
     assert proc.returncode == 0, proc.stderr
-    import numpy as np
-    import bsblab as bb
-
     cfg = read_config(config_file)
     _, _, pencil = bb.discretize(cfg, 2, 2, 2)
     for name in ("S", "M", "D", "B", "K"):

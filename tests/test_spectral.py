@@ -360,13 +360,120 @@ def test_sweep_matches_the_dense_svd_reference(request, name, lo, hi, steps):
 
 
 def test_lanczos_maps_a_singular_factor_to_inf():
-    a = np.triu(np.ones((4, 4), dtype=complex))
+    a = np.asfortranarray(np.triu(np.ones((4, 4), dtype=complex)))
     start = np.ones(4, dtype=complex)
     norm, its = spectral._lanczos_inverse_norm(a, start)
     assert norm == pytest.approx(1.0 / np.linalg.svd(a, compute_uv=False).min(), rel=1e-12)
     assert 1 <= its <= 4
     a[2, 2] = 0.0
     assert spectral._lanczos_inverse_norm(a, start) == (math.inf, 1)
+
+
+def reference_lanczos_inverse_norm(a, start):
+    """The Lanczos loop on scipy's solve_triangular and eigh_tridiagonal
+    wrappers; the direct LAPACK loop must reproduce it bit for bit."""
+    m = a.shape[0]
+    basis = np.empty((m, m), dtype=np.complex128)
+    alphas = np.empty(m)
+    betas = np.empty(m)
+    q = start / np.linalg.norm(start)
+    for k in range(m):
+        basis[k] = q
+        try:
+            w = scipy.linalg.solve_triangular(a, q, check_finite=False)
+            u = scipy.linalg.solve_triangular(a, w, trans="C", check_finite=False)
+        except scipy.linalg.LinAlgError:
+            return math.inf, k + 1
+        if not np.all(np.isfinite(u)):
+            return math.inf, k + 1
+        v = basis[: k + 1]
+        h = v.conj() @ u
+        alphas[k] = h[k].real
+        u -= v.T @ h
+        u -= v.T @ (v.conj() @ u)
+        betas[k] = np.linalg.norm(u)
+        theta, s = scipy.linalg.eigh_tridiagonal(
+            alphas[: k + 1], betas[:k], select="i", select_range=(k, k)
+        )
+        theta = float(theta[0])
+        if betas[k] * abs(s[-1, 0]) <= spectral.LANCZOS_TOL * theta:
+            break
+        q = u / betas[k]
+    return math.sqrt(theta), k + 1
+
+
+def shifted_schur_factor(pencil):
+    """A = -T as _axis_norms builds it, its unshifted diagonal, a start vector."""
+    t = spectral._schur_factor(spectral._whiten(pencil))
+    rng = np.random.default_rng(0)
+    start = rng.standard_normal(t.shape[0]) + 1j * rng.standard_normal(t.shape[0])
+    a = np.negative(t, out=t)
+    return a, a.diagonal().copy(), start
+
+
+@pytest.mark.parametrize("name", ["ddd_system", "udu_system", "cons_system"])
+def test_lanczos_matches_the_wrapper_loop_bitwise(request, name):
+    _, _, _, pencil = request.getfixturevalue(name)
+    a, diagonal, start = shifted_schur_factor(pencil)
+    for lam in (0.0, -3.7, 3.7, 26.9, 50.0):
+        np.fill_diagonal(a, diagonal + 1j * abs(lam))
+        got = spectral._lanczos_inverse_norm(a, start)
+        assert got == reference_lanczos_inverse_norm(a, start), lam
+        assert math.isfinite(got[0]) and 1 <= got[1] <= a.shape[0]
+
+
+def test_lanczos_matches_the_wrapper_loop_on_an_eigenfrequency(cons_system):
+    # shift by the Schur diagonal entry of an undamped mode whose real part
+    # is smallest (exactly 0 with the reference LAPACK), which zeroes the pivot
+    _, _, _, pencil = cons_system
+    a, diagonal, start = shifted_schur_factor(pencil)
+    upper = np.flatnonzero(diagonal.imag < 0)
+    j = upper[np.argmin(np.abs(diagonal.real[upper]))]
+    np.fill_diagonal(a, diagonal - 1j * diagonal[j].imag)
+    norm, its = spectral._lanczos_inverse_norm(a, start)
+    assert (norm, its) == reference_lanczos_inverse_norm(a, start)
+    assert math.isinf(norm) or norm >= 1e10
+
+
+def test_lanczos_edge_cases_match_the_wrappers():
+    # 1 x 1: ||A^{-1}|| = 1/|a| after one iteration
+    a = np.array([[3.0 - 4.0j]], order="F")
+    start = np.array([1.0j])
+    got = spectral._lanczos_inverse_norm(a, start)
+    assert got == reference_lanczos_inverse_norm(a, start)
+    assert got == (pytest.approx(0.2, rel=1e-15), 1)
+    # the first Ritz vector is exactly 1: a residual of 1.5e-12 of the Ritz
+    # value misses the 1e-12 stop, and the second iteration finds ||A^{-1}|| = 2
+    a = np.asfortranarray(np.diag([1.0, 0.5]).astype(complex))
+    start = np.array([1.0, 0.5e-12], dtype=complex)
+    got = spectral._lanczos_inverse_norm(a, start)
+    assert got == reference_lanczos_inverse_norm(a, start)
+    assert got == (pytest.approx(2.0, rel=1e-15), 2)
+    # a zero pivot first or last: inf before any Lanczos coefficient
+    start = np.ones(4, dtype=complex)
+    for j in (0, 3):
+        a = np.asfortranarray(np.triu(np.ones((4, 4), dtype=complex)))
+        a[j, j] = 0.0
+        assert spectral._lanczos_inverse_norm(a, start) == (math.inf, 1)
+        assert reference_lanczos_inverse_norm(a, start) == (math.inf, 1)
+    # finite solves whose residual norm overflows: beta_0 = inf is caught
+    # at the next iteration, as check_finite=True in eigh_tridiagonal did
+    a = np.asfortranarray(np.diag([1e-154, 2e-154]).astype(complex))
+    start = np.array([1.0, 1.0], dtype=complex)
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            reference_lanczos_inverse_norm(a, start)
+        with pytest.raises(ValueError, match="non-finite Lanczos coefficient at iteration 2"):
+            spectral._lanczos_inverse_norm(a, start)
+
+
+def test_lanczos_takes_only_a_fortran_ordered_factor(ddd_system):
+    a = np.triu(np.ones((4, 4), dtype=complex))
+    with pytest.raises(ValueError, match="Fortran"):
+        spectral._lanczos_inverse_norm(a, np.ones(4, dtype=complex))
+    _, _, _, pencil = ddd_system
+    t = spectral._schur_factor(spectral._whiten(pencil))
+    assert t.flags.f_contiguous and t.dtype == np.complex128
 
 
 def test_resolvent_parameter_validation(ddd_system):
