@@ -1,4 +1,4 @@
-"""Decay-rate fitting, the Lyapunov audit, and the verification report.
+"""Decay-rate fitting, decay certification, and the verification report.
 
 The certification loop is: take the eigenpair with the largest real part,
 propagate it with the energy-exact trapezoidal scheme, fit a line to
@@ -25,7 +25,6 @@ import scipy.linalg
 from . import dynamics, fem, spectral
 from .dynamics import (
     EnergyTrace,
-    NonpositiveWeight,
     SimOutput,
     default_dt,
     simulate,
@@ -86,45 +85,6 @@ def fit_decay(trace: EnergyTrace, window: tuple | None = None) -> DecayFit:
         r_squared = 1.0 if ss_res <= 1e-28 else 0.0
     return DecayFit(alpha=-slope, log_c=intercept, r_squared=r_squared,
                     window=(lo, hi), n_samples=n)
-
-
-@dataclass
-class LyapunovAudit:
-    """Per-step values of L = weight * E + cross and its sandwich margins."""
-
-    times: np.ndarray
-    energy: np.ndarray
-    cross: np.ndarray
-    lyapunov: np.ndarray
-    margin_low: np.ndarray
-    margin_high: np.ndarray
-    sandwich_ok: bool
-    nonincreasing: bool
-
-
-def lyapunov_audit(sim: SimOutput, energy_weight: float) -> LyapunovAudit:
-    """Audit the sandwich (w/2) E <= L <= (3w/2) E along a simulation.
-
-    margin_low = L - (w/2) E and margin_high = (3w/2) E - L must both stay
-    nonnegative (up to a 1e-12 relative slack) whenever the weight exceeds
-    twice the supremum of |cross|/E; L itself must be nonincreasing on a
-    decaying run.
-    """
-    if not np.isfinite(energy_weight) or energy_weight <= 0:
-        raise NonpositiveWeight(f"energy_weight must be finite and > 0, got {energy_weight}")
-    tr = sim.trace
-    lya = energy_weight * tr.energy + tr.cross
-    margin_low = lya - 0.5 * energy_weight * tr.energy
-    margin_high = 1.5 * energy_weight * tr.energy - lya
-    slack = 1e-12 * max(1.0, energy_weight * float(tr.energy[0]))
-    sandwich_ok = bool(margin_low.min() >= -slack and margin_high.min() >= -slack)
-    upticks = float(np.max(np.diff(lya), initial=0.0))
-    nonincreasing = bool(upticks <= 1e-9 * max(1.0, abs(float(lya[0]))))
-    return LyapunovAudit(
-        times=tr.times, energy=tr.energy, cross=tr.cross, lyapunov=lya,
-        margin_low=margin_low, margin_high=margin_high,
-        sandwich_ok=sandwich_ok, nonincreasing=nonincreasing,
-    )
 
 
 @dataclass
@@ -281,17 +241,8 @@ class _Context:
     dt: float
 
 
-_CHECK_SEED = 1136
-
-
 def _plateau_state(ctx: _Context) -> StateVector:
     return fem.interpolate(default_initial_data(ctx.cfg), ctx.mesh, ctx.dofs)
-
-
-def _random_states(n: int, count: int):
-    rng = np.random.default_rng(_CHECK_SEED)
-    for _ in range(count):
-        yield rng.standard_normal(2 * n)
 
 
 def _check_gram_matrices_spd(ctx):
@@ -359,18 +310,6 @@ def _check_time_reversal(ctx):
     return resid <= 1e-8, resid, "undamped twin, one step forward and back"
 
 
-def _check_cross_term_bound(ctx):
-    c = dynamics.cross_term_bound_constant(ctx.pencil)
-    n = ctx.pencil.n_positions
-    worst = 0.0
-    for y in _random_states(n, 100):
-        sv = StateVector(y[:n], y[n:])
-        e = dynamics.energy(ctx.pencil, sv)
-        if e > 0:
-            worst = max(worst, abs(dynamics.cross_functional(ctx.pencil, sv)) / (c * e))
-    return worst <= 1.0 + 1e-9, max(0.0, worst - 1.0), f"|cross| <= c E with c = {c:.6g}"
-
-
 def _check_whitening_consistency(ctx):
     _, _, small = fem.discretize(ctx.cfg, 3, 3, 3)
     mu_w = eigenvalues(small).eigenvalues
@@ -392,13 +331,6 @@ def _check_string_damping_spectrum_gap(ctx):
     note = (f"min|Re| = {ctx.spect.min_axis_distance:.6g} overall, "
             f"{band_min:.6g} on |Im| <= 50")
     return bool(np.all(mu.real < 0)), float(np.max(mu.real)), note
-
-
-def _check_conjugate_symmetry(ctx):
-    mu = ctx.spect.eigenvalues
-    scale = max(1.0, float(np.max(np.abs(mu))))
-    worst = max(float(np.min(np.abs(mu - m.conjugate()))) for m in mu) / scale
-    return worst <= 1e-8, worst, "spectrum closed under conjugation"
 
 
 def _check_resolvent_lower_bound(ctx):
@@ -465,10 +397,8 @@ _REGISTRY = [
     ("dynamics.step_energy_balance", _check_step_energy_balance),
     ("dynamics.energy_monotone", _check_energy_monotone),
     ("dynamics.time_reversal", _check_time_reversal),
-    ("dynamics.cross_term_bound", _check_cross_term_bound),
     ("spectral.whitening_consistency", _check_whitening_consistency),
     ("spectral.string_damping_spectrum_gap", _check_string_damping_spectrum_gap),
-    ("spectral.conjugate_symmetry", _check_conjugate_symmetry),
     ("spectral.resolvent_lower_bound", _check_resolvent_lower_bound),
     ("spectral.abscissa_nonpositive", _check_abscissa_nonpositive),
     ("analysis.fit_timestep_invariance", _check_fit_timestep_invariance),

@@ -176,12 +176,15 @@ def parse_args(argv) -> RunSpec:
     for name in ("n1", "n2", "n3"):
         if getattr(spec, name) < 1:
             raise UsageError(f"--{name} must be >= 1, got {getattr(spec, name)}")
-    if spec.dt is not None and not spec.dt > 0:
-        raise UsageError(f"--dt must be > 0, got {spec.dt}")
-    if spec.t_final is not None and not spec.t_final > 0:
-        raise UsageError(f"--t-final must be > 0, got {spec.t_final}")
+    if spec.dt is not None and not (np.isfinite(spec.dt) and spec.dt > 0):
+        raise UsageError(f"--dt must be finite and > 0, got {spec.dt}")
+    if spec.t_final is not None and not (np.isfinite(spec.t_final) and spec.t_final > 0):
+        raise UsageError(f"--t-final must be finite and > 0, got {spec.t_final}")
     if spec.lambda_steps < 2:
         raise UsageError(f"--lambda-steps must be >= 2, got {spec.lambda_steps}")
+    if not np.isfinite([spec.lambda_min, spec.lambda_max]).all():
+        raise UsageError(f"--lambda-min and --lambda-max must be finite, "
+                         f"got [{spec.lambda_min}, {spec.lambda_max}]")
     if not spec.lambda_max > spec.lambda_min:
         raise UsageError(
             f"--lambda-max must exceed --lambda-min, got [{spec.lambda_min}, {spec.lambda_max}]"

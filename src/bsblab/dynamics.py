@@ -38,19 +38,15 @@ class SolveFailure(RuntimeError):
     """An implicit solve failed or returned non-finite values."""
 
 
-class NonpositiveWeight(ValueError):
-    """The energy weight in the Lyapunov functional must be > 0."""
-
-
 @dataclass
 class EnergyTrace:
     """Per-step scalars of a simulation.
 
     energy[i] is E(y(t_i)), dissipation[i] the instantaneous (nonpositive)
-    energy rate, cross[i] the position-velocity cross term p^T M q that
-    enters the Lyapunov functional. In a damped regime the energy is
-    nonincreasing up to a 1e-9 relative uptick; without damping it is
-    conserved to the same tolerance.
+    energy rate, cross[i] the position-velocity cross term p^T M q (the F
+    column of energy.csv). In a damped regime the energy is nonincreasing
+    up to a 1e-9 relative uptick; without damping it is conserved to the
+    same tolerance.
     """
 
     times: np.ndarray
@@ -89,40 +85,6 @@ def cross_functional(pencil: SystemPencil, y: StateVector) -> float:
     """The cross term Re(p^H M q), the L2 pairing of position and velocity."""
     _require_match(pencil, y)
     return np.vdot(y.p, pencil.M @ y.q).real
-
-
-def lyapunov_functional(pencil: SystemPencil, y: StateVector, energy_weight: float) -> float:
-    """Perturbed energy  L(y) = energy_weight * E(y) + cross(y).
-
-    For energy_weight at least twice the supremum of |cross|/E the sandwich
-    (energy_weight/2) E <= L <= (3 energy_weight/2) E holds.
-    """
-    if not np.isfinite(energy_weight) or energy_weight <= 0:
-        raise NonpositiveWeight(f"energy_weight must be finite and > 0, got {energy_weight}")
-    return energy_weight * energy(pencil, y) + cross_functional(pencil, y)
-
-
-def cross_term_bound_constant(pencil: SystemPencil) -> float:
-    """The certified c with |cross(y)| <= c E(y) for every state.
-
-    From Cauchy-Schwarz in the M inner product and p^H M p <= gamma p^H S p,
-    c = max(1, gamma) works, where gamma is the largest eigenvalue of the
-    symmetric-definite pair (M, S).
-    """
-    gamma = float(scipy.linalg.eigh(pencil.M, pencil.S, eigvals_only=True)[-1])
-    return max(1.0, gamma)
-
-
-def default_energy_weight(pencil: SystemPencil) -> float:
-    """Twice the certified cross-term constant.
-
-    With w = 2c and |cross| <= c E the sandwich (w/2) E <= w E + cross <=
-    (3w/2) E holds for every state, not just sampled ones. Random-state
-    sampling is useless here: rough states have huge bending energy and a
-    tiny |cross|/E quotient, while the supremum is approached on the
-    smoothest modes.
-    """
-    return 2.0 * cross_term_bound_constant(pencil)
 
 
 def default_dt(cfg: StructureConfig) -> float:

@@ -81,6 +81,12 @@ def test_parse_args_rejections(config_file):
         ["resolvent", "--config", config_file, "--lambda-steps", "0"],
         ["resolvent", "--config", config_file, "--lambda-min", "2", "--lambda-max", "-2"],
         ["simulate", "--config", config_file, "--dt", "0"],
+        ["simulate", "--config", config_file, "--dt", "inf"],
+        ["simulate", "--config", config_file, "--t-final", "inf"],
+        ["decay", "--config", config_file, "--dt", "inf"],
+        ["verify", "--config", config_file, "--t-final", "nan"],
+        ["resolvent", "--config", config_file, "--lambda-max", "inf"],
+        ["resolvent", "--config", config_file, "--lambda-min=-inf"],
         ["simulate", "--config", config_file, "--n2", "0"],
         ["simulate", "--config", config_file, "--snapshot-points", "1"],
         ["verify", "--config", config_file, "--c4", "2"],  # no such flag
@@ -241,7 +247,7 @@ def test_verify_passes_and_is_reproducible(tmp_path, config_file):
         "abscissa", "all_pass", "alpha_fit", "dt", "invariant_results", "mesh",
         "min_axis_distance", "r_squared", "ratio", "ratio_check", "regime", "t_final",
     ]
-    assert p1.stdout.count("PASS") == len(payload["invariant_results"]) == 13
+    assert p1.stdout.count("PASS") == len(payload["invariant_results"]) == 11
     assert "FAIL" not in p1.stdout
     assert payload["all_pass"] is True
 
@@ -282,6 +288,9 @@ def test_exit_code_for_usage_errors(tmp_path, config_file):
     assert "unknown key" in proc.stderr
     proc = run_cli("resolvent", "--config", config_file, "--lambda-steps", "1")
     assert proc.returncode == 2
+    proc = run_cli("simulate", "--config", config_file, "--dt", "inf")
+    assert proc.returncode == 2
+    assert "--dt must be finite" in proc.stderr
 
 
 def test_run_function_returns_exit_codes(tmp_path, config_file):

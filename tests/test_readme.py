@@ -3,6 +3,8 @@
 import re
 from pathlib import Path
 
+from bsblab import analysis
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -23,6 +25,15 @@ def test_readme_library_example_runs(capsys):
     exec(compile(code, str(README), "exec"), scope)
     report = scope["report"]
     assert report.mesh_counts == (4, 4, 4)
-    assert len(report.invariant_results) == 13
+    assert len(report.invariant_results) == len(analysis._REGISTRY) == 11
     assert report.all_pass
     assert '"invariant_results"' in capsys.readouterr().out
+
+
+def test_readme_states_the_invariant_count():
+    """Both places README counts the verify invariants match the registry."""
+    text = README.read_text()
+    counts = (re.findall(r"the (\d+) built-in invariants", text)
+              + re.findall(r"the (\d+)-invariant battery", text))
+    assert len(counts) == 2
+    assert {int(c) for c in counts} == {len(analysis._REGISTRY)}

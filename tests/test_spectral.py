@@ -68,12 +68,12 @@ def test_whitened_eigenvalues_match_generalized_qz(ddd_cfg):
     assert gaps.min(axis=0).max() <= 1e-8 * scale
 
 
-def test_spectrum_is_conjugate_symmetric(ddd_system):
-    _, _, _, pencil = ddd_system
-    eig = spectral.eigenvalues(pencil).eigenvalues
-    conj = np.conj(eig)
-    conj = conj[np.lexsort((conj.imag, conj.real))]
-    assert np.abs(eig - conj).max() <= 1e-8 * np.abs(eig).max()
+def test_spectrum_is_conjugate_symmetric(ddd_system, udu_system):
+    for _, _, _, pencil in (ddd_system, udu_system):
+        eig = spectral.eigenvalues(pencil).eigenvalues
+        conj = np.conj(eig)
+        conj = conj[np.lexsort((conj.imag, conj.real))]
+        assert np.abs(eig - conj).max() <= 1e-8 * np.abs(eig).max()
 
 
 def test_damped_spectrum_lies_in_the_left_half_plane(ddd_system, udu_system):
