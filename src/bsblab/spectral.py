@@ -10,9 +10,9 @@ of the originals. The resolvent norm along the imaginary axis is therefore
     R(lambda) = 1 / sigma_min(i lambda I - C).
 
 `resolvent_norm` evaluates one point by a dense SVD of i lambda I - C; it
-is the reference. `resolvent_sweep` factors once, C = Z T Z* with T upper
-triangular (complex Schur form; Z is never formed, since unitary Z leaves
-2-norms alone), and gets R(lambda)^2 at each distinct |lambda| as the
+is the reference. `resolvent_sweep` takes one real Schur form C = Z T Z^T
+(dgees; Z is never formed, since it leaves 2-norms alone), makes T complex
+triangular, and gets R(lambda)^2 at each distinct |lambda| as the
 largest eigenvalue of A^{-*} A^{-1}, A = i lambda I - T, by Lanczos with
 full reorthogonalization. Each iteration calls LAPACK directly: two
 triangular solves (ztrtrs) and the largest Ritz pair of the Lanczos
@@ -28,8 +28,8 @@ With X = Lm^{-1} Ls the whitened matrix is
 so without damping C is exactly skew and its eigenvalues are +-i times
 the singular values of X. `eigenvalues` uses that: an undamped pencil
 (D == 0) gets its spectrum from `svdvals` of the N x N matrix X, with
-every real part exactly 0; a damped one from a dense eigensolve of the
-2N x 2N matrix C.
+every real part exactly 0; a damped one from the real Schur factor T of
+C, which the report keeps for the resolvent.
 
 `slowest_mode` and the decay certificate take mu as the last of these
 eigenvalues, so `decay` and `verify` report the spectrum `spectrum` writes,
@@ -40,7 +40,7 @@ Q(mu) = mu^2 M + mu D + S (Tisseur & Meerbergen, SIAM Review 43, 2001).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -51,8 +51,8 @@ from .model import DampingCase
 
 
 class FactorizationFailure(RuntimeError):
-    """S or M is not symmetric positive definite to working precision, or
-    the Schur form of the whitened matrix did not converge."""
+    """S or M is not symmetric positive definite to working precision, the
+    whitened matrix overflows or has no Schur form, or Q(mu) no eigenvector."""
 
 
 class EmptySpectrum(RuntimeError):
@@ -67,12 +67,13 @@ class NonpositiveParameter(ValueError):
 class SpectrumReport:
     """All 2N eigenvalues plus the two scalars the stability theory cares
     about: the spectral abscissa and the distance of the spectrum to the
-    imaginary axis."""
+    imaginary axis; `schur` is the real Schur factor of a damped spectrum."""
 
     eigenvalues: np.ndarray
     abscissa: float
     min_axis_distance: float
     regime: DampingCase
+    schur: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -115,13 +116,16 @@ def _whiten(pencil: SystemPencil) -> np.ndarray:
 
     With G = blockdiag(Ls, Lm) the pencil whitens to C = G^{-1} K G^{-T}
     = [[0, X^T], [-X, -Lm^{-1} D Lm^{-T}]] where X = Lm^{-1} Ls, so C is
-    exactly skew when D = 0.
+    exactly skew when D = 0, and Fortran-ordered for _real_schur. Huge
+    damping can overflow it, which raises FactorizationFailure.
     """
     lm, x = _cholesky_coupling(pencil)
-    dl = scipy.linalg.solve_triangular(lm, pencil.D, lower=True)
-    dw = scipy.linalg.solve_triangular(lm, dl.T, lower=True).T
+    dl = scipy.linalg.solve_triangular(lm, pencil.D, lower=True, check_finite=False)
+    dw = scipy.linalg.solve_triangular(lm, dl.T, lower=True, check_finite=False).T
+    if not np.isfinite(dw).all():
+        raise FactorizationFailure("the whitened damping Lm^{-1} D Lm^{-T} is not finite")
     n = pencil.n_positions
-    c = np.zeros((2 * n, 2 * n))
+    c = np.zeros((2 * n, 2 * n), order="F")
     c[:n, n:] = x.T
     c[n:, :n] = -x
     c[n:, n:] = -dw
@@ -134,13 +138,14 @@ def eigenvalues(pencil: SystemPencil) -> SpectrumReport:
     Without damping (D == 0 entry for entry) the spectrum is +-i sigma(X),
     the singular values of the N x N coupling X = Lm^{-1} Ls, with every
     real part exactly 0; the canonical order is then ascending frequency
-    and mirrored entries are exact negatives. Otherwise it is a dense
-    eigensolve of the 2N x 2N whitened matrix C.
+    and mirrored entries are exact negatives. Otherwise the report keeps
+    the real Schur factor of the 2N x 2N whitened matrix C it came from.
     """
     if pencil.n_positions == 0:
         raise EmptySpectrum("pencil has no degrees of freedom")
+    schur = None
     if pencil.D.any():
-        mu = scipy.linalg.eigvals(_whiten(pencil))
+        schur, mu = _real_schur(_whiten(pencil))
     else:
         _, x = _cholesky_coupling(pencil)
         sigma = scipy.linalg.svdvals(x)
@@ -156,11 +161,34 @@ def eigenvalues(pencil: SystemPencil) -> SpectrumReport:
         abscissa=float(np.max(mu.real)),
         min_axis_distance=float(np.min(np.abs(mu.real))),
         regime=pencil.regime,
+        schur=schur,
     )
 
 
-def spectral_abscissa(pencil: SystemPencil) -> float:
-    return eigenvalues(pencil).abscissa
+def _real_schur(c: np.ndarray):
+    """Quasi-triangular T of C = Z T Z^T and the eigenvalues of C, by LAPACK
+    dgees without Schur vectors, in place on the Fortran-ordered C."""
+    gees, select = scipy.linalg.lapack.dgees, (lambda wr, wi: None)
+    lwork = int(gees(select, c, compute_v=0, lwork=-1, overwrite_a=1)[-2][0])
+    t, _, wr, wi, _, _, info = gees(select, c, compute_v=0, lwork=lwork, overwrite_a=1)
+    if info != 0:
+        raise FactorizationFailure(f"real Schur form did not converge (info = {info})")
+    return t, wr + 1j * wi
+
+
+def _complex_triangle(t: np.ndarray) -> np.ndarray:
+    """Upper-triangular U = Q^* T Q, unitary Q, in a new Fortran array:
+    rsf2csf without Schur vectors. A standardized block [[a, b], [c, a]]
+    has eigenvalue a + i w, w = sqrt|b| sqrt|c|, and eigenvector (b, i w),
+    the first column of its rotation."""
+    u = np.array(t, dtype=np.complex128, order="F")
+    for k in np.flatnonzero(np.diagonal(t, -1)):
+        b, w = t[k, k + 1], math.sqrt(abs(t[k, k + 1])) * math.sqrt(abs(t[k + 1, k]))
+        x, y = b / math.hypot(b, w), 1j * w / math.hypot(b, w)
+        u[k:k + 2, k:] = np.array([[x, -y], [-y, x]]) @ u[k:k + 2, k:]
+        u[:k + 2, k:k + 2] = u[:k + 2, k:k + 2] @ np.array([[x, y], [y, x]])
+        u[k + 1, k] = 0.0
+    return u
 
 
 def slowest_mode(pencil: SystemPencil):
@@ -183,7 +211,8 @@ def _eigenmode(pencil: SystemPencil, mu: complex) -> StateVector:
     p spans the null space of Q(mu): banded LU (zgbtrf), then two steps of
     inverse iteration (zgbtrs) from a fixed-seed start. Zero pivots of an
     exactly singular Q(mu) (info > 0) become eps (|mu|^2 |M|_1 + |mu| |D|_1
-    + |S|_1), as in LAPACK's zlaein; |Q(mu)|_1 itself can be 0.
+    + |S|_1), as in LAPACK's zlaein; |Q(mu)|_1 itself can be 0. A
+    non-finite or zero-energy vector (Q(mu) overflowed) raises.
     """
     n = pencil.n_positions
     b = _half_bandwidth(pencil)
@@ -200,7 +229,10 @@ def _eigenmode(pencil: SystemPencil, mu: complex) -> StateVector:
     x, _ = zgbtrs(lu, b, b, rng.standard_normal(n) + 1j * rng.standard_normal(n), piv)
     x, _ = zgbtrs(lu, b, b, x / np.linalg.norm(x), piv)
     y = np.concatenate([x, mu * x])
-    y /= math.sqrt(energy(pencil, StateVector(y[:n], y[n:])))
+    e = energy(pencil, StateVector(y[:n], y[n:])) if np.isfinite(y).all() else math.nan
+    if not 0.0 < e < math.inf:
+        raise FactorizationFailure(f"inverse iteration on Q(mu) gave no eigenvector (energy {e})")
+    y /= math.sqrt(e)
     k = int(np.argmax(np.abs(y)))
     y /= y[k] / abs(y[k])
     return StateVector(y[:n], y[n:])
@@ -238,20 +270,6 @@ def _axis_grid(lambda_min: float, lambda_max: float, steps: int) -> np.ndarray:
     grid = mid + half * (j / (steps - 1))
     grid[0], grid[-1] = lambda_min, lambda_max
     return grid
-
-
-def _schur_factor(c: np.ndarray) -> np.ndarray:
-    """Upper-triangular factor T of the complex Schur form C = Z T Z*.
-
-    LAPACK zgees without Schur vectors, in place on a complex copy of C.
-    """
-    gees = scipy.linalg.lapack.zgees
-    a = np.asfortranarray(c, dtype=np.complex128)
-    lwork = int(gees(lambda w: None, a, compute_v=0, lwork=-1)[-2][0].real)
-    t, *_, info = gees(lambda w: None, a, compute_v=0, lwork=lwork, overwrite_a=1)
-    if info != 0:
-        raise FactorizationFailure(f"complex Schur form did not converge (info = {info})")
-    return t
 
 
 def _lanczos_inverse_norm(a: np.ndarray, start: np.ndarray):
@@ -339,16 +357,18 @@ def resolvent_sweep(
     return ResolventTable(lambdas=grid, norms=norms, iterations=iterations)
 
 
-def _axis_norms(pencil: SystemPencil, lambdas: np.ndarray):
+def _axis_norms(pencil: SystemPencil, lambdas: np.ndarray, schur: np.ndarray | None = None):
     """Resolvent norms at the axis points i*lambdas, and the Lanczos
     iterations behind each.
 
-    Whitens once, takes the Schur factor T once, and runs Lanczos once per
+    Takes the real Schur factor T from `schur` (eigenvalues() keeps it) or
+    factors here, makes it complex triangular, and runs Lanczos once per
     distinct |lambda|; mirrored points share that value.
     """
-    c = _whiten(pencil)
-    t = _schur_factor(c)
-    del c
+    if schur is None:
+        schur, _ = _real_schur(_whiten(pencil))
+    t = _complex_triangle(schur)
+    del schur
     rng = np.random.default_rng(0)
     start = rng.standard_normal(t.shape[0]) + 1j * rng.standard_normal(t.shape[0])
     # A = i lambda I - T in place of T: only the diagonal changes per point

@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 
 import bsblab as bb
-from bsblab import analysis, dynamics, fem
+from bsblab import analysis, dynamics, fem, spectral
 
 
 def synthetic_trace(alpha=3.0, c=7.0, t_end=2.0, n=401):
@@ -178,6 +178,34 @@ def test_fit_timestep_invariance_reuses_the_mode_run(ddd_system, monkeypatch):
         passed, residual, _ = analysis._check_fit_timestep_invariance(ctx)
         assert passed and residual == want
         assert calls == runs
+
+
+def test_damped_verify_whitens_and_factors_the_pencil_once(ddd_system, monkeypatch):
+    """The spectrum and the resolvent check read one real Schur factor of C."""
+    cfg, mesh, dofs, pencil = ddd_system
+    size = 2 * pencil.n_positions
+    whitened, factored = [], []
+
+    def counted_whiten(p):
+        whitened.append(p.n_positions)
+        return whiten(p)
+
+    def counted(name, routine):
+        def call(*args, **kwargs):
+            a = next(x for x in args if isinstance(x, np.ndarray))
+            if a.shape == (size, size) and kwargs.get("lwork") != -1:
+                factored.append(name)
+            return routine(*args, **kwargs)
+        return call
+
+    whiten = spectral._whiten
+    monkeypatch.setattr(spectral, "_whiten", counted_whiten)
+    for module, name in ((scipy.linalg.lapack, "dgees"), (scipy.linalg.lapack, "zgees"),
+                         (scipy.linalg, "eigvals"), (scipy.linalg, "eig")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    assert bb.cross_validate(cfg, mesh, dofs, pencil).all_pass
+    assert whitened.count(pencil.n_positions) == 1
+    assert factored == ["dgees"]
 
 
 def test_report_rendering_is_byte_stable_and_valid_json(ddd_system):

@@ -280,6 +280,19 @@ def test_exit_code_for_model_errors(tmp_path):
     assert "error:" in proc.stderr
 
 
+@pytest.mark.parametrize("command,rho1", [("decay", "1e150"), ("verify", "1e300"),
+                                          ("verify", "1.7e308")])
+def test_overflow_is_a_model_error(tmp_path, command, rho1):
+    # Q(mu) overflows below 1e304 (inverse iteration yields no finite
+    # eigenvector), the whitened damping above
+    path = tmp_path / "stiff.cfg"
+    path.write_text(CONFIG.replace("rho1 = 1.0", f"rho1 = {rho1}"))
+    proc = run_cli(command, "--config", str(path), "--n1", "4", "--n2", "4", "--n3", "4",
+                   "--out-dir", str(tmp_path / "out"))
+    assert proc.returncode == 1
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_exit_code_for_usage_errors(tmp_path, config_file):
     path = tmp_path / "bad.cfg"
     path.write_text(CONFIG + "zeta = 9\n")

@@ -85,9 +85,49 @@ def test_damped_spectrum_lies_in_the_left_half_plane(ddd_system, udu_system):
         assert rep.min_axis_distance > 0.0
 
 
-def test_spectral_abscissa_shortcut(ddd_system):
-    _, _, _, pencil = ddd_system
-    assert bb.spectral_abscissa(pencil) == spectral.eigenvalues(pencil).abscissa
+def nearest_gaps(a, b):
+    """Largest distance from a point of a to b, and from a point of b to a."""
+    gaps = np.abs(a[:, None] - b[None, :])
+    return gaps.min(axis=1).max(), gaps.min(axis=0).max()
+
+
+@pytest.mark.parametrize("n", [6, 20])
+@pytest.mark.parametrize("cfg_name", ["ddd_cfg", "udu_cfg"])
+def test_damped_spectrum_matches_the_dense_eigensolve_of_c(cfg_name, n, request):
+    _, _, pencil = fem.discretize(request.getfixturevalue(cfg_name), n, n, n)
+    rep = spectral.eigenvalues(pencil)
+    ref = scipy.linalg.eigvals(spectral._whiten(pencil))
+    assert rep.eigenvalues.shape == ref.shape
+    scale = np.abs(rep.eigenvalues).max()
+    assert max(nearest_gaps(rep.eigenvalues, ref)) <= 1e-12 * scale
+    # the report keeps the real Schur factor its eigenvalues came from
+    assert rep.schur.shape == (ref.size, ref.size) and rep.schur.dtype == np.float64
+    assert not np.tril(rep.schur, -2).any()
+
+
+@pytest.mark.parametrize("name", ["ddd_system", "udu_system", "cons_system"])
+def test_complex_triangle_is_a_unitary_triangularization(request, name):
+    _, _, _, pencil = request.getfixturevalue(name)
+    t, mu = spectral._real_schur(spectral._whiten(pencil))
+    assert np.diagonal(t, -1).any()  # there are 2 x 2 blocks to rotate
+    kept = t.copy()
+    u = spectral._complex_triangle(t)
+    assert np.array_equal(t, kept)
+    assert u.dtype == np.complex128 and u.flags.f_contiguous
+    assert not np.tril(u, -1).any()
+    scale = np.abs(mu).max()
+    assert np.abs(np.diagonal(u) - mu).max() <= 1e-14 * scale
+    assert np.linalg.norm(u) == pytest.approx(np.linalg.norm(t), rel=1e-13)
+
+
+def test_only_a_damped_report_keeps_its_schur_factor(ddd_system, cons_system):
+    # only a damped spectrum keeps a Schur factor, and repr and == skip it
+    damped = spectral.eigenvalues(ddd_system[3])
+    assert spectral.eigenvalues(cons_system[3]).schur is None
+    assert "schur" not in repr(damped)
+    twin = spectral.SpectrumReport(damped.eigenvalues, damped.abscissa,
+                                   damped.min_axis_distance, damped.regime)
+    assert twin.schur is None and twin == damped
 
 
 def quadratic_residual(pencil, mu, p):
@@ -175,7 +215,6 @@ def test_undamped_spectrum_is_exactly_on_the_axis(cons_cfg, cons_system):
         assert np.all(np.diff(eig.imag) >= 0.0)
         assert np.array_equal(eig[::-1].imag, -eig.imag)
         assert rep.abscissa == 0.0 and rep.min_axis_distance == 0.0
-        assert spectral.spectral_abscissa(p) == 0.0
 
 
 def test_both_routes_reject_an_indefinite_or_empty_pencil():
@@ -348,13 +387,13 @@ def test_sweep_grid_is_exactly_symmetric():
 @pytest.mark.parametrize("name", ["ddd_system", "udu_system", "cons_system"])
 @pytest.mark.parametrize("lo,hi,steps", [(-50.0, 50.0, 41), (-3.0, 17.0, 21)])
 def test_sweep_matches_the_dense_svd_reference(request, name, lo, hi, steps):
-    """Schur + Lanczos sweep against one svdvals per point."""
+    """Real Schur + Lanczos sweep against one svdvals per point."""
     _, _, _, pencil = request.getfixturevalue(name)
     eig = spectral.eigenvalues(pencil).eigenvalues
     table = spectral.resolvent_sweep(pencil, lo, hi, steps)
     for lam, norm, its in zip(table.lambdas, table.norms, table.iterations):
         want = spectral.resolvent_norm(pencil, float(lam))
-        assert norm == pytest.approx(want, rel=1e-9)
+        assert norm == pytest.approx(want, rel=1e-10)
         assert norm * np.abs(1j * lam - eig).min() >= 1.0 - 1e-9
         assert 1 <= its <= 2 * pencil.n_positions
 
@@ -403,8 +442,8 @@ def reference_lanczos_inverse_norm(a, start):
 
 
 def shifted_schur_factor(pencil):
-    """A = -T as _axis_norms builds it, its unshifted diagonal, a start vector."""
-    t = spectral._schur_factor(spectral._whiten(pencil))
+    """A = -U as _axis_norms builds it, its unshifted diagonal, a start vector."""
+    t = spectral._complex_triangle(spectral._real_schur(spectral._whiten(pencil))[0])
     rng = np.random.default_rng(0)
     start = rng.standard_normal(t.shape[0]) + 1j * rng.standard_normal(t.shape[0])
     a = np.negative(t, out=t)
@@ -472,7 +511,9 @@ def test_lanczos_takes_only_a_fortran_ordered_factor(ddd_system):
     with pytest.raises(ValueError, match="Fortran"):
         spectral._lanczos_inverse_norm(a, np.ones(4, dtype=complex))
     _, _, _, pencil = ddd_system
-    t = spectral._schur_factor(spectral._whiten(pencil))
+    c = spectral._whiten(pencil)
+    assert c.flags.f_contiguous
+    t = spectral._complex_triangle(spectral.eigenvalues(pencil).schur)
     assert t.flags.f_contiguous and t.dtype == np.complex128
 
 
