@@ -248,13 +248,18 @@ def _plateau_state(ctx: _Context) -> StateVector:
 def _check_gram_matrices_spd(ctx):
     """S, M and D are exactly symmetric.
 
-    Definiteness needs no check of its own: _certify whitens before any
-    check runs, and whitening Cholesky-factors S and M or raises
-    FactorizationFailure. Symmetry of S is what makes Re(y^H K y) = -q^H D q
-    hold by the block form of K, and symmetry of D what makes the
-    dissipation a real quadratic form.
+    Read off the general bands: A[j, j + k] sits in row b - k of column
+    j + k and A[j + k, j] in row b + k of column j, so diagonal k of each
+    band must equal diagonal -k. Definiteness needs no check of its own:
+    _certify whitens before any check runs, and whitening Cholesky-factors
+    S and M or raises FactorizationFailure. Symmetry of S is what makes
+    Re(y^H K y) = -q^H D q hold by the block form of K, and symmetry of D
+    what makes the dissipation a real quadratic form.
     """
-    ok = all(np.array_equal(a, a.T) for a in (ctx.pencil.S, ctx.pencil.M, ctx.pencil.D))
+    b, n = ctx.pencil.bandwidth, ctx.pencil.n_positions
+    ok = all(np.array_equal(ab[b - k, k:], ab[b + k, :n - k])
+             for ab in (ctx.pencil.s_band, ctx.pencil.m_band, ctx.pencil.d_band)
+             for k in range(1, b + 1))
     return ok, 0.0 if ok else 1.0, "exact symmetry of S, M and D; definiteness by the whitening"
 
 

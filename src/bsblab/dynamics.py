@@ -8,12 +8,13 @@ inherits the dissipation identity of the pencil exactly: with the midpoint
 ym = (y + y+)/2 one has E(y+) - E(y) = dt * dissipation(ym) up to solver
 roundoff, for every dt. It is the only scheme. A step is solved in the
 reduced N x N form of the second-order system (see _trapezoidal_step),
-never on the 2N x 2N pencil, and on its band: the half-bandwidth b is
-read off the nonzeros of S, M and D (3 on assembled meshes), the step
-matrix is factored once by banded LU, and every mat-vec of a step and of
-simulate's energy record is a banded BLAS call, so a step costs O(N b).
-Bands are stored in Fortran order, the layout BLAS and LAPACK read, so
-no call copies them, and a run's dtype (real or complex) is fixed from
+never on the 2N x 2N pencil, and on the bands the pencil stores: the step
+matrices are entrywise combinations of the bands of S, M and D, the step
+matrix is factored once by banded LU, and every mat-vec of a step, of
+simulate's energy record and of the energy functionals is a banded BLAS
+call, so a step costs O(N b) and no N x N matrix is formed. Bands are
+stored in Fortran order, the layout BLAS and LAPACK read, so no call
+copies a real band, and a run's dtype (real or complex) is fixed from
 its initial state before the first step, so each product binds one BLAS
 routine and a complex right-hand side is solved in a buffer the step
 owns (see _trapezoidal_step).
@@ -69,22 +70,28 @@ def _require_match(pencil: SystemPencil, y: StateVector) -> None:
         )
 
 
+def _times(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The band ab times x, by banded BLAS in x's dtype."""
+    return _band_product(ab, x.dtype)(x)
+
+
 def energy(pencil: SystemPencil, y: StateVector) -> float:
     """E(y) = (1/2)(p^H S p + q^H M q), always real and >= 0."""
     _require_match(pencil, y)
-    return 0.5 * (np.vdot(y.p, pencil.S @ y.p).real + np.vdot(y.q, pencil.M @ y.q).real)
+    return 0.5 * (np.vdot(y.p, _times(pencil.s_band, y.p)).real
+                  + np.vdot(y.q, _times(pencil.m_band, y.q)).real)
 
 
 def dissipation(pencil: SystemPencil, y: StateVector) -> float:
     """Instantaneous energy rate -q^H D q, always real and <= 0."""
     _require_match(pencil, y)
-    return -np.vdot(y.q, pencil.D @ y.q).real
+    return -np.vdot(y.q, _times(pencil.d_band, y.q)).real
 
 
 def cross_functional(pencil: SystemPencil, y: StateVector) -> float:
     """The cross term Re(p^H M q), the L2 pairing of position and velocity."""
     _require_match(pencil, y)
-    return np.vdot(y.p, pencil.M @ y.q).real
+    return np.vdot(y.p, _times(pencil.m_band, y.q)).real
 
 
 def default_dt(cfg: StructureConfig) -> float:
@@ -98,39 +105,29 @@ def default_dt(cfg: StructureConfig) -> float:
     return 2e-3 * (cfg.l2 - cfg.l1)
 
 
-def _half_bandwidth(pencil: SystemPencil) -> int:
-    """Largest |i - j| over the nonzeros of S, M and D (3 on assembled meshes)."""
-    rows, cols = np.nonzero((pencil.S != 0) | (pencil.M != 0) | (pencil.D != 0))
-    return int(np.abs(rows - cols).max(initial=0))
+def _lu_band(ab: np.ndarray) -> np.ndarray:
+    """A general band (kl = ku = b) below b zero rows, in a new Fortran
+    array: the layout ?gbtrf factors in place, with room for its fill-in."""
+    b = ab.shape[0] // 2
+    out = np.zeros((3 * b + 1, ab.shape[1]), dtype=ab.dtype, order="F")
+    out[b:] = ab
+    return out
 
 
-def _band(a: np.ndarray, b: int, pad: int = 0) -> np.ndarray:
-    """a in LAPACK general-band storage with kl = ku = b, in a's dtype: a[i, j]
-    sits in row pad + b + i - j, column j. ?gbtrf needs pad = b fill-in rows.
-
-    The band is allocated in Fortran order, the column-major layout BLAS and
-    LAPACK read, so the wrappers pass it through without copying it.
-    """
-    n = a.shape[0]
-    ab = np.zeros((pad + 2 * b + 1, n), dtype=a.dtype, order="F")
-    for k in range(-b, b + 1):  # k = j - i
-        ab[pad + b - k, max(k, 0):n + min(k, 0)] = np.diagonal(a, k)
-    return ab
-
-
-def _band_product(a: np.ndarray, b: int, dtype):
+def _band_product(ab: np.ndarray, dtype):
     """Return x, y, beta -> a @ x + beta * y by banded BLAS in the run's dtype.
 
-    dtype (float64 or complex128) is fixed here, so the closure binds one
-    of dgbmv and zgbmv and holds the band in that dtype; x and y should
-    have it too, or the wrapper casts them on every call. scipy's gbmv
-    wrappers want at least kl + ku + 1 rows, so a band wider than that
+    ab is the general band (kl = ku = b) of a. dtype (float64 or
+    complex128) is fixed here, so the closure binds one of dgbmv and zgbmv
+    and holds the band in that dtype (a real band is not copied); x and y
+    should have it too, or the wrapper casts them on every call. scipy's
+    gbmv wrappers want at least kl + ku + 1 rows, so a band wider than that
     (2b + 1 > N, dense test pencils) runs as an m x N product whose extra
     rows are zero, cut back to N.
     """
-    n = a.shape[0]
+    b, n = ab.shape[0] // 2, ab.shape[1]
     m = max(n, 2 * b + 1)
-    ab = _band(a, b).astype(dtype, copy=False)
+    ab = ab.astype(dtype, copy=False)
     gbmv = scipy.linalg.blas.zgbmv if ab.dtype == np.complex128 else scipy.linalg.blas.dgbmv
 
     def product(x: np.ndarray, y: np.ndarray | None = None, beta: float = 0.0) -> np.ndarray:
@@ -146,7 +143,7 @@ def _run_dtype(y: StateVector):
     return np.complex128 if np.iscomplexobj(y.p) or np.iscomplexobj(y.q) else np.float64
 
 
-def _trapezoidal_step(pencil: SystemPencil, dt: float, b: int, dtype):
+def _trapezoidal_step(pencil: SystemPencil, dt: float, dtype):
     """Factor the trapezoidal step matrix; return the step (p, q, S p) -> (p+, q+).
 
     The step (B - dt/2 K) y+ = (B + dt/2 K) y has the first block row
@@ -156,8 +153,8 @@ def _trapezoidal_step(pencil: SystemPencil, dt: float, b: int, dtype):
         A q+ = (M - dt/2 D - dt^2/4 S) q - dt S p,
         A = M + dt/2 D + dt^2/4 S.
 
-    Both matrices have the half-bandwidth b of S, M and D
-    (_half_bandwidth). A is factored once by banded LU (dgbtrf) rather than
+    Both are formed entrywise on the bands of S, M and D, with their
+    half-bandwidth b. A is factored once by banded LU (dgbtrf) rather than
     banded Cholesky because it can be indefinite for negative dt with
     damping. The factor stays real. dtype is the run's (_run_dtype): the
     explicit product binds its gbmv once, and for a complex run the step
@@ -168,11 +165,11 @@ def _trapezoidal_step(pencil: SystemPencil, dt: float, b: int, dtype):
     Each step then costs O(N b). The caller passes S p since simulate
     already computes it for the energy record.
     """
-    n = pencil.n_positions
-    a = pencil.M + (0.5 * dt) * pencil.D + (0.5 * dt) ** 2 * pencil.S
-    explicit = _band_product(pencil.M - (0.5 * dt) * pencil.D
-                             - (0.25 * dt * dt) * pencil.S, b, dtype)
-    lu, piv, info = scipy.linalg.lapack.dgbtrf(_band(a, b, pad=b), b, b)
+    n, b = pencil.n_positions, pencil.bandwidth
+    s, m, d = pencil.s_band, pencil.m_band, pencil.d_band
+    a = m + (0.5 * dt) * d + (0.5 * dt) ** 2 * s
+    explicit = _band_product(m - (0.5 * dt) * d - (0.25 * dt * dt) * s, dtype)
+    lu, piv, info = scipy.linalg.lapack.dgbtrf(_lu_band(a), b, b)
     if info != 0:
         raise SolveFailure(f"trapezoidal factorization failed: dgbtrf info = {info}")
     dgbtrs = scipy.linalg.lapack.dgbtrs
@@ -210,8 +207,9 @@ def step_trapezoidal(pencil: SystemPencil, y: StateVector, dt: float) -> StateVe
     _require_match(pencil, y)
     if not np.isfinite(dt) or dt == 0:
         raise ValueError(f"dt must be finite and nonzero, got {dt}")
-    step = _trapezoidal_step(pencil, dt, _half_bandwidth(pencil), _run_dtype(y))
-    return StateVector(*step(y.p, y.q, pencil.S @ y.p))
+    dtype = _run_dtype(y)
+    step = _trapezoidal_step(pencil, dt, dtype)
+    return StateVector(*step(y.p, y.q, _band_product(pencil.s_band, dtype)(y.p)))
 
 
 def simulate(
@@ -237,10 +235,10 @@ def simulate(
         raise ValueError(f"snapshot_every must be >= 0, got {snapshot_every}")
 
     steps = max(1, int(round(t_final / dt)))
-    b = _half_bandwidth(pencil)
     dtype = _run_dtype(y0)
-    step = _trapezoidal_step(pencil, dt, b, dtype)
-    s_times, m_times, d_times = (_band_product(a, b, dtype) for a in (pencil.S, pencil.M, pencil.D))
+    step = _trapezoidal_step(pencil, dt, dtype)
+    s_times, m_times, d_times = (_band_product(ab, dtype)
+                                 for ab in (pencil.s_band, pencil.m_band, pencil.d_band))
 
     p, q = y0.p, y0.q
     times = dt * np.arange(steps + 1)

@@ -15,16 +15,19 @@ clamped node dropped; then the string interior deflections left to right;
 then beam-2 DOFs node-major with its clamped node dropped. The total count
 is N = 2*n1 + (n2 - 1) + 2*n3.
 
-Assembly stores three N x N matrices: S the position Gram (beam bending
+Assembly produces three N x N matrices: S the position Gram (beam bending
 plus string stiffness), M the mass matrix, and D the damping Gram (rho1 and
-rho2 times the beam slope Grams plus beta times the string mass). They
-define the second-order system S p' = S q, M q' = -S p - D q, whose
-first-order pencil
+rho2 times the beam slope Grams plus beta times the string mass). Every
+element couples DOFs at most b = 3 apart, so assembly records that
+half-bandwidth from the DOF map and scatters the element matrices
+straight into LAPACK general-band storage (see SystemPencil); no N x N
+array is allocated. S, M and D define the second-order system
+S p' = S q, M q' = -S p - D q, whose first-order pencil
 
     B = [[S, 0], [0, M]],      K = [[0, S], [-S, -D]]
 
-is built on demand, as the first-order reference for the tests and for
---dump-matrices. States y = (p, q) obey B y' = K y, the energy is
+is built densely on demand, as the first-order reference for the tests
+and for --dump-matrices. States y = (p, q) obey B y' = K y, the energy is
 (1/2)(p^T S p + q^T M q), and Re(y^H K y) = -q^H D q holds exactly, which
 is the discrete image of the dissipation identity of the continuous
 semigroup. It follows from the block form of K once S is symmetric, so
@@ -91,22 +94,90 @@ class DofMap:
     beam2: np.ndarray
 
 
+def _band(a: np.ndarray, b: int) -> np.ndarray:
+    """a in LAPACK general-band storage with kl = ku = b, in a's dtype: a[i, j]
+    sits in row b + i - j, column j; positions outside the matrix hold 0.
+
+    The band is allocated in Fortran order, the column-major layout BLAS and
+    LAPACK read, so the wrappers pass it through without copying it.
+    """
+    n = a.shape[0]
+    ab = np.zeros((2 * b + 1, n), dtype=a.dtype, order="F")
+    for k in range(-b, b + 1):  # k = j - i
+        ab[b - k, max(k, 0):n + min(k, 0)] = np.diagonal(a, k)
+    return ab
+
+
+def _dense(ab: np.ndarray, ku: int, order: str = "C") -> np.ndarray:
+    """The N x N matrix of a LAPACK band with ku superdiagonals: a[i, j] is
+    ab[ku + i - j, j]. ku = b reads a general band, ku = 0 a lower one."""
+    n = ab.shape[1]
+    a = np.zeros((n, n), dtype=ab.dtype, order=order)
+    for r in range(ab.shape[0]):
+        k = ku - r  # row r holds the diagonal j - i = k
+        i = np.arange(max(-k, 0), n - max(k, 0))
+        a[i, i + k] = ab[r, i + k]
+    return a
+
+
+def _half_bandwidth(*matrices: np.ndarray) -> int:
+    """Largest |i - j| over the nonzeros of the given N x N matrices."""
+    rows, cols = np.nonzero(np.logical_or.reduce([m != 0 for m in matrices]))
+    return int(np.abs(rows - cols).max(initial=0))
+
+
 @dataclass(frozen=True)
 class SystemPencil:
-    """The dense N x N matrices S, M, D of the second-order system.
+    """S, M and D of the second-order system, stored as bands.
 
-    The 2N x 2N blocks B and K of the first-order form B y' = K y are
-    derived from them on every access.
+    Each of s_band, m_band and d_band holds its N x N matrix in LAPACK
+    general-band storage with kl = ku = b (the half-bandwidth), in Fortran
+    order: entry (i, j) sits in row b + i - j of column j, and positions
+    outside the matrix hold 0. Assembly knows b from the DOF map (3 on the
+    coupled mesh) and scatters into the bands, so a pencil costs O(N b)
+    memory and no code on the simulate path builds an N x N matrix. The
+    dense S, M and D, and the 2N x 2N blocks B and K of the first-order
+    form B y' = K y, are built on every access: they serve the tests,
+    --dump-matrices and small-mesh references. from_dense wraps hand-made
+    dense matrices.
     """
 
-    S: np.ndarray
-    M: np.ndarray
-    D: np.ndarray
+    s_band: np.ndarray
+    m_band: np.ndarray
+    d_band: np.ndarray
     regime: DampingCase
+
+    @classmethod
+    def from_dense(cls, S, M, D, regime: DampingCase) -> "SystemPencil":
+        """Bands of dense S, M and D on the half-bandwidth of their nonzeros
+        (N - 1 for a full matrix)."""
+        S, M, D = (np.asarray(a, dtype=float) for a in (S, M, D))
+        b = _half_bandwidth(S, M, D)
+        return cls(_band(S, b), _band(M, b), _band(D, b), regime)
 
     @property
     def n_positions(self) -> int:
-        return self.S.shape[0]
+        return self.s_band.shape[1]
+
+    @property
+    def bandwidth(self) -> int:
+        """The half-bandwidth b shared by the three bands."""
+        return self.s_band.shape[0] // 2
+
+    @property
+    def S(self) -> np.ndarray:
+        """Dense S, built on each access."""
+        return _dense(self.s_band, self.bandwidth)
+
+    @property
+    def M(self) -> np.ndarray:
+        """Dense M, built on each access."""
+        return _dense(self.m_band, self.bandwidth)
+
+    @property
+    def D(self) -> np.ndarray:
+        """Dense D, built on each access."""
+        return _dense(self.d_band, self.bandwidth)
 
     @property
     def B(self) -> np.ndarray:
@@ -121,9 +192,10 @@ class SystemPencil:
     def K(self) -> np.ndarray:
         """[[0, S], [-S, -D]], built on each access."""
         n = self.n_positions
+        S = self.S
         K = np.zeros((2 * n, 2 * n))
-        K[:n, n:] = self.S
-        K[n:, :n] = -self.S
+        K[:n, n:] = S
+        K[n:, :n] = -S
         K[n:, n:] = -self.D
         return K
 
@@ -289,21 +361,34 @@ def element_matrices(kind: str, h: float) -> np.ndarray:
     return out
 
 
-def _scatter(size: int, idx: np.ndarray, local: np.ndarray) -> np.ndarray:
-    """Sum element matrices into a size x size matrix.
+def _index_bandwidth(idx: np.ndarray) -> int:
+    """Largest |i - j| over the unclamped global DOFs i, j of one element.
+
+    idx is an (E, k) element index array, -1 for a clamped DOF. This is the
+    half-bandwidth of every matrix assembled on idx.
+    """
+    hi = idx.max(axis=1)
+    lo = np.where(idx >= 0, idx, hi[:, None]).min(axis=1)
+    return int((hi - lo).max(initial=0))
+
+
+def _scatter_band(size: int, b: int, idx: np.ndarray, local: np.ndarray) -> np.ndarray:
+    """Sum element matrices into the general band (kl = ku = b) of a
+    size x size matrix.
 
     idx is an (E, k) array holding the global DOF of each local DOF of each
-    element, -1 for a clamped DOF; local is the (E, k, k) stack of element
-    matrices, or one (k, k) matrix shared by all elements. Every global
-    entry collects at most two contributions, so the sum does not depend on
-    the order in which they arrive.
+    element, -1 for a clamped DOF, and b at least _index_bandwidth(idx);
+    local is the (E, k, k) stack of element matrices, or one (k, k) matrix
+    shared by all elements. Entry (i, j) lands in row b + i - j of column j.
+    Every global entry collects at most two contributions, so the sum does
+    not depend on the order in which they arrive.
     """
     local = np.broadcast_to(local, (len(idx),) + np.shape(local)[-2:])
     rows = np.broadcast_to(idx[:, :, None], local.shape)
     cols = np.broadcast_to(idx[:, None, :], local.shape)
     keep = (rows >= 0) & (cols >= 0)
-    out = np.zeros((size, size))
-    np.add.at(out, (rows[keep], cols[keep]), local[keep])
+    out = np.zeros((2 * b + 1, size), order="F")
+    np.add.at(out, (b + rows[keep] - cols[keep], cols[keep]), local[keep])
     return out
 
 
@@ -323,35 +408,36 @@ def _element_pairs(table: np.ndarray) -> np.ndarray:
 
 
 def assemble_pencil(cfg: StructureConfig, mesh: Mesh, dofs: DofMap) -> SystemPencil:
-    """Assemble S, M and D.
+    """Assemble the bands of S, M and D.
 
+    The half-bandwidth is read off the element index arrays before any
+    entry is summed (3 on every mesh with two or more elements per beam).
     Every element matrix is built at its own length nodes[e + 1] - nodes[e]
-    (once per distinct length) and scattered into place by one helper
-    (_scatter); each global entry collects at most two element
+    (once per distinct length) and scattered into its band by one helper
+    (_scatter_band); each global entry collects at most two element
     contributions.
     """
     validate_config(cfg)
     n = dofs.n_dofs
-    S = np.zeros((n, n))
-    M = np.zeros((n, n))
-    D = np.zeros((n, n))
-
-    for table, nodes, rho in (
+    beams = [(_element_pairs(table), nodes, rho) for table, nodes, rho in (
         (dofs.beam1, mesh.nodes1, cfg.rho1),
         (dofs.beam2, mesh.nodes3, cfg.rho2),
-    ):
-        idx = _element_pairs(table)
-        S += _scatter(n, idx, _element_stack("beam_bending", nodes))
-        M += _scatter(n, idx, _element_stack("beam_mass", nodes))
-        D += _scatter(n, idx, rho * _element_stack("beam_slope", nodes))
+    )]
+    string = _element_pairs(dofs.string)
+    b = max(_index_bandwidth(idx) for idx in (beams[0][0], beams[1][0], string))
+    S, M, D = (np.zeros((2 * b + 1, n), order="F") for _ in range(3))
 
-    idx = _element_pairs(dofs.string)
+    for idx, nodes, rho in beams:
+        S += _scatter_band(n, b, idx, _element_stack("beam_bending", nodes))
+        M += _scatter_band(n, b, idx, _element_stack("beam_mass", nodes))
+        D += _scatter_band(n, b, idx, rho * _element_stack("beam_slope", nodes))
+
     mass = _element_stack("string_mass", mesh.nodes2)
-    S += _scatter(n, idx, _element_stack("string_stiffness", mesh.nodes2))
-    M += _scatter(n, idx, mass)
-    D += _scatter(n, idx, cfg.beta * mass)
+    S += _scatter_band(n, b, string, _element_stack("string_stiffness", mesh.nodes2))
+    M += _scatter_band(n, b, string, mass)
+    D += _scatter_band(n, b, string, cfg.beta * mass)
 
-    return SystemPencil(S=S, M=M, D=D, regime=classify_damping(cfg))
+    return SystemPencil(S, M, D, regime=classify_damping(cfg))
 
 
 def discretize(cfg: StructureConfig, n1: int, n2: int, n3: int):
@@ -375,12 +461,13 @@ def assemble_string_pencil(length: float, beta: float, n: int) -> SystemPencil:
         raise ZeroElements(f"a pinned string needs n >= 2 elements, got {n}")
     n = int(n)
     idx = _element_pairs(np.concatenate([[-1], np.arange(n - 1), [-1]]))
+    b = _index_bandwidth(idx)
     h = length / n
-    S = _scatter(n - 1, idx, element_matrices("string_stiffness", h))
-    M = _scatter(n - 1, idx, element_matrices("string_mass", h))
+    S = _scatter_band(n - 1, b, idx, element_matrices("string_stiffness", h))
+    M = _scatter_band(n - 1, b, idx, element_matrices("string_mass", h))
     D = beta * M
     regime = DampingCase.UDU if beta > 0 else DampingCase.CONSERVATIVE
-    return SystemPencil(S=S, M=M, D=D, regime=regime)
+    return SystemPencil(S, M, D, regime=regime)
 
 
 def assemble_beam_pencil(length: float, n: int, rho: float = 0.0) -> SystemPencil:
@@ -399,12 +486,13 @@ def assemble_beam_pencil(length: float, n: int, rho: float = 0.0) -> SystemPenci
     table = np.full((n + 1, 2), -1, dtype=int)
     table[1:] = np.arange(2 * n).reshape(n, 2)
     idx = _element_pairs(table)
+    b = _index_bandwidth(idx)
     h = length / n
-    S = _scatter(2 * n, idx, element_matrices("beam_bending", h))
-    M = _scatter(2 * n, idx, element_matrices("beam_mass", h))
-    D = _scatter(2 * n, idx, rho * element_matrices("beam_slope", h))
+    S = _scatter_band(2 * n, b, idx, element_matrices("beam_bending", h))
+    M = _scatter_band(2 * n, b, idx, element_matrices("beam_mass", h))
+    D = _scatter_band(2 * n, b, idx, rho * element_matrices("beam_slope", h))
     regime = DampingCase.CONSERVATIVE if rho == 0 else DampingCase.OTHER
-    return SystemPencil(S=S, M=M, D=D, regime=regime)
+    return SystemPencil(S, M, D, regime=regime)
 
 
 # --- initial data ----------------------------------------------------------

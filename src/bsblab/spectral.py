@@ -2,10 +2,11 @@
 
 The generalized eigenproblem K x = mu B x is whitened through the Cholesky
 factor B = G G^T, with G = blockdiag(Ls, Lm) built from S = Ls Ls^T and
-M = Lm Lm^T, into the ordinary problem for C = G^{-1} K G^{-T}, which is
-similar to the generator restricted to the discrete space and, crucially,
-isometric in the energy norm: 2-norms of whitened objects are energy norms
-of the originals. The resolvent norm along the imaginary axis is therefore
+M = Lm Lm^T (banded Cholesky, dpbtrf, on the stored bands), into the
+ordinary problem for C = G^{-1} K G^{-T}, which is similar to the
+generator restricted to the discrete space and, crucially, isometric in
+the energy norm: 2-norms of whitened objects are energy norms of the
+originals. The resolvent norm along the imaginary axis is therefore
 
     R(lambda) = 1 / sigma_min(i lambda I - C).
 
@@ -29,7 +30,10 @@ so without damping C is exactly skew and its eigenvalues are +-i times
 the singular values of X. `eigenvalues` uses that: an undamped pencil
 (D == 0) gets its spectrum from `svdvals` of the N x N matrix X, with
 every real part exactly 0; a damped one from the real Schur factor T of
-C, which the report keeps for the resolvent.
+C, which the report keeps for the resolvent. X is lower triangular and
+dense: it is the one N x N array of the undamped route, formed in place
+from Ls by banded triangular solves (dtbtrs). The damped route adds a
+dense copy of D for Lm^{-1} D Lm^{-T}, then assembles the 2N x 2N C.
 
 `slowest_mode` and the decay certificate take mu as the last of these
 eigenvalues, so `decay` and `verify` report the spectrum `spectrum` writes,
@@ -45,8 +49,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .dynamics import _band, _half_bandwidth, energy
-from .fem import StateVector, SystemPencil
+from .dynamics import _lu_band, energy
+from .fem import StateVector, SystemPencil, _dense
 from .model import DampingCase
 
 
@@ -101,14 +105,33 @@ class ResolventTable:
         return int(self.iterations[first].sum())
 
 
+def _band_cholesky(ab: np.ndarray, name: str) -> np.ndarray:
+    """Lower Cholesky factor of a symmetric general band (kl = ku = b), in
+    LAPACK's lower band storage: rows b..2b of the general band are that
+    storage of its lower triangle, and dpbtrf factors a copy of them."""
+    b = ab.shape[0] // 2
+    factor, info = scipy.linalg.lapack.dpbtrf(ab[b:], lower=1)
+    if info != 0:
+        raise FactorizationFailure(
+            f"{name} admits no Cholesky factorization: dpbtrf info = {info}")
+    return factor
+
+
+def _lower_solve(lm: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Lm^{-1} rhs for the lower band factor Lm, by dtbtrs, in place on a
+    Fortran-ordered rhs."""
+    x, info = scipy.linalg.lapack.dtbtrs(lm, rhs, uplo="L", overwrite_b=1)
+    if info != 0:
+        raise FactorizationFailure(f"triangular solve with Lm failed: dtbtrs info = {info}")
+    return x
+
+
 def _cholesky_coupling(pencil: SystemPencil):
-    """Cholesky factor Lm of M and the coupling X = Lm^{-1} Ls, S = Ls Ls^T."""
-    try:
-        ls = scipy.linalg.cholesky(pencil.S, lower=True)
-        lm = scipy.linalg.cholesky(pencil.M, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise FactorizationFailure(f"S or M admits no Cholesky factorization: {exc}") from exc
-    return lm, scipy.linalg.solve_triangular(lm, ls, lower=True)
+    """Band Cholesky factor Lm of M and the dense coupling X = Lm^{-1} Ls,
+    S = Ls Ls^T, formed in place in a Fortran-ordered N x N array."""
+    ls = _band_cholesky(pencil.s_band, "S")
+    lm = _band_cholesky(pencil.m_band, "M")
+    return lm, _lower_solve(lm, _dense(ls, 0, order="F"))
 
 
 def _whiten(pencil: SystemPencil) -> np.ndarray:
@@ -116,12 +139,13 @@ def _whiten(pencil: SystemPencil) -> np.ndarray:
 
     With G = blockdiag(Ls, Lm) the pencil whitens to C = G^{-1} K G^{-T}
     = [[0, X^T], [-X, -Lm^{-1} D Lm^{-T}]] where X = Lm^{-1} Ls, so C is
-    exactly skew when D = 0, and Fortran-ordered for _real_schur. Huge
-    damping can overflow it, which raises FactorizationFailure.
+    exactly skew when D = 0, and Fortran-ordered for _real_schur. D is the
+    one pencil matrix made dense here, for the two banded solves. Huge
+    damping can overflow C, which raises FactorizationFailure.
     """
     lm, x = _cholesky_coupling(pencil)
-    dl = scipy.linalg.solve_triangular(lm, pencil.D, lower=True, check_finite=False)
-    dw = scipy.linalg.solve_triangular(lm, dl.T, lower=True, check_finite=False).T
+    dl = _lower_solve(lm, _dense(pencil.d_band, pencil.bandwidth, order="F"))
+    dw = _lower_solve(lm, np.asfortranarray(dl.T)).T
     if not np.isfinite(dw).all():
         raise FactorizationFailure("the whitened damping Lm^{-1} D Lm^{-T} is not finite")
     n = pencil.n_positions
@@ -144,11 +168,11 @@ def eigenvalues(pencil: SystemPencil) -> SpectrumReport:
     if pencil.n_positions == 0:
         raise EmptySpectrum("pencil has no degrees of freedom")
     schur = None
-    if pencil.D.any():
+    if pencil.d_band.any():
         schur, mu = _real_schur(_whiten(pencil))
     else:
         _, x = _cholesky_coupling(pencil)
-        sigma = scipy.linalg.svdvals(x)
+        sigma = scipy.linalg.svdvals(x, overwrite_a=True)
         # filled in place: 1j * w would give -0.0 real parts where w < 0
         mu = np.zeros(2 * sigma.size, dtype=np.complex128)
         mu.imag = np.concatenate([-sigma, sigma])
@@ -208,21 +232,26 @@ def slowest_mode(pencil: SystemPencil):
 def _eigenmode(pencil: SystemPencil, mu: complex) -> StateVector:
     """Complex unit-energy eigenvector (p, mu p) for the eigenvalue mu.
 
-    p spans the null space of Q(mu): banded LU (zgbtrf), then two steps of
-    inverse iteration (zgbtrs) from a fixed-seed start. Zero pivots of an
-    exactly singular Q(mu) (info > 0) become eps (|mu|^2 |M|_1 + |mu| |D|_1
-    + |S|_1), as in LAPACK's zlaein; |Q(mu)|_1 itself can be 0. A
+    p spans the null space of Q(mu): banded LU (zgbtrf) of the band
+    mu^2 M + mu D + S, formed entrywise on the stored bands, then two steps
+    of inverse iteration (zgbtrs) from a fixed-seed start. Zero pivots of
+    an exactly singular Q(mu) (info > 0) become eps (|mu|^2 |M|_1 +
+    |mu| |D|_1 + |S|_1), as in LAPACK's zlaein, with each 1-norm the largest
+    column sum of its band; |Q(mu)|_1 itself can be 0. A
     non-finite or zero-energy vector (Q(mu) overflowed) raises.
     """
-    n = pencil.n_positions
-    b = _half_bandwidth(pencil)
+    n, b = pencil.n_positions, pencil.bandwidth
     zgbtrf, zgbtrs = scipy.linalg.lapack.zgbtrf, scipy.linalg.lapack.zgbtrs
-    lu, piv, info = zgbtrf(_band(mu * mu * pencil.M + mu * pencil.D + pencil.S, b, pad=b), b, b)
+    q = mu * mu * pencil.m_band + mu * pencil.d_band + pencil.s_band
+    lu, piv, info = zgbtrf(_lu_band(q), b, b)
     if info < 0:
         raise FactorizationFailure(f"banded LU of Q(mu) failed: zgbtrf info = {info}")
     if info > 0:
-        norm = (abs(mu) ** 2 * np.linalg.norm(pencil.M, 1)
-                + abs(mu) * np.linalg.norm(pencil.D, 1) + np.linalg.norm(pencil.S, 1))
+        def norm1(ab):
+            return float(np.abs(ab).sum(axis=0).max())
+
+        norm = (abs(mu) ** 2 * norm1(pencil.m_band)
+                + abs(mu) * norm1(pencil.d_band) + norm1(pencil.s_band))
         pivots = lu[2 * b]  # the diagonal of U, as a view into lu
         pivots[pivots == 0] = np.finfo(float).eps * norm
     rng = np.random.default_rng(0)

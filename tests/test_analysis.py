@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import types
@@ -95,7 +96,8 @@ def test_gram_check_catches_an_asymmetric_damping_matrix(ddd_system):
     assert analysis._check_gram_matrices_spd(ctx)[0]
     d = pencil.D.copy()
     d[0, 1] = np.nextafter(d[0, 1], np.inf)
-    ctx = types.SimpleNamespace(pencil=fem.SystemPencil(pencil.S, pencil.M, d, pencil.regime))
+    asymmetric = fem.SystemPencil.from_dense(pencil.S, pencil.M, d, pencil.regime)
+    ctx = types.SimpleNamespace(pencil=asymmetric)
     passed, residual, _ = analysis._check_gram_matrices_spd(ctx)
     assert not passed and residual == 1.0
 
@@ -229,3 +231,19 @@ def test_report_encodes_nonfinite_ratio_as_string(cons_system):
     payload = json.loads(bb.render_report(rep))
     assert payload["ratio"] == "nan"
     assert payload["ratio_check"] == "not_applicable"
+
+
+def test_gram_check_reads_symmetry_off_every_band_diagonal(ddd_system):
+    """One upper-band entry of S, M or D moved by one ulp fails the check, on
+    each of the b superdiagonals: it compares diagonal k with diagonal -k."""
+    _, _, _, pencil = ddd_system
+    b = pencil.bandwidth
+    assert b == 3 and analysis._check_gram_matrices_spd(types.SimpleNamespace(pencil=pencil))[0]
+    for name in ("s_band", "m_band", "d_band"):
+        for k in range(1, b + 1):
+            band = getattr(pencil, name).copy(order="F")
+            band[b - k, k + 4] = np.nextafter(band[b - k, k + 4], np.inf)
+            broken = dataclasses.replace(pencil, **{name: band})
+            passed, residual, _ = analysis._check_gram_matrices_spd(
+                types.SimpleNamespace(pencil=broken))
+            assert not passed and residual == 1.0, (name, k)

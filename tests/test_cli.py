@@ -211,6 +211,20 @@ def test_decay_reports_the_spectrum_that_spectrum_writes(tmp_path, name):
     assert payload["mode_im"] == last_im
 
 
+@pytest.mark.parametrize("command", ["simulate", "spectrum", "decay"])
+def test_undamped_default_paths_build_no_dense_pencil_matrix(tmp_path, monkeypatch, command):
+    """simulate, spectrum and decay run on the stored bands alone: every
+    dense view of the pencil (S, M, D, B, K) raises here."""
+    def dense(pencil):
+        raise AssertionError("an N x N pencil matrix was built")
+
+    for name in ("S", "M", "D", "B", "K"):
+        monkeypatch.setattr(bb.SystemPencil, name, property(dense))
+    config = str(Path(__file__).resolve().parents[1] / "configs" / "conservative.cfg")
+    assert cli.main([command, "--config", config, "--n1", "10", "--n2", "10", "--n3", "10",
+                     "--out-dir", str(tmp_path)]) == 0
+
+
 def test_modes_table(tmp_path, config_file):
     out = tmp_path / "out"
     proc = run_cli("modes", "--config", config_file, "--count", "4",

@@ -133,7 +133,8 @@ def dense_pencil(damping, seed=5, n=6):
         return g @ g.T + n * np.eye(n)
 
     g = rng.standard_normal((n, 3))
-    return fem.SystemPencil(S=spd(), M=spd(), D=damping * (g @ g.T), regime=DampingCase.OTHER)
+    return fem.SystemPencil.from_dense(S=spd(), M=spd(), D=damping * (g @ g.T),
+                                       regime=DampingCase.OTHER)
 
 
 @pytest.mark.parametrize("complex_valued", [False, True])
@@ -153,7 +154,7 @@ def test_reduced_steps_match_the_first_order_pencil(ddd_system, complex_valued):
 def test_banded_steps_on_a_full_bandwidth_pencil(complex_valued):
     """A dense pencil is a band of half-width N - 1 and steps like any other."""
     pencil = dense_pencil(damping=1.0)
-    assert dynamics._half_bandwidth(pencil) == pencil.n_positions - 1
+    assert pencil.bandwidth == pencil.n_positions - 1
     y = random_state(pencil, 11, complex_valued=complex_valued)
     for dt in (1e-2, -1e-2):
         assert close(bb.step_trapezoidal(pencil, y, dt), trapezoidal_reference(pencil, y, dt))
@@ -175,12 +176,12 @@ def test_backward_step_with_an_indefinite_step_matrix(complex_valued):
 def test_step_failures_raise_solve_failure():
     """A singular step matrix fails the factorization; overflow fails the step."""
     zero = np.zeros((3, 3))
-    singular = fem.SystemPencil(S=zero, M=zero, D=zero, regime=DampingCase.OTHER)
+    singular = fem.SystemPencil.from_dense(S=zero, M=zero, D=zero, regime=DampingCase.OTHER)
     y = bb.StateVector(np.ones(3), np.ones(3))
     with pytest.raises(dynamics.SolveFailure, match="factorization"):
         bb.step_trapezoidal(singular, y, 1e-3)
     eye = np.eye(3)
-    huge = fem.SystemPencil(S=1e300 * eye, M=eye, D=zero, regime=DampingCase.OTHER)
+    huge = fem.SystemPencil.from_dense(S=1e300 * eye, M=eye, D=zero, regime=DampingCase.OTHER)
     with pytest.raises(dynamics.SolveFailure, match="non-finite"):
         bb.simulate(huge, bb.StateVector(1e300 * np.ones(3), np.ones(3)), 1e-3, 1e-3)
     # complex arithmetic on the overflowed values meets inf * 0
@@ -192,7 +193,7 @@ def test_simulate_trace_matches_its_snapshots(ddd_system):
     """The banded energy record equals the dense functionals on the states,
     and the run equals a chain of single trapezoidal steps."""
     _, _, _, pencil = ddd_system
-    assert dynamics._half_bandwidth(pencil) == 3
+    assert pencil.bandwidth == 3
     y0 = random_state(pencil, 17, complex_valued=True)
     dt, steps = 1e-3, 30
     sim = bb.simulate(pencil, y0, dt, steps * dt, snapshot_every=1)
@@ -211,27 +212,32 @@ def test_simulate_trace_matches_its_snapshots(ddd_system):
 
 def test_band_storage_is_fortran_ordered():
     """The band is column-major, as BLAS and LAPACK read it, and a[i, j]
-    sits in row pad + b + i - j of column j, in a's dtype."""
+    sits in row pad + b + i - j of column j, in a's dtype; pad = b is the
+    LU layout, with b zero rows on top."""
     a = np.arange(1.0, 37.0).reshape(6, 6)
     a[np.abs(np.subtract.outer(np.arange(6), np.arange(6))) > 2] = 0.0
     for m in (a, a * (1 + 2j)):
         for pad in (0, 2):
-            ab = dynamics._band(m, 2, pad=pad)
+            ab = fem._band(m, 2)
+            if pad:
+                ab = dynamics._lu_band(ab)
             assert ab.flags.f_contiguous and ab.dtype == m.dtype
             assert ab.shape == (pad + 5, 6)
             for i, j in zip(*np.nonzero(m)):
                 assert ab[pad + 2 + i - j, j] == m[i, j]
             assert np.count_nonzero(ab) == np.count_nonzero(m)
+        assert np.array_equal(fem._dense(fem._band(m, 2), 2), m)
 
 
 def complex_step_reference(pencil, dt, p, q, sp):
-    """The complex step through the two-column copy: dgbtrs on the interleaved
-    right-hand side viewed as an N x 2 real array, which f2py copies."""
-    n, b = pencil.n_positions, dynamics._half_bandwidth(pencil)
+    """The complex step through the two-column copy: the step matrices formed
+    dense, then banded; dgbtrs on the interleaved right-hand side viewed as
+    an N x 2 real array, which f2py copies."""
+    n, b = pencil.n_positions, pencil.bandwidth
     a = pencil.M + (0.5 * dt) * pencil.D + (0.5 * dt) ** 2 * pencil.S
     explicit = pencil.M - (0.5 * dt) * pencil.D - (0.25 * dt * dt) * pencil.S
-    rhs = dynamics._band_product(explicit, b, np.complex128)(q, sp, -dt)
-    lu, piv, _ = scipy.linalg.lapack.dgbtrf(dynamics._band(a, b, pad=b), b, b)
+    rhs = dynamics._band_product(fem._band(explicit, b), np.complex128)(q, sp, -dt)
+    lu, piv, _ = scipy.linalg.lapack.dgbtrf(dynamics._lu_band(fem._band(a, b)), b, b)
     x, _ = scipy.linalg.lapack.dgbtrs(lu, b, b, rhs.view(np.float64).reshape(n, 2), piv)
     q_next = np.ascontiguousarray(x).view(np.complex128)[:, 0]
     return p + dt * (0.5 * q + 0.5 * q_next), q_next
@@ -240,11 +246,10 @@ def complex_step_reference(pencil, dt, p, q, sp):
 def test_complex_step_matches_the_two_column_copy_bitwise(ddd_system):
     """Solving in the step's own buffer changes no bit of the complex step."""
     _, _, _, pencil = ddd_system
-    b = dynamics._half_bandwidth(pencil)
     y = random_state(pencil, 19, complex_valued=True)
     for dt in (1e-3, -1e-3):
-        step = dynamics._trapezoidal_step(pencil, dt, b, np.complex128)
-        sp = dynamics._band_product(pencil.S, b, np.complex128)(y.p)
+        step = dynamics._trapezoidal_step(pencil, dt, np.complex128)
+        sp = dynamics._band_product(pencil.s_band, np.complex128)(y.p)
         got = step(y.p, y.q, sp)
         want = complex_step_reference(pencil, dt, y.p, y.q, sp)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
@@ -254,8 +259,8 @@ def test_step_buffers_carry_no_state(ddd_system):
     """Two live closures, one closure fed two states in turn, and two
     simulate runs in a row all reproduce the same trajectory bitwise."""
     _, _, _, pencil = ddd_system
-    b, dt = dynamics._half_bandwidth(pencil), 1e-3
-    s_times = dynamics._band_product(pencil.S, b, np.complex128)
+    dt = 1e-3
+    s_times = dynamics._band_product(pencil.s_band, np.complex128)
     y = random_state(pencil, 23, complex_valued=True)
     z = random_state(pencil, 29, complex_valued=True)
 
@@ -268,9 +273,9 @@ def test_step_buffers_carry_no_state(ddd_system):
             trail.append(np.concatenate([p, q]))
         return trail
 
-    ref = run(dynamics._trapezoidal_step(pencil, dt, b, np.complex128))
-    first = dynamics._trapezoidal_step(pencil, dt, b, np.complex128)
-    second = dynamics._trapezoidal_step(pencil, dt, b, np.complex128)
+    ref = run(dynamics._trapezoidal_step(pencil, dt, np.complex128))
+    first = dynamics._trapezoidal_step(pencil, dt, np.complex128)
+    second = dynamics._trapezoidal_step(pencil, dt, np.complex128)
     for trail in (run(first, other=second), run(first, other=first)):
         assert all(np.array_equal(got, want) for got, want in zip(trail, ref))
     one, two = (bb.simulate(pencil, y, dt, 20 * dt) for _ in range(2))

@@ -423,3 +423,75 @@ def test_string_pencil_matches_hand_assembly():
     assert np.allclose(pencil.S, expected_s, atol=1e-13)
     assert np.allclose(pencil.M, expected_m, atol=1e-15)
     assert np.allclose(pencil.D, beta * expected_m, atol=1e-15)
+
+
+# --- banded assembly against the dense scatter it replaced --------------------
+
+def dense_scatter(size, idx, local):
+    """Sum element matrices into a dense size x size matrix: the assembly
+    reference. idx is an (E, k) global DOF array, -1 for a clamped DOF."""
+    local = np.broadcast_to(local, (len(idx),) + np.shape(local)[-2:])
+    rows = np.broadcast_to(idx[:, :, None], local.shape)
+    cols = np.broadcast_to(idx[:, None, :], local.shape)
+    keep = (rows >= 0) & (cols >= 0)
+    out = np.zeros((size, size))
+    np.add.at(out, (rows[keep], cols[keep]), local[keep])
+    return out
+
+
+def dense_coupled_reference(cfg, mesh, dofs):
+    """S, M, D of the coupled mesh summed densely, member by member."""
+    n = dofs.n_dofs
+    S, M, D = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n))
+    for table, nodes, rho in ((dofs.beam1, mesh.nodes1, cfg.rho1),
+                              (dofs.beam2, mesh.nodes3, cfg.rho2)):
+        idx = fem._element_pairs(table)
+        S += dense_scatter(n, idx, fem._element_stack("beam_bending", nodes))
+        M += dense_scatter(n, idx, fem._element_stack("beam_mass", nodes))
+        D += dense_scatter(n, idx, rho * fem._element_stack("beam_slope", nodes))
+    idx = fem._element_pairs(dofs.string)
+    mass = fem._element_stack("string_mass", mesh.nodes2)
+    S += dense_scatter(n, idx, fem._element_stack("string_stiffness", mesh.nodes2))
+    M += dense_scatter(n, idx, mass)
+    D += dense_scatter(n, idx, cfg.beta * mass)
+    return S, M, D
+
+
+def dense_member_references(length=1.5, n=10, beta=0.7, rho=0.3):
+    """(pencil, reference S, M, D, bandwidth) for the isolated string and beam."""
+    h = length / n
+    idx = fem._element_pairs(np.concatenate([[-1], np.arange(n - 1), [-1]]))
+    m = dense_scatter(n - 1, idx, fem.element_matrices("string_mass", h))
+    yield (fem.assemble_string_pencil(length, beta, n),
+           dense_scatter(n - 1, idx, fem.element_matrices("string_stiffness", h)),
+           m, beta * m, 1)
+    table = np.full((n + 1, 2), -1, dtype=int)
+    table[1:] = np.arange(2 * n).reshape(n, 2)
+    idx = fem._element_pairs(table)
+    yield (fem.assemble_beam_pencil(length, n, rho),
+           dense_scatter(2 * n, idx, fem.element_matrices("beam_bending", h)),
+           dense_scatter(2 * n, idx, fem.element_matrices("beam_mass", h)),
+           dense_scatter(2 * n, idx, rho * fem.element_matrices("beam_slope", h)), 3)
+
+
+def assert_bands_are_the_dense_matrices(pencil, ref, b):
+    """Bitwise: the stored bands are the band of each dense reference, and
+    the dense properties rebuild the reference."""
+    assert pencil.bandwidth == b
+    for band, dense, matrix in zip((pencil.s_band, pencil.m_band, pencil.d_band),
+                                   (pencil.S, pencil.M, pencil.D), ref):
+        assert band.flags.f_contiguous and band.shape == (2 * b + 1, matrix.shape[0])
+        assert band.tobytes(order="F") == fem._band(matrix, b).tobytes(order="F")
+        assert dense.tobytes() == matrix.tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 10, 40])
+def test_banded_assembly_equals_the_dense_scatter_bitwise(ddd_cfg, udu_cfg, cons_cfg, n):
+    for cfg in (ddd_cfg, udu_cfg, cons_cfg):
+        mesh, dofs, pencil = fem.discretize(cfg, n, n, n)
+        ref = dense_coupled_reference(cfg, mesh, dofs)
+        assert fem._half_bandwidth(*ref) == 3
+        assert_bands_are_the_dense_matrices(pencil, ref, 3)
+    for pencil, *ref, b in dense_member_references(n=n):
+        assert fem._half_bandwidth(*ref) == b
+        assert_bands_are_the_dense_matrices(pencil, ref, b)

@@ -19,10 +19,7 @@ from bsblab.model import DampingCase
 
 def tiny_pencil():
     eye = np.eye(1)
-    return fem.SystemPencil(
-        S=eye, M=eye, D=eye,
-        regime=DampingCase.OTHER,
-    )
+    return fem.SystemPencil.from_dense(S=eye, M=eye, D=eye, regime=DampingCase.OTHER)
 
 
 def test_tiny_pencil_eigenvalues():
@@ -161,7 +158,7 @@ def test_slowest_mode_matches_abscissa(cfg_name, n, request):
 def test_slowest_mode_when_q_is_exactly_singular(s_diag, mu_want, p_want):
     s = np.diag(s_diag)
     eye = np.eye(s.shape[0])
-    pencil = fem.SystemPencil(S=s, M=eye, D=0.0 * eye, regime=DampingCase.CONSERVATIVE)
+    pencil = fem.SystemPencil.from_dense(S=s, M=eye, D=0.0 * eye, regime=DampingCase.CONSERVATIVE)
     mu, y_re, y_im = spectral.slowest_mode(pencil)
     assert mu == pytest.approx(mu_want, abs=1e-14)
     p = y_re.p + 1j * y_im.p
@@ -223,11 +220,11 @@ def test_both_routes_reject_an_indefinite_or_empty_pencil():
     for solve in (spectral.eigenvalues, spectral.slowest_mode):
         for damping in (np.zeros((2, 2)), eye):
             for s, m in ((indefinite, eye), (eye, indefinite)):
-                pencil = fem.SystemPencil(S=s, M=m, D=damping, regime=DampingCase.OTHER)
+                pencil = fem.SystemPencil.from_dense(S=s, M=m, D=damping, regime=DampingCase.OTHER)
                 with pytest.raises(spectral.FactorizationFailure):
                     solve(pencil)
         with pytest.raises(spectral.EmptySpectrum):
-            solve(fem.SystemPencil(S=empty, M=empty, D=empty, regime=DampingCase.OTHER))
+            solve(fem.SystemPencil.from_dense(S=empty, M=empty, D=empty, regime=DampingCase.OTHER))
 
 
 # --- closed-form member oracles ---------------------------------------------------
