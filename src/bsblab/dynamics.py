@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .fem import StateVector, SystemPencil
+from .fem import StateVector, SystemPencil, _lu_band
 from .model import StructureConfig
 
 
@@ -103,15 +103,6 @@ def default_dt(cfg: StructureConfig) -> float:
     critical damping.
     """
     return 2e-3 * (cfg.l2 - cfg.l1)
-
-
-def _lu_band(ab: np.ndarray) -> np.ndarray:
-    """A general band (kl = ku = b) below b zero rows, in a new Fortran
-    array: the layout ?gbtrf factors in place, with room for its fill-in."""
-    b = ab.shape[0] // 2
-    out = np.zeros((3 * b + 1, ab.shape[1]), dtype=ab.dtype, order="F")
-    out[b:] = ab
-    return out
 
 
 def _band_product(ab: np.ndarray, dtype):

@@ -108,11 +108,21 @@ def _band(a: np.ndarray, b: int) -> np.ndarray:
     return ab
 
 
-def _dense(ab: np.ndarray, ku: int, order: str = "C") -> np.ndarray:
-    """The N x N matrix of a LAPACK band with ku superdiagonals: a[i, j] is
-    ab[ku + i - j, j]. ku = b reads a general band, ku = 0 a lower one."""
+def _lu_band(ab: np.ndarray) -> np.ndarray:
+    """A general band (kl = ku = b) below b zero rows, in a new Fortran
+    array: the layout ?gbtrf factors in place, with room for its fill-in."""
+    b = ab.shape[0] // 2
+    out = np.zeros((3 * b + 1, ab.shape[1]), dtype=ab.dtype, order="F")
+    out[b:] = ab
+    return out
+
+
+def _dense(ab: np.ndarray, ku: int) -> np.ndarray:
+    """The N x N matrix of a LAPACK band with ku superdiagonals, in Fortran
+    order: a[i, j] is ab[ku + i - j, j]. ku = b reads a general band, ku = 0
+    a lower one."""
     n = ab.shape[1]
-    a = np.zeros((n, n), dtype=ab.dtype, order=order)
+    a = np.zeros((n, n), dtype=ab.dtype, order="F")
     for r in range(ab.shape[0]):
         k = ku - r  # row r holds the diagonal j - i = k
         i = np.arange(max(-k, 0), n - max(k, 0))

@@ -49,8 +49,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .dynamics import _lu_band, energy
-from .fem import StateVector, SystemPencil, _dense
+from .dynamics import energy
+from .fem import StateVector, SystemPencil, _dense, _lu_band
 from .model import DampingCase
 
 
@@ -131,7 +131,7 @@ def _cholesky_coupling(pencil: SystemPencil):
     S = Ls Ls^T, formed in place in a Fortran-ordered N x N array."""
     ls = _band_cholesky(pencil.s_band, "S")
     lm = _band_cholesky(pencil.m_band, "M")
-    return lm, _lower_solve(lm, _dense(ls, 0, order="F"))
+    return lm, _lower_solve(lm, _dense(ls, 0))
 
 
 def _whiten(pencil: SystemPencil) -> np.ndarray:
@@ -144,7 +144,7 @@ def _whiten(pencil: SystemPencil) -> np.ndarray:
     damping can overflow C, which raises FactorizationFailure.
     """
     lm, x = _cholesky_coupling(pencil)
-    dl = _lower_solve(lm, _dense(pencil.d_band, pencil.bandwidth, order="F"))
+    dl = _lower_solve(lm, _dense(pencil.d_band, pencil.bandwidth))
     dw = _lower_solve(lm, np.asfortranarray(dl.T)).T
     if not np.isfinite(dw).all():
         raise FactorizationFailure("the whitened damping Lm^{-1} D Lm^{-T} is not finite")

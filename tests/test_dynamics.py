@@ -190,8 +190,9 @@ def test_step_failures_raise_solve_failure():
 
 
 def test_simulate_trace_matches_its_snapshots(ddd_system):
-    """The banded energy record equals the dense functionals on the states,
-    and the run equals a chain of single trapezoidal steps."""
+    """The banded energy record, and the banded energy, dissipation and
+    cross functionals, equal products with the dense S, M and D on the
+    states, and the run equals a chain of single trapezoidal steps."""
     _, _, _, pencil = ddd_system
     assert pencil.bandwidth == 3
     y0 = random_state(pencil, 17, complex_valued=True)
@@ -199,11 +200,17 @@ def test_simulate_trace_matches_its_snapshots(ddd_system):
     sim = bb.simulate(pencil, y0, dt, steps * dt, snapshot_every=1)
     states = [y for _, y in sim.snapshots]
     assert len(states) == steps + 1
-    for got, functional in ((sim.trace.energy, bb.energy),
-                            (sim.trace.dissipation, bb.dissipation),
-                            (sim.trace.cross, bb.cross_functional)):
-        want = np.array([functional(pencil, y) for y in states])
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    S, M, D = pencil.S, pencil.M, pencil.D
+    for got, functional, dense in (
+            (sim.trace.energy, bb.energy,
+             lambda y: 0.5 * (np.vdot(y.p, S @ y.p).real + np.vdot(y.q, M @ y.q).real)),
+            (sim.trace.dissipation, bb.dissipation, lambda y: -np.vdot(y.q, D @ y.q).real),
+            (sim.trace.cross, bb.cross_functional, lambda y: np.vdot(y.p, M @ y.q).real)):
+        want = np.array([dense(y) for y in states])
+        banded = np.array([functional(pencil, y) for y in states])
+        scale = np.abs(want).max()
+        assert np.abs(got - want).max() <= 1e-12 * scale
+        assert np.abs(banded - want).max() <= 1e-12 * scale
     y = y0
     for _ in range(steps):
         y = bb.step_trapezoidal(pencil, y, dt)
@@ -220,13 +227,14 @@ def test_band_storage_is_fortran_ordered():
         for pad in (0, 2):
             ab = fem._band(m, 2)
             if pad:
-                ab = dynamics._lu_band(ab)
+                ab = fem._lu_band(ab)
             assert ab.flags.f_contiguous and ab.dtype == m.dtype
             assert ab.shape == (pad + 5, 6)
             for i, j in zip(*np.nonzero(m)):
                 assert ab[pad + 2 + i - j, j] == m[i, j]
             assert np.count_nonzero(ab) == np.count_nonzero(m)
-        assert np.array_equal(fem._dense(fem._band(m, 2), 2), m)
+        dense = fem._dense(fem._band(m, 2), 2)
+        assert dense.flags.f_contiguous and np.array_equal(dense, m)
 
 
 def complex_step_reference(pencil, dt, p, q, sp):
@@ -237,7 +245,7 @@ def complex_step_reference(pencil, dt, p, q, sp):
     a = pencil.M + (0.5 * dt) * pencil.D + (0.5 * dt) ** 2 * pencil.S
     explicit = pencil.M - (0.5 * dt) * pencil.D - (0.25 * dt * dt) * pencil.S
     rhs = dynamics._band_product(fem._band(explicit, b), np.complex128)(q, sp, -dt)
-    lu, piv, _ = scipy.linalg.lapack.dgbtrf(dynamics._lu_band(fem._band(a, b)), b, b)
+    lu, piv, _ = scipy.linalg.lapack.dgbtrf(fem._lu_band(fem._band(a, b)), b, b)
     x, _ = scipy.linalg.lapack.dgbtrs(lu, b, b, rhs.view(np.float64).reshape(n, 2), piv)
     q_next = np.ascontiguousarray(x).view(np.complex128)[:, 0]
     return p + dt * (0.5 * q + 0.5 * q_next), q_next
