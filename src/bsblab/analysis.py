@@ -6,11 +6,15 @@ propagate it with the energy-exact trapezoidal scheme, fit a line to
 abscissa. For a clean single mode the trace is log-linear to roundoff and
 the ratio sits at 1 up to the O((dt |mu|)^2) distortion of the scheme.
 
-Alongside the decay run, cross_validate executes one named check per
-invariant that depends on the run (config, mesh, spectrum, simulation);
-invariants that hold whatever the run live in the unit tests. It returns
-everything as a VerificationReport; the CLI turns that into report.json
-and an exit status.
+The verdict is one record, DecayCertificate: certify_decay returns it
+and decay.json is its fields. Alongside the decay run, cross_validate
+executes one named check per invariant that depends on the run (config,
+mesh, spectrum, simulation); invariants that hold whatever the run live
+in the unit tests. It returns a VerificationReport that holds the
+certificate next to the invariant results; report.json is the
+certificate's fields plus those of the report. One writer, _render_json,
+produces the text of both files, so a field added to DecayCertificate
+appears in both.
 """
 
 from __future__ import annotations
@@ -97,15 +101,16 @@ class InvariantResult:
 
 @dataclass
 class VerificationReport:
-    regime: str
-    abscissa: float
+    """A decay certificate and the invariant sweep around the same run.
+
+    certificate is the record certify_decay returns for the run;
+    min_axis_distance is the spectrum's smallest |Re mu|, mesh_counts the
+    elements per member and invariant_results one InvariantResult per
+    registered check.
+    """
+
+    certificate: DecayCertificate
     min_axis_distance: float
-    alpha_fit: float
-    ratio: float
-    r_squared: float
-    ratio_check: str
-    dt: float
-    t_final: float
     mesh_counts: tuple
     invariant_results: list
 
@@ -238,7 +243,7 @@ class _Context:
     spect: spectral.SpectrumReport
     sim: SimOutput
     mode_state: StateVector
-    dt: float
+    certificate: DecayCertificate
 
 
 def _plateau_state(ctx: _Context) -> StateVector:
@@ -279,7 +284,7 @@ def _check_interpolation_nesting(ctx):
 
 
 def _check_step_energy_balance(ctx):
-    dt = ctx.dt
+    dt = ctx.certificate.dt
     sim = simulate(ctx.pencil, _plateau_state(ctx), dt, 50 * dt, snapshot_every=1)
     states = [y for _, y in sim.snapshots]
     worst = 0.0
@@ -366,7 +371,8 @@ def _check_fit_timestep_invariance(ctx):
         return True, 0.0, "no decay to fit in the conservative regime"
     if _numerically_undamped(ctx.spect):
         return True, 0.0, "slowest mode is numerically undamped, nothing to fit"
-    t_short = 1000 * ctx.dt
+    dt = ctx.certificate.dt
+    t_short = 1000 * dt
     tr = ctx.sim.trace
     if tr.times.size >= 1001:
         # ctx.sim is the mode run: same pencil, start and dt, so its first
@@ -374,8 +380,8 @@ def _check_fit_timestep_invariance(ctx):
         a = fit_decay(EnergyTrace(times=tr.times[:1001], energy=tr.energy[:1001],
                                   dissipation=tr.dissipation[:1001], cross=tr.cross[:1001]))
     else:
-        a = fit_decay(simulate(ctx.pencil, ctx.mode_state, ctx.dt, t_short).trace)
-    b = fit_decay(simulate(ctx.pencil, ctx.mode_state, ctx.dt / 2, t_short).trace)
+        a = fit_decay(simulate(ctx.pencil, ctx.mode_state, dt, t_short).trace)
+    b = fit_decay(simulate(ctx.pencil, ctx.mode_state, dt / 2, t_short).trace)
     denom = max(abs(a.alpha), 2.0 * abs(ctx.spect.abscissa), 1e-9)
     resid = abs(b.alpha - a.alpha) / denom
     return resid <= 0.01, resid, "alpha of the mode run under dt -> dt/2"
@@ -430,7 +436,7 @@ def cross_validate(
     """
     cert, spect, y0, sim = _certify(cfg, pencil, dt, t_final)
     ctx = _Context(cfg=cfg, mesh=mesh, dofs=dofs, pencil=pencil, spect=spect,
-                   sim=sim, mode_state=y0, dt=cert.dt)
+                   sim=sim, mode_state=y0, certificate=cert)
     results = []
     for name, check in _REGISTRY:
         passed, residual, note = check(ctx)
@@ -438,15 +444,8 @@ def cross_validate(
                                        residual=float(residual), note=note))
 
     return VerificationReport(
-        regime=cert.regime,
-        abscissa=cert.abscissa,
+        certificate=cert,
         min_axis_distance=spect.min_axis_distance,
-        alpha_fit=cert.alpha_fit,
-        ratio=cert.ratio,
-        r_squared=cert.r_squared,
-        ratio_check=cert.ratio_check,
-        dt=cert.dt,
-        t_final=cert.t_final,
         mesh_counts=(mesh.n1, mesh.n2, mesh.n3),
         invariant_results=results,
     )
@@ -472,45 +471,45 @@ def _json_scalar(value) -> str:
     raise TypeError(f"cannot render {type(value)}")
 
 
-def render_report(report: VerificationReport) -> str:
-    """report.json text: flat keys in fixed order plus the invariant array.
+def _render_json(fields: dict) -> str:
+    """JSON text of one flat record: sorted keys, two-space indent.
 
-    Floats are written with 17 significant digits and non-finite values as
-    the strings "nan"/"inf"/"-inf"; nothing in the payload depends on time
-    or environment, so repeat runs are byte-identical.
+    Scalars go through _json_scalar (floats with 17 significant digits,
+    non-finite values as the strings "nan"/"inf"/"-inf"), a tuple (the
+    mesh counts) is written inline, and a list (the invariant results)
+    holds one dataclass per line with its fields in declaration order.
+    Nothing depends on time or environment, so reruns are byte-identical.
     """
-    lines = ["{"]
-    flat = [
-        ("abscissa", report.abscissa),
-        ("all_pass", report.all_pass),
-        ("alpha_fit", report.alpha_fit),
-        ("dt", report.dt),
-    ]
-    for key, value in flat:
-        lines.append(f'  "{key}": {_json_scalar(value)},')
-    lines.append('  "invariant_results": [')
-    for i, r in enumerate(report.invariant_results):
-        tail = "," if i + 1 < len(report.invariant_results) else ""
-        lines.append(
-            "    {"
-            + f'"name": {_json_scalar(r.name)}, '
-            + f'"passed": {_json_scalar(r.passed)}, '
-            + f'"residual": {_json_scalar(r.residual)}, '
-            + f'"note": {_json_scalar(r.note)}'
-            + "}" + tail
-        )
-    lines.append("  ],")
-    n1, n2, n3 = report.mesh_counts
-    lines.append(f'  "mesh": [{int(n1)}, {int(n2)}, {int(n3)}],')
-    for key, value in [
-        ("min_axis_distance", report.min_axis_distance),
-        ("r_squared", report.r_squared),
-        ("ratio", report.ratio),
-        ("ratio_check", report.ratio_check),
-        ("regime", report.regime),
-        ("t_final", report.t_final),
-    ]:
-        lines.append(f'  "{key}": {_json_scalar(value)},')
-    lines[-1] = lines[-1].rstrip(",")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    def value(v):
+        if isinstance(v, tuple):
+            return "[" + ", ".join(map(_json_scalar, v)) + "]"
+        if isinstance(v, list):
+            rows = ("    {" + ", ".join(f'"{f.name}": {_json_scalar(getattr(r, f.name))}'
+                                        for f in dataclasses.fields(r)) + "}" for r in v)
+            return "[\n" + ",\n".join(rows) + "\n  ]"
+        return _json_scalar(v)
+
+    body = ",\n".join(f'  "{key}": {value(fields[key])}' for key in sorted(fields))
+    return "{\n" + body + "\n}\n"
+
+
+def _certificate_fields(cert: DecayCertificate) -> dict:
+    # every field but the complex mode, which JSON has no number for
+    return {f.name: getattr(cert, f.name) for f in dataclasses.fields(cert) if f.name != "mode"}
+
+
+def render_decay(cert: DecayCertificate) -> str:
+    """decay.json text: the certificate, its mode split into mode_re and mode_im."""
+    return _render_json({**_certificate_fields(cert),
+                         "mode_re": cert.mode.real, "mode_im": cert.mode.imag})
+
+
+def render_report(report: VerificationReport) -> str:
+    """report.json text: the certificate without its mode, plus the report."""
+    return _render_json({
+        **_certificate_fields(report.certificate),
+        "all_pass": report.all_pass,
+        "invariant_results": report.invariant_results,
+        "mesh": report.mesh_counts,
+        "min_axis_distance": report.min_axis_distance,
+    })

@@ -5,7 +5,10 @@ read the structure from a key = value config file (keys l0, l1, l2, l3,
 rho1, rho2, beta; anything else is rejected) and write CSV or JSON files
 into --out-dir. Every float is written with 17 significant digits so the
 files round-trip exactly, and nothing depends on time or environment:
-repeating an invocation reproduces the outputs byte for byte.
+repeating an invocation reproduces the outputs byte for byte. A flag left
+out takes its RunSpec default. decay.json and report.json both come from
+the analysis module's one JSON writer: decay writes the DecayCertificate,
+verify the VerificationReport that holds it.
 
 Exit codes: 0 success, 1 for model/numerics errors (and for a failed
 verify), 2 for usage errors.
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis, dynamics, fem, model, spectral
-from .analysis import certify_decay, cross_validate, render_report
+from .analysis import certify_decay, cross_validate, render_decay, render_report
 from .dynamics import default_dt, simulate
 from .fem import discretize, evaluate_state, interpolate
 from .model import StructureConfig, default_initial_data, validate_config
@@ -127,48 +130,45 @@ def parse_args(argv) -> RunSpec:
     subs = parser.add_subparsers(dest="command", required=True,
                                  metavar="{simulate,spectrum,resolvent,decay,modes,verify}")
 
-    def add_common(sub, matrices=True):
+    def add(name, help_text, matrices=True):
+        # no argparse defaults: a flag left out is absent from the namespace
+        # and takes its RunSpec default, so each default is written once
+        sub = subs.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         sub.add_argument("--config", required=True, dest="config_path",
                          help="key = value structure file")
-        sub.add_argument("--n1", type=int, default=40, help="elements on the first beam")
-        sub.add_argument("--n2", type=int, default=40, help="elements on the string")
-        sub.add_argument("--n3", type=int, default=40, help="elements on the second beam")
-        sub.add_argument("--out-dir", default=".", help="output directory (created if missing)")
+        sub.add_argument("--n1", type=int, help="elements on the first beam")
+        sub.add_argument("--n2", type=int, help="elements on the string")
+        sub.add_argument("--n3", type=int, help="elements on the second beam")
+        sub.add_argument("--out-dir", help="output directory (created if missing)")
         if matrices:
             sub.add_argument("--dump-matrices", action="store_true",
                              help="also write S, M, D, B, K in coordinate format")
+        return sub
 
-    sim = subs.add_parser("simulate", help="trapezoidal run from the canonical initial state")
-    add_common(sim)
-    sim.add_argument("--dt", type=float, default=None)
-    sim.add_argument("--t-final", type=float, default=None)
-    sim.add_argument("--snapshot-every", type=int, default=0,
+    def add_run(name, help_text):
+        sub = add(name, help_text)
+        sub.add_argument("--dt", type=float)
+        sub.add_argument("--t-final", type=float)
+        return sub
+
+    sim = add_run("simulate", "trapezoidal run from the canonical initial state")
+    sim.add_argument("--snapshot-every", type=int,
                      help="store the state every this many steps (0 disables)")
-    sim.add_argument("--snapshot-points", type=int, default=101,
-                     help="x-grid resolution of snapshots.csv")
+    sim.add_argument("--snapshot-points", type=int, help="x-grid resolution of snapshots.csv")
 
-    spe = subs.add_parser("spectrum", help="all pencil eigenvalues")
-    add_common(spe)
+    add("spectrum", "all pencil eigenvalues")
 
-    res = subs.add_parser("resolvent", help="resolvent norms along the imaginary axis")
-    add_common(res)
-    res.add_argument("--lambda-min", type=float, default=-50.0)
-    res.add_argument("--lambda-max", type=float, default=50.0)
-    res.add_argument("--lambda-steps", type=int, default=2001)
+    res = add("resolvent", "resolvent norms along the imaginary axis")
+    res.add_argument("--lambda-min", type=float)
+    res.add_argument("--lambda-max", type=float)
+    res.add_argument("--lambda-steps", type=int)
 
-    dec = subs.add_parser("decay", help="slowest-mode decay rate vs spectral abscissa")
-    add_common(dec)
-    dec.add_argument("--dt", type=float, default=None)
-    dec.add_argument("--t-final", type=float, default=None)
+    add_run("decay", "slowest-mode decay rate vs spectral abscissa")
 
-    mod = subs.add_parser("modes", help="closed-form oracle table for the isolated members")
-    add_common(mod, matrices=False)
-    mod.add_argument("--count", type=int, default=5, help="modes per member")
+    mod = add("modes", "closed-form oracle table for the isolated members", matrices=False)
+    mod.add_argument("--count", type=int, help="modes per member")
 
-    ver = subs.add_parser("verify", help="full invariant sweep; exit 0 iff all pass")
-    add_common(ver)
-    ver.add_argument("--dt", type=float, default=None)
-    ver.add_argument("--t-final", type=float, default=None)
+    add_run("verify", "full invariant sweep; exit 0 iff all pass")
 
     ns = parser.parse_args(argv)
     spec = RunSpec(**vars(ns))
@@ -299,20 +299,7 @@ def _cmd_decay(spec: RunSpec) -> int:
     cfg, mesh, dofs, pencil = _prepare(spec)
     cert = certify_decay(cfg, pencil, dt=spec.dt, t_final=spec.t_final)
     path = os.path.join(spec.out_dir, "decay.json")
-    pairs = [
-        ("abscissa", cert.abscissa),
-        ("alpha_fit", cert.alpha_fit),
-        ("dt", cert.dt),
-        ("mode_im", cert.mode.imag),
-        ("mode_re", cert.mode.real),
-        ("r_squared", cert.r_squared),
-        ("ratio", cert.ratio),
-        ("ratio_check", cert.ratio_check),
-        ("regime", cert.regime),
-        ("t_final", cert.t_final),
-    ]
-    body = ",\n".join(f'  "{k}": {analysis._json_scalar(v)}' for k, v in pairs)
-    _write_text(path, "{\n" + body + "\n}\n")
+    _write_text(path, render_decay(cert))
     print(f"decay: alpha = {_fmt(cert.alpha_fit)}, "
           f"2|abscissa| = {_fmt(2 * abs(cert.abscissa))}, "
           f"ratio = {analysis._json_scalar(cert.ratio)}, check = {cert.ratio_check}")
@@ -347,8 +334,9 @@ def _cmd_verify(spec: RunSpec) -> int:
     for r in report.invariant_results:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name} (residual = {_fmt(r.residual)})")
     verdict = "all checks passed" if report.all_pass else "CHECKS FAILED"
-    print(f"verify: {verdict}; regime = {report.regime}, "
-          f"abscissa = {_fmt(report.abscissa)}, ratio = {analysis._json_scalar(report.ratio)}")
+    cert = report.certificate
+    print(f"verify: {verdict}; regime = {cert.regime}, "
+          f"abscissa = {_fmt(cert.abscissa)}, ratio = {analysis._json_scalar(cert.ratio)}")
     print(f"wrote {path}")
     return 0 if report.all_pass else 1
 

@@ -510,54 +510,21 @@ def assemble_beam_pencil(length: float, n: int, rho: float = 0.0) -> SystemPenci
 _INTERFACE_TOL = 1e-12
 
 
-def _fd_slope(f, x: float, delta: float, side: int) -> float:
-    # 4th-order finite differences; side -1/0/+1 picks backward/central/forward
-    # so the stencil never leaves the member's interval.
-    if side == 0:
-        return (f(x - 2 * delta) - 8 * f(x - delta) + 8 * f(x + delta) - f(x + 2 * delta)) / (12 * delta)
-    s = float(side)
-    pts = [f(x + s * k * delta) for k in range(5)]
-    return s * (-25 * pts[0] / 12 + 4 * pts[1] - 3 * pts[2] + 4 * pts[3] / 3 - pts[4] / 4) / delta
+def _nodal(f, nodes: np.ndarray) -> np.ndarray:
+    return np.array([float(f(float(x))) for x in nodes])
 
 
 def _beam_nodal(profile: Any, nodes: np.ndarray, label: str):
-    """Nodal (values, slopes) for one beam profile."""
-    if isinstance(profile, tuple) and len(profile) == 2:
-        a, b = profile
-        if callable(a) and callable(b):
-            values = np.array([float(a(float(x))) for x in nodes])
-            slopes = np.array([float(b(float(x))) for x in nodes])
-        else:
-            values = np.asarray(a, dtype=float)
-            slopes = np.asarray(b, dtype=float)
-            if values.shape != nodes.shape or slopes.shape != nodes.shape:
-                raise ValueError(
-                    f"{label}: nodal arrays must have shape {nodes.shape}, "
-                    f"got {values.shape} and {slopes.shape}"
-                )
-        return values, slopes
-    if callable(profile):
-        values = np.array([float(profile(float(x))) for x in nodes])
-        h = float(nodes[1] - nodes[0])
-        delta = 1e-3 * h
-        slopes = np.empty_like(values)
-        for j, x in enumerate(nodes):
-            side = 1 if j == 0 else (-1 if j == len(nodes) - 1 else 0)
-            slopes[j] = _fd_slope(profile, float(x), delta, side)
-        return values, slopes
-    raise TypeError(
-        f"{label}: expected a callable, a (value, slope) callable pair, "
-        f"or a (values, slopes) array pair"
-    )
+    """Nodal (values, slopes) of a beam profile given as a (value, slope) callable pair."""
+    if not (isinstance(profile, tuple) and len(profile) == 2 and all(map(callable, profile))):
+        raise TypeError(f"{label}: expected a (value, slope) pair of callables")
+    return _nodal(profile[0], nodes), _nodal(profile[1], nodes)
 
 
 def _string_nodal(profile: Any, nodes: np.ndarray, label: str) -> np.ndarray:
-    if callable(profile):
-        return np.array([float(profile(float(x))) for x in nodes])
-    values = np.asarray(profile, dtype=float)
-    if values.shape != nodes.shape:
-        raise ValueError(f"{label}: nodal array must have shape {nodes.shape}, got {values.shape}")
-    return values
+    if not callable(profile):
+        raise TypeError(f"{label}: expected a callable")
+    return _nodal(profile, nodes)
 
 
 def _check_junction(left: float, right: float, where: str) -> None:
@@ -568,9 +535,9 @@ def _check_junction(left: float, right: float, where: str) -> None:
 
 
 def _check_clamped(value: float, slope: float, scale: float, where: str) -> None:
-    # looser than the junction tolerance: slopes may come from the
-    # fourth-order difference fallback, whose rounding error is ~1e-12
-    # of the profile scale, while genuine violations are order one
+    # looser than the junction tolerance: a profile formula evaluated at
+    # the clamped node leaves rounding of a few eps times the profile
+    # scale, while genuine violations are order one
     tol = 1e-8 * max(1.0, scale)
     if abs(value) > tol or abs(slope) > tol:
         raise IncompatibleInterface(

@@ -96,11 +96,9 @@ class InitialData:
     """Initial displacement and velocity profiles, one pair per member.
 
     u0/u1 live on the first beam, v0/v1 on the string, w0/w1 on the second
-    beam (displacement first, velocity second). A beam profile is either a
-    (value, slope) pair of callables, a (values, slopes) pair of nodal
-    arrays, or a bare value callable (slopes then come from high-order
-    finite differences during interpolation). A string profile is a callable
-    or a nodal value array.
+    beam (displacement first, velocity second). A beam profile is a
+    (value, slope) pair of callables of x, a string profile one callable of
+    x; interpolation raises TypeError on anything else.
 
     Valid data is clamped at the outer ends and continuous at the two
     junctions; interpolation checks the junction values and rejects
@@ -139,10 +137,10 @@ def default_initial_data(cfg: StructureConfig) -> InitialData:
         return -2.0 * (cfg.l3 - x) / len3**2
 
     def flat(x):
-        return 1.0 if isinstance(x, float) else 1.0 + 0.0 * x
+        return 1.0
 
     def zero(x):
-        return 0.0 if isinstance(x, float) else 0.0 * x
+        return 0.0
 
     return InitialData(
         u0=(u_val, u_slope),

@@ -67,11 +67,12 @@ def test_fit_window_validation():
 def test_cross_validate_certifies_the_fully_damped_case(ddd_system):
     cfg, mesh, dofs, pencil = ddd_system
     rep = bb.cross_validate(cfg, mesh, dofs, pencil)
-    assert rep.regime == "DDD"
-    assert rep.abscissa < 0.0
-    assert 0.9 <= rep.ratio <= 1.1
-    assert rep.ratio_check == "two_sided_pass"
-    assert rep.r_squared >= 0.999
+    cert = rep.certificate
+    assert cert.regime == "DDD"
+    assert cert.abscissa < 0.0
+    assert 0.9 <= cert.ratio <= 1.1
+    assert cert.ratio_check == "two_sided_pass"
+    assert cert.r_squared >= 0.999
     assert rep.all_pass
     assert rep.mesh_counts == (10, 10, 10)
     assert [r.name for r in rep.invariant_results] == [
@@ -117,9 +118,9 @@ def test_whitening_check_rejects_a_collapsed_spectrum(ddd_cfg, monkeypatch):
 def test_cross_validate_on_the_conservative_twin(cons_system):
     cfg, mesh, dofs, pencil = cons_system
     rep = bb.cross_validate(cfg, mesh, dofs, pencil)
-    assert rep.regime == "Conservative"
-    assert math.isnan(rep.ratio)
-    assert rep.ratio_check == "not_applicable"
+    assert rep.certificate.regime == "Conservative"
+    assert math.isnan(rep.certificate.ratio)
+    assert rep.certificate.ratio_check == "not_applicable"
     assert rep.all_pass
 
 
@@ -129,11 +130,11 @@ def test_cross_validate_with_partial_damping_declines_to_certify():
     )
     mesh, dofs, pencil = bb.discretize(cfg, 8, 8, 8)
     rep = bb.cross_validate(cfg, mesh, dofs, pencil)
-    assert rep.regime == "Other"
+    assert rep.certificate.regime == "Other"
     # damping confined to one beam leaves modes at eigensolver noise, so
     # no rate claim is made, and that is not a failure
-    assert math.isnan(rep.ratio)
-    assert rep.ratio_check == "not_applicable"
+    assert math.isnan(rep.certificate.ratio)
+    assert rep.certificate.ratio_check == "not_applicable"
     assert rep.all_pass
 
 
@@ -141,12 +142,9 @@ def test_certify_decay_agrees_with_cross_validate(ddd_system):
     cfg, mesh, dofs, pencil = ddd_system
     cert = bb.certify_decay(cfg, pencil)
     rep = bb.cross_validate(cfg, mesh, dofs, pencil)
-    # same deterministic pipeline underneath, so exact equality
-    assert cert.alpha_fit == rep.alpha_fit
-    assert cert.ratio == rep.ratio
-    assert cert.dt == rep.dt
-    assert cert.t_final == rep.t_final
-    assert cert.mode.real == pytest.approx(rep.abscissa, rel=1e-12)
+    # same deterministic pipeline underneath, so the same record
+    assert cert == rep.certificate
+    assert cert.mode.real == pytest.approx(cert.abscissa, rel=1e-12)
 
 
 def test_explicit_dt_and_t_final_are_respected(ddd_system):
@@ -176,7 +174,7 @@ def test_fit_timestep_invariance_reuses_the_mode_run(ddd_system, monkeypatch):
     for run, runs in ((sim, [dt / 2]), (bb.simulate(pencil, y0, dt, 500 * dt), [dt, dt / 2])):
         calls.clear()
         ctx = analysis._Context(cfg=cfg, mesh=None, dofs=None, pencil=pencil, spect=spect,
-                                sim=run, mode_state=y0, dt=dt)
+                                sim=run, mode_state=y0, certificate=cert)
         passed, residual, _ = analysis._check_fit_timestep_invariance(ctx)
         assert passed and residual == want
         assert calls == runs
@@ -223,6 +221,27 @@ def test_report_rendering_is_byte_stable_and_valid_json(ddd_system):
     assert isinstance(payload["invariant_results"], list)
     assert {"name", "passed", "residual", "note"} <= set(payload["invariant_results"][0])
     assert text1.endswith("\n")
+    # each invariant on a line of its own, fields in declaration order
+    rows = [ln.rstrip(",") for ln in text1.splitlines() if ln.startswith('    {"name": ')]
+    assert [json.loads(row) for row in rows] == payload["invariant_results"]
+    assert all(list(json.loads(row)) == ["name", "passed", "residual", "note"] for row in rows)
+
+
+def test_a_certificate_field_reaches_both_files():
+    """decay.json and report.json read the certificate's keys off the
+    dataclass, so a field added to it is written to both with no other edit."""
+    @dataclasses.dataclass
+    class Extended(analysis.DecayCertificate):
+        extra: float = 0.25
+
+    cert = Extended(regime="DDD", abscissa=-0.5, mode=complex(-0.5, 3.0), alpha_fit=1.0,
+                    ratio=1.0, r_squared=1.0, ratio_check="two_sided_pass", dt=1e-3,
+                    t_final=1.0)
+    report = analysis.VerificationReport(certificate=cert, min_axis_distance=0.5,
+                                         mesh_counts=(2, 2, 2), invariant_results=[])
+    decay = json.loads(analysis.render_decay(cert))
+    assert decay["extra"] == json.loads(bb.render_report(report))["extra"] == 0.25
+    assert (decay["mode_re"], decay["mode_im"]) == (-0.5, 3.0)
 
 
 def test_report_encodes_nonfinite_ratio_as_string(cons_system):

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -67,13 +68,19 @@ def test_read_config_missing_file():
 
 # --- argument parsing ----------------------------------------------------------
 
-def test_parse_args_defaults(config_file):
-    spec = parse_args(["spectrum", "--config", config_file])
+@pytest.mark.parametrize("command",
+                         ["simulate", "spectrum", "resolvent", "decay", "modes", "verify"])
+def test_parse_args_defaults(config_file, command):
+    """Every flag left out takes its RunSpec default, on every subcommand,
+    including the fields the subcommand has no flag for."""
+    spec = parse_args([command, "--config", config_file])
     assert isinstance(spec, RunSpec)
-    assert spec.command == "spectrum"
-    assert (spec.n1, spec.n2, spec.n3) == (40, 40, 40)
-    assert spec.out_dir == "."
-    assert spec.dump_matrices is False
+    assert spec == RunSpec(
+        command=command, config_path=config_file,
+        n1=40, n2=40, n3=40, out_dir=".", dump_matrices=False,
+        dt=None, t_final=None, snapshot_every=0, snapshot_points=101,
+        lambda_min=-50.0, lambda_max=50.0, lambda_steps=2001, count=5,
+    )
 
 
 def test_parse_args_rejections(config_file):
@@ -185,11 +192,18 @@ def test_decay_json_contract(tmp_path, config_file):
     proc = run_cli("decay", "--config", config_file,
                    "--n1", "5", "--n2", "5", "--n3", "5", "--out-dir", str(out))
     assert proc.returncode == 0, proc.stderr
-    payload = json.loads((out / "decay.json").read_text())
+    text = (out / "decay.json").read_text()
+    payload = json.loads(text)
     assert set(payload) == {
         "abscissa", "alpha_fit", "dt", "mode_im", "mode_re",
         "r_squared", "ratio", "ratio_check", "regime", "t_final",
     }
+    assert list(payload) == sorted(payload)  # written in sorted order
+    lines = text.splitlines()
+    assert lines[0] == "{" and lines[-1] == "}" and text.endswith("}\n")
+    for i, line in enumerate(lines[1:-1], 2):
+        comma = "," if i < len(lines) - 1 else ""
+        assert re.fullmatch(r'  "[a-z_]+": [^\s,]+' + comma, line), line
     assert payload["regime"] == "DDD"
     assert payload["ratio_check"] in {
         "two_sided_pass", "two_sided_fail",

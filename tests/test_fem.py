@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -353,6 +355,26 @@ def test_interpolation_rejects_clamped_end_violation(ddd_cfg):
     )
     with pytest.raises(fem.IncompatibleInterface):
         fem.interpolate(lifted, mesh, dofs)
+
+
+def _nodal_pair(pair, nodes):
+    return tuple(np.array([f(float(x)) for x in nodes]) for f in pair)
+
+
+@pytest.mark.parametrize("member,form", [
+    ("u0", lambda data, mesh: data.u0[0]),
+    ("u0", lambda data, mesh: _nodal_pair(data.u0, mesh.nodes1)),
+    ("v0", lambda data, mesh: np.ones_like(mesh.nodes2)),
+], ids=["bare_beam_callable", "beam_nodal_arrays", "string_nodal_array"])
+def test_interpolation_takes_callables_only(ddd_cfg, member, form):
+    """A beam profile is a (value, slope) pair of callables and a string
+    profile one callable. The same data in any other form, junctions and
+    clamped ends intact, is rejected rather than approximated."""
+    mesh, dofs, _ = fem.discretize(ddd_cfg, 2, 2, 2)
+    data = bb.default_initial_data(ddd_cfg)
+    other = dataclasses.replace(data, **{member: form(data, mesh)})
+    with pytest.raises(TypeError):
+        fem.interpolate(other, mesh, dofs)
 
 
 def test_evaluate_state_outside_domain(ddd_system):
