@@ -278,6 +278,11 @@ def _cmd_spectrum(spec: RunSpec) -> int:
           f"abscissa = {_fmt(report.abscissa)}, "
           f"min |Re| = {_fmt(report.min_axis_distance)}")
     print(f"wrote {path}")
+    unstable = int(np.count_nonzero(report.eigenvalues.real > 0))
+    if unstable:  # every pencil here is dissipative: Re > 0 is roundoff
+        print(f"warning: {unstable} of {report.eigenvalues.size} eigenvalues have Re > 0, "
+              f"largest Re = {_fmt(report.abscissa)}; the spectrum is not resolved",
+              file=sys.stderr)
     return 0
 
 

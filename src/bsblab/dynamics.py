@@ -7,17 +7,17 @@ The trapezoidal (Crank-Nicolson) step
 inherits the dissipation identity of the pencil exactly: with the midpoint
 ym = (y + y+)/2 one has E(y+) - E(y) = dt * dissipation(ym) up to solver
 roundoff, for every dt. It is the only scheme. A step is solved in the
-reduced N x N form of the second-order system (see _trapezoidal_step),
-never on the 2N x 2N pencil, and on the bands the pencil stores: the step
-matrices are entrywise combinations of the bands of S, M and D, the step
-matrix is factored once by banded LU, and every mat-vec of a step, of
-simulate's energy record and of the energy functionals is a banded BLAS
-call, so a step costs O(N b) and no N x N matrix is formed. Bands are
-stored in Fortran order, the layout BLAS and LAPACK read, so no call
-copies a real band, and a run's dtype (real or complex) is fixed from
-its initial state before the first step, so each product binds one BLAS
-routine and a complex right-hand side is solved in a buffer the step
-owns (see _trapezoidal_step).
+reduced N x N midpoint form of the second-order system (see
+_trapezoidal_step), never on the 2N x 2N pencil, and on the bands the
+pencil stores: the step matrix is an entrywise combination of the bands of
+S, M and D, factored once by banded LU in the run's dtype, and every
+mat-vec of simulate's energy record and of the energy functionals is a
+banded BLAS call. The record's S p and M q are also the step's right-hand
+side, so a step is one banded solve plus the record's three products,
+costs O(N b), and no N x N matrix is formed. Bands are stored in Fortran
+order, the layout BLAS and LAPACK read, so no call copies a real band, and
+a run's dtype (real or complex) is fixed from its initial state before the
+first step, so each product and the solve bind one routine.
 """
 
 from __future__ import annotations
@@ -45,9 +45,12 @@ class EnergyTrace:
 
     energy[i] is E(y(t_i)), dissipation[i] the instantaneous (nonpositive)
     energy rate, cross[i] the position-velocity cross term p^T M q (the F
-    column of energy.csv). In a damped regime the energy is nonincreasing
-    up to a 1e-9 relative uptick; without damping it is conserved to the
-    same tolerance.
+    column of energy.csv). The energy is nonincreasing in a damped regime
+    and conserved without damping, up to roundoff that grows with the mesh:
+    each step sums terms of size T = (|p|^T |S| |p| + |q|^T |M| |q|)/2, and
+    T/E grows about 16x per mesh doubling. A conservative run drifts by
+    about 1e-9 relative at 80 elements per member, 1e-8 at 160 and 1e-6 at
+    640.
     """
 
     times: np.ndarray
@@ -106,13 +109,13 @@ def default_dt(cfg: StructureConfig) -> float:
 
 
 def _band_product(ab: np.ndarray, dtype):
-    """Return x, y, beta -> a @ x + beta * y by banded BLAS in the run's dtype.
+    """Return x -> a @ x, a new array, by banded BLAS in the run's dtype.
 
     ab is the general band (kl = ku = b) of a. dtype (float64 or
     complex128) is fixed here, so the closure binds one of dgbmv and zgbmv
-    and holds the band in that dtype (a real band is not copied); x and y
-    should have it too, or the wrapper casts them on every call. scipy's
-    gbmv wrappers want at least kl + ku + 1 rows, so a band wider than that
+    and holds the band in that dtype (a real band is not copied); x should
+    have it too, or the wrapper casts it on every call. scipy's gbmv
+    wrappers want at least kl + ku + 1 rows, so a band wider than that
     (2b + 1 > N, dense test pencils) runs as an m x N product whose extra
     rows are zero, cut back to N.
     """
@@ -121,74 +124,51 @@ def _band_product(ab: np.ndarray, dtype):
     ab = ab.astype(dtype, copy=False)
     gbmv = scipy.linalg.blas.zgbmv if ab.dtype == np.complex128 else scipy.linalg.blas.dgbmv
 
-    def product(x: np.ndarray, y: np.ndarray | None = None, beta: float = 0.0) -> np.ndarray:
-        if y is not None and m > n:
-            y = np.concatenate([y, np.zeros(m - n, y.dtype)])
-        return gbmv(m, n, b, b, 1.0, ab, x, beta=beta, y=y)[:n]
+    def product(x: np.ndarray) -> np.ndarray:
+        return gbmv(m, n, b, b, 1.0, ab, x)[:n]
 
     return product
 
 
-def _run_dtype(y: StateVector):
-    """complex128 when either half of the state is complex, else float64."""
-    return np.complex128 if np.iscomplexobj(y.p) or np.iscomplexobj(y.q) else np.float64
-
-
 def _trapezoidal_step(pencil: SystemPencil, dt: float, dtype):
-    """Factor the trapezoidal step matrix; return the step (p, q, S p) -> (p+, q+).
+    """Factor the trapezoidal step matrix; return the step (y, S p, M q) that
+    advances the state y = [p; q] in place.
 
     The step (B - dt/2 K) y+ = (B + dt/2 K) y has the first block row
-    S (p+ - p) = dt S (q + q+)/2. S is SPD, so p+ = p + dt (q + q+)/2, and
-    eliminating p+ from the second block row leaves one N x N system for q+:
+    S (p+ - p) = dt S qm with the midpoint velocity qm = (q + q+)/2. S is
+    SPD, so p+ = p + dt qm, and eliminating p+ from the second block row
+    leaves one N x N system for qm:
 
-        A q+ = (M - dt/2 D - dt^2/4 S) q - dt S p,
-        A = M + dt/2 D + dt^2/4 S.
+        A qm = M q - dt/2 S p,    A = M + dt/2 D + dt^2/4 S,
+        q+ = 2 qm - q,            p+ = p + dt qm.
 
-    Both are formed entrywise on the bands of S, M and D, with their
-    half-bandwidth b. A is factored once by banded LU (dgbtrf) rather than
-    banded Cholesky because it can be indefinite for negative dt with
-    damping. The factor stays real. dtype is the run's (_run_dtype): the
-    explicit product binds its gbmv once, and for a complex run the step
-    owns a (2, N) float buffer whose transpose is a Fortran-ordered N x 2
-    array; each right-hand side is split into its real and imaginary rows
-    there and solved in place as one two-column real system (dgbtrs), and
-    q+ is assembled by assigning .real and .imag, which keeps signed zeros.
-    Each step then costs O(N b). The caller passes S p since simulate
-    already computes it for the energy record.
+    A is formed entrywise on the bands of S, M and D, with their
+    half-bandwidth b, and factored once by banded LU in the run's dtype (y's,
+    float64 or complex128): dgbtrf for a real run, zgbtrf for a complex one,
+    so each step is one banded solve (dgbtrs or zgbtrs) in that dtype. LU
+    rather than banded Cholesky because A can be indefinite for negative dt
+    with damping. S p and M q are the caller's: simulate computes them for
+    the energy record anyway, so a step makes no banded product of its own
+    and costs O(N b). The step consumes M q: the right-hand side is built in
+    its array by one axpy and solved there, and p and q are updated in y by
+    axpy and scal, in the run's dtype too.
     """
     n, b = pencil.n_positions, pencil.bandwidth
-    s, m, d = pencil.s_band, pencil.m_band, pencil.d_band
-    a = m + (0.5 * dt) * d + (0.5 * dt) ** 2 * s
-    explicit = _band_product(m - (0.5 * dt) * d - (0.25 * dt * dt) * s, dtype)
-    lu, piv, info = scipy.linalg.lapack.dgbtrf(_lu_band(a), b, b)
+    a = pencil.m_band + (0.5 * dt) * pencil.d_band + (0.5 * dt) ** 2 * pencil.s_band
+    lapack = scipy.linalg.lapack
+    gbtrf, gbtrs = ((lapack.zgbtrf, lapack.zgbtrs) if np.dtype(dtype) == np.complex128
+                    else (lapack.dgbtrf, lapack.dgbtrs))
+    axpy, scal = scipy.linalg.blas.get_blas_funcs(("axpy", "scal"), dtype=dtype)
+    lu, piv, info = gbtrf(_lu_band(a.astype(dtype, copy=False)), b, b)
     if info != 0:
-        raise SolveFailure(f"trapezoidal factorization failed: dgbtrf info = {info}")
-    dgbtrs = scipy.linalg.lapack.dgbtrs
+        raise SolveFailure(f"trapezoidal factorization failed: {gbtrf.__name__} info = {info}")
 
-    if np.dtype(dtype) == np.complex128:
-        parts = np.empty((2, n))
-        columns = parts.T
-
-        def solve(rhs):
-            parts[0] = rhs.real
-            parts[1] = rhs.imag
-            dgbtrs(lu, b, b, columns, piv, overwrite_b=1)
-            q_next = np.empty(n, np.complex128)
-            q_next.real = parts[0]
-            q_next.imag = parts[1]
-            return q_next
-    else:
-        def solve(rhs):
-            return dgbtrs(lu, b, b, rhs, piv, overwrite_b=1)[0]
-
-    def step(p: np.ndarray, q: np.ndarray, sp: np.ndarray):
-        q_next = solve(explicit(q, sp, -dt))
-        p_next = p + dt * (0.5 * q + 0.5 * q_next)
-        # dt is finite and nonzero, so a non-finite entry of q+ makes the
-        # same entry of p+ non-finite: one test covers both halves
-        if not np.isfinite(p_next).all():
+    def step(y: np.ndarray, sp: np.ndarray, mq: np.ndarray) -> None:
+        q_mid = gbtrs(lu, b, b, axpy(sp, mq, a=-0.5 * dt), piv, overwrite_b=1)[0]
+        axpy(q_mid, y[:n], a=dt)
+        scal(-1.0, axpy(q_mid, y[n:], a=-2.0))
+        if not np.isfinite(y).all():
             raise SolveFailure("trapezoidal step produced non-finite values")
-        return p_next, q_next
 
     return step
 
@@ -198,9 +178,11 @@ def step_trapezoidal(pencil: SystemPencil, y: StateVector, dt: float) -> StateVe
     _require_match(pencil, y)
     if not np.isfinite(dt) or dt == 0:
         raise ValueError(f"dt must be finite and nonzero, got {dt}")
-    dtype = _run_dtype(y)
+    y_next = y.to_array()
+    dtype = y_next.dtype
     step = _trapezoidal_step(pencil, dt, dtype)
-    return StateVector(*step(y.p, y.q, _band_product(pencil.s_band, dtype)(y.p)))
+    step(y_next, _band_product(pencil.s_band, dtype)(y.p), _band_product(pencil.m_band, dtype)(y.q))
+    return StateVector.from_array(y_next)
 
 
 def simulate(
@@ -226,12 +208,12 @@ def simulate(
         raise ValueError(f"snapshot_every must be >= 0, got {snapshot_every}")
 
     steps = max(1, int(round(t_final / dt)))
-    dtype = _run_dtype(y0)
-    step = _trapezoidal_step(pencil, dt, dtype)
-    s_times, m_times, d_times = (_band_product(ab, dtype)
+    y = y0.to_array()  # the run's state, real or complex throughout; steps update it in place
+    step = _trapezoidal_step(pencil, dt, y.dtype)
+    s_times, m_times, d_times = (_band_product(ab, y.dtype)
                                  for ab in (pencil.s_band, pencil.m_band, pencil.d_band))
 
-    p, q = y0.p, y0.q
+    p, q = y[:pencil.n_positions], y[pencil.n_positions:]
     times = dt * np.arange(steps + 1)
     e_arr = np.empty(steps + 1)
     d_arr = np.empty(steps + 1)
@@ -244,14 +226,14 @@ def simulate(
         e_arr[i] = 0.5 * (np.vdot(p, sp).real + np.vdot(q, mq).real)
         d_arr[i] = -np.vdot(q, d_times(q)).real
         c_arr[i] = np.vdot(p, mq).real
-        return sp
+        return sp, mq
 
-    sp = record(0, p, q)
+    sp, mq = record(0, p, q)
     if snapshot_every > 0:
         snapshots.append((0.0, StateVector(p.copy(), q.copy())))
     for i in range(1, steps + 1):
-        p, q = step(p, q, sp)
-        sp = record(i, p, q)
+        step(y, sp, mq)
+        sp, mq = record(i, p, q)
         if snapshot_every > 0 and (i % snapshot_every == 0 or i == steps):
             snapshots.append((float(times[i]), StateVector(p.copy(), q.copy())))
 

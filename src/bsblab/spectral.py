@@ -237,8 +237,9 @@ def _eigenmode(pencil: SystemPencil, mu: complex) -> StateVector:
     of inverse iteration (zgbtrs) from a fixed-seed start. Zero pivots of
     an exactly singular Q(mu) (info > 0) become eps (|mu|^2 |M|_1 +
     |mu| |D|_1 + |S|_1), as in LAPACK's zlaein, with each 1-norm the largest
-    column sum of its band; |Q(mu)|_1 itself can be 0. A
-    non-finite or zero-energy vector (Q(mu) overflowed) raises.
+    column sum of its band; |Q(mu)|_1 itself can be 0. A non-finite or zero
+    first iterate, or a non-finite or zero-energy vector (Q(mu) overflowed),
+    raises before anything divides by it.
     """
     n, b = pencil.n_positions, pencil.bandwidth
     zgbtrf, zgbtrs = scipy.linalg.lapack.zgbtrf, scipy.linalg.lapack.zgbtrs
@@ -256,7 +257,10 @@ def _eigenmode(pencil: SystemPencil, mu: complex) -> StateVector:
         pivots[pivots == 0] = np.finfo(float).eps * norm
     rng = np.random.default_rng(0)
     x, _ = zgbtrs(lu, b, b, rng.standard_normal(n) + 1j * rng.standard_normal(n), piv)
-    x, _ = zgbtrs(lu, b, b, x / np.linalg.norm(x), piv)
+    norm = np.linalg.norm(x)
+    if not 0.0 < norm < math.inf:
+        raise FactorizationFailure(f"inverse iteration on Q(mu) gave no eigenvector (norm {norm})")
+    x, _ = zgbtrs(lu, b, b, x / norm, piv)
     y = np.concatenate([x, mu * x])
     e = energy(pencil, StateVector(y[:n], y[n:])) if np.isfinite(y).all() else math.nan
     if not 0.0 < e < math.inf:

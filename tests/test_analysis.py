@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,9 @@ import scipy.linalg
 
 import bsblab as bb
 from bsblab import analysis, dynamics, fem, spectral
+from bsblab.cli import read_config
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def synthetic_trace(alpha=3.0, c=7.0, t_end=2.0, n=401):
@@ -145,6 +149,53 @@ def test_certify_decay_agrees_with_cross_validate(ddd_system):
     # same deterministic pipeline underneath, so the same record
     assert cert == rep.certificate
     assert cert.mode.real == pytest.approx(cert.abscissa, rel=1e-12)
+
+
+def discrete_mode_rate(mu, dt):
+    """-2 log|R(mu)| / dt for the trapezoidal factor R = (1 + z)/(1 - z),
+    z = dt mu / 2: the exact energy rate of a discrete trapezoidal mode.
+    |1 +- z|^2 = 1 +- 2 Re z + |z|^2 goes through log1p, which keeps the
+    rate accurate to a few ulps although |R| is within dt |mu| of 1."""
+    x, y = (dt * mu / 2).real, (dt * mu / 2).imag
+    return -(math.log1p(2 * x + x * x + y * y) - math.log1p(-2 * x + x * x + y * y)) / dt
+
+
+def oracle_bound(pencil, y0, times):
+    """Roundoff bound on |alpha_fit - discrete_mode_rate| for a mode run.
+
+    Along the exact discrete mode y_k = R^k y0, E_k = |R|^(2k) E_0, so
+    log E is linear in t and the fit returns the rate exactly. Each step
+    perturbs the energy by at most gamma_{2b+1} T relative, where
+    T = (|p|^T |S| |p| + |q|^T |M| |q|)/2 is the size of the terms the
+    energy sums (every row of a banded product sums 2b + 1 of them; Higham,
+    2nd ed., 3.5), and T/E is constant along the mode. So a sample of a
+    K-step run carries a log-energy error of at most
+    delta = K gamma_{2b+1} T/E, and the least-squares slope over the fitted
+    samples t_i moves by sum(tc_i eps_i) / sum(tc_i^2) <= delta
+    sum|tc_i| / sum(tc_i^2), tc_i = t_i - mean(t).
+    """
+    u = np.finfo(float).eps / 2
+    k = 2 * pencil.bandwidth + 1
+    p, q = np.abs(y0.p), np.abs(y0.q)
+    t_over_e = 0.5 * (p @ np.abs(pencil.S) @ p + q @ np.abs(pencil.M) @ q) / bb.energy(pencil, y0)
+    fitted = times[(times >= 0.2 * times[-1]) & (times <= 0.9 * times[-1])]
+    tc = fitted - fitted.mean()
+    delta = (len(times) - 1) * (k * u / (1 - k * u)) * t_over_e
+    return delta * np.abs(tc).sum() / (tc @ tc)
+
+
+@pytest.mark.parametrize("n", [10, 20])
+def test_ddd_mode_run_decays_at_the_discrete_rate(n):
+    """On ddd.cfg the fitted rate of the slowest-mode run is the exact
+    energy rate of the trapezoidal map on that mode, to within the roundoff
+    bound of oracle_bound. UDU is left out: its slowest mode's real part is
+    set at roundoff, so its fit is too."""
+    cfg = bb.validate_config(read_config(str(CONFIGS / "ddd.cfg")))
+    _, _, pencil = bb.discretize(cfg, n, n, n)
+    cert, _, y0, sim = analysis._certify(cfg, pencil, None, None)
+    assert cert == bb.certify_decay(cfg, pencil)
+    want = discrete_mode_rate(cert.mode, cert.dt)
+    assert abs(cert.alpha_fit - want) <= oracle_bound(pencil, y0, sim.trace.times)
 
 
 def test_explicit_dt_and_t_final_are_respected(ddd_system):

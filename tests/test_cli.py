@@ -156,6 +156,31 @@ def test_spectrum_csv_schema(tmp_path, config_file):
     assert "abscissa" in proc.stdout
 
 
+def test_spectrum_warns_when_a_dissipative_spectrum_has_re_above_zero(tmp_path, capsys):
+    """Damping that dwarfs stiffness (rho1 = 1e150 at n = 4) leaves roundoff
+    eigenvalues with Re > 0. spectrum names their count and the largest Re
+    on stderr; stdout, the CSV and the exit code are as without the warning,
+    and a resolved spectrum prints no warning."""
+    for rho1, warned in (("1.0", False), ("1e150", True)):
+        path = tmp_path / f"rho1-{rho1}.cfg"
+        path.write_text(CONFIG.replace("rho1 = 1.0", f"rho1 = {rho1}"))
+        out = tmp_path / f"out-{rho1}"
+        assert cli.main(["spectrum", "--config", str(path), "--n1", "4", "--n2", "4",
+                         "--n3", "4", "--out-dir", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("spectrum: 38 eigenvalues (DDD), abscissa = ")
+        assert len(captured.out.splitlines()) == 2
+        re_parts = np.loadtxt(out / "spectrum.csv", delimiter=",", skiprows=1)[:, 0]
+        assert re_parts.size == 38
+        if not warned:
+            assert captured.err == "" and re_parts.max() < 0
+            continue
+        count = int(np.count_nonzero(re_parts > 0))
+        assert count > 0
+        assert captured.err == (f"warning: {count} of 38 eigenvalues have Re > 0, largest Re = "
+                                f"{cli._fmt(re_parts.max())}; the spectrum is not resolved\n")
+
+
 def test_resolvent_row_count_and_sup(tmp_path, config_file):
     out = tmp_path / "out"
     proc = run_cli("resolvent", "--config", config_file,

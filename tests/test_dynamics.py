@@ -237,48 +237,75 @@ def test_band_storage_is_fortran_ordered():
         assert dense.flags.f_contiguous and np.array_equal(dense, m)
 
 
-def complex_step_reference(pencil, dt, p, q, sp):
-    """The complex step through the two-column copy: the step matrices formed
-    dense, then banded; dgbtrs on the interleaved right-hand side viewed as
-    an N x 2 real array, which f2py copies."""
-    n, b = pencil.n_positions, pencil.bandwidth
-    a = pencil.M + (0.5 * dt) * pencil.D + (0.5 * dt) ** 2 * pencil.S
-    explicit = pencil.M - (0.5 * dt) * pencil.D - (0.25 * dt * dt) * pencil.S
-    rhs = dynamics._band_product(fem._band(explicit, b), np.complex128)(q, sp, -dt)
-    lu, piv, _ = scipy.linalg.lapack.dgbtrf(fem._lu_band(fem._band(a, b)), b, b)
-    x, _ = scipy.linalg.lapack.dgbtrs(lu, b, b, rhs.view(np.float64).reshape(n, 2), piv)
-    q_next = np.ascontiguousarray(x).view(np.complex128)[:, 0]
-    return p + dt * (0.5 * q + 0.5 * q_next), q_next
+def rounding_bound(pencil, dt, p, q, x):
+    """Componentwise first-order bound on the gap between two floating-point
+    evaluations of one real midpoint step from (p, q) with midpoint x.
+
+    With u the unit roundoff and gamma_k = k u / (1 - k u): the right-hand
+    side M q - dt/2 S p sums 2b + 1 products per row plus a scaling and a
+    subtraction, so its error is at most gamma_{2b+5} (|M||q| + |dt/2||S||p|)
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.5,
+    with two terms for complex products). The banded LU solve is
+    backward stable, (A + dA) x = r, |dA| <= gamma_{3(3b+1)+2} P|L||U| (9.3
+    and 9.4; an LU row holds at most 3b + 1 entries). Both perturbations
+    reach x through |A^-1|, and q+ = 2x - q and p+ = p + dt x add two
+    roundings each. Two evaluations differ by at most twice one's error.
+    """
+    b = pencil.bandwidth
+    u = np.finfo(float).eps / 2
+
+    def gamma(k):
+        return k * u / (1 - k * u)
+
+    a = pencil.M + (dt / 2) * pencil.D + (dt / 2) ** 2 * pencil.S
+    perm, lower, upper = scipy.linalg.lu(a)
+    lu_abs = perm @ (np.abs(lower) @ np.abs(upper))
+    dx = np.abs(np.linalg.inv(a)) @ (
+        gamma(2 * b + 5) * (np.abs(pencil.M) @ np.abs(q) + abs(dt) / 2 * np.abs(pencil.S) @ np.abs(p))
+        + gamma(3 * (3 * b + 1) + 2) * lu_abs @ np.abs(x))
+    return (2 * (abs(dt) * dx + gamma(2) * (np.abs(p) + abs(dt) * np.abs(x))),
+            2 * (2 * dx + gamma(2) * (2 * np.abs(x) + np.abs(q))))
 
 
-def test_complex_step_matches_the_two_column_copy_bitwise(ddd_system):
-    """Solving in the step's own buffer changes no bit of the complex step."""
+def test_complex_step_is_two_real_steps(ddd_system):
+    """The complex step (zgbtrf/zgbtrs, zgbmv) equals the real step
+    (dgbtrf/dgbtrs, dgbmv) on the real and on the imaginary part, to within
+    the rounding bound of rounding_bound. Not bitwise: the complex BLAS and
+    LAPACK kernels round (and fuse) their multiply-adds differently from the
+    real ones, so already one zgbmv differs from dgbmv in the last bits."""
     _, _, _, pencil = ddd_system
     y = random_state(pencil, 19, complex_valued=True)
-    for dt in (1e-3, -1e-3):
-        step = dynamics._trapezoidal_step(pencil, dt, np.complex128)
-        sp = dynamics._band_product(pencil.s_band, np.complex128)(y.p)
-        got = step(y.p, y.q, sp)
-        want = complex_step_reference(pencil, dt, y.p, y.q, sp)
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    for dt in (1e-3, -1e-3, 1e-1):
+        z = bb.step_trapezoidal(pencil, y, dt)
+        for part in (np.real, np.imag):
+            p, q = part(y.p).copy(), part(y.q).copy()
+            w = bb.step_trapezoidal(pencil, bb.StateVector(p, q), dt)
+            assert not np.iscomplexobj(w.p) and not np.iscomplexobj(w.q)
+            bound_p, bound_q = rounding_bound(pencil, dt, p, q, (w.q + q) / 2)
+            assert np.all(np.abs(part(z.p) - w.p) <= bound_p)
+            assert np.all(np.abs(part(z.q) - w.q) <= bound_q)
 
 
 def test_step_buffers_carry_no_state(ddd_system):
     """Two live closures, one closure fed two states in turn, and two
     simulate runs in a row all reproduce the same trajectory bitwise."""
     _, _, _, pencil = ddd_system
-    dt = 1e-3
-    s_times = dynamics._band_product(pencil.s_band, np.complex128)
+    dt, n = 1e-3, pencil.n_positions
+    s_times, m_times = (dynamics._band_product(ab, np.complex128)
+                        for ab in (pencil.s_band, pencil.m_band))
     y = random_state(pencil, 23, complex_valued=True)
     z = random_state(pencil, 29, complex_valued=True)
 
+    def advance(step, state):
+        step(state, s_times(state[:n]), m_times(state[n:]))
+
     def run(step, other=None, steps=5):
-        p, q, trail = y.p, y.q, []
+        state, trail = y.to_array(), []
         for _ in range(steps):
             if other is not None:
-                other(z.p, z.q, s_times(z.p))
-            p, q = step(p, q, s_times(p))
-            trail.append(np.concatenate([p, q]))
+                advance(other, z.to_array())
+            advance(step, state)
+            trail.append(state.copy())
         return trail
 
     ref = run(dynamics._trapezoidal_step(pencil, dt, np.complex128))
@@ -290,6 +317,37 @@ def test_step_buffers_carry_no_state(ddd_system):
     for field in ("energy", "dissipation", "cross"):
         assert np.array_equal(getattr(one.trace, field), getattr(two.trace, field))
     assert np.array_equal(one.final_state.to_array(), two.final_state.to_array())
+
+
+def test_steps_leave_the_initial_state_alone(ddd_system):
+    """The step updates the state in place, in a copy the run owns."""
+    _, _, _, pencil = ddd_system
+    for complex_valued in (False, True):
+        y = random_state(pencil, 31, complex_valued=complex_valued)
+        kept = y.to_array().copy()
+        bb.step_trapezoidal(pencil, y, 1e-3)
+        bb.simulate(pencil, y, 1e-3, 5e-3)
+        assert np.array_equal(y.to_array(), kept)
+
+
+@pytest.mark.parametrize("complex_valued", [False, True])
+def test_a_step_is_one_solve_and_three_banded_products(ddd_system, monkeypatch, complex_valued):
+    """A k-step simulate factors once, solves k times and makes 3(k + 1)
+    banded products: S p, M q and D q at each of the k + 1 records, whose
+    S p and M q are also the next step's right-hand side."""
+    _, _, _, pencil = ddd_system
+    counts = {}
+    for module, names in ((scipy.linalg.lapack, ("dgbtrf", "zgbtrf", "dgbtrs", "zgbtrs")),
+                          (scipy.linalg.blas, ("dgbmv", "zgbmv"))):
+        for name in names:
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+    k = 7
+    bb.simulate(pencil, random_state(pencil, 37, complex_valued=complex_valued), 1e-3, k * 1e-3)
+    kind = "z" if complex_valued else "d"
+    assert counts == {f"{kind}gbtrf": 1, f"{kind}gbtrs": k, f"{kind}gbmv": 3 * (k + 1)}
 
 
 def test_step_input_validation(ddd_system):

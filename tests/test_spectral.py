@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -167,6 +169,19 @@ def test_slowest_mode_when_q_is_exactly_singular(s_diag, mu_want, p_want):
     assert abs(abs(np.vdot(p_want, p)) - np.linalg.norm(p)) <= 1e-14 * np.linalg.norm(p)
     assert np.linalg.norm(q - mu * p) <= 1e-12 * np.linalg.norm(q)
     assert bb.energy(pencil, bb.StateVector(p, q)) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_eigenmode_rejects_a_vanishing_first_iterate_before_dividing(ddd_cfg):
+    """rho1 = 1e150 at n = 4 swamps Q(mu) so that the first inverse
+    iterate underflows to zero; _eigenmode raises on its norm without a
+    numpy divide-by-zero warning."""
+    cfg = bb.validate_config(dataclasses.replace(ddd_cfg, rho1=1e150))
+    _, _, pencil = bb.discretize(cfg, 4, 4, 4)
+    mu = complex(bb.eigenvalues(pencil).eigenvalues[-1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(spectral.FactorizationFailure, match="no eigenvector"):
+            spectral._eigenmode(pencil, mu)
 
 
 def dense_whitened_reference(pencil):
