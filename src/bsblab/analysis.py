@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import dynamics, fem, spectral
 from .dynamics import (
@@ -32,7 +31,6 @@ from .dynamics import (
     SimOutput,
     default_dt,
     simulate,
-    step_trapezoidal,
 )
 from .fem import DofMap, Mesh, StateVector, SystemPencil
 from .model import DampingCase, StructureConfig, default_initial_data
@@ -246,55 +244,22 @@ class _Context:
     certificate: DecayCertificate
 
 
-def _plateau_state(ctx: _Context) -> StateVector:
-    return fem.interpolate(default_initial_data(ctx.cfg), ctx.mesh, ctx.dofs)
-
-
-def _check_gram_matrices_spd(ctx):
-    """S, M and D are exactly symmetric.
-
-    Read off the general bands: A[j, j + k] sits in row b - k of column
-    j + k and A[j + k, j] in row b + k of column j, so diagonal k of each
-    band must equal diagonal -k. Definiteness needs no check of its own:
-    _certify whitens before any check runs, and whitening Cholesky-factors
-    S and M or raises FactorizationFailure. Symmetry of S is what makes
-    Re(y^H K y) = -q^H D q hold by the block form of K, and symmetry of D
-    what makes the dissipation a real quadratic form.
-    """
-    b, n = ctx.pencil.bandwidth, ctx.pencil.n_positions
-    ok = all(np.array_equal(ab[b - k, k:], ab[b + k, :n - k])
-             for ab in (ctx.pencil.s_band, ctx.pencil.m_band, ctx.pencil.d_band)
-             for k in range(1, b + 1))
-    return ok, 0.0 if ok else 1.0, "exact symmetry of S, M and D; definiteness by the whitening"
-
-
-def _check_interpolation_nesting(ctx):
-    data = default_initial_data(ctx.cfg)
-    coarse = dynamics.energy(ctx.pencil, _plateau_state(ctx))
-    mesh2, dofs2, pencil2 = fem.discretize(
-        ctx.cfg, 2 * ctx.mesh.n1, 2 * ctx.mesh.n2, 2 * ctx.mesh.n3
-    )
-    fine = dynamics.energy(pencil2, fem.interpolate(data, mesh2, dofs2))
-    resid = abs(fine - coarse) / max(abs(coarse), 1e-300)
-    # the two interpolants are the same function, so the gap is pure
-    # rounding; it grows like eps/h^3 through the bending entries and
-    # reaches ~1e-8 around 100 elements per member, while a genuine
-    # nesting bug shows up at 1e-3 or worse
-    return resid <= 1e-6, resid, "plateau data on mesh and its refinement"
-
-
 def _check_step_energy_balance(ctx):
+    """E_{k+1} - E_k = dt * dissipation(midpoint) over 50 steps from the plateau.
+
+    E_k is the run's own energy record; the midpoint dissipation comes
+    from the stored states.
+    """
     dt = ctx.certificate.dt
-    sim = simulate(ctx.pencil, _plateau_state(ctx), dt, 50 * dt, snapshot_every=1)
+    y0 = fem.interpolate(default_initial_data(ctx.cfg), ctx.mesh, ctx.dofs)
+    sim = simulate(ctx.pencil, y0, dt, 50 * dt, snapshot_every=1)
+    e = sim.trace.energy
     states = [y for _, y in sim.snapshots]
     worst = 0.0
-    for y, y_next in zip(states, states[1:]):
+    for k, (y, y_next) in enumerate(zip(states, states[1:])):
         mid = StateVector(0.5 * (y.p + y_next.p), 0.5 * (y.q + y_next.q))
-        e = dynamics.energy(ctx.pencil, y)
-        resid = abs(
-            dynamics.energy(ctx.pencil, y_next) - e - dt * dynamics.dissipation(ctx.pencil, mid)
-        )
-        worst = max(worst, resid / max(e, 1e-300))
+        resid = abs(e[k + 1] - e[k] - dt * dynamics.dissipation(ctx.pencil, mid))
+        worst = max(worst, resid / max(e[k], 1e-300))
     return worst <= 1e-9, worst, "50 trapezoidal steps, midpoint identity"
 
 
@@ -306,30 +271,6 @@ def _check_energy_monotone(ctx):
     upticks = float(np.max(np.diff(e), initial=0.0))
     resid = max(0.0, upticks) / max(float(e[0]), 1e-300)
     return resid <= 1e-9, resid, "damped: largest uptick, relative"
-
-
-def _check_time_reversal(ctx):
-    cfg0 = dataclasses.replace(ctx.cfg, rho1=0.0, rho2=0.0, beta=0.0)
-    pencil0 = fem.assemble_pencil(cfg0, ctx.mesh, ctx.dofs)
-    y0 = _plateau_state(ctx)
-    dt = default_dt(ctx.cfg)
-    y1 = step_trapezoidal(pencil0, y0, dt)
-    y2 = step_trapezoidal(pencil0, y1, -dt)
-    resid = float(np.linalg.norm(y2.to_array() - y0.to_array())
-                  / np.linalg.norm(y0.to_array()))
-    return resid <= 1e-8, resid, "undamped twin, one step forward and back"
-
-
-def _check_whitening_consistency(ctx):
-    _, _, small = fem.discretize(ctx.cfg, 3, 3, 3)
-    mu_w = eigenvalues(small).eigenvalues
-    mu_g = scipy.linalg.eigvals(small.K, small.B)
-    scale = max(1.0, float(np.max(np.abs(mu_g))))
-    # both directions: every whitened value near a QZ value and vice versa,
-    # so a spectrum collapsed onto a few QZ values cannot pass
-    gaps = np.abs(mu_w[:, None] - mu_g[None, :])
-    worst = max(float(gaps.min(axis=1).max()), float(gaps.min(axis=0).max())) / scale
-    return worst <= 1e-8, worst, "whitened eigensolve vs QZ on a coarse twin"
 
 
 def _check_string_damping_spectrum_gap(ctx):
@@ -366,11 +307,13 @@ def _check_abscissa_nonpositive(ctx):
     return ok, ctx.spect.abscissa, "dissipativity bound on the spectrum"
 
 
+# the fit checks read _certify's verdict on whether there is a decay to fit
+_NOTHING_TO_FIT = "ratio_check is not_applicable: no decay to fit"
+
+
 def _check_fit_timestep_invariance(ctx):
-    if ctx.pencil.regime is DampingCase.CONSERVATIVE:
-        return True, 0.0, "no decay to fit in the conservative regime"
-    if _numerically_undamped(ctx.spect):
-        return True, 0.0, "slowest mode is numerically undamped, nothing to fit"
+    if ctx.certificate.ratio_check == "not_applicable":
+        return True, 0.0, _NOTHING_TO_FIT
     dt = ctx.certificate.dt
     t_short = 1000 * dt
     tr = ctx.sim.trace
@@ -388,10 +331,8 @@ def _check_fit_timestep_invariance(ctx):
 
 
 def _check_window_convergence(ctx):
-    if ctx.pencil.regime is DampingCase.CONSERVATIVE:
-        return True, 0.0, "no decay to fit in the conservative regime"
-    if _numerically_undamped(ctx.spect):
-        return True, 0.0, "slowest mode is numerically undamped, nothing to fit"
+    if ctx.certificate.ratio_check == "not_applicable":
+        return True, 0.0, _NOTHING_TO_FIT
     t_end = float(ctx.sim.trace.times[-1])
     denom = 2.0 * abs(ctx.spect.abscissa)
     offsets = []
@@ -403,12 +344,8 @@ def _check_window_convergence(ctx):
 
 
 _REGISTRY = [
-    ("fem.gram_matrices_spd", _check_gram_matrices_spd),
-    ("fem.interpolation_nesting", _check_interpolation_nesting),
     ("dynamics.step_energy_balance", _check_step_energy_balance),
     ("dynamics.energy_monotone", _check_energy_monotone),
-    ("dynamics.time_reversal", _check_time_reversal),
-    ("spectral.whitening_consistency", _check_whitening_consistency),
     ("spectral.string_damping_spectrum_gap", _check_string_damping_spectrum_gap),
     ("spectral.resolvent_lower_bound", _check_resolvent_lower_bound),
     ("spectral.abscissa_nonpositive", _check_abscissa_nonpositive),

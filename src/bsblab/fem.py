@@ -30,8 +30,8 @@ is built densely on demand, as the first-order reference for the tests
 and for --dump-matrices. States y = (p, q) obey B y' = K y, the energy is
 (1/2)(p^T S p + q^T M q), and Re(y^H K y) = -q^H D q holds exactly, which
 is the discrete image of the dissipation identity of the continuous
-semigroup. It follows from the block form of K once S is symmetric, so
-at run time only the symmetry of S, M and D is checked.
+semigroup. It follows from the block form of K once S is symmetric, and
+the tests check the symmetry of S, M and D exactly on their bands.
 """
 
 from __future__ import annotations

@@ -300,7 +300,7 @@ def test_verify_passes_and_is_reproducible(tmp_path, config_file):
         "abscissa", "all_pass", "alpha_fit", "dt", "invariant_results", "mesh",
         "min_axis_distance", "r_squared", "ratio", "ratio_check", "regime", "t_final",
     ]
-    assert p1.stdout.count("PASS") == len(payload["invariant_results"]) == 11
+    assert p1.stdout.count("PASS") == len(payload["invariant_results"]) == 7
     assert "FAIL" not in p1.stdout
     assert payload["all_pass"] is True
 

@@ -396,6 +396,21 @@ def test_plateau_interpolant_is_continuous_at_junctions(ddd_system):
         assert above == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("n", [10, 40, 160])
+def test_plateau_energy_is_the_same_on_the_refined_mesh(ddd_cfg, n):
+    """The plateau interpolants on the n and 2n meshes are the same function,
+    so their energies differ by rounding alone. That grows like eps/h^3
+    through the bending entries (1e-9 at n = 40, 3e-7 at n = 160), while a
+    nesting bug shows at 1e-3 or worse."""
+    data = bb.default_initial_data(ddd_cfg)
+    energies = []
+    for m in (n, 2 * n):
+        mesh, dofs, pencil = fem.discretize(ddd_cfg, m, m, m)
+        energies.append(bb.energy(pencil, fem.interpolate(data, mesh, dofs)))
+    coarse, fine = energies
+    assert abs(fine - coarse) <= 1e-6 * abs(coarse)
+
+
 def test_state_vector_round_trip():
     p = np.array([1.0, 2.0])
     q = np.array([3.0, 4.0])
@@ -514,6 +529,11 @@ def test_banded_assembly_equals_the_dense_scatter_bitwise(ddd_cfg, udu_cfg, cons
         ref = dense_coupled_reference(cfg, mesh, dofs)
         assert fem._half_bandwidth(*ref) == 3
         assert_bands_are_the_dense_matrices(pencil, ref, 3)
+        # exact symmetry, read off the bands: A[j, j + k] sits in row b - k
+        # of column j + k and A[j + k, j] in row b + k of column j
+        for band in (pencil.s_band, pencil.m_band, pencil.d_band):
+            for k in range(1, 4):
+                assert np.array_equal(band[3 - k, k:], band[3 + k, :pencil.n_positions - k])
     for pencil, *ref, b in dense_member_references(n=n):
         assert fem._half_bandwidth(*ref) == b
         assert_bands_are_the_dense_matrices(pencil, ref, b)

@@ -55,16 +55,19 @@ def test_tiny_pencil_slowest_mode():
 
 # --- coupled system spectra -----------------------------------------------------
 
-def test_whitened_eigenvalues_match_generalized_qz(ddd_cfg):
-    _, _, pencil = fem.discretize(ddd_cfg, 6, 6, 6)
-    rep = spectral.eigenvalues(pencil)
-    qz = scipy.linalg.eigvals(pencil.K, pencil.B)
-    scale = np.abs(qz).max()
-    # match as sets: element order is not comparable across routes when
-    # conjugate pairs differ at rounding level
-    gaps = np.abs(rep.eigenvalues[:, None] - qz[None, :])
-    assert gaps.min(axis=1).max() <= 1e-8 * scale
-    assert gaps.min(axis=0).max() <= 1e-8 * scale
+def test_whitened_eigenvalues_match_generalized_qz(ddd_cfg, udu_cfg, cons_cfg):
+    """Both routes, the Schur form of the damped C and the SVD of the
+    undamped X, against QZ on the first-order pencil."""
+    for cfg in (ddd_cfg, udu_cfg, cons_cfg):
+        for n in (3, 6):
+            _, _, pencil = fem.discretize(cfg, n, n, n)
+            rep = spectral.eigenvalues(pencil)
+            qz = scipy.linalg.eigvals(pencil.K, pencil.B)
+            # match as sets, in both directions, so a spectrum collapsed onto
+            # a few QZ values fails: element order is not comparable across
+            # routes when conjugate pairs differ at rounding level
+            gaps = nearest_gaps(rep.eigenvalues, qz)
+            assert max(gaps) <= 1e-8 * np.abs(qz).max(), (cfg, n)
 
 
 def test_spectrum_is_conjugate_symmetric(ddd_system, udu_system):
