@@ -41,7 +41,7 @@ def main(argv=None):
     for n in meshes:
         _, _, pencil = bb.discretize(cfg, n, n, n)
         spect = bb.eigenvalues(pencil)
-        gap = float(np.abs(spect.eigenvalues.real).min())
+        gap = spect.min_axis_distance
         table = bb.resolvent_sweep(pencil, -args.lambda_max, args.lambda_max, args.steps)
         i = int(np.argmax(table.norms))
         print(f"{n:>4} {2 * pencil.n_positions:>5} {gap:>12.3e} "

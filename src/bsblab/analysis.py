@@ -287,7 +287,7 @@ def _check_string_damping_spectrum_gap(ctx):
 def _check_resolvent_lower_bound(ctx):
     mu = ctx.spect.eigenvalues
     lambdas = np.array([-31.4, -5.0, 0.0, 3.7, 11.3, 26.9, 50.0])
-    norms, _ = spectral._axis_norms(ctx.pencil, lambdas, ctx.spect.schur)
+    norms, _ = spectral._axis_norms(ctx.spect, lambdas)
     worst = 0.0
     for lam, norm in zip(lambdas.tolist(), norms.tolist()):
         dist = float(np.min(np.abs(1j * lam - mu)))

@@ -11,16 +11,17 @@ originals. The resolvent norm along the imaginary axis is therefore
     R(lambda) = 1 / sigma_min(i lambda I - C).
 
 `resolvent_norm` evaluates one point by a dense SVD of i lambda I - C; it
-is the reference. `resolvent_sweep` takes one real Schur form C = Z T Z^T
-(dgees; Z is never formed, since it leaves 2-norms alone), makes T complex
-triangular, and gets R(lambda)^2 at each distinct |lambda| as the
-largest eigenvalue of A^{-*} A^{-1}, A = i lambda I - T, by Lanczos with
-full reorthogonalization. Each iteration calls LAPACK directly: two
-triangular solves (ztrtrs) and the largest Ritz pair of the Lanczos
-tridiagonal (dstebz + dstein), about 0.18 ms at n = 40. Lanczos
-stops once the Ritz residual beta_k |s_k| is at most 1e-12 of the Ritz
-value, and after at most dim C iterations, where the Krylov space is
-exhausted and the Ritz value is exact.
+is the reference. `resolvent_sweep` gets R(lambda)^2 at each distinct
+|lambda| as the largest eigenvalue of A^{-*} A^{-1}, A = i lambda I - U,
+by Lanczos with full reorthogonalization, where C = Q U Q^* is a complex
+Schur form (Q is never formed: it leaves 2-norms alone) read off the
+spectrum: its real Schur factor made triangular if damped, else the
+diagonal of its eigenvalues (C is then skew, hence normal). Each
+iteration calls LAPACK directly: two triangular solves (ztrtrs) and the
+largest Ritz pair of the Lanczos tridiagonal (dstebz + dstein), about
+0.18 ms at n = 40. Lanczos stops once the Ritz residual beta_k |s_k| is
+at most 1e-12 of the Ritz value, and after at most dim C iterations,
+where the Krylov space is exhausted and the Ritz value is exact.
 
 With X = Lm^{-1} Ls the whitened matrix is
 
@@ -29,11 +30,11 @@ With X = Lm^{-1} Ls the whitened matrix is
 so without damping C is exactly skew and its eigenvalues are +-i times
 the singular values of X. `eigenvalues` uses that: an undamped pencil
 (D == 0) gets its spectrum from `svdvals` of the N x N matrix X, with
-every real part exactly 0; a damped one from the real Schur factor T of
-C, which the report keeps for the resolvent. X is lower triangular and
-dense: it is the one N x N array of the undamped route, formed in place
-from Ls by banded triangular solves (dtbtrs). The damped route adds a
-dense copy of D for Lm^{-1} D Lm^{-T}, then assembles the 2N x 2N C.
+every real part exactly 0 and no C formed; a damped one from the real
+Schur factor T of C (dgees), kept for the resolvent. X is lower
+triangular and dense: it is the one N x N array of the undamped route,
+formed in place from Ls by banded triangular solves (dtbtrs). The damped
+route adds a dense copy of D for Lm^{-1} D Lm^{-T}, then assembles C.
 
 `slowest_mode` and the decay certificate take mu as the last of these
 eigenvalues, so `decay` and `verify` report the spectrum `spectrum` writes,
@@ -71,7 +72,8 @@ class NonpositiveParameter(ValueError):
 class SpectrumReport:
     """All 2N eigenvalues plus the two scalars the stability theory cares
     about: the spectral abscissa and the distance of the spectrum to the
-    imaginary axis; `schur` is the real Schur factor of a damped spectrum."""
+    imaginary axis; `schur` is the real Schur factor of a damped spectrum
+    (an undamped one's complex Schur form is its eigenvalues' diagonal)."""
 
     eigenvalues: np.ndarray
     abscissa: float
@@ -376,8 +378,7 @@ def resolvent_sweep(
     The pencil is real, so the norm is even in lambda; it is computed once
     per distinct |lambda| and mirrored, which halves the work on grids
     symmetric about 0 (their points are mirrored bitwise, see _axis_grid).
-    Each value comes from the Schur factor of the whitened matrix by
-    Lanczos; resolvent_norm is the dense reference for one point.
+    Each value comes from _axis_norms; resolvent_norm is the dense reference.
     """
     if int(steps) != steps or steps < 2:
         raise NonpositiveParameter(f"steps must be an integer >= 2, got {steps}")
@@ -386,25 +387,23 @@ def resolvent_sweep(
             f"need lambda_min < lambda_max, got [{lambda_min}, {lambda_max}]"
         )
     grid = _axis_grid(float(lambda_min), float(lambda_max), int(steps))
-    norms, iterations = _axis_norms(pencil, grid)
+    norms, iterations = _axis_norms(eigenvalues(pencil), grid)
     return ResolventTable(lambdas=grid, norms=norms, iterations=iterations)
 
 
-def _axis_norms(pencil: SystemPencil, lambdas: np.ndarray, schur: np.ndarray | None = None):
+def _axis_norms(spect: SpectrumReport, lambdas: np.ndarray):
     """Resolvent norms at the axis points i*lambdas, and the Lanczos
-    iterations behind each.
-
-    Takes the real Schur factor T from `schur` (eigenvalues() keeps it) or
-    factors here, makes it complex triangular, and runs Lanczos once per
-    distinct |lambda|; mirrored points share that value.
-    """
-    if schur is None:
-        schur, _ = _real_schur(_whiten(pencil))
-    t = _complex_triangle(schur)
-    del schur
+    iterations behind each: one Lanczos run per distinct |lambda| on the
+    report's complex Schur form U, its real Schur factor made triangular,
+    or its eigenvalues on a diagonal when undamped (C is then normal)."""
+    if spect.schur is not None:
+        t = _complex_triangle(spect.schur)
+    else:
+        t = np.zeros((spect.eigenvalues.size,) * 2, dtype=np.complex128, order="F")
+        np.fill_diagonal(t, spect.eigenvalues)
     rng = np.random.default_rng(0)
     start = rng.standard_normal(t.shape[0]) + 1j * rng.standard_normal(t.shape[0])
-    # A = i lambda I - T in place of T: only the diagonal changes per point
+    # A = i lambda I - U in place of U: only the diagonal changes per point
     a = np.negative(t, out=t)
     diagonal = a.diagonal().copy()
     keys, where = np.unique(np.abs(lambdas), return_inverse=True)

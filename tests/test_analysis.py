@@ -201,15 +201,12 @@ def test_fit_timestep_invariance_reuses_the_mode_run(ddd_system, monkeypatch):
         assert calls == runs
 
 
-@pytest.mark.parametrize("system", ["ddd_system", "udu_system", "cons_system"])
-def test_verify_builds_no_second_pencil(request, system, monkeypatch):
-    """verify checks the pencil it is given: it discretizes and assembles
-    nothing and runs no QZ. It whitens that pencil once and computes one
-    real Schur factor of C, which the spectrum (when damped) and the
-    resolvent check share."""
-    cfg, mesh, dofs, pencil = request.getfixturevalue(system)
+def count_factorizations(monkeypatch, pencil):
+    """Record each _whiten call (by its N) and each dgees, zgees or eig on
+    a 2N x 2N matrix (workspace queries aside) made from here on."""
     size = 2 * pencil.n_positions
-    whitened, factored, forbidden = [], [], []
+    whitened, factored = [], []
+    whiten = spectral._whiten
 
     def counted_whiten(p):
         whitened.append(p.n_positions)
@@ -223,24 +220,50 @@ def test_verify_builds_no_second_pencil(request, system, monkeypatch):
             return routine(*args, **kwargs)
         return call
 
+    monkeypatch.setattr(spectral, "_whiten", counted_whiten)
+    for module, name in ((scipy.linalg.lapack, "dgees"), (scipy.linalg.lapack, "zgees"),
+                         (scipy.linalg, "eig")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return whitened, factored
+
+
+@pytest.mark.parametrize("system", ["ddd_system", "udu_system", "cons_system"])
+def test_verify_builds_no_second_pencil(request, system, monkeypatch):
+    """verify checks the pencil it is given: it discretizes and assembles
+    nothing and runs no QZ. A damped pencil is whitened once, and one real
+    Schur factor of C feeds the spectrum and the resolvent check; an
+    undamped one is neither whitened nor Schur-factored, as its resolvent
+    reads the eigenvalues."""
+    cfg, mesh, dofs, pencil = request.getfixturevalue(system)
+    forbidden = []
+
     def refused(name, routine):
         def call(*args, **kwargs):
             forbidden.append(name)
             return routine(*args, **kwargs)
         return call
 
-    whiten = spectral._whiten
-    monkeypatch.setattr(spectral, "_whiten", counted_whiten)
-    for module, name in ((scipy.linalg.lapack, "dgees"), (scipy.linalg.lapack, "zgees"),
-                         (scipy.linalg, "eig")):
-        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    whitened, factored = count_factorizations(monkeypatch, pencil)
     for module, name in ((fem, "discretize"), (fem, "assemble_pencil"),
                          (scipy.linalg, "eigvals")):
         monkeypatch.setattr(module, name, refused(name, getattr(module, name)))
     assert bb.cross_validate(cfg, mesh, dofs, pencil).all_pass
     assert forbidden == []
-    assert whitened == [pencil.n_positions]
-    assert factored == ["dgees"]
+    damped = bool(pencil.d_band.any())
+    assert whitened == ([pencil.n_positions] if damped else [])
+    assert factored == (["dgees"] if damped else [])
+
+
+@pytest.mark.parametrize("system", ["ddd_system", "udu_system", "cons_system"])
+def test_resolvent_sweep_factors_the_pencil_at_most_once(request, system, monkeypatch):
+    """resolvent_sweep whitens a damped pencil once and runs one dgees on
+    C; an undamped one it neither whitens nor Schur-factors."""
+    pencil = request.getfixturevalue(system)[3]
+    whitened, factored = count_factorizations(monkeypatch, pencil)
+    spectral.resolvent_sweep(pencil, -50.0, 50.0, 21)
+    damped = bool(pencil.d_band.any())
+    assert whitened == ([pencil.n_positions] if damped else [])
+    assert factored == (["dgees"] if damped else [])
 
 
 def test_report_rendering_is_byte_stable_and_valid_json(ddd_system):

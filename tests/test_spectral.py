@@ -402,14 +402,18 @@ def test_sweep_grid_is_exactly_symmetric():
 @pytest.mark.parametrize("name", ["ddd_system", "udu_system", "cons_system"])
 @pytest.mark.parametrize("lo,hi,steps", [(-50.0, 50.0, 41), (-3.0, 17.0, 21)])
 def test_sweep_matches_the_dense_svd_reference(request, name, lo, hi, steps):
-    """Real Schur + Lanczos sweep against one svdvals per point."""
+    """Schur triangle + Lanczos sweep against one svdvals per point; an
+    undamped C is normal, so there the norm is 1/dist(i lambda, spectrum)."""
     _, _, _, pencil = request.getfixturevalue(name)
     eig = spectral.eigenvalues(pencil).eigenvalues
     table = spectral.resolvent_sweep(pencil, lo, hi, steps)
     for lam, norm, its in zip(table.lambdas, table.norms, table.iterations):
         want = spectral.resolvent_norm(pencil, float(lam))
         assert norm == pytest.approx(want, rel=1e-10)
-        assert norm * np.abs(1j * lam - eig).min() >= 1.0 - 1e-9
+        dist = np.abs(1j * lam - eig).min()
+        assert norm * dist >= 1.0 - 1e-9
+        if name == "cons_system":
+            assert norm * dist == pytest.approx(1.0, abs=1e-12)
         assert 1 <= its <= 2 * pencil.n_positions
 
 
@@ -457,7 +461,9 @@ def reference_lanczos_inverse_norm(a, start):
 
 
 def shifted_schur_factor(pencil):
-    """A = -U as _axis_norms builds it, its unshifted diagonal, a start vector."""
+    """A = -U for the complex triangle U of the whitened C's real Schur
+    form (as _axis_norms builds it from a damped spectrum), its unshifted
+    diagonal, a start vector."""
     t = spectral._complex_triangle(spectral._real_schur(spectral._whiten(pencil))[0])
     rng = np.random.default_rng(0)
     start = rng.standard_normal(t.shape[0]) + 1j * rng.standard_normal(t.shape[0])
