@@ -37,12 +37,13 @@ def main(argv=None):
 
     print(f"sweep over [{-args.lambda_max}, {args.lambda_max}] with {args.steps} points")
     print(f"{'n':>4} {'dim':>5} {'gap':>12} {'axis sup':>12} {'at lambda':>10}")
+    grid = bb.axis_grid(-args.lambda_max, args.lambda_max, args.steps)
     last = None
     for n in meshes:
         _, _, pencil = bb.discretize(cfg, n, n, n)
         spect = bb.eigenvalues(pencil)
         gap = spect.min_axis_distance
-        table = bb.resolvent_sweep(pencil, -args.lambda_max, args.lambda_max, args.steps)
+        table = bb.resolvent_sweep(spect, grid)
         i = int(np.argmax(table.norms))
         print(f"{n:>4} {2 * pencil.n_positions:>5} {gap:>12.3e} "
               f"{table.norms[i]:>12.6f} {table.lambdas[i]:>10.4f}")

@@ -29,6 +29,7 @@ from .dynamics import default_dt, simulate
 from .fem import discretize, evaluate_state, interpolate
 from .model import StructureConfig, default_initial_data, validate_config
 from .spectral import (
+    axis_grid,
     beam_clamped_free_frequencies,
     eigenvalues,
     resolvent_sweep,
@@ -168,7 +169,7 @@ def parse_args(argv) -> RunSpec:
     mod = add("modes", "closed-form oracle table for the isolated members", matrices=False)
     mod.add_argument("--count", type=int, help="modes per member")
 
-    add_run("verify", "full invariant sweep; exit 0 iff all pass")
+    add_run("verify", "invariant sweep and decay verdict; exit 0 iff all pass")
 
     ns = parser.parse_args(argv)
     spec = RunSpec(**vars(ns))
@@ -288,7 +289,8 @@ def _cmd_spectrum(spec: RunSpec) -> int:
 
 def _cmd_resolvent(spec: RunSpec) -> int:
     cfg, mesh, dofs, pencil = _prepare(spec)
-    table = resolvent_sweep(pencil, spec.lambda_min, spec.lambda_max, spec.lambda_steps)
+    table = resolvent_sweep(eigenvalues(pencil),
+                            axis_grid(spec.lambda_min, spec.lambda_max, spec.lambda_steps))
     path = os.path.join(spec.out_dir, "resolvent.csv")
     _write_rows(path, "lambda,norm",
                 ((_fmt(lam), _fmt(nrm)) for lam, nrm in zip(table.lambdas, table.norms)))
@@ -341,7 +343,8 @@ def _cmd_verify(spec: RunSpec) -> int:
     verdict = "all checks passed" if report.all_pass else "CHECKS FAILED"
     cert = report.certificate
     print(f"verify: {verdict}; regime = {cert.regime}, "
-          f"abscissa = {_fmt(cert.abscissa)}, ratio = {analysis._json_scalar(cert.ratio)}")
+          f"abscissa = {_fmt(cert.abscissa)}, ratio = {analysis._json_scalar(cert.ratio)}, "
+          f"check = {cert.ratio_check}")
     print(f"wrote {path}")
     return 0 if report.all_pass else 1
 

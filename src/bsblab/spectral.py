@@ -11,12 +11,14 @@ originals. The resolvent norm along the imaginary axis is therefore
     R(lambda) = 1 / sigma_min(i lambda I - C).
 
 `resolvent_norm` evaluates one point by a dense SVD of i lambda I - C; it
-is the reference. `resolvent_sweep` gets R(lambda)^2 at each distinct
-|lambda| as the largest eigenvalue of A^{-*} A^{-1}, A = i lambda I - U,
-by Lanczos with full reorthogonalization, where C = Q U Q^* is a complex
-Schur form (Q is never formed: it leaves 2-norms alone) read off the
-spectrum: its real Schur factor made triangular if damped, else the
-diagonal of its eigenvalues (C is then skew, hence normal). Each
+is the reference. `resolvent_sweep` takes the SpectrumReport that
+`eigenvalues` returns and any axis points (`axis_grid` makes a uniform,
+mirror-symmetric grid). It gets R(lambda)^2 at each distinct |lambda| as
+the largest eigenvalue of A^{-*} A^{-1}, A = i lambda I - U, by Lanczos
+with full reorthogonalization, where C = Q U Q^* is a complex Schur form
+(Q is never formed: it leaves 2-norms alone) read off the report: its
+real Schur factor made triangular if damped, else the diagonal of its
+eigenvalues (C is then skew, hence normal). Each
 iteration calls LAPACK directly: two triangular solves (ztrtrs) and the
 largest Ritz pair of the Lanczos tridiagonal (dstebz + dstein), about
 0.18 ms at n = 40. Lanczos stops once the Ritz residual beta_k |s_k| is
@@ -36,10 +38,11 @@ triangular and dense: it is the one N x N array of the undamped route,
 formed in place from Ls by banded triangular solves (dtbtrs). The damped
 route adds a dense copy of D for Lm^{-1} D Lm^{-T}, then assembles C.
 
-`slowest_mode` and the decay certificate take mu as the last of these
-eigenvalues, so `decay` and `verify` report the spectrum `spectrum` writes,
-and its eigenvector (p, mu p) from a banded solve on the N x N quadratic
-Q(mu) = mu^2 M + mu D + S (Tisseur & Meerbergen, SIAM Review 43, 2001).
+`eigenmode` gives the eigenvector (p, mu p) of one of these eigenvalues
+from a banded solve on the N x N quadratic Q(mu) = mu^2 M + mu D + S
+(Tisseur & Meerbergen, SIAM Review 43, 2001). The decay certificate takes
+mu as the last eigenvalue, so `decay` and `verify` report the spectrum
+`spectrum` writes.
 """
 
 from __future__ import annotations
@@ -217,22 +220,12 @@ def _complex_triangle(t: np.ndarray) -> np.ndarray:
     return u
 
 
-def slowest_mode(pencil: SystemPencil):
-    """Eigenpair with the largest real part, energy-normalized.
-
-    Returns (mu, y_re, y_im): mu = eigenvalues(pencil).eigenvalues[-1], so
-    ties break by (Re, Im), a conjugate pair gives its upper member and an
-    undamped pencil its highest frequency; y_re + i y_im is the eigenvector
-    at unit energy, its largest-magnitude component real and positive.
-    """
-    mu = complex(eigenvalues(pencil).eigenvalues[-1])
-    y = _eigenmode(pencil, mu)
-    return (mu, StateVector(y.p.real.copy(), y.q.real.copy()),
-            StateVector(y.p.imag.copy(), y.q.imag.copy()))
-
-
-def _eigenmode(pencil: SystemPencil, mu: complex) -> StateVector:
+def eigenmode(pencil: SystemPencil, mu: complex) -> StateVector:
     """Complex unit-energy eigenvector (p, mu p) for the eigenvalue mu.
+
+    mu must be an eigenvalue of the pencil, as eigenvalues reports it, e.g.
+    eigenvalues(pencil).eigenvalues[-1], the slowest mode. The vector's
+    largest-magnitude component is real and positive.
 
     p spans the null space of Q(mu): banded LU (zgbtrf) of the band
     mu^2 M + mu D + S, formed entrywise on the stored bands, then two steps
@@ -291,14 +284,22 @@ def resolvent_norm(pencil: SystemPencil, lam: float) -> float:
 LANCZOS_TOL = 1e-12
 
 
-def _axis_grid(lambda_min: float, lambda_max: float, steps: int) -> np.ndarray:
-    """Uniform grid that is bitwise antisymmetric when lambda_min == -lambda_max.
+def axis_grid(lambda_min: float, lambda_max: float, steps: int) -> np.ndarray:
+    """Uniform grid of steps axis points from lambda_min to lambda_max,
+    bitwise antisymmetric when lambda_min == -lambda_max.
 
     Point k is mid + half * j / (steps - 1) with the integer
     j = 2k - (steps - 1), so mirrored points differ only in the sign of j.
     np.linspace agrees to rounding but is not symmetric bitwise, which
     would defeat the mirror cache of resolvent_sweep.
     """
+    if int(steps) != steps or steps < 2:
+        raise NonpositiveParameter(f"steps must be an integer >= 2, got {steps}")
+    if not (np.isfinite(lambda_min) and np.isfinite(lambda_max)) or lambda_max <= lambda_min:
+        raise NonpositiveParameter(
+            f"need lambda_min < lambda_max, got [{lambda_min}, {lambda_max}]"
+        )
+    lambda_min, lambda_max, steps = float(lambda_min), float(lambda_max), int(steps)
     mid = 0.5 * lambda_min + 0.5 * lambda_max
     half = 0.5 * lambda_max - 0.5 * lambda_min
     j = 2.0 * np.arange(steps) - (steps - 1)
@@ -370,32 +371,19 @@ def _lanczos_inverse_norm(a: np.ndarray, start: np.ndarray):
     return math.sqrt(theta), k + 1
 
 
-def resolvent_sweep(
-    pencil: SystemPencil, lambda_min: float, lambda_max: float, steps: int
-) -> ResolventTable:
-    """Resolvent norms on a uniform grid of axis points.
+def resolvent_sweep(spect: SpectrumReport, lambdas) -> ResolventTable:
+    """Resolvent norms at the axis points i*lambdas, from the spectrum report.
 
-    The pencil is real, so the norm is even in lambda; it is computed once
-    per distinct |lambda| and mirrored, which halves the work on grids
-    symmetric about 0 (their points are mirrored bitwise, see _axis_grid).
-    Each value comes from _axis_norms; resolvent_norm is the dense reference.
+    One Lanczos run per distinct |lambda| on the report's complex Schur
+    form U: its real Schur factor made triangular, or its eigenvalues on a
+    diagonal when undamped (C is then normal). The pencil is real, so the
+    norm is even in lambda; mirrored points share one run, which halves
+    the work on grids symmetric about 0 (see axis_grid). Nothing is
+    whitened or factored here; resolvent_norm is the dense reference.
     """
-    if int(steps) != steps or steps < 2:
-        raise NonpositiveParameter(f"steps must be an integer >= 2, got {steps}")
-    if not (np.isfinite(lambda_min) and np.isfinite(lambda_max)) or lambda_max <= lambda_min:
-        raise NonpositiveParameter(
-            f"need lambda_min < lambda_max, got [{lambda_min}, {lambda_max}]"
-        )
-    grid = _axis_grid(float(lambda_min), float(lambda_max), int(steps))
-    norms, iterations = _axis_norms(eigenvalues(pencil), grid)
-    return ResolventTable(lambdas=grid, norms=norms, iterations=iterations)
-
-
-def _axis_norms(spect: SpectrumReport, lambdas: np.ndarray):
-    """Resolvent norms at the axis points i*lambdas, and the Lanczos
-    iterations behind each: one Lanczos run per distinct |lambda| on the
-    report's complex Schur form U, its real Schur factor made triangular,
-    or its eigenvalues on a diagonal when undamped (C is then normal)."""
+    lambdas = np.asarray(lambdas, dtype=float)
+    if lambdas.size == 0 or not np.isfinite(lambdas).all():
+        raise NonpositiveParameter(f"need one or more finite axis points, got {lambdas}")
     if spect.schur is not None:
         t = _complex_triangle(spect.schur)
     else:
@@ -412,7 +400,7 @@ def _axis_norms(spect: SpectrumReport, lambdas: np.ndarray):
     for i, key in enumerate(keys):
         np.fill_diagonal(a, diagonal + 1j * key)
         norms[i], iterations[i] = _lanczos_inverse_norm(a, start)
-    return norms[where], iterations[where]
+    return ResolventTable(lambdas=lambdas, norms=norms[where], iterations=iterations[where])
 
 
 # --- closed-form oracles ---------------------------------------------------

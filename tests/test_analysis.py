@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 
 import bsblab as bb
-from bsblab import analysis, dynamics, fem, spectral
+from bsblab import analysis, cli, dynamics, fem, spectral
 from bsblab.cli import read_config
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -177,7 +177,8 @@ def test_explicit_dt_and_t_final_are_respected(ddd_system):
 
 def test_fit_timestep_invariance_reuses_the_mode_run(ddd_system, monkeypatch):
     """The dt fit over the first 1000 steps of the mode run gives exactly the
-    residual of two fresh runs; a mode run shorter than that is not reused."""
+    residual of two fresh runs; a shorter mode run is fitted whole, against
+    a dt/2 run over its own length. Only the dt/2 run is simulated."""
     cfg, _, _, pencil = ddd_system
     cert, spect, y0, sim = analysis._certify(cfg, pencil, None, None)
     dt = cert.dt
@@ -191,14 +192,18 @@ def test_fit_timestep_invariance_reuses_the_mode_run(ddd_system, monkeypatch):
         calls.append(args[2])
         return bb.simulate(*args, **kwargs)
 
+    short = bb.simulate(pencil, y0, dt, 500 * dt)
+    a = bb.fit_decay(short.trace)
+    b = bb.fit_decay(bb.simulate(pencil, y0, dt / 2, 500 * dt).trace)
+    want_short = abs(b.alpha - a.alpha) / max(abs(a.alpha), 2.0 * abs(spect.abscissa), 1e-9)
     monkeypatch.setattr(analysis, "simulate", counted)
-    for run, runs in ((sim, [dt / 2]), (bb.simulate(pencil, y0, dt, 500 * dt), [dt, dt / 2])):
+    for run, expected in ((sim, want), (short, want_short)):
         calls.clear()
         ctx = analysis._Context(cfg=cfg, mesh=None, dofs=None, pencil=pencil, spect=spect,
                                 sim=run, mode_state=y0, certificate=cert)
         passed, residual, _ = analysis._check_fit_timestep_invariance(ctx)
-        assert passed and residual == want
-        assert calls == runs
+        assert passed and residual == expected
+        assert calls == [dt / 2]
 
 
 def count_factorizations(monkeypatch, pencil):
@@ -255,12 +260,27 @@ def test_verify_builds_no_second_pencil(request, system, monkeypatch):
 
 
 @pytest.mark.parametrize("system", ["ddd_system", "udu_system", "cons_system"])
-def test_resolvent_sweep_factors_the_pencil_at_most_once(request, system, monkeypatch):
-    """resolvent_sweep whitens a damped pencil once and runs one dgees on
-    C; an undamped one it neither whitens nor Schur-factors."""
+def test_resolvent_sweep_on_a_report_factors_nothing(request, system, monkeypatch):
+    """resolvent_sweep reads its Schur form off the spectrum report: it
+    whitens and factors nothing, damped or not."""
     pencil = request.getfixturevalue(system)[3]
+    spect = spectral.eigenvalues(pencil)
     whitened, factored = count_factorizations(monkeypatch, pencil)
-    spectral.resolvent_sweep(pencil, -50.0, 50.0, 21)
+    spectral.resolvent_sweep(spect, spectral.axis_grid(-50.0, 50.0, 21))
+    assert whitened == [] and factored == []
+
+
+@pytest.mark.parametrize("system", ["ddd_system", "udu_system", "cons_system"])
+def test_resolvent_sweep_factors_the_pencil_at_most_once(request, system, monkeypatch, tmp_path):
+    """The resolvent job whitens a damped pencil once and runs one dgees on
+    C, for the spectrum its sweep reads; an undamped one it neither whitens
+    nor Schur-factors."""
+    pencil = request.getfixturevalue(system)[3]
+    name = {"ddd_system": "ddd", "udu_system": "udu", "cons_system": "conservative"}[system]
+    whitened, factored = count_factorizations(monkeypatch, pencil)
+    assert cli.main(["resolvent", "--config", str(CONFIGS / f"{name}.cfg"),
+                     "--n1", "10", "--n2", "10", "--n3", "10", "--lambda-steps", "21",
+                     "--out-dir", str(tmp_path)]) == 0
     damped = bool(pencil.d_band.any())
     assert whitened == ([pencil.n_positions] if damped else [])
     assert factored == (["dgees"] if damped else [])

@@ -203,7 +203,8 @@ def test_resolvent_prints_the_lanczos_work_with_the_sup_last(tmp_path, capsys):
                      "--out-dir", str(tmp_path)]) == 0
     line = capsys.readouterr().out.splitlines()[0]
     _, _, pencil = bb.discretize(bb.validate_config(read_config(config)), 10, 10, 10)
-    table = spectral.resolvent_sweep(pencil, -50.0, 50.0, 41)
+    grid = spectral.axis_grid(-50.0, 50.0, 41)
+    table = spectral.resolvent_sweep(spectral.eigenvalues(pencil), grid)
     # mirrored points share one Lanczos run, so each |lambda| counts once
     per_key = dict(zip(np.abs(table.lambdas).tolist(), table.iterations.tolist()))
     assert len(per_key) == 21
@@ -303,6 +304,20 @@ def test_verify_passes_and_is_reproducible(tmp_path, config_file):
     assert p1.stdout.count("PASS") == len(payload["invariant_results"]) == 7
     assert "FAIL" not in p1.stdout
     assert payload["all_pass"] is True
+
+
+def test_verify_fails_on_a_failed_decay_verdict(tmp_path, config_file, capsys):
+    """At dt = 2 on ddd every invariant passes but the fitted rate is far
+    below twice the abscissa; the failed verdict fails verify."""
+    out = tmp_path / "out"
+    rc = cli.main(["verify", "--config", config_file, "--n1", "8", "--n2", "8", "--n3", "8",
+                   "--dt", "2", "--out-dir", str(out)])
+    payload = json.loads((out / "report.json").read_text())
+    assert payload["ratio_check"] == "two_sided_fail"
+    assert all(r["passed"] for r in payload["invariant_results"])
+    assert payload["all_pass"] is False
+    assert rc == 1
+    assert "CHECKS FAILED" in capsys.readouterr().out
 
 
 def test_dump_matrices_round_trip(tmp_path, config_file):

@@ -45,9 +45,9 @@ def test_tiny_pencil_resolvent_norm_is_golden_ratio():
 
 def test_tiny_pencil_slowest_mode():
     pencil = tiny_pencil()
-    mu, y_re, y_im = spectral.slowest_mode(pencil)
+    mu = spectral.eigenvalues(pencil).eigenvalues[-1]
     assert mu == pytest.approx(-0.5 + 0.8660254037844386j, abs=1e-14)
-    y = y_re.to_array() + 1j * y_im.to_array()
+    y = spectral.eigenmode(pencil, mu).to_array()
     # eigenpair residual and unit-energy normalization
     assert np.linalg.norm(pencil.K @ y - mu * (pencil.B @ y)) <= 1e-12
     assert 0.5 * np.vdot(y, pencil.B @ y).real == pytest.approx(1.0, rel=1e-12)
@@ -145,12 +145,11 @@ def quadratic_residual(pencil, mu, p):
 @pytest.mark.parametrize("cfg_name", ["ddd_cfg", "udu_cfg", "cons_cfg"])
 def test_slowest_mode_matches_abscissa(cfg_name, n, request):
     _, _, pencil = fem.discretize(request.getfixturevalue(cfg_name), n, n, n)
-    mu, y_re, y_im = spectral.slowest_mode(pencil)
-    # the last eigenvalue in canonical order, bitwise: decay and verify
-    # report the spectrum that `spectrum` writes
-    assert mu == spectral.eigenvalues(pencil).eigenvalues[-1]
-    p = y_re.p + 1j * y_im.p
-    q = y_re.q + 1j * y_im.q
+    # the last eigenvalue in canonical order: decay and verify report the
+    # spectrum that `spectrum` writes
+    mu = spectral.eigenvalues(pencil).eigenvalues[-1]
+    y = spectral.eigenmode(pencil, mu)
+    p, q = y.p, y.q
     assert quadratic_residual(pencil, mu, p) <= 1e-13
     assert np.linalg.norm(q - mu * p) <= 1e-12 * np.linalg.norm(q)
     assert bb.energy(pencil, bb.StateVector(p, q)) == pytest.approx(1.0, rel=1e-12)
@@ -164,10 +163,10 @@ def test_slowest_mode_when_q_is_exactly_singular(s_diag, mu_want, p_want):
     s = np.diag(s_diag)
     eye = np.eye(s.shape[0])
     pencil = fem.SystemPencil.from_dense(S=s, M=eye, D=0.0 * eye, regime=DampingCase.CONSERVATIVE)
-    mu, y_re, y_im = spectral.slowest_mode(pencil)
+    mu = spectral.eigenvalues(pencil).eigenvalues[-1]
     assert mu == pytest.approx(mu_want, abs=1e-14)
-    p = y_re.p + 1j * y_im.p
-    q = y_re.q + 1j * y_im.q
+    y = spectral.eigenmode(pencil, mu)
+    p, q = y.p, y.q
     # p is a unit multiple of e_k
     assert abs(abs(np.vdot(p_want, p)) - np.linalg.norm(p)) <= 1e-14 * np.linalg.norm(p)
     assert np.linalg.norm(q - mu * p) <= 1e-12 * np.linalg.norm(q)
@@ -176,7 +175,7 @@ def test_slowest_mode_when_q_is_exactly_singular(s_diag, mu_want, p_want):
 
 def test_eigenmode_rejects_a_vanishing_first_iterate_before_dividing(ddd_cfg):
     """rho1 = 1e150 at n = 4 swamps Q(mu) so that the first inverse
-    iterate underflows to zero; _eigenmode raises on its norm without a
+    iterate underflows to zero; eigenmode raises on its norm without a
     numpy divide-by-zero warning."""
     cfg = bb.validate_config(dataclasses.replace(ddd_cfg, rho1=1e150))
     _, _, pencil = bb.discretize(cfg, 4, 4, 4)
@@ -184,7 +183,7 @@ def test_eigenmode_rejects_a_vanishing_first_iterate_before_dividing(ddd_cfg):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(spectral.FactorizationFailure, match="no eigenvector"):
-            spectral._eigenmode(pencil, mu)
+            spectral.eigenmode(pencil, mu)
 
 
 def dense_whitened_reference(pencil):
@@ -235,14 +234,14 @@ def test_undamped_spectrum_is_exactly_on_the_axis(cons_cfg, cons_system):
 def test_both_routes_reject_an_indefinite_or_empty_pencil():
     eye, indefinite = np.eye(2), np.diag([1.0, -1.0])
     empty = np.zeros((0, 0))
-    for solve in (spectral.eigenvalues, spectral.slowest_mode):
-        for damping in (np.zeros((2, 2)), eye):
-            for s, m in ((indefinite, eye), (eye, indefinite)):
-                pencil = fem.SystemPencil.from_dense(S=s, M=m, D=damping, regime=DampingCase.OTHER)
-                with pytest.raises(spectral.FactorizationFailure):
-                    solve(pencil)
-        with pytest.raises(spectral.EmptySpectrum):
-            solve(fem.SystemPencil.from_dense(S=empty, M=empty, D=empty, regime=DampingCase.OTHER))
+    for damping in (np.zeros((2, 2)), eye):
+        for s, m in ((indefinite, eye), (eye, indefinite)):
+            pencil = fem.SystemPencil.from_dense(S=s, M=m, D=damping, regime=DampingCase.OTHER)
+            with pytest.raises(spectral.FactorizationFailure):
+                spectral.eigenvalues(pencil)
+    with pytest.raises(spectral.EmptySpectrum):
+        spectral.eigenvalues(
+            fem.SystemPencil.from_dense(S=empty, M=empty, D=empty, regime=DampingCase.OTHER))
 
 
 # --- closed-form member oracles ---------------------------------------------------
@@ -362,11 +361,12 @@ def test_resolvent_far_field_decay(ddd_cfg):
 
 def test_resolvent_blows_up_on_a_conservative_eigenfrequency(cons_system):
     _, _, _, pencil = cons_system
-    eig = spectral.eigenvalues(pencil).eigenvalues
+    spect = spectral.eigenvalues(pencil)
+    eig = spect.eigenvalues
     lam0 = float(eig[eig.imag > 1e-6].imag.min())
     assert spectral.resolvent_norm(pencil, lam0) >= 1e5
-    # the sweep pins its end points, so both land on the eigenfrequency
-    table = spectral.resolvent_sweep(pencil, -lam0, lam0, 3)
+    # the grid pins its end points, so both land on the eigenfrequency
+    table = spectral.resolvent_sweep(spect, spectral.axis_grid(-lam0, lam0, 3))
     assert table.lambdas[0] == -lam0 and table.lambdas[-1] == lam0
     for norm in (table.norms[0], table.norms[-1]):
         assert math.isinf(norm) or norm >= 1e5
@@ -375,7 +375,8 @@ def test_resolvent_blows_up_on_a_conservative_eigenfrequency(cons_system):
 
 def test_resolvent_sweep_grid_and_mirror(ddd_system):
     _, _, _, pencil = ddd_system
-    table = spectral.resolvent_sweep(pencil, -10.0, 10.0, 21)
+    grid = spectral.axis_grid(-10.0, 10.0, 21)
+    table = spectral.resolvent_sweep(spectral.eigenvalues(pencil), grid)
     assert table.lambdas.shape == table.norms.shape == (21,)
     assert table.lambdas[0] == -10.0 and table.lambdas[-1] == 10.0
     assert np.allclose(np.diff(table.lambdas), 1.0)
@@ -389,12 +390,13 @@ def test_resolvent_sweep_grid_and_mirror(ddd_system):
 def test_sweep_grid_is_exactly_symmetric():
     # mirrored points must be bitwise negatives so each |lambda| is computed
     # once; np.linspace(-50, 50, 2001) gives 1669 distinct |lambda|
+    spect = spectral.eigenvalues(tiny_pencil())
     for steps, distinct in ((301, 151), (2001, 1001)):
-        table = spectral.resolvent_sweep(tiny_pencil(), -50.0, 50.0, steps)
+        table = spectral.resolvent_sweep(spect, spectral.axis_grid(-50.0, 50.0, steps))
         assert np.array_equal(table.lambdas, -table.lambdas[::-1])
         assert table.distinct_points == distinct
         assert np.max(np.abs(table.lambdas - np.linspace(-50.0, 50.0, steps))) <= 1e-12
-    table = spectral.resolvent_sweep(tiny_pencil(), -3.0, 17.0, 2001)
+    table = spectral.resolvent_sweep(spect, spectral.axis_grid(-3.0, 17.0, 2001))
     assert table.lambdas[0] == -3.0 and table.lambdas[-1] == 17.0
     assert np.max(np.abs(table.lambdas - np.linspace(-3.0, 17.0, 2001))) <= 1e-12
 
@@ -405,8 +407,9 @@ def test_sweep_matches_the_dense_svd_reference(request, name, lo, hi, steps):
     """Schur triangle + Lanczos sweep against one svdvals per point; an
     undamped C is normal, so there the norm is 1/dist(i lambda, spectrum)."""
     _, _, _, pencil = request.getfixturevalue(name)
-    eig = spectral.eigenvalues(pencil).eigenvalues
-    table = spectral.resolvent_sweep(pencil, lo, hi, steps)
+    spect = spectral.eigenvalues(pencil)
+    eig = spect.eigenvalues
+    table = spectral.resolvent_sweep(spect, spectral.axis_grid(lo, hi, steps))
     for lam, norm, its in zip(table.lambdas, table.norms, table.iterations):
         want = spectral.resolvent_norm(pencil, float(lam))
         assert norm == pytest.approx(want, rel=1e-10)
@@ -462,7 +465,7 @@ def reference_lanczos_inverse_norm(a, start):
 
 def shifted_schur_factor(pencil):
     """A = -U for the complex triangle U of the whitened C's real Schur
-    form (as _axis_norms builds it from a damped spectrum), its unshifted
+    form (as resolvent_sweep builds it from a damped spectrum), its unshifted
     diagonal, a start vector."""
     t = spectral._complex_triangle(spectral._real_schur(spectral._whiten(pencil))[0])
     rng = np.random.default_rng(0)
@@ -540,10 +543,16 @@ def test_lanczos_takes_only_a_fortran_ordered_factor(ddd_system):
 
 def test_resolvent_parameter_validation(ddd_system):
     _, _, _, pencil = ddd_system
-    with pytest.raises(spectral.NonpositiveParameter):
-        spectral.resolvent_sweep(pencil, -1.0, 1.0, 1)
-    with pytest.raises(spectral.NonpositiveParameter):
-        spectral.resolvent_sweep(pencil, 1.0, -1.0, 11)
+    with pytest.raises(spectral.NonpositiveParameter, match="steps must be an integer >= 2"):
+        spectral.axis_grid(-1.0, 1.0, 1)
+    with pytest.raises(spectral.NonpositiveParameter, match="need lambda_min < lambda_max"):
+        spectral.axis_grid(1.0, -1.0, 11)
+    with pytest.raises(spectral.NonpositiveParameter, match="need lambda_min < lambda_max"):
+        spectral.axis_grid(-1.0, math.inf, 11)
+    spect = spectral.eigenvalues(pencil)
+    for bad in ([0.0, math.inf], [-math.inf, 0.0], [math.nan], []):
+        with pytest.raises(spectral.NonpositiveParameter, match="one or more finite axis points"):
+            spectral.resolvent_sweep(spect, bad)
     with pytest.raises(spectral.NonpositiveParameter):
         spectral.resolvent_norm(pencil, math.inf)
     with pytest.raises(spectral.NonpositiveParameter):
