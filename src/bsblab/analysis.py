@@ -2,9 +2,9 @@
 
 The certification loop is: take the eigenpair with the largest real part,
 propagate it with the energy-exact trapezoidal scheme, fit a line to
-(t, log E), and compare the fitted rate alpha against twice the spectral
-abscissa. For a clean single mode the trace is log-linear to roundoff and
-the ratio sits at 1 up to the O((dt |mu|)^2) distortion of the scheme.
+(t, log E), and require the fitted rate alpha to equal the trapezoidal
+rule's exact rate of the mode (_scheme_rate) within a derived roundoff
+bound (_rate_bound), with alpha / (2 |abscissa|) in [0.9, 1.1].
 
 The verdict is one record, DecayCertificate: certify_decay returns it
 and decay.json is its fields. Alongside the decay run, cross_validate
@@ -56,6 +56,9 @@ class DecayFit:
     n_samples: int
 
 
+_FIT_WINDOW = (0.2, 0.9)  # fit_decay's default window, in units of t_end
+
+
 def fit_decay(trace: EnergyTrace, window: tuple | None = None) -> DecayFit:
     """Fit log E(t) over a time window, default [0.2, 0.9] * t_end.
 
@@ -64,7 +67,7 @@ def fit_decay(trace: EnergyTrace, window: tuple | None = None) -> DecayFit:
     """
     t_end = float(trace.times[-1])
     if window is None:
-        window = (0.2 * t_end, 0.9 * t_end)
+        window = (_FIT_WINDOW[0] * t_end, _FIT_WINDOW[1] * t_end)
     lo, hi = float(window[0]), float(window[1])
     mask = (trace.times >= lo) & (trace.times <= hi)
     n = int(np.count_nonzero(mask))
@@ -119,17 +122,6 @@ class VerificationReport:
                 and not self.certificate.ratio_check.endswith("_fail"))
 
 
-# ratio bounds per regime for the two-sided check; the one-sided fallback
-# (used when the fit quality drops, e.g. a defective slowest mode) accepts
-# alpha >= 1.8 |abscissa| (1 - 0.05).
-_RATIO_BOUNDS = {
-    DampingCase.DDD: (0.9, 1.1),
-    DampingCase.UDU: (0.8, 1.2),
-    DampingCase.OTHER: (0.9, 1.1),
-}
-_R2_THRESHOLD = 0.999
-
-
 def _numerically_undamped(spect) -> bool:
     """Whether the abscissa is rounding-level relative to the spectrum.
 
@@ -144,27 +136,56 @@ def _numerically_undamped(spect) -> bool:
     return abs(spect.abscissa) <= 1e-10 * scale
 
 
-def _ratio_check(regime: DampingCase, fit: DecayFit, spect, ratio: float) -> str:
-    if fit.r_squared >= _R2_THRESHOLD:
-        lo, hi = _RATIO_BOUNDS[regime]
-        return "two_sided_pass" if lo <= ratio <= hi else "two_sided_fail"
-    ok = fit.alpha >= 1.8 * abs(spect.abscissa) * 0.95
-    return "one_sided_pass" if ok else "one_sided_fail"
+def _scheme_rate(mu: complex, dt: float) -> float:
+    """-2 log|R(mu)|/dt, R = (1 + z)/(1 - z), z = dt mu/2: the exact energy
+    rate of a trapezoidal mode, to a few ulps. |R|^2 - 1 = 4 Re z/|1 - z|^2
+    goes through log1p, as |R| is within dt |mu| of 1, unless |R|^2 < 1/2."""
+    x, y = 0.5 * dt * mu.real, 0.5 * dt * mu.imag
+    w = 4.0 * x / ((1.0 - x) ** 2 + y * y)
+    if w > -0.5:
+        return -math.log1p(w) / dt
+    return -math.log(((1.0 + x) ** 2 + y * y) / ((1.0 - x) ** 2 + y * y)) / dt
+
+
+def _rate_bound(pencil: SystemPencil, y0: StateVector, times: np.ndarray) -> float:
+    """Roundoff bound on |alpha_fit - _scheme_rate| for a mode run from y0.
+
+    Along the exact mode E_k = |R|^(2k) E_0, so the fit returns the scheme
+    rate exactly. A step perturbs E by at most gamma_{2b+1} T, with
+    T = (|p|^T |S| |p| + |q|^T |M| |q|)/2 (Higham, 2nd ed., 3.5) and T/E
+    constant along the mode, so a K-step sample's log E is off by at most
+    delta = K gamma_{2b+1} T/E, which moves the least-squares slope over
+    the fitted t_i by at most delta sum|tc_i| / sum(tc_i^2), tc = t - mean(t).
+    """
+    u = np.finfo(float).eps / 2
+    k = 2 * pencil.bandwidth + 1
+    p, q = np.abs(y0.p), np.abs(y0.q)
+    size = 0.5 * (p @ dynamics._band_product(np.abs(pencil.s_band), p.dtype)(p)
+                  + q @ dynamics._band_product(np.abs(pencil.m_band), q.dtype)(q))
+    lo, hi = _FIT_WINDOW
+    fitted = times[(times >= lo * times[-1]) & (times <= hi * times[-1])]
+    tc = fitted - fitted.mean()
+    delta = (len(times) - 1) * (k * u / (1 - k * u)) * size / dynamics.energy(pencil, y0)
+    return float(delta * np.abs(tc).sum() / (tc @ tc))
 
 
 @dataclass
 class DecayCertificate:
     """Measured energy decay of the slowest mode against the spectrum.
 
-    alpha_fit is the fitted energy rate, ratio its quotient by twice the
-    spectral abscissa (nan when conservative), and ratio_check the verdict
-    string (two_sided_pass and friends).
+    alpha_fit is the fitted energy rate, alpha_scheme the trapezoidal rule's
+    exact rate of the mode and alpha_bound the roundoff bound on their gap;
+    ratio is alpha_fit / (2 |abscissa|), nan when there is nothing to fit.
+    ratio_check is two_sided_pass when the gap is within alpha_bound and
+    ratio within [0.9, 1.1], else two_sided_fail, or not_applicable.
     """
 
     regime: str
     abscissa: float
     mode: complex
     alpha_fit: float
+    alpha_scheme: float
+    alpha_bound: float
     ratio: float
     r_squared: float
     ratio_check: str
@@ -177,7 +198,7 @@ def _certify(cfg: StructureConfig, pencil: SystemPencil,
     """Slowest-mode run with a timestep that resolves the mode, fitted and judged.
 
     Returns the certificate, the spectrum report (its last eigenvalue is
-    the mode), the complex unit-energy mode state and the run.
+    the mode) and the run of the complex unit-energy mode state.
 
     The default dt is min(1e-3 slowest-string-period, 0.1/|mu|); the
     trapezoidal rate distortion is then at most (0.1)^2/4, a quarter of a
@@ -200,24 +221,29 @@ def _certify(cfg: StructureConfig, pencil: SystemPencil,
         t_final = steps * dt
     sim = simulate(pencil, y0, dt, t_final)
     fit = fit_decay(sim.trace)
+    alpha_scheme = _scheme_rate(mu, dt)
+    alpha_bound = _rate_bound(pencil, y0, sim.trace.times)
     regime = pencil.regime
     if regime is DampingCase.CONSERVATIVE or _numerically_undamped(spect):
         ratio, verdict = math.nan, "not_applicable"
     else:
         ratio = fit.alpha / (2.0 * abs(spect.abscissa))
-        verdict = _ratio_check(regime, fit, spect, ratio)
+        ok = abs(fit.alpha - alpha_scheme) <= alpha_bound and 0.9 <= ratio <= 1.1
+        verdict = "two_sided_pass" if ok else "two_sided_fail"
     cert = DecayCertificate(
         regime=regime.value,
         abscissa=spect.abscissa,
         mode=mu,
         alpha_fit=fit.alpha,
+        alpha_scheme=alpha_scheme,
+        alpha_bound=alpha_bound,
         ratio=ratio,
         r_squared=fit.r_squared,
         ratio_check=verdict,
         dt=dt,
         t_final=t_final,
     )
-    return cert, spect, y0, sim
+    return cert, spect, sim
 
 
 def certify_decay(
@@ -242,7 +268,6 @@ class _Context:
     pencil: SystemPencil
     spect: spectral.SpectrumReport
     sim: SimOutput
-    mode_state: StateVector
     certificate: DecayCertificate
 
 
@@ -309,37 +334,16 @@ def _check_abscissa_nonpositive(ctx):
     return ok, ctx.spect.abscissa, "dissipativity bound on the spectrum"
 
 
-# the fit checks read _certify's verdict on whether there is a decay to fit
-_NOTHING_TO_FIT = "ratio_check is not_applicable: no decay to fit"
-
-
 def _check_fit_timestep_invariance(ctx):
-    if ctx.certificate.ratio_check == "not_applicable":
-        return True, 0.0, _NOTHING_TO_FIT
-    dt = ctx.certificate.dt
-    tr = ctx.sim.trace
-    # ctx.sim is the mode run (same pencil, start and dt), so its first k
-    # steps are the dt side of the comparison; only the dt/2 run is new
-    k = min(1000, tr.times.size - 1)
-    a = fit_decay(EnergyTrace(times=tr.times[:k + 1], energy=tr.energy[:k + 1],
-                              dissipation=tr.dissipation[:k + 1], cross=tr.cross[:k + 1]))
-    b = fit_decay(simulate(ctx.pencil, ctx.mode_state, dt / 2, k * dt).trace)
-    denom = max(abs(a.alpha), 2.0 * abs(ctx.spect.abscissa), 1e-9)
-    resid = abs(b.alpha - a.alpha) / denom
+    # the verdict holds the fit to the scheme rate, so the rate at dt/2 is
+    # its closed form, not a second run
+    cert = ctx.certificate
+    if cert.ratio_check == "not_applicable":
+        return True, 0.0, "ratio_check is not_applicable: no decay to fit"
+    half = _scheme_rate(cert.mode, cert.dt / 2)
+    denom = max(abs(cert.alpha_scheme), 2.0 * abs(cert.abscissa), 1e-9)
+    resid = abs(half - cert.alpha_scheme) / denom
     return resid <= 0.01, resid, "alpha of the mode run under dt -> dt/2"
-
-
-def _check_window_convergence(ctx):
-    if ctx.certificate.ratio_check == "not_applicable":
-        return True, 0.0, _NOTHING_TO_FIT
-    t_end = float(ctx.sim.trace.times[-1])
-    denom = 2.0 * abs(ctx.spect.abscissa)
-    offsets = []
-    for start in (0.2, 0.4, 0.6):
-        f = fit_decay(ctx.sim.trace, window=(start * t_end, 0.9 * t_end))
-        offsets.append(abs(f.alpha / denom - 1.0))
-    ok = offsets[2] <= offsets[0] + 1e-6
-    return ok, offsets[2], "|ratio - 1| at window starts 0.2, 0.4, 0.6"
 
 
 _REGISTRY = [
@@ -349,7 +353,6 @@ _REGISTRY = [
     ("spectral.resolvent_lower_bound", _check_resolvent_lower_bound),
     ("spectral.abscissa_nonpositive", _check_abscissa_nonpositive),
     ("analysis.fit_timestep_invariance", _check_fit_timestep_invariance),
-    ("analysis.window_convergence", _check_window_convergence),
 ]
 
 
@@ -364,15 +367,11 @@ def cross_validate(
     """Decay certification plus the full invariant sweep.
 
     Takes the certificate of certify_decay (the same slowest-mode run, fit
-    and verdict) and evaluates every named invariant check once. When
-    there is no decay to fit (conservative regime, or partial damping
-    that leaves the abscissa at eigensolver noise) alpha comes out near
-    zero, the ratio is reported as nan and the ratio check as
-    not_applicable.
+    and verdict) and evaluates every named invariant check once.
     """
-    cert, spect, y0, sim = _certify(cfg, pencil, dt, t_final)
+    cert, spect, sim = _certify(cfg, pencil, dt, t_final)
     ctx = _Context(cfg=cfg, mesh=mesh, dofs=dofs, pencil=pencil, spect=spect,
-                   sim=sim, mode_state=y0, certificate=cert)
+                   sim=sim, certificate=cert)
     results = []
     for name, check in _REGISTRY:
         passed, residual, note = check(ctx)

@@ -85,7 +85,6 @@ def test_cross_validate_certifies_the_fully_damped_case(ddd_system):
         "spectral.resolvent_lower_bound",
         "spectral.abscissa_nonpositive",
         "analysis.fit_timestep_invariance",
-        "analysis.window_convergence",
     ]
 
 
@@ -121,29 +120,10 @@ def test_certify_decay_agrees_with_cross_validate(ddd_system):
     assert cert.mode.real == pytest.approx(cert.abscissa, rel=1e-12)
 
 
-def discrete_mode_rate(mu, dt):
-    """-2 log|R(mu)| / dt for the trapezoidal factor R = (1 + z)/(1 - z),
-    z = dt mu / 2: the exact energy rate of a discrete trapezoidal mode.
-    |1 +- z|^2 = 1 +- 2 Re z + |z|^2 goes through log1p, which keeps the
-    rate accurate to a few ulps although |R| is within dt |mu| of 1."""
-    x, y = (dt * mu / 2).real, (dt * mu / 2).imag
-    return -(math.log1p(2 * x + x * x + y * y) - math.log1p(-2 * x + x * x + y * y)) / dt
-
-
 def oracle_bound(pencil, y0, times):
-    """Roundoff bound on |alpha_fit - discrete_mode_rate| for a mode run.
-
-    Along the exact discrete mode y_k = R^k y0, E_k = |R|^(2k) E_0, so
-    log E is linear in t and the fit returns the rate exactly. Each step
-    perturbs the energy by at most gamma_{2b+1} T relative, where
-    T = (|p|^T |S| |p| + |q|^T |M| |q|)/2 is the size of the terms the
-    energy sums (every row of a banded product sums 2b + 1 of them; Higham,
-    2nd ed., 3.5), and T/E is constant along the mode. So a sample of a
-    K-step run carries a log-energy error of at most
-    delta = K gamma_{2b+1} T/E, and the least-squares slope over the fitted
-    samples t_i moves by sum(tc_i eps_i) / sum(tc_i^2) <= delta
-    sum|tc_i| / sum(tc_i^2), tc_i = t_i - mean(t).
-    """
+    """Dense reference implementation of analysis._rate_bound: the same
+    roundoff bound on |alpha_fit - _scheme_rate| for a mode run, with T
+    summed on the dense |S| and |M|."""
     u = np.finfo(float).eps / 2
     k = 2 * pencil.bandwidth + 1
     p, q = np.abs(y0.p), np.abs(y0.q)
@@ -156,16 +136,62 @@ def oracle_bound(pencil, y0, times):
 
 @pytest.mark.parametrize("n", [10, 20])
 def test_ddd_mode_run_decays_at_the_discrete_rate(n):
-    """On ddd.cfg the fitted rate of the slowest-mode run is the exact
-    energy rate of the trapezoidal map on that mode, to within the roundoff
-    bound of oracle_bound. UDU is left out: its slowest mode's real part is
-    set at roundoff, so its fit is too."""
+    """On ddd.cfg and udu.cfg the fitted rate of the slowest-mode run is the
+    exact energy rate of the trapezoidal map on that mode, to within the
+    roundoff bound of oracle_bound."""
+    for name in ("ddd", "udu"):
+        cfg = bb.validate_config(read_config(str(CONFIGS / f"{name}.cfg")))
+        _, _, pencil = bb.discretize(cfg, n, n, n)
+        cert, _, sim = analysis._certify(cfg, pencil, None, None)
+        assert cert == bb.certify_decay(cfg, pencil)
+        bound = oracle_bound(pencil, spectral.eigenmode(pencil, cert.mode), sim.trace.times)
+        assert cert.alpha_scheme == analysis._scheme_rate(cert.mode, cert.dt)
+        assert abs(cert.alpha_fit - cert.alpha_scheme) <= bound
+        assert cert.ratio_check == "two_sided_pass"
+
+
+@pytest.mark.parametrize("mu, dt", [
+    (complex(-0.5014269473109882, 138.24485939110647), 7.233494442888472e-4),  # ddd, n = 40
+    (complex(-3.0e-5, 4000.0), 2.5e-5),  # udu-like: Re z = -3.75e-10
+    (complex(-0.57602491712939308, 2.1), 2.0),  # dt = 2
+    (complex(-3.0, 0.0), 0.1),  # real mu
+    (complex(-3.0, 0.0), 0.6),  # real mu with |R|^2 < 1/2
+])
+def test_scheme_rate_matches_mpmath(mu, dt):
+    """_scheme_rate is -2 log|R(mu)|/dt to 1e-15 relative, against a
+    60-digit value on the same binary inputs."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        z = mpmath.mpf(dt) * mpmath.mpc(mu.real, mu.imag) / 2
+        want = -mpmath.log(abs(1 + z) ** 2 / abs(1 - z) ** 2) / mpmath.mpf(dt)
+        assert abs((analysis._scheme_rate(mu, dt) - want) / want) <= 1e-15
+
+
+@pytest.mark.parametrize("system", ["ddd_system", "udu_system", "cons_system"])
+def test_rate_bound_matches_the_dense_reference(request, system):
+    """_rate_bound sums T on the bands; oracle_bound on the dense |S|, |M|."""
+    cfg, _, _, pencil = request.getfixturevalue(system)
+    cert, _, sim = analysis._certify(cfg, pencil, None, None)
+    want = oracle_bound(pencil, spectral.eigenmode(pencil, cert.mode), sim.trace.times)
+    assert cert.alpha_bound == pytest.approx(want, rel=1e-12)
+
+
+def test_a_damping_fault_in_the_step_fails_the_verdict(monkeypatch):
+    """Scaling D by 1 + 1e-6 inside the step moves the fitted rate off the
+    scheme rate by far more than its roundoff bound, though the ratio stays
+    within 0.3% of 1."""
     cfg = bb.validate_config(read_config(str(CONFIGS / "ddd.cfg")))
-    _, _, pencil = bb.discretize(cfg, n, n, n)
-    cert, _, y0, sim = analysis._certify(cfg, pencil, None, None)
-    assert cert == bb.certify_decay(cfg, pencil)
-    want = discrete_mode_rate(cert.mode, cert.dt)
-    assert abs(cert.alpha_fit - want) <= oracle_bound(pencil, y0, sim.trace.times)
+    _, _, pencil = bb.discretize(cfg, 10, 10, 10)
+    assert bb.certify_decay(cfg, pencil).ratio_check == "two_sided_pass"
+    step = dynamics._trapezoidal_step
+
+    def faulty(pencil, dt, dtype):
+        return step(dataclasses.replace(pencil, d_band=pencil.d_band * (1 + 1e-6)), dt, dtype)
+
+    monkeypatch.setattr(dynamics, "_trapezoidal_step", faulty)
+    cert = bb.certify_decay(cfg, pencil)
+    assert 0.997 <= cert.ratio <= 1.0
+    assert cert.ratio_check == "two_sided_fail"
 
 
 def test_explicit_dt_and_t_final_are_respected(ddd_system):
@@ -175,35 +201,35 @@ def test_explicit_dt_and_t_final_are_respected(ddd_system):
     assert cert.t_final == 2.0
 
 
-def test_fit_timestep_invariance_reuses_the_mode_run(ddd_system, monkeypatch):
-    """The dt fit over the first 1000 steps of the mode run gives exactly the
-    residual of two fresh runs; a shorter mode run is fitted whole, against
-    a dt/2 run over its own length. Only the dt/2 run is simulated."""
-    cfg, _, _, pencil = ddd_system
-    cert, spect, y0, sim = analysis._certify(cfg, pencil, None, None)
-    dt = cert.dt
-    assert sim.trace.times.size > 1001
-    a = bb.fit_decay(bb.simulate(pencil, y0, dt, 1000 * dt).trace)
-    b = bb.fit_decay(bb.simulate(pencil, y0, dt / 2, 1000 * dt).trace)
-    want = abs(b.alpha - a.alpha) / max(abs(a.alpha), 2.0 * abs(spect.abscissa), 1e-9)
+def test_fit_timestep_invariance_is_the_closed_form_of_two_fitted_runs(ddd_system):
+    """The check's closed-form residual, |scheme rate at dt/2 - at dt| over
+    the rate, agrees with that of two fitted mode runs of 1000 dt, at dt and
+    at dt/2, within their two roundoff bounds."""
+    cfg, mesh, dofs, pencil = ddd_system
+    rep = bb.cross_validate(cfg, mesh, dofs, pencil)
+    cert = rep.certificate
+    residual = {r.name: r.residual for r in rep.invariant_results}["analysis.fit_timestep_invariance"]
+    y0 = spectral.eigenmode(pencil, cert.mode)
+    a, b = (bb.simulate(pencil, y0, dt, 1000 * cert.dt).trace for dt in (cert.dt, cert.dt / 2))
+    denom = max(abs(cert.alpha_scheme), 2.0 * abs(cert.abscissa), 1e-9)
+    fitted = abs(bb.fit_decay(b).alpha - bb.fit_decay(a).alpha) / denom
+    bounds = analysis._rate_bound(pencil, y0, a.times) + analysis._rate_bound(pencil, y0, b.times)
+    assert residual > 0 and abs(fitted - residual) <= bounds / denom
+
+
+def test_cross_validate_simulates_the_mode_run_and_the_plateau_run(ddd_system, monkeypatch):
+    """verify runs two simulations: the slowest-mode run its verdict fits and
+    the 50-step plateau run of the energy-balance check."""
+    cfg, mesh, dofs, pencil = ddd_system
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args[2])
-        return bb.simulate(*args, **kwargs)
+    def counted(pencil, y0, dt, t_final, **kwargs):
+        calls.append(round(t_final / dt))
+        return bb.simulate(pencil, y0, dt, t_final, **kwargs)
 
-    short = bb.simulate(pencil, y0, dt, 500 * dt)
-    a = bb.fit_decay(short.trace)
-    b = bb.fit_decay(bb.simulate(pencil, y0, dt / 2, 500 * dt).trace)
-    want_short = abs(b.alpha - a.alpha) / max(abs(a.alpha), 2.0 * abs(spect.abscissa), 1e-9)
     monkeypatch.setattr(analysis, "simulate", counted)
-    for run, expected in ((sim, want), (short, want_short)):
-        calls.clear()
-        ctx = analysis._Context(cfg=cfg, mesh=None, dofs=None, pencil=pencil, spect=spect,
-                                sim=run, mode_state=y0, certificate=cert)
-        passed, residual, _ = analysis._check_fit_timestep_invariance(ctx)
-        assert passed and residual == expected
-        assert calls == [dt / 2]
+    rep = bb.cross_validate(cfg, mesh, dofs, pencil)
+    assert calls == [round(rep.certificate.t_final / rep.certificate.dt), 50]
 
 
 def count_factorizations(monkeypatch, pencil):
@@ -313,8 +339,8 @@ def test_a_certificate_field_reaches_both_files():
         extra: float = 0.25
 
     cert = Extended(regime="DDD", abscissa=-0.5, mode=complex(-0.5, 3.0), alpha_fit=1.0,
-                    ratio=1.0, r_squared=1.0, ratio_check="two_sided_pass", dt=1e-3,
-                    t_final=1.0)
+                    alpha_scheme=1.0, alpha_bound=1e-12, ratio=1.0, r_squared=1.0,
+                    ratio_check="two_sided_pass", dt=1e-3, t_final=1.0)
     report = analysis.VerificationReport(certificate=cert, min_axis_distance=0.5,
                                          mesh_counts=(2, 2, 2), invariant_results=[])
     decay = json.loads(analysis.render_decay(cert))

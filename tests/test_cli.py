@@ -221,7 +221,7 @@ def test_decay_json_contract(tmp_path, config_file):
     text = (out / "decay.json").read_text()
     payload = json.loads(text)
     assert set(payload) == {
-        "abscissa", "alpha_fit", "dt", "mode_im", "mode_re",
+        "abscissa", "alpha_bound", "alpha_fit", "alpha_scheme", "dt", "mode_im", "mode_re",
         "r_squared", "ratio", "ratio_check", "regime", "t_final",
     }
     assert list(payload) == sorted(payload)  # written in sorted order
@@ -231,10 +231,7 @@ def test_decay_json_contract(tmp_path, config_file):
         comma = "," if i < len(lines) - 1 else ""
         assert re.fullmatch(r'  "[a-z_]+": [^\s,]+' + comma, line), line
     assert payload["regime"] == "DDD"
-    assert payload["ratio_check"] in {
-        "two_sided_pass", "two_sided_fail",
-        "one_sided_pass", "one_sided_fail", "not_applicable",
-    }
+    assert payload["ratio_check"] in {"two_sided_pass", "two_sided_fail", "not_applicable"}
     assert 0.9 <= payload["ratio"] <= 1.1
 
 
@@ -298,10 +295,11 @@ def test_verify_passes_and_is_reproducible(tmp_path, config_file):
     assert trim(p1.stdout) == trim(p2.stdout)
     payload = json.loads(r1)
     assert list(payload) == [  # the exact keys, written in sorted order
-        "abscissa", "all_pass", "alpha_fit", "dt", "invariant_results", "mesh",
-        "min_axis_distance", "r_squared", "ratio", "ratio_check", "regime", "t_final",
+        "abscissa", "all_pass", "alpha_bound", "alpha_fit", "alpha_scheme", "dt",
+        "invariant_results", "mesh", "min_axis_distance", "r_squared", "ratio", "ratio_check",
+        "regime", "t_final",
     ]
-    assert p1.stdout.count("PASS") == len(payload["invariant_results"]) == 7
+    assert p1.stdout.count("PASS") == len(payload["invariant_results"]) == 6
     assert "FAIL" not in p1.stdout
     assert payload["all_pass"] is True
 
