@@ -7,14 +7,14 @@ rule's exact rate of the mode (_scheme_rate) within a derived roundoff
 bound (_rate_bound), with alpha / (2 |abscissa|) in [0.9, 1.1].
 
 The verdict is one record, DecayCertificate: certify_decay returns it
-and decay.json is its fields. Alongside the decay run, cross_validate
-executes one named check per invariant that depends on the run (config,
-mesh, spectrum, simulation); invariants that hold whatever the run live
-in the unit tests. It returns a VerificationReport that holds the
-certificate next to the invariant results; report.json is the
-certificate's fields plus those of the report. One writer, _render_json,
-produces the text of both files, so a field added to DecayCertificate
-appears in both.
+and decay.json is its fields; a spectrum with nothing to fit gets no run.
+Alongside the certificate, cross_validate executes one named check per
+invariant that depends on the run (config, mesh, spectrum, plateau run);
+invariants that hold whatever the run live in the unit tests. It returns
+a VerificationReport that holds the certificate next to the invariant
+results; report.json is the certificate's fields plus those of the
+report. One writer, _render_json, produces the text of both files, so a
+field added to DecayCertificate appears in both.
 """
 
 from __future__ import annotations
@@ -26,12 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics, fem, spectral
-from .dynamics import (
-    EnergyTrace,
-    SimOutput,
-    default_dt,
-    simulate,
-)
+from .dynamics import EnergyTrace, default_dt, simulate
 from .fem import DofMap, Mesh, StateVector, SystemPencil
 from .model import DampingCase, StructureConfig, default_initial_data
 from .spectral import eigenvalues
@@ -43,6 +38,10 @@ class NonpositiveEnergy(ValueError):
 
 class WindowTooSmall(ValueError):
     """Fewer than 10 trace samples fall inside the fit window."""
+
+
+class UnresolvedMode(ValueError):
+    """The slowest mode is within eps max|mu| of 0: the spectrum is roundoff there."""
 
 
 @dataclass
@@ -84,10 +83,8 @@ def fit_decay(trace: EnergyTrace, window: tuple | None = None) -> DecayFit:
     intercept = float(y.mean() - slope * t.mean())
     ss_res = float(np.sum((yc - slope * tc) ** 2))
     ss_tot = float(yc @ yc)
-    if ss_tot > 0:
-        r_squared = 1.0 - ss_res / ss_tot
-    else:
-        r_squared = 1.0 if ss_res <= 1e-28 else 0.0
+    # ss_tot == 0 means yc == 0, so slope and ss_res are exactly 0 too
+    r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return DecayFit(alpha=-slope, log_c=intercept, r_squared=r_squared,
                     window=(lo, hi), n_samples=n)
 
@@ -123,14 +120,14 @@ class VerificationReport:
 
 
 def _numerically_undamped(spect) -> bool:
-    """Whether the abscissa is rounding-level relative to the spectrum.
+    """Whether |abscissa| is at most 1e-10 of max(1, max|mu|): no rate is fitted.
 
-    Damping confined to part of the structure can leave discrete modes
-    with |Re| at eigensolver noise (1e-10 of the eigenvalue scale keeps
-    two orders of margin against noise on one side and against the
-    weakest genuinely damped case measured on the other). Fitting a rate
-    against such an abscissa compares rounding with rounding, so rate
-    certification is declared not applicable.
+    The conservative spectrum (real parts exactly 0) always is, and so is
+    damping confined to one beam, whose modes keep |Re| at eigensolver
+    noise. The threshold is not a noise bound: udu.cfg at 80 elements per
+    member (abscissa -2.99e-5, about 1e6 eps times the scale, its fit well
+    within its bound) falls under it (3.26e-5) too. Certifying the slowest
+    mode of the band the mesh resolves instead is ROADMAP item 3.
     """
     scale = max(1.0, float(np.abs(spect.eigenvalues).max()))
     return abs(spect.abscissa) <= 1e-10 * scale
@@ -173,11 +170,13 @@ def _rate_bound(pencil: SystemPencil, y0: StateVector, times: np.ndarray) -> flo
 class DecayCertificate:
     """Measured energy decay of the slowest mode against the spectrum.
 
-    alpha_fit is the fitted energy rate, alpha_scheme the trapezoidal rule's
-    exact rate of the mode and alpha_bound the roundoff bound on their gap;
-    ratio is alpha_fit / (2 |abscissa|), nan when there is nothing to fit.
-    ratio_check is two_sided_pass when the gap is within alpha_bound and
-    ratio within [0.9, 1.1], else two_sided_fail, or not_applicable.
+    alpha_fit is the fitted energy rate, with r_squared its fit's, alpha_scheme
+    the trapezoidal rule's exact rate of the mode and alpha_bound the roundoff
+    bound on their gap; ratio is alpha_fit / (2 |abscissa|). ratio_check is
+    two_sided_pass when the gap is within alpha_bound and ratio within
+    [0.9, 1.1], else two_sided_fail, or not_applicable when there is nothing
+    to fit: then nothing is run, and alpha_fit, alpha_bound, ratio and
+    r_squared are nan.
     """
 
     regime: str
@@ -197,20 +196,23 @@ def _certify(cfg: StructureConfig, pencil: SystemPencil,
              dt: float | None, t_final: float | None):
     """Slowest-mode run with a timestep that resolves the mode, fitted and judged.
 
-    Returns the certificate, the spectrum report (its last eigenvalue is
-    the mode) and the run of the complex unit-energy mode state.
+    Returns the certificate and the spectrum report (its last eigenvalue is
+    the mode).
 
     The default dt is min(1e-3 slowest-string-period, 0.1/|mu|); the
     trapezoidal rate distortion is then at most (0.1)^2/4, a quarter of a
     percent. The default duration covers 25 e-foldings of the mode but is
     clamped to [200, 10000] steps. Explicit dt or t_final win over the
-    defaults. When there is no decay to fit (conservative regime, or an
-    abscissa at eigensolver noise) the ratio is nan and the verdict
-    not_applicable.
+    defaults. A numerically undamped spectrum, the conservative regime
+    included, has no decay to fit: the verdict is not_applicable and the
+    mode is neither formed nor run. A mode that the spectrum does not
+    resolve (|mu| at most eps max|mu|, where damping dwarfs stiffness) raises
+    UnresolvedMode rather than get a verdict.
     """
     spect = eigenvalues(pencil)
     mu = complex(spect.eigenvalues[-1])
-    y0 = spectral.eigenmode(pencil, mu)
+    if abs(mu) <= np.finfo(float).eps * float(np.abs(spect.eigenvalues).max()):
+        raise UnresolvedMode(f"slowest mode {mu} is roundoff of the spectrum's scale")
     if dt is None:
         dt = min(default_dt(cfg), 0.1 / max(abs(mu), 1e-12))
     if t_final is None:
@@ -219,31 +221,31 @@ def _certify(cfg: StructureConfig, pencil: SystemPencil,
             t_final = min(t_final, 25.0 / (2.0 * abs(mu.real)))
         steps = min(10000, max(200, int(round(t_final / dt))))
         t_final = steps * dt
-    sim = simulate(pencil, y0, dt, t_final)
-    fit = fit_decay(sim.trace)
-    alpha_scheme = _scheme_rate(mu, dt)
-    alpha_bound = _rate_bound(pencil, y0, sim.trace.times)
-    regime = pencil.regime
-    if regime is DampingCase.CONSERVATIVE or _numerically_undamped(spect):
-        ratio, verdict = math.nan, "not_applicable"
-    else:
-        ratio = fit.alpha / (2.0 * abs(spect.abscissa))
-        ok = abs(fit.alpha - alpha_scheme) <= alpha_bound and 0.9 <= ratio <= 1.1
-        verdict = "two_sided_pass" if ok else "two_sided_fail"
     cert = DecayCertificate(
-        regime=regime.value,
+        regime=pencil.regime.value,
         abscissa=spect.abscissa,
         mode=mu,
-        alpha_fit=fit.alpha,
-        alpha_scheme=alpha_scheme,
-        alpha_bound=alpha_bound,
-        ratio=ratio,
-        r_squared=fit.r_squared,
-        ratio_check=verdict,
+        alpha_fit=math.nan,
+        alpha_scheme=_scheme_rate(mu, dt),
+        alpha_bound=math.nan,
+        ratio=math.nan,
+        r_squared=math.nan,
+        ratio_check="not_applicable",
         dt=dt,
         t_final=t_final,
     )
-    return cert, spect, sim
+    if _numerically_undamped(spect):
+        return cert, spect
+    y0 = spectral.eigenmode(pencil, mu)
+    trace = simulate(pencil, y0, dt, t_final).trace
+    fit = fit_decay(trace)
+    alpha_bound = _rate_bound(pencil, y0, trace.times)
+    ratio = fit.alpha / (2.0 * abs(spect.abscissa))
+    ok = abs(fit.alpha - cert.alpha_scheme) <= alpha_bound and 0.9 <= ratio <= 1.1
+    return dataclasses.replace(
+        cert, alpha_fit=fit.alpha, alpha_bound=alpha_bound, ratio=ratio,
+        r_squared=fit.r_squared, ratio_check="two_sided_pass" if ok else "two_sided_fail",
+    ), spect
 
 
 def certify_decay(
@@ -267,7 +269,6 @@ class _Context:
     dofs: DofMap
     pencil: SystemPencil
     spect: spectral.SpectrumReport
-    sim: SimOutput
     certificate: DecayCertificate
 
 
@@ -288,16 +289,6 @@ def _check_step_energy_balance(ctx):
         resid = abs(e[k + 1] - e[k] - dt * dynamics.dissipation(ctx.pencil, mid))
         worst = max(worst, resid / max(e[k], 1e-300))
     return worst <= 1e-9, worst, "50 trapezoidal steps, midpoint identity"
-
-
-def _check_energy_monotone(ctx):
-    e = ctx.sim.trace.energy
-    if ctx.pencil.regime is DampingCase.CONSERVATIVE:
-        resid = abs(float(e[-1]) / float(e[0]) - 1.0)
-        return resid <= 1e-9, resid, "undamped: relative drift over the run"
-    upticks = float(np.max(np.diff(e), initial=0.0))
-    resid = max(0.0, upticks) / max(float(e[0]), 1e-300)
-    return resid <= 1e-9, resid, "damped: largest uptick, relative"
 
 
 def _check_string_damping_spectrum_gap(ctx):
@@ -328,12 +319,6 @@ def _check_resolvent_lower_bound(ctx):
     return worst <= 1e-9, max(0.0, worst), "norm >= 1/dist(i lambda, spectrum)"
 
 
-def _check_abscissa_nonpositive(ctx):
-    scale = max(1.0, float(np.max(np.abs(ctx.spect.eigenvalues))))
-    ok = ctx.spect.abscissa <= 1e-8 * scale
-    return ok, ctx.spect.abscissa, "dissipativity bound on the spectrum"
-
-
 def _check_fit_timestep_invariance(ctx):
     # the verdict holds the fit to the scheme rate, so the rate at dt/2 is
     # its closed form, not a second run
@@ -348,10 +333,8 @@ def _check_fit_timestep_invariance(ctx):
 
 _REGISTRY = [
     ("dynamics.step_energy_balance", _check_step_energy_balance),
-    ("dynamics.energy_monotone", _check_energy_monotone),
     ("spectral.string_damping_spectrum_gap", _check_string_damping_spectrum_gap),
     ("spectral.resolvent_lower_bound", _check_resolvent_lower_bound),
-    ("spectral.abscissa_nonpositive", _check_abscissa_nonpositive),
     ("analysis.fit_timestep_invariance", _check_fit_timestep_invariance),
 ]
 
@@ -369,9 +352,9 @@ def cross_validate(
     Takes the certificate of certify_decay (the same slowest-mode run, fit
     and verdict) and evaluates every named invariant check once.
     """
-    cert, spect, sim = _certify(cfg, pencil, dt, t_final)
+    cert, spect = _certify(cfg, pencil, dt, t_final)
     ctx = _Context(cfg=cfg, mesh=mesh, dofs=dofs, pencil=pencil, spect=spect,
-                   sim=sim, certificate=cert)
+                   certificate=cert)
     results = []
     for name, check in _REGISTRY:
         passed, residual, note = check(ctx)

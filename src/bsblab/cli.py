@@ -57,6 +57,7 @@ _MODULE_ERRORS = (
     spectral.NonpositiveParameter,
     analysis.NonpositiveEnergy,
     analysis.WindowTooSmall,
+    analysis.UnresolvedMode,
 )
 
 
@@ -309,7 +310,7 @@ def _cmd_decay(spec: RunSpec) -> int:
     _write_text(path, render_decay(cert))
     print(f"decay: alpha = {_fmt(cert.alpha_fit)}, "
           f"2|abscissa| = {_fmt(2 * abs(cert.abscissa))}, "
-          f"ratio = {analysis._json_scalar(cert.ratio)}, check = {cert.ratio_check}")
+          f"ratio = {_fmt(cert.ratio)}, check = {cert.ratio_check}")
     print(f"wrote {path}")
     return 0
 
@@ -343,7 +344,7 @@ def _cmd_verify(spec: RunSpec) -> int:
     verdict = "all checks passed" if report.all_pass else "CHECKS FAILED"
     cert = report.certificate
     print(f"verify: {verdict}; regime = {cert.regime}, "
-          f"abscissa = {_fmt(cert.abscissa)}, ratio = {analysis._json_scalar(cert.ratio)}, "
+          f"abscissa = {_fmt(cert.abscissa)}, ratio = {_fmt(cert.ratio)}, "
           f"check = {cert.ratio_check}")
     print(f"wrote {path}")
     return 0 if report.all_pass else 1

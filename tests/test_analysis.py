@@ -80,10 +80,8 @@ def test_cross_validate_certifies_the_fully_damped_case(ddd_system):
     assert rep.mesh_counts == (10, 10, 10)
     assert [r.name for r in rep.invariant_results] == [
         "dynamics.step_energy_balance",
-        "dynamics.energy_monotone",
         "spectral.string_damping_spectrum_gap",
         "spectral.resolvent_lower_bound",
-        "spectral.abscissa_nonpositive",
         "analysis.fit_timestep_invariance",
     ]
 
@@ -97,11 +95,16 @@ def test_cross_validate_on_the_conservative_twin(cons_system):
     assert rep.all_pass
 
 
-def test_cross_validate_with_partial_damping_declines_to_certify():
+def partial_damping_system():
+    """Damping on the first beam only, on 8 elements per member."""
     cfg = bb.validate_config(
         bb.StructureConfig(0.0, 1.0, 2.0, 3.0, 1.0, 0.0, 0.0)
     )
-    mesh, dofs, pencil = bb.discretize(cfg, 8, 8, 8)
+    return (cfg, *bb.discretize(cfg, 8, 8, 8))
+
+
+def test_cross_validate_with_partial_damping_declines_to_certify():
+    cfg, mesh, dofs, pencil = partial_damping_system()
     rep = bb.cross_validate(cfg, mesh, dofs, pencil)
     assert rep.certificate.regime == "Other"
     # damping confined to one beam leaves modes at eigensolver noise, so
@@ -109,6 +112,33 @@ def test_cross_validate_with_partial_damping_declines_to_certify():
     assert math.isnan(rep.certificate.ratio)
     assert rep.certificate.ratio_check == "not_applicable"
     assert rep.all_pass
+
+
+def test_an_unstable_pencil_fails_the_verdict(ddd_system):
+    """Negative damping, D = -0.05 M, moves the spectrum into Re mu > 0; the
+    mode run then grows, its ratio is negative, and verify fails."""
+    cfg, mesh, dofs, pencil = ddd_system
+    unstable = dataclasses.replace(pencil, d_band=-0.05 * pencil.m_band)
+    rep = bb.cross_validate(cfg, mesh, dofs, unstable)
+    assert rep.certificate.abscissa > 0
+    assert rep.certificate.ratio < 0
+    assert rep.certificate.ratio_check == "two_sided_fail"
+    assert not rep.all_pass
+
+
+def test_a_mode_at_the_spectrums_roundoff_gets_no_verdict(ddd_cfg):
+    """Damping that dwarfs stiffness (rho1 = 1e10 at n = 4) leaves a slowest
+    mode below eps max|mu|, which the spectrum does not resolve; it gets no
+    certificate, not_applicable or other."""
+    cfg = bb.validate_config(dataclasses.replace(ddd_cfg, rho1=1e10))
+    _, _, pencil = bb.discretize(cfg, 4, 4, 4)
+    with pytest.raises(analysis.UnresolvedMode):
+        bb.certify_decay(cfg, pencil)
+
+
+def mode_run_times(cert):
+    """The sample times of the certificate's mode run, as simulate makes them."""
+    return cert.dt * np.arange(max(1, round(cert.t_final / cert.dt)) + 1)
 
 
 def test_certify_decay_agrees_with_cross_validate(ddd_system):
@@ -142,9 +172,9 @@ def test_ddd_mode_run_decays_at_the_discrete_rate(n):
     for name in ("ddd", "udu"):
         cfg = bb.validate_config(read_config(str(CONFIGS / f"{name}.cfg")))
         _, _, pencil = bb.discretize(cfg, n, n, n)
-        cert, _, sim = analysis._certify(cfg, pencil, None, None)
+        cert, _ = analysis._certify(cfg, pencil, None, None)
         assert cert == bb.certify_decay(cfg, pencil)
-        bound = oracle_bound(pencil, spectral.eigenmode(pencil, cert.mode), sim.trace.times)
+        bound = oracle_bound(pencil, spectral.eigenmode(pencil, cert.mode), mode_run_times(cert))
         assert cert.alpha_scheme == analysis._scheme_rate(cert.mode, cert.dt)
         assert abs(cert.alpha_fit - cert.alpha_scheme) <= bound
         assert cert.ratio_check == "two_sided_pass"
@@ -169,11 +199,18 @@ def test_scheme_rate_matches_mpmath(mu, dt):
 
 @pytest.mark.parametrize("system", ["ddd_system", "udu_system", "cons_system"])
 def test_rate_bound_matches_the_dense_reference(request, system):
-    """_rate_bound sums T on the bands; oracle_bound on the dense |S|, |M|."""
+    """_rate_bound sums T on the bands; oracle_bound on the dense |S|, |M|.
+    The conservative certificate runs no mode and has no bound, so there
+    the test calls _rate_bound on the times its mode run would have."""
     cfg, _, _, pencil = request.getfixturevalue(system)
-    cert, _, sim = analysis._certify(cfg, pencil, None, None)
-    want = oracle_bound(pencil, spectral.eigenmode(pencil, cert.mode), sim.trace.times)
-    assert cert.alpha_bound == pytest.approx(want, rel=1e-12)
+    cert = bb.certify_decay(cfg, pencil)
+    y0, times = spectral.eigenmode(pencil, cert.mode), mode_run_times(cert)
+    bound = analysis._rate_bound(pencil, y0, times)
+    assert bound == pytest.approx(oracle_bound(pencil, y0, times), rel=1e-12)
+    if system == "cons_system":
+        assert math.isnan(cert.alpha_bound)
+    else:
+        assert cert.alpha_bound == bound
 
 
 def test_a_damping_fault_in_the_step_fails_the_verdict(monkeypatch):
@@ -217,10 +254,12 @@ def test_fit_timestep_invariance_is_the_closed_form_of_two_fitted_runs(ddd_syste
     assert residual > 0 and abs(fitted - residual) <= bounds / denom
 
 
-def test_cross_validate_simulates_the_mode_run_and_the_plateau_run(ddd_system, monkeypatch):
-    """verify runs two simulations: the slowest-mode run its verdict fits and
-    the 50-step plateau run of the energy-balance check."""
-    cfg, mesh, dofs, pencil = ddd_system
+def test_cross_validate_simulates_the_mode_run_and_the_plateau_run(
+        ddd_system, cons_system, monkeypatch):
+    """verify runs two simulations on a damped spectrum: the slowest-mode run
+    its verdict fits and the 50-step plateau run of the energy-balance check.
+    With nothing to fit (conservative, damping on one beam only) it runs the
+    plateau alone, and certify_decay forms no mode and runs nothing."""
     calls = []
 
     def counted(pencil, y0, dt, t_final, **kwargs):
@@ -228,8 +267,24 @@ def test_cross_validate_simulates_the_mode_run_and_the_plateau_run(ddd_system, m
         return bb.simulate(pencil, y0, dt, t_final, **kwargs)
 
     monkeypatch.setattr(analysis, "simulate", counted)
+    cfg, mesh, dofs, pencil = ddd_system
     rep = bb.cross_validate(cfg, mesh, dofs, pencil)
     assert calls == [round(rep.certificate.t_final / rep.certificate.dt), 50]
+    for cfg, mesh, dofs, pencil in (cons_system, partial_damping_system()):
+        calls.clear()
+        rep = bb.cross_validate(cfg, mesh, dofs, pencil)
+        assert rep.certificate.ratio_check == "not_applicable"
+        assert calls == [50]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a not_applicable certificate runs nothing")
+
+    monkeypatch.setattr(analysis, "simulate", refused)
+    monkeypatch.setattr(spectral, "eigenmode", refused)
+    cfg, _, _, pencil = cons_system
+    cert = bb.certify_decay(cfg, pencil)
+    assert cert.ratio_check == "not_applicable"
+    assert all(math.isnan(x) for x in (cert.alpha_fit, cert.alpha_bound, cert.r_squared, cert.ratio))
 
 
 def count_factorizations(monkeypatch, pencil):

@@ -299,7 +299,7 @@ def test_verify_passes_and_is_reproducible(tmp_path, config_file):
         "invariant_results", "mesh", "min_axis_distance", "r_squared", "ratio", "ratio_check",
         "regime", "t_final",
     ]
-    assert p1.stdout.count("PASS") == len(payload["invariant_results"]) == 6
+    assert p1.stdout.count("PASS") == len(payload["invariant_results"]) == 4
     assert "FAIL" not in p1.stdout
     assert payload["all_pass"] is True
 
