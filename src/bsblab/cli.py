@@ -280,11 +280,9 @@ def _cmd_spectrum(spec: RunSpec) -> int:
           f"abscissa = {_fmt(report.abscissa)}, "
           f"min |Re| = {_fmt(report.min_axis_distance)}")
     print(f"wrote {path}")
-    unstable = int(np.count_nonzero(report.eigenvalues.real > 0))
-    if unstable:  # every pencil here is dissipative: Re > 0 is roundoff
-        print(f"warning: {unstable} of {report.eigenvalues.size} eigenvalues have Re > 0, "
-              f"largest Re = {_fmt(report.abscissa)}; the spectrum is not resolved",
-              file=sys.stderr)
+    if spectral.slowest_mode_unresolved(report):
+        print(f"warning: the slowest eigenvalue has |mu| = {_fmt(abs(report.eigenvalues[-1]))}, "
+              "within eps max|mu| of 0; the spectrum is not resolved", file=sys.stderr)
     return 0
 
 

@@ -194,6 +194,13 @@ def eigenvalues(pencil: SystemPencil) -> SpectrumReport:
     )
 
 
+def slowest_mode_unresolved(spect: SpectrumReport) -> bool:
+    """Whether the slowest eigenvalue (the last) is within eps max|mu| of 0,
+    roundoff of the spectrum's scale: damping that dwarfs stiffness."""
+    mu = spect.eigenvalues
+    return bool(abs(mu[-1]) <= np.finfo(float).eps * np.abs(mu).max())
+
+
 def _real_schur(c: np.ndarray):
     """Quasi-triangular T of C = Z T Z^T and the eigenvalues of C, by LAPACK
     dgees without Schur vectors, in place on the Fortran-ordered C."""

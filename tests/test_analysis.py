@@ -82,7 +82,6 @@ def test_cross_validate_certifies_the_fully_damped_case(ddd_system):
         "dynamics.step_energy_balance",
         "spectral.string_damping_spectrum_gap",
         "spectral.resolvent_lower_bound",
-        "analysis.fit_timestep_invariance",
     ]
 
 
@@ -238,28 +237,27 @@ def test_explicit_dt_and_t_final_are_respected(ddd_system):
     assert cert.t_final == 2.0
 
 
-def test_fit_timestep_invariance_is_the_closed_form_of_two_fitted_runs(ddd_system):
-    """The check's closed-form residual, |scheme rate at dt/2 - at dt| over
-    the rate, agrees with that of two fitted mode runs of 1000 dt, at dt and
-    at dt/2, within their two roundoff bounds."""
-    cfg, mesh, dofs, pencil = ddd_system
-    rep = bb.cross_validate(cfg, mesh, dofs, pencil)
-    cert = rep.certificate
-    residual = {r.name: r.residual for r in rep.invariant_results}["analysis.fit_timestep_invariance"]
-    y0 = spectral.eigenmode(pencil, cert.mode)
-    a, b = (bb.simulate(pencil, y0, dt, 1000 * cert.dt).trace for dt in (cert.dt, cert.dt / 2))
-    denom = max(abs(cert.alpha_scheme), 2.0 * abs(cert.abscissa), 1e-9)
-    fitted = abs(bb.fit_decay(b).alpha - bb.fit_decay(a).alpha) / denom
-    bounds = analysis._rate_bound(pencil, y0, a.times) + analysis._rate_bound(pencil, y0, b.times)
-    assert residual > 0 and abs(fitted - residual) <= bounds / denom
+def test_a_resolving_dt_distorts_the_rate_by_at_most_a_quarter_percent():
+    """At dt = 0.1/|mu|, the largest dt the rule accepts, the scheme rate of
+    any decaying mode mu = r e^{i theta} is within 0.1^2/4 of 2 |Re mu|, for r
+    over 1e-6..1e8 and theta over (pi/2, pi], down to 1e-12 from the axis."""
+    assert analysis._DT_RESOLUTION == 0.1
+    worst = 0.0
+    for r in np.logspace(-6, 8, 29):
+        for theta in np.pi / 2 + np.pi / 2 * np.logspace(-12, 0, 49):
+            mu = complex(r * np.cos(theta), r * np.sin(theta))
+            distortion = analysis._scheme_rate(mu, 0.1 / r) / (2 * abs(mu.real)) - 1
+            worst = max(worst, abs(distortion))
+    assert 2.49e-3 <= worst <= 0.1**2 / 4
 
 
 def test_cross_validate_simulates_the_mode_run_and_the_plateau_run(
         ddd_system, cons_system, monkeypatch):
     """verify runs two simulations on a damped spectrum: the slowest-mode run
     its verdict fits and the 50-step plateau run of the energy-balance check.
-    With nothing to fit (conservative, damping on one beam only) it runs the
-    plateau alone, and certify_decay forms no mode and runs nothing."""
+    With nothing to fit (conservative, damping on one beam only) or a dt that
+    does not resolve the mode (1.01 * 0.1/|mu| on ddd) it runs the plateau
+    alone, and certify_decay forms no mode and runs nothing."""
     calls = []
 
     def counted(pencil, y0, dt, t_final, **kwargs):
@@ -277,14 +275,24 @@ def test_cross_validate_simulates_the_mode_run_and_the_plateau_run(
         assert calls == [50]
 
     def refused(*args, **kwargs):
-        raise AssertionError("a not_applicable certificate runs nothing")
+        raise AssertionError("a not_applicable or inconclusive certificate runs nothing")
+
+    monkeypatch.setattr(spectral, "eigenmode", refused)
+    cfg, mesh, dofs, pencil = ddd_system
+    unresolved = 1.01 * 0.1 / abs(bb.eigenvalues(pencil).eigenvalues[-1])
+    calls.clear()
+    rep = bb.cross_validate(cfg, mesh, dofs, pencil, dt=unresolved)
+    assert rep.certificate.ratio_check == "inconclusive"
+    assert all(r.passed for r in rep.invariant_results) and not rep.all_pass
+    assert calls == [50]
 
     monkeypatch.setattr(analysis, "simulate", refused)
-    monkeypatch.setattr(spectral, "eigenmode", refused)
-    cfg, _, _, pencil = cons_system
-    cert = bb.certify_decay(cfg, pencil)
-    assert cert.ratio_check == "not_applicable"
-    assert all(math.isnan(x) for x in (cert.alpha_fit, cert.alpha_bound, cert.r_squared, cert.ratio))
+    for (cfg, _, _, pencil), dt, verdict in ((cons_system, None, "not_applicable"),
+                                             (ddd_system, unresolved, "inconclusive")):
+        cert = bb.certify_decay(cfg, pencil, dt=dt)
+        assert cert.ratio_check == verdict
+        assert all(math.isnan(x)
+                   for x in (cert.alpha_fit, cert.alpha_bound, cert.r_squared, cert.ratio))
 
 
 def count_factorizations(monkeypatch, pencil):

@@ -157,28 +157,34 @@ def test_spectrum_csv_schema(tmp_path, config_file):
 
 
 def test_spectrum_warns_when_a_dissipative_spectrum_has_re_above_zero(tmp_path, capsys):
-    """Damping that dwarfs stiffness (rho1 = 1e150 at n = 4) leaves roundoff
-    eigenvalues with Re > 0. spectrum names their count and the largest Re
-    on stderr; stdout, the CSV and the exit code are as without the warning,
-    and a resolved spectrum prints no warning."""
-    for rho1, warned in (("1.0", False), ("1e150", True)):
-        path = tmp_path / f"rho1-{rho1}.cfg"
-        path.write_text(CONFIG.replace("rho1 = 1.0", f"rho1 = {rho1}"))
-        out = tmp_path / f"out-{rho1}"
-        assert cli.main(["spectrum", "--config", str(path), "--n1", "4", "--n2", "4",
-                         "--n3", "4", "--out-dir", str(out)]) == 0
+    """Damping that dwarfs stiffness (rho1 = 1e150 at n = 4) leaves a slowest
+    eigenvalue within eps max|mu| of 0, the test decay refuses with
+    UnresolvedMode. spectrum names its |mu| on stderr; stdout, the CSV and
+    the exit code are as without the warning. A resolved spectrum prints no
+    warning, even with roundoff Re > 0 (damping on the first beam alone)."""
+    cases = (("rho1 = 1.0", "rho1 = 1.0", 4, "38 eigenvalues (DDD)", False),
+             ("rho1 = 1.0", "rho1 = 1e150", 4, "38 eigenvalues (DDD)", True),
+             ("rho2 = 1.0\nbeta = 1.0", "rho2 = 0.0\nbeta = 0.0", 20, "198 eigenvalues (Other)",
+              False))
+    for i, (old, new, n, head, warned) in enumerate(cases):
+        path = tmp_path / f"case-{i}.cfg"
+        path.write_text(CONFIG.replace(old, new))
+        out = tmp_path / f"out-{i}"
+        assert cli.main(["spectrum", "--config", str(path), "--n1", str(n), "--n2", str(n),
+                         "--n3", str(n), "--out-dir", str(out)]) == 0
         captured = capsys.readouterr()
-        assert captured.out.startswith("spectrum: 38 eigenvalues (DDD), abscissa = ")
+        assert captured.out.startswith(f"spectrum: {head}, abscissa = ")
         assert len(captured.out.splitlines()) == 2
-        re_parts = np.loadtxt(out / "spectrum.csv", delimiter=",", skiprows=1)[:, 0]
-        assert re_parts.size == 38
+        rows = np.loadtxt(out / "spectrum.csv", delimiter=",", skiprows=1)
+        mu = rows[:, 0] + 1j * rows[:, 1]
+        slowest = abs(mu[-1])
+        assert (slowest <= np.finfo(float).eps * np.abs(mu).max()) == warned
         if not warned:
-            assert captured.err == "" and re_parts.max() < 0
+            assert captured.err == ""
+            assert (rows[:, 0].max() > 0) == (i == 2)
             continue
-        count = int(np.count_nonzero(re_parts > 0))
-        assert count > 0
-        assert captured.err == (f"warning: {count} of 38 eigenvalues have Re > 0, largest Re = "
-                                f"{cli._fmt(re_parts.max())}; the spectrum is not resolved\n")
+        assert captured.err == (f"warning: the slowest eigenvalue has |mu| = {cli._fmt(slowest)}, "
+                                "within eps max|mu| of 0; the spectrum is not resolved\n")
 
 
 def test_resolvent_row_count_and_sup(tmp_path, config_file):
@@ -231,7 +237,8 @@ def test_decay_json_contract(tmp_path, config_file):
         comma = "," if i < len(lines) - 1 else ""
         assert re.fullmatch(r'  "[a-z_]+": [^\s,]+' + comma, line), line
     assert payload["regime"] == "DDD"
-    assert payload["ratio_check"] in {"two_sided_pass", "two_sided_fail", "not_applicable"}
+    assert payload["ratio_check"] in {"two_sided_pass", "two_sided_fail", "not_applicable",
+                                      "inconclusive"}
     assert 0.9 <= payload["ratio"] <= 1.1
 
 
@@ -299,19 +306,20 @@ def test_verify_passes_and_is_reproducible(tmp_path, config_file):
         "invariant_results", "mesh", "min_axis_distance", "r_squared", "ratio", "ratio_check",
         "regime", "t_final",
     ]
-    assert p1.stdout.count("PASS") == len(payload["invariant_results"]) == 4
+    assert p1.stdout.count("PASS") == len(payload["invariant_results"]) == 3
     assert "FAIL" not in p1.stdout
     assert payload["all_pass"] is True
 
 
 def test_verify_fails_on_a_failed_decay_verdict(tmp_path, config_file, capsys):
-    """At dt = 2 on ddd every invariant passes but the fitted rate is far
-    below twice the abscissa; the failed verdict fails verify."""
+    """At dt = 2 on ddd every invariant passes, but dt |mu| is far above 0.1:
+    the dt does not resolve the mode, and the inconclusive verdict fails
+    verify."""
     out = tmp_path / "out"
     rc = cli.main(["verify", "--config", config_file, "--n1", "8", "--n2", "8", "--n3", "8",
                    "--dt", "2", "--out-dir", str(out)])
     payload = json.loads((out / "report.json").read_text())
-    assert payload["ratio_check"] == "two_sided_fail"
+    assert payload["ratio_check"] == "inconclusive"
     assert all(r["passed"] for r in payload["invariant_results"])
     assert payload["all_pass"] is False
     assert rc == 1
@@ -397,3 +405,21 @@ def test_only_module_errors_exit_with_status_one(tmp_path, config_file, monkeypa
         cli.run(spec)
     monkeypatch.setattr(cli, "eigenvalues", fail(spectral.NonpositiveParameter("bad")))
     assert cli.run(spec) == 1
+
+
+def test_an_unresolved_dt_is_inconclusive(tmp_path, capsys):
+    """On ddd.cfg at n = 10, dt = 1.01 * 0.1/|mu| does not resolve the slowest
+    mode: decay exits 0 and writes inconclusive with the four fitted keys
+    nan, and verify writes the same verdict, all_pass false, and exits 1."""
+    config = str(Path(__file__).resolve().parents[1] / "configs" / "ddd.cfg")
+    _, _, pencil = bb.discretize(bb.validate_config(read_config(config)), 10, 10, 10)
+    dt = 1.01 * 0.1 / float(abs(spectral.eigenvalues(pencil).eigenvalues[-1]))
+    args = ["--config", config, "--n1", "10", "--n2", "10", "--n3", "10", "--dt", repr(dt)]
+    assert cli.main(["decay", *args, "--out-dir", str(tmp_path / "decay")]) == 0
+    decay = json.loads((tmp_path / "decay" / "decay.json").read_text())
+    assert decay["ratio_check"] == "inconclusive" and decay["dt"] == dt
+    assert all(decay[k] == "nan" for k in ("alpha_fit", "alpha_bound", "r_squared", "ratio"))
+    assert cli.main(["verify", *args, "--out-dir", str(tmp_path / "verify")]) == 1
+    report = json.loads((tmp_path / "verify" / "report.json").read_text())
+    assert report["ratio_check"] == "inconclusive" and report["all_pass"] is False
+    assert "CHECKS FAILED" in capsys.readouterr().out
