@@ -29,19 +29,19 @@ import numpy as np
 from . import dynamics, fem, spectral
 from .dynamics import EnergyTrace, default_dt, simulate
 from .fem import DofMap, Mesh, StateVector, SystemPencil
-from .model import DampingCase, StructureConfig, default_initial_data
+from .model import BsblabError, DampingCase, StructureConfig, classify_damping, default_initial_data
 from .spectral import eigenvalues
 
 
-class NonpositiveEnergy(ValueError):
+class NonpositiveEnergy(BsblabError, ValueError):
     """log E is undefined: the fit window contains E <= 0."""
 
 
-class WindowTooSmall(ValueError):
+class WindowTooSmall(BsblabError, ValueError):
     """Fewer than 10 trace samples fall inside the fit window."""
 
 
-class UnresolvedMode(ValueError):
+class UnresolvedMode(BsblabError, ValueError):
     """The slowest mode is within eps max|mu| of 0 (spectral.slowest_mode_unresolved)."""
 
 
@@ -56,21 +56,23 @@ class DecayFit:
     n_samples: int
 
 
-_FIT_WINDOW = (0.2, 0.9)  # fit_decay's default window, in units of t_end
+_FIT_WINDOW = (0.2, 0.9)  # the fit window, in units of t_end
 _DT_RESOLUTION = 0.1  # a dt resolves the mode mu when dt |mu| is at most this
 
 
-def fit_decay(trace: EnergyTrace, window: tuple | None = None) -> DecayFit:
-    """Fit log E(t) over a time window, default [0.2, 0.9] * t_end.
+def _fit_window(times: np.ndarray):
+    """The fit window [0.2, 0.9] * t_end of sample times, and its mask."""
+    lo, hi = _FIT_WINDOW[0] * float(times[-1]), _FIT_WINDOW[1] * float(times[-1])
+    return (lo, hi), (times >= lo) & (times <= hi)
+
+
+def fit_decay(trace: EnergyTrace) -> DecayFit:
+    """Fit log E(t) over the window [0.2, 0.9] * t_end.
 
     Plain normal equations; raises WindowTooSmall below 10 samples and
     NonpositiveEnergy when the window holds a nonpositive energy value.
     """
-    t_end = float(trace.times[-1])
-    if window is None:
-        window = (_FIT_WINDOW[0] * t_end, _FIT_WINDOW[1] * t_end)
-    lo, hi = float(window[0]), float(window[1])
-    mask = (trace.times >= lo) & (trace.times <= hi)
+    (lo, hi), mask = _fit_window(trace.times)
     n = int(np.count_nonzero(mask))
     if n < 10:
         raise WindowTooSmall(f"window [{lo}, {hi}] holds {n} samples, need >= 10")
@@ -161,8 +163,7 @@ def _rate_bound(pencil: SystemPencil, y0: StateVector, times: np.ndarray) -> flo
     p, q = np.abs(y0.p), np.abs(y0.q)
     size = 0.5 * (p @ dynamics._band_product(np.abs(pencil.s_band), p.dtype)(p)
                   + q @ dynamics._band_product(np.abs(pencil.m_band), q.dtype)(q))
-    lo, hi = _FIT_WINDOW
-    fitted = times[(times >= lo * times[-1]) & (times <= hi * times[-1])]
+    fitted = times[_fit_window(times)[1]]
     tc = fitted - fitted.mean()
     delta = (len(times) - 1) * (k * u / (1 - k * u)) * size / dynamics.energy(pencil, y0)
     return float(delta * np.abs(tc).sum() / (tc @ tc))
@@ -225,7 +226,7 @@ def _certify(cfg: StructureConfig, pencil: SystemPencil,
         steps = min(10000, max(200, int(round(t_final / dt))))
         t_final = steps * dt
     cert = DecayCertificate(
-        regime=pencil.regime.value,
+        regime=classify_damping(cfg).value,
         abscissa=spect.abscissa,
         mode=mu,
         alpha_fit=math.nan,
@@ -298,7 +299,7 @@ def _check_step_energy_balance(ctx):
 
 def _check_string_damping_spectrum_gap(ctx):
     mu = ctx.spect.eigenvalues
-    if ctx.pencil.regime is not DampingCase.UDU:
+    if classify_damping(ctx.cfg) is not DampingCase.UDU:
         return True, 0.0, "only meaningful when damping is confined to the string"
     band = mu[np.abs(mu.imag) <= 50.0]
     band_min = float(np.min(np.abs(band.real))) if band.size else math.nan

@@ -10,8 +10,8 @@ out takes its RunSpec default. decay.json and report.json both come from
 the analysis module's one JSON writer: decay writes the DecayCertificate,
 verify the VerificationReport that holds it.
 
-Exit codes: 0 success, 1 for model/numerics errors (and for a failed
-verify), 2 for usage errors.
+Exit codes: 0 success, 1 for a model or numerical error (a BsblabError)
+and for a failed verify, 2 for usage errors.
 """
 
 from __future__ import annotations
@@ -23,11 +23,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analysis, dynamics, fem, model, spectral
+from . import spectral
 from .analysis import certify_decay, cross_validate, render_decay, render_report
 from .dynamics import default_dt, simulate
 from .fem import discretize, evaluate_state, interpolate
-from .model import StructureConfig, default_initial_data, validate_config
+from .model import (
+    BsblabError,
+    StructureConfig,
+    classify_damping,
+    default_initial_data,
+    validate_config,
+)
 from .spectral import (
     axis_grid,
     beam_clamped_free_frequencies,
@@ -42,24 +48,6 @@ class UsageError(Exception):
 
 
 _CONFIG_KEYS = ("l0", "l1", "l2", "l3", "rho1", "rho2", "beta")
-
-_MODULE_ERRORS = (
-    model.OrderingViolation,
-    model.NegativeDamping,
-    fem.ZeroElements,
-    fem.NonpositiveLength,
-    fem.IncompatibleInterface,
-    fem.OutOfDomain,
-    dynamics.DimensionMismatch,
-    dynamics.SolveFailure,
-    spectral.FactorizationFailure,
-    spectral.EmptySpectrum,
-    spectral.NonpositiveParameter,
-    analysis.NonpositiveEnergy,
-    analysis.WindowTooSmall,
-    analysis.UnresolvedMode,
-)
-
 
 def read_config(path: str) -> StructureConfig:
     """Parse the key = value config file into a StructureConfig.
@@ -276,7 +264,7 @@ def _cmd_spectrum(spec: RunSpec) -> int:
     path = os.path.join(spec.out_dir, "spectrum.csv")
     _write_rows(path, "re,im",
                 ((_fmt(m.real), _fmt(m.imag)) for m in report.eigenvalues))
-    print(f"spectrum: {report.eigenvalues.size} eigenvalues ({report.regime.value}), "
+    print(f"spectrum: {report.eigenvalues.size} eigenvalues ({classify_damping(cfg).value}), "
           f"abscissa = {_fmt(report.abscissa)}, "
           f"min |Re| = {_fmt(report.min_axis_distance)}")
     print(f"wrote {path}")
@@ -365,7 +353,7 @@ def run(spec: RunSpec) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except _MODULE_ERRORS as exc:
+    except BsblabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

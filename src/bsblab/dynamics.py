@@ -28,14 +28,14 @@ import numpy as np
 import scipy.linalg
 
 from .fem import StateVector, SystemPencil, _lu_band
-from .model import StructureConfig
+from .model import BsblabError, StructureConfig
 
 
-class DimensionMismatch(ValueError):
+class DimensionMismatch(BsblabError, ValueError):
     """State length does not match the pencil."""
 
 
-class SolveFailure(RuntimeError):
+class SolveFailure(BsblabError, RuntimeError):
     """An implicit solve failed or returned non-finite values."""
 
 

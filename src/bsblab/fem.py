@@ -31,39 +31,35 @@ and for --dump-matrices. States y = (p, q) obey B y' = K y, the energy is
 (1/2)(p^T S p + q^T M q), and Re(y^H K y) = -q^H D q holds exactly, which
 is the discrete image of the dissipation identity of the continuous
 semigroup. It follows from the block form of K once S is symmetric, and
-the tests check the symmetry of S, M and D exactly on their bands.
+the tests check the symmetry of S, M and D exactly on their bands. A
+pencil is the three bands and nothing else: which members are damped is
+a fact about the config's coefficients, which the model module decides.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .model import (
-    DampingCase,
-    InitialData,
-    StructureConfig,
-    classify_damping,
-    validate_config,
-)
+from .model import BsblabError, InitialData, StructureConfig, validate_config
 
 
-class ZeroElements(ValueError):
+class ZeroElements(BsblabError, ValueError):
     """An interval was asked to carry fewer elements than it supports."""
 
 
-class NonpositiveLength(ValueError):
+class NonpositiveLength(BsblabError, ValueError):
     """An element length must be finite and > 0."""
 
 
-class IncompatibleInterface(ValueError):
+class IncompatibleInterface(BsblabError, ValueError):
     """Initial data disagrees at a junction beyond tolerance."""
 
 
-class OutOfDomain(ValueError):
+class OutOfDomain(BsblabError, ValueError):
     """Evaluation point lies outside [l0, l3]."""
 
 
@@ -94,20 +90,6 @@ class DofMap:
     beam2: np.ndarray
 
 
-def _band(a: np.ndarray, b: int) -> np.ndarray:
-    """a in LAPACK general-band storage with kl = ku = b, in a's dtype: a[i, j]
-    sits in row b + i - j, column j; positions outside the matrix hold 0.
-
-    The band is allocated in Fortran order, the column-major layout BLAS and
-    LAPACK read, so the wrappers pass it through without copying it.
-    """
-    n = a.shape[0]
-    ab = np.zeros((2 * b + 1, n), dtype=a.dtype, order="F")
-    for k in range(-b, b + 1):  # k = j - i
-        ab[b - k, max(k, 0):n + min(k, 0)] = np.diagonal(a, k)
-    return ab
-
-
 def _lu_band(ab: np.ndarray) -> np.ndarray:
     """A general band (kl = ku = b) below b zero rows, in a new Fortran
     array: the layout ?gbtrf factors in place, with room for its fill-in."""
@@ -130,12 +112,6 @@ def _dense(ab: np.ndarray, ku: int) -> np.ndarray:
     return a
 
 
-def _half_bandwidth(*matrices: np.ndarray) -> int:
-    """Largest |i - j| over the nonzeros of the given N x N matrices."""
-    rows, cols = np.nonzero(np.logical_or.reduce([m != 0 for m in matrices]))
-    return int(np.abs(rows - cols).max(initial=0))
-
-
 @dataclass(frozen=True)
 class SystemPencil:
     """S, M and D of the second-order system, stored as bands.
@@ -148,22 +124,12 @@ class SystemPencil:
     memory and no code on the simulate path builds an N x N matrix. The
     dense S, M and D, and the 2N x 2N blocks B and K of the first-order
     form B y' = K y, are built on every access: they serve the tests,
-    --dump-matrices and small-mesh references. from_dense wraps hand-made
-    dense matrices.
+    --dump-matrices and small-mesh references.
     """
 
     s_band: np.ndarray
     m_band: np.ndarray
     d_band: np.ndarray
-    regime: DampingCase
-
-    @classmethod
-    def from_dense(cls, S, M, D, regime: DampingCase) -> "SystemPencil":
-        """Bands of dense S, M and D on the half-bandwidth of their nonzeros
-        (N - 1 for a full matrix)."""
-        S, M, D = (np.asarray(a, dtype=float) for a in (S, M, D))
-        b = _half_bandwidth(S, M, D)
-        return cls(_band(S, b), _band(M, b), _band(D, b), regime)
 
     @property
     def n_positions(self) -> int:
@@ -447,7 +413,7 @@ def assemble_pencil(cfg: StructureConfig, mesh: Mesh, dofs: DofMap) -> SystemPen
     M += _scatter_band(n, b, string, mass)
     D += _scatter_band(n, b, string, cfg.beta * mass)
 
-    return SystemPencil(S, M, D, regime=classify_damping(cfg))
+    return SystemPencil(S, M, D)
 
 
 def discretize(cfg: StructureConfig, n1: int, n2: int, n3: int):
@@ -455,54 +421,6 @@ def discretize(cfg: StructureConfig, n1: int, n2: int, n3: int):
     mesh = build_mesh(cfg, n1, n2, n3)
     dofs = build_dof_map(mesh)
     return mesh, dofs, assemble_pencil(cfg, mesh, dofs)
-
-
-def assemble_string_pencil(length: float, beta: float, n: int) -> SystemPencil:
-    """Isolated string with both ends pinned, for oracle comparisons.
-
-    Linear elements on (0, length); the N = n - 1 interior deflections are
-    the DOFs and D = beta * M.
-    """
-    if not np.isfinite(length) or length <= 0:
-        raise NonpositiveLength(f"string length must be > 0, got {length}")
-    if beta < 0 or not np.isfinite(beta):
-        raise ValueError(f"beta must be finite and >= 0, got {beta}")
-    if int(n) != n or n < 2:
-        raise ZeroElements(f"a pinned string needs n >= 2 elements, got {n}")
-    n = int(n)
-    idx = _element_pairs(np.concatenate([[-1], np.arange(n - 1), [-1]]))
-    b = _index_bandwidth(idx)
-    h = length / n
-    S = _scatter_band(n - 1, b, idx, element_matrices("string_stiffness", h))
-    M = _scatter_band(n - 1, b, idx, element_matrices("string_mass", h))
-    D = beta * M
-    regime = DampingCase.UDU if beta > 0 else DampingCase.CONSERVATIVE
-    return SystemPencil(S, M, D, regime=regime)
-
-
-def assemble_beam_pencil(length: float, n: int, rho: float = 0.0) -> SystemPencil:
-    """Isolated beam clamped at x = 0 and free at x = length.
-
-    Hermite cubics with the clamped node eliminated, N = 2n DOFs, and
-    D = rho times the slope Gram.
-    """
-    if not np.isfinite(length) or length <= 0:
-        raise NonpositiveLength(f"beam length must be > 0, got {length}")
-    if rho < 0 or not np.isfinite(rho):
-        raise ValueError(f"rho must be finite and >= 0, got {rho}")
-    if int(n) != n or n < 1:
-        raise ZeroElements(f"n must be an integer >= 1, got {n}")
-    n = int(n)
-    table = np.full((n + 1, 2), -1, dtype=int)
-    table[1:] = np.arange(2 * n).reshape(n, 2)
-    idx = _element_pairs(table)
-    b = _index_bandwidth(idx)
-    h = length / n
-    S = _scatter_band(2 * n, b, idx, element_matrices("beam_bending", h))
-    M = _scatter_band(2 * n, b, idx, element_matrices("beam_mass", h))
-    D = _scatter_band(2 * n, b, idx, rho * element_matrices("beam_slope", h))
-    regime = DampingCase.CONSERVATIVE if rho == 0 else DampingCase.OTHER
-    return SystemPencil(S, M, D, regime=regime)
 
 
 # --- initial data ----------------------------------------------------------

@@ -16,11 +16,16 @@ from dataclasses import dataclass
 from typing import Any
 
 
-class OrderingViolation(ValueError):
+class BsblabError(Exception):
+    """Base of the package's own errors: a model or numerical fault, which
+    the CLI reports with exit status 1."""
+
+
+class OrderingViolation(BsblabError, ValueError):
     """Interval endpoints are not finite and strictly increasing."""
 
 
-class NegativeDamping(ValueError):
+class NegativeDamping(BsblabError, ValueError):
     """A damping coefficient is negative or not finite."""
 
 

@@ -55,19 +55,19 @@ import scipy.linalg
 
 from .dynamics import energy
 from .fem import StateVector, SystemPencil, _dense, _lu_band
-from .model import DampingCase
+from .model import BsblabError
 
 
-class FactorizationFailure(RuntimeError):
+class FactorizationFailure(BsblabError, RuntimeError):
     """S or M is not symmetric positive definite to working precision, the
     whitened matrix overflows or has no Schur form, or Q(mu) no eigenvector."""
 
 
-class EmptySpectrum(RuntimeError):
+class EmptySpectrum(BsblabError, RuntimeError):
     """The pencil has no eigenvalues (zero-size system)."""
 
 
-class NonpositiveParameter(ValueError):
+class NonpositiveParameter(BsblabError, ValueError):
     """A closed-form oracle was called outside its domain."""
 
 
@@ -81,7 +81,6 @@ class SpectrumReport:
     eigenvalues: np.ndarray
     abscissa: float
     min_axis_distance: float
-    regime: DampingCase
     schur: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
@@ -189,7 +188,6 @@ def eigenvalues(pencil: SystemPencil) -> SpectrumReport:
         eigenvalues=mu,
         abscissa=float(np.max(mu.real)),
         min_axis_distance=float(np.min(np.abs(mu.real))),
-        regime=pencil.regime,
         schur=schur,
     )
 
@@ -465,20 +463,3 @@ def beam_clamped_free_frequencies(length: float, count: int) -> np.ndarray:
         freqs[j - 1] = (kappa / length) ** 2
     return freqs
 
-
-def eigenvalue_exclusion_determinant(a: float) -> float:
-    """cosh(sqrt(a)) + cos(sqrt(a)) for a > 0.
-
-    This is the boundary determinant of the fourth-order problem
-    z'''' = a^2 z with z(0) = z''(0) = z'''(0) = 0 and z(1) = z'(1) = 0,
-    up to a positive factor. It exceeds 1 for every a > 0, so that problem
-    has only the zero solution; this is what rules out purely imaginary
-    generator eigenvalues in the string-damped-only regime.
-    """
-    if not np.isfinite(a) or a <= 0:
-        raise NonpositiveParameter(f"a must be finite and > 0, got {a}")
-    r = math.sqrt(a)
-    if r > 700.0:
-        # cosh overflows past ~710; the sum is astronomically above 1
-        return math.inf
-    return math.cosh(r) + math.cos(r)

@@ -30,14 +30,6 @@ def test_fit_recovers_an_exact_exponential():
     assert fit.n_samples >= 10
 
 
-def test_fit_default_window_is_the_interior():
-    tr = synthetic_trace(t_end=10.0)
-    default = bb.fit_decay(tr)
-    explicit = bb.fit_decay(tr, window=(2.0, 9.0))
-    assert default.window == explicit.window
-    assert default.alpha == explicit.alpha
-
-
 def test_fit_on_constant_energy():
     fit = bb.fit_decay(synthetic_trace(alpha=0.0, c=2.5))
     assert fit.alpha == pytest.approx(0.0, abs=1e-12)
@@ -56,9 +48,9 @@ def test_fit_r_squared_drops_on_non_exponential_data():
 
 
 def test_fit_window_validation():
-    tr = synthetic_trace(n=401)
     with pytest.raises(analysis.WindowTooSmall):
-        bb.fit_decay(tr, window=(0.0, 0.01))  # fewer than 10 samples
+        bb.fit_decay(synthetic_trace(n=12))  # 7 samples in [0.2, 0.9] * t_end
+    tr = synthetic_trace(n=401)
     dead = dynamics.EnergyTrace(
         times=tr.times, energy=np.zeros_like(tr.energy),
         dissipation=tr.dissipation, cross=tr.cross,

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import bsblab as bb
-from bsblab import cli, spectral
+from bsblab import analysis, cli, dynamics, fem, model, spectral
 from bsblab.cli import RunSpec, UsageError, parse_args, read_config
 
 
@@ -405,6 +405,17 @@ def test_only_module_errors_exit_with_status_one(tmp_path, config_file, monkeypa
         cli.run(spec)
     monkeypatch.setattr(cli, "eigenvalues", fail(spectral.NonpositiveParameter("bad")))
     assert cli.run(spec) == 1
+
+
+def test_every_package_error_is_a_bsblab_error():
+    """cli.run maps BsblabError to exit 1, so every error class the model,
+    fem, dynamics, spectral and analysis modules define must derive from it."""
+    errors = [obj for module in (model, fem, dynamics, spectral, analysis)
+              for obj in vars(module).values()
+              if isinstance(obj, type) and issubclass(obj, BaseException)
+              and obj.__module__ == module.__name__]
+    assert len(errors) >= 14
+    assert all(issubclass(e, bb.BsblabError) for e in errors), errors
 
 
 def test_an_unresolved_dt_is_inconclusive(tmp_path, capsys):

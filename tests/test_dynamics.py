@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 
 import bsblab as bb
 from bsblab import dynamics, fem
-from bsblab.model import DampingCase
-
 from conftest import random_state
+import oracles
 
 
 def plateau(system):
@@ -143,8 +142,7 @@ def dense_pencil(damping, seed=5, n=6):
         return g @ g.T + n * np.eye(n)
 
     g = rng.standard_normal((n, 3))
-    return fem.SystemPencil.from_dense(S=spd(), M=spd(), D=damping * (g @ g.T),
-                                       regime=DampingCase.OTHER)
+    return oracles.pencil_from_dense(S=spd(), M=spd(), D=damping * (g @ g.T))
 
 
 @pytest.mark.parametrize("complex_valued", [False, True])
@@ -186,12 +184,12 @@ def test_backward_step_with_an_indefinite_step_matrix(complex_valued):
 def test_step_failures_raise_solve_failure():
     """A singular step matrix fails the factorization; overflow fails the step."""
     zero = np.zeros((3, 3))
-    singular = fem.SystemPencil.from_dense(S=zero, M=zero, D=zero, regime=DampingCase.OTHER)
+    singular = oracles.pencil_from_dense(S=zero, M=zero, D=zero)
     y = bb.StateVector(np.ones(3), np.ones(3))
     with pytest.raises(dynamics.SolveFailure, match="factorization"):
         bb.step_trapezoidal(singular, y, 1e-3)
     eye = np.eye(3)
-    huge = fem.SystemPencil.from_dense(S=1e300 * eye, M=eye, D=zero, regime=DampingCase.OTHER)
+    huge = oracles.pencil_from_dense(S=1e300 * eye, M=eye, D=zero)
     with pytest.raises(dynamics.SolveFailure, match="non-finite"):
         bb.simulate(huge, bb.StateVector(1e300 * np.ones(3), np.ones(3)), 1e-3, 1e-3)
     # complex arithmetic on the overflowed values meets inf * 0
@@ -235,7 +233,7 @@ def test_band_storage_is_fortran_ordered():
     a[np.abs(np.subtract.outer(np.arange(6), np.arange(6))) > 2] = 0.0
     for m in (a, a * (1 + 2j)):
         for pad in (0, 2):
-            ab = fem._band(m, 2)
+            ab = oracles.band(m, 2)
             if pad:
                 ab = fem._lu_band(ab)
             assert ab.flags.f_contiguous and ab.dtype == m.dtype
@@ -243,7 +241,7 @@ def test_band_storage_is_fortran_ordered():
             for i, j in zip(*np.nonzero(m)):
                 assert ab[pad + 2 + i - j, j] == m[i, j]
             assert np.count_nonzero(ab) == np.count_nonzero(m)
-        dense = fem._dense(fem._band(m, 2), 2)
+        dense = fem._dense(oracles.band(m, 2), 2)
         assert dense.flags.f_contiguous and np.array_equal(dense, m)
 
 
