@@ -148,6 +148,21 @@ def _scheme_rate(mu: complex, dt: float) -> float:
     return -math.log(((1.0 + x) ** 2 + y * y) / ((1.0 - x) ** 2 + y * y)) / dt
 
 
+def _gamma(pencil: SystemPencil) -> float:
+    """gamma_{2b+1} = (2b + 1) u/(1 - (2b + 1) u), u = eps/2: the relative
+    error bound of a banded dot product (Higham, 2nd ed., 3.1)."""
+    k = 2 * pencil.bandwidth + 1
+    u = np.finfo(float).eps / 2
+    return k * u / (1 - k * u)
+
+
+def _term_size(pencil: SystemPencil, y: StateVector) -> float:
+    """T = (|p|^T |S| |p| + |q|^T |M| |q|)/2, the size of the terms E(y) sums."""
+    p, q = np.abs(y.p), np.abs(y.q)
+    return 0.5 * (p @ dynamics._band_product(np.abs(pencil.s_band), p.dtype)(p)
+                  + q @ dynamics._band_product(np.abs(pencil.m_band), q.dtype)(q))
+
+
 def _rate_bound(pencil: SystemPencil, y0: StateVector, times: np.ndarray) -> float:
     """Roundoff bound on |alpha_fit - _scheme_rate| for a mode run from y0.
 
@@ -158,14 +173,9 @@ def _rate_bound(pencil: SystemPencil, y0: StateVector, times: np.ndarray) -> flo
     delta = K gamma_{2b+1} T/E, which moves the least-squares slope over
     the fitted t_i by at most delta sum|tc_i| / sum(tc_i^2), tc = t - mean(t).
     """
-    u = np.finfo(float).eps / 2
-    k = 2 * pencil.bandwidth + 1
-    p, q = np.abs(y0.p), np.abs(y0.q)
-    size = 0.5 * (p @ dynamics._band_product(np.abs(pencil.s_band), p.dtype)(p)
-                  + q @ dynamics._band_product(np.abs(pencil.m_band), q.dtype)(q))
     fitted = times[_fit_window(times)[1]]
     tc = fitted - fitted.mean()
-    delta = (len(times) - 1) * (k * u / (1 - k * u)) * size / dynamics.energy(pencil, y0)
+    delta = (len(times) - 1) * _gamma(pencil) * _term_size(pencil, y0) / dynamics.energy(pencil, y0)
     return float(delta * np.abs(tc).sum() / (tc @ tc))
 
 
@@ -282,19 +292,25 @@ def _check_step_energy_balance(ctx):
     """E_{k+1} - E_k = dt * dissipation(midpoint) over 50 steps from the plateau.
 
     E_k is the run's own energy record; the midpoint dissipation comes
-    from the stored states.
+    from the stored states. The residual is the worst ratio of a step's
+    gap to its roundoff bound gamma_{2b+1} (T_k + T_{k+1} + dt |qm|^T |D| |qm|),
+    with T = _term_size: the sizes of the terms the three sums add up.
     """
     dt = ctx.certificate.dt
     y0 = fem.interpolate(default_initial_data(ctx.cfg), ctx.mesh, ctx.dofs)
     sim = simulate(ctx.pencil, y0, dt, 50 * dt, snapshot_every=1)
     e = sim.trace.energy
     states = [y for _, y in sim.snapshots]
+    sizes = [_term_size(ctx.pencil, y) for y in states]
+    d_size = dynamics._band_product(np.abs(ctx.pencil.d_band), np.float64)
     worst = 0.0
     for k, (y, y_next) in enumerate(zip(states, states[1:])):
         mid = StateVector(0.5 * (y.p + y_next.p), 0.5 * (y.q + y_next.q))
         resid = abs(e[k + 1] - e[k] - dt * dynamics.dissipation(ctx.pencil, mid))
-        worst = max(worst, resid / max(e[k], 1e-300))
-    return worst <= 1e-9, worst, "50 trapezoidal steps, midpoint identity"
+        qm = np.abs(mid.q)
+        bound = _gamma(ctx.pencil) * (sizes[k] + sizes[k + 1] + dt * (qm @ d_size(qm)))
+        worst = max(worst, resid / max(bound, 1e-300))
+    return worst <= 1.0, worst, "50 trapezoidal steps, midpoint identity"
 
 
 def _check_string_damping_spectrum_gap(ctx):

@@ -206,13 +206,31 @@ def _write_rows(path: str, header: str, rows) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
+def _band_entries(ab: np.ndarray, row0: int = 0, col0: int = 0, sign: float = 1.0):
+    """(rows, cols, values) of the nonzero entries of sign * the general band
+    ab, placed as the block at (row0, col0)."""
+    b, n = ab.shape[0] // 2, ab.shape[1]
+    i, j = np.divmod(np.arange(n * (2 * b + 1)), 2 * b + 1)
+    j += i - b  # row i holds columns i - b .. i + b
+    inside = (j >= 0) & (j < n)
+    i, j = i[inside], j[inside]
+    values = ab[b + i - j, j]
+    nonzero = values != 0
+    return i[nonzero] + row0, j[nonzero] + col0, sign * values[nonzero]
+
+
 def _dump_matrices(pencil, out_dir: str) -> None:
-    # nonzero entries in row-major order, which is np.nonzero's: "row col value"
-    for name in ("S", "M", "D", "B", "K"):
-        matrix = getattr(pencil, name)
-        rows, cols = np.nonzero(matrix)
-        lines = [f"{i} {j} {_fmt(matrix[i, j])}" for i, j in zip(rows, cols)]
-        _write_text(os.path.join(out_dir, f"{name}.coo.txt"), "\n".join(lines) + "\n")
+    # nonzero entries in row-major order, "row col value", read off the bands:
+    # B = blockdiag(S, M) and K = [[0, S], [-S, -D]] as blocks of them
+    n, s, m, d = pencil.n_positions, pencil.s_band, pencil.m_band, pencil.d_band
+    blocks = {"S": [(s,)], "M": [(m,)], "D": [(d,)], "B": [(s,), (m, n, n)],
+              "K": [(s, 0, n), (s, n, 0, -1.0), (d, n, n, -1.0)]}
+    for name, parts in blocks.items():
+        rows, cols, values = map(np.concatenate, zip(*(_band_entries(*part) for part in parts)))
+        order = np.lexsort((cols, rows))
+        text = "".join(f"{i} {j} {_fmt(v)}\n"
+                       for i, j, v in zip(rows[order], cols[order], values[order]))
+        _write_text(os.path.join(out_dir, f"{name}.coo.txt"), text)
 
 
 def _prepare(spec: RunSpec):
@@ -276,8 +294,8 @@ def _cmd_spectrum(spec: RunSpec) -> int:
 
 def _cmd_resolvent(spec: RunSpec) -> int:
     cfg, mesh, dofs, pencil = _prepare(spec)
-    table = resolvent_sweep(eigenvalues(pencil),
-                            axis_grid(spec.lambda_min, spec.lambda_max, spec.lambda_steps))
+    report = eigenvalues(pencil)
+    table = resolvent_sweep(report, axis_grid(spec.lambda_min, spec.lambda_max, spec.lambda_steps))
     path = os.path.join(spec.out_dir, "resolvent.csv")
     _write_rows(path, "lambda,norm",
                 ((_fmt(lam), _fmt(nrm)) for lam, nrm in zip(table.lambdas, table.norms)))
@@ -285,6 +303,9 @@ def _cmd_resolvent(spec: RunSpec) -> int:
           f"({spec.lambda_steps} points, {table.distinct_points} distinct |lambda|, "
           f"{table.total_iterations} Lanczos iterations, at most "
           f"{int(table.iterations.max())} per point) = {_fmt(table.sup)}")
+    print(f"resolvent: first grid maximum at lambda = "
+          f"{_fmt(table.lambdas[int(np.argmax(table.norms))])}, "
+          f"min |Re| = {_fmt(report.min_axis_distance)}")
     print(f"wrote {path}")
     return 0
 

@@ -123,8 +123,8 @@ class SystemPencil:
     coupled mesh) and scatters into the bands, so a pencil costs O(N b)
     memory and no code on the simulate path builds an N x N matrix. The
     dense S, M and D, and the 2N x 2N blocks B and K of the first-order
-    form B y' = K y, are built on every access: they serve the tests,
-    --dump-matrices and small-mesh references.
+    form B y' = K y, are built on every access: they serve the tests and
+    small-mesh references, and no package code reads them.
     """
 
     s_band: np.ndarray

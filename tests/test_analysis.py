@@ -222,6 +222,26 @@ def test_a_damping_fault_in_the_step_fails_the_verdict(monkeypatch):
     assert cert.ratio_check == "two_sided_fail"
 
 
+def test_a_damping_fault_in_the_step_fails_the_step_balance(monkeypatch):
+    """The same fault at 40 elements per member breaks the per-step balance
+    E_{k+1} - E_k = dt dissipation(midpoint) by 1.7 times its roundoff
+    bound, where the faultless step reads 0.006 of it."""
+    cfg = bb.validate_config(read_config(str(CONFIGS / "ddd.cfg")))
+    mesh, dofs, pencil = bb.discretize(cfg, 40, 40, 40)
+    ctx = analysis._Context(cfg=cfg, mesh=mesh, dofs=dofs, pencil=pencil, spect=None,
+                            certificate=bb.certify_decay(cfg, pencil))
+    passed, residual, _ = analysis._check_step_energy_balance(ctx)
+    assert passed and residual <= 0.01
+    step = dynamics._trapezoidal_step
+
+    def faulty(pencil, dt, dtype):
+        return step(dataclasses.replace(pencil, d_band=pencil.d_band * (1 + 1e-6)), dt, dtype)
+
+    monkeypatch.setattr(dynamics, "_trapezoidal_step", faulty)
+    passed, residual, _ = analysis._check_step_energy_balance(ctx)
+    assert not passed and residual >= 1.5
+
+
 def test_explicit_dt_and_t_final_are_respected(ddd_system):
     cfg, mesh, dofs, pencil = ddd_system
     cert = bb.certify_decay(cfg, pencil, dt=1e-3, t_final=2.0)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import bsblab as bb
 from bsblab import analysis, cli, dynamics, fem, model, spectral
@@ -219,6 +220,34 @@ def test_resolvent_prints_the_lanczos_work_with_the_sup_last(tmp_path, capsys):
     assert line.endswith(f" = {cli._fmt(table.sup)}")
 
 
+def test_resolvent_prints_the_udu_study_from_one_schur_form(tmp_path, monkeypatch, capsys):
+    """README's udu study: at each mesh one dgees (2N = 98, 198), and a line
+    after the sup with its first grid argmax and the spectrum's min |Re|."""
+    shapes = []
+    dgees = scipy.linalg.lapack.dgees
+
+    def counted(*args, **kwargs):
+        if kwargs.get("lwork") != -1:
+            shapes.append(next(x for x in args if isinstance(x, np.ndarray)).shape)
+        return dgees(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dgees", counted)
+    config = str(Path(__file__).resolve().parents[1] / "configs" / "udu.cfg")
+    for n, sup, argmax, gap in ((10, "7.813919", "-3.3333", "4.738e-03"),
+                                (20, "7.757637", "-3.3333", "1.511e-03")):
+        shapes.clear()
+        assert cli.main(["resolvent", "--config", config, "--n1", str(n), "--n2", str(n),
+                         "--n3", str(n), "--lambda-steps", "301",
+                         "--out-dir", str(tmp_path)]) == 0
+        assert shapes == [(2 * (5 * n - 1),) * 2]
+        lines = capsys.readouterr().out.splitlines()
+        assert f"{float(lines[0].rsplit(' = ', 1)[1]):.6f}" == sup
+        got = re.fullmatch(r"resolvent: first grid maximum at lambda = (\S+), "
+                           r"min \|Re\| = (\S+)", lines[1])
+        assert (f"{float(got[1]):.4f}", f"{float(got[2]):.3e}") == (argmax, gap)
+        assert lines[2].startswith("wrote ")
+
+
 def test_decay_json_contract(tmp_path, config_file):
     out = tmp_path / "out"
     proc = run_cli("decay", "--config", config_file,
@@ -311,6 +340,15 @@ def test_verify_passes_and_is_reproducible(tmp_path, config_file):
     assert payload["all_pass"] is True
 
 
+@pytest.mark.parametrize("name", ["ddd", "udu", "conservative"])
+def test_verify_passes_on_the_shipped_configs_at_80_elements(tmp_path, name):
+    """The step balance's roundoff grows with the mesh, and so does its
+    derived bound: every shipped config passes at 80 elements per member."""
+    config = str(Path(__file__).resolve().parents[1] / "configs" / f"{name}.cfg")
+    assert cli.main(["verify", "--config", config, "--n1", "80", "--n2", "80", "--n3", "80",
+                     "--out-dir", str(tmp_path)]) == 0
+
+
 def test_verify_fails_on_a_failed_decay_verdict(tmp_path, config_file, capsys):
     """At dt = 2 on ddd every invariant passes, but dt |mu| is far above 0.1:
     the dt does not resolve the mode, and the inconclusive verdict fails
@@ -326,22 +364,30 @@ def test_verify_fails_on_a_failed_decay_verdict(tmp_path, config_file, capsys):
     assert "CHECKS FAILED" in capsys.readouterr().out
 
 
-def test_dump_matrices_round_trip(tmp_path, config_file):
-    out = tmp_path / "out"
-    proc = run_cli("spectrum", "--config", config_file,
-                   "--n1", "2", "--n2", "2", "--n3", "2",
-                   "--dump-matrices", "--out-dir", str(out))
-    assert proc.returncode == 0, proc.stderr
-    cfg = read_config(config_file)
-    _, _, pencil = bb.discretize(cfg, 2, 2, 2)
-    for name in ("S", "M", "D", "B", "K"):
-        path = out / f"{name}.coo.txt"
-        want = getattr(pencil, name)
-        got = np.zeros_like(want)
-        for ln in path.read_text().splitlines():
-            i, j, v = ln.split()
-            got[int(i), int(j)] = float(v)
-        assert np.array_equal(got, want)
+def test_dump_matrices_round_trip(tmp_path, monkeypatch):
+    """The triplets come off the bands, in row-major order, and give back the
+    dense S, M, D, B and K; an all-zero matrix (conservative D) is an empty
+    file."""
+    names = ("S", "M", "D", "B", "K")
+    for cfg_name in ("ddd", "udu", "conservative"):
+        config = str(Path(__file__).resolve().parents[1] / "configs" / f"{cfg_name}.cfg")
+        _, _, pencil = bb.discretize(bb.validate_config(read_config(config)), 2, 2, 2)
+        wants = {name: getattr(pencil, name) for name in names}
+        with monkeypatch.context() as patch:
+            for name in names:
+                patch.setattr(bb.SystemPencil, name, property(lambda p: pytest.fail("densified")))
+            out = tmp_path / cfg_name
+            assert cli.main(["spectrum", "--config", config, "--n1", "2", "--n2", "2",
+                             "--n3", "2", "--dump-matrices", "--out-dir", str(out)]) == 0
+        for name, want in wants.items():
+            text = (out / f"{name}.coo.txt").read_text()
+            got = np.zeros_like(want)
+            entries = [ln.split() for ln in text.splitlines()]
+            for i, j, v in entries:
+                got[int(i), int(j)] = float(v)
+            assert np.array_equal(got, want), (cfg_name, name)
+            assert [(int(i), int(j)) for i, j, _ in entries] == list(zip(*np.nonzero(want)))
+            assert (text == "") == (not want.any()), (cfg_name, name)
 
 
 # --- exit codes ---------------------------------------------------------------
