@@ -324,27 +324,9 @@ def _check_string_damping_spectrum_gap(ctx):
     return bool(np.all(mu.real < 0)), float(np.max(mu.real)), note
 
 
-def _check_resolvent_lower_bound(ctx):
-    mu = ctx.spect.eigenvalues
-    lambdas = np.array([-31.4, -5.0, 0.0, 3.7, 11.3, 26.9, 50.0])
-    norms = spectral.resolvent_sweep(ctx.spect, lambdas).norms
-    worst = 0.0
-    for lam, norm in zip(lambdas.tolist(), norms.tolist()):
-        dist = float(np.min(np.abs(1j * lam - mu)))
-        if dist == 0.0:
-            if not math.isinf(norm):
-                worst = max(worst, 1.0)
-            continue
-        if math.isinf(norm):
-            continue
-        worst = max(worst, (1.0 / dist) / norm - 1.0)
-    return worst <= 1e-9, max(0.0, worst), "norm >= 1/dist(i lambda, spectrum)"
-
-
 _REGISTRY = [
     ("dynamics.step_energy_balance", _check_step_energy_balance),
     ("spectral.string_damping_spectrum_gap", _check_string_damping_spectrum_gap),
-    ("spectral.resolvent_lower_bound", _check_resolvent_lower_bound),
 ]
 
 

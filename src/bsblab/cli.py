@@ -170,6 +170,9 @@ def parse_args(argv) -> RunSpec:
         raise UsageError(f"--dt must be finite and > 0, got {spec.dt}")
     if spec.t_final is not None and not (np.isfinite(spec.t_final) and spec.t_final > 0):
         raise UsageError(f"--t-final must be finite and > 0, got {spec.t_final}")
+    # t_final defaults to 10 for simulate and to at most 10 for decay and verify
+    if spec.dt is not None and not np.isfinite((spec.t_final or 10.0) / spec.dt):
+        raise UsageError(f"the step count t_final/dt overflows with --dt {spec.dt}")
     if spec.lambda_steps < 2:
         raise UsageError(f"--lambda-steps must be >= 2, got {spec.lambda_steps}")
     if not np.isfinite([spec.lambda_min, spec.lambda_max]).all():

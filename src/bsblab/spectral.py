@@ -13,17 +13,18 @@ originals. The resolvent norm along the imaginary axis is therefore
 `resolvent_norm` evaluates one point by a dense SVD of i lambda I - C; it
 is the reference. `resolvent_sweep` takes the SpectrumReport that
 `eigenvalues` returns and any axis points (`axis_grid` makes a uniform,
-mirror-symmetric grid). It gets R(lambda)^2 at each distinct |lambda| as
-the largest eigenvalue of A^{-*} A^{-1}, A = i lambda I - U, by Lanczos
-with full reorthogonalization, where C = Q U Q^* is a complex Schur form
-(Q is never formed: it leaves 2-norms alone) read off the report: its
-real Schur factor made triangular if damped, else the diagonal of its
-eigenvalues (C is then skew, hence normal). Each
-iteration calls LAPACK directly: two triangular solves (ztrtrs) and the
-largest Ritz pair of the Lanczos tridiagonal (dstebz + dstein), about
-0.18 ms at n = 40. Lanczos stops once the Ritz residual beta_k |s_k| is
-at most 1e-12 of the Ritz value, and after at most dim C iterations,
-where the Krylov space is exhausted and the Ritz value is exact.
+mirror-symmetric grid). An undamped C is skew, hence normal, so there
+R(lambda) = 1 / dist(i lambda, spectrum), read off the eigenvalues. A
+damped one gets R(lambda)^2 at each distinct |lambda| as the largest
+eigenvalue of A^{-*} A^{-1}, A = i lambda I - U, by Lanczos with full
+reorthogonalization, where C = Q U Q^* is the complex Schur form made
+from the report's real Schur factor (Q is never formed: it leaves
+2-norms alone). Each iteration calls LAPACK directly: two triangular
+solves (ztrtrs) and the largest Ritz pair of the Lanczos tridiagonal
+(dstebz + dstein), about 0.18 ms at n = 40. Lanczos stops once the Ritz
+residual beta_k |s_k| is at most 1e-12 of the Ritz value, and after at
+most dim C iterations, where the Krylov space is exhausted and the Ritz
+value is exact.
 
 With X = Lm^{-1} Ls the whitened matrix is
 
@@ -75,8 +76,8 @@ class NonpositiveParameter(BsblabError, ValueError):
 class SpectrumReport:
     """All 2N eigenvalues plus the two scalars the stability theory cares
     about: the spectral abscissa and the distance of the spectrum to the
-    imaginary axis; `schur` is the real Schur factor of a damped spectrum
-    (an undamped one's complex Schur form is its eigenvalues' diagonal)."""
+    imaginary axis; `schur` is the real Schur factor of a damped spectrum,
+    for the resolvent, and None for an undamped one."""
 
     eigenvalues: np.ndarray
     abscissa: float
@@ -87,7 +88,8 @@ class SpectrumReport:
 @dataclass
 class ResolventTable:
     """Axis points, resolvent norms and, per point, the Lanczos iterations
-    behind its value (mirrored points share one computation)."""
+    behind its value (mirrored points share one computation); 0 for an
+    undamped pencil, whose norms are read off its eigenvalues."""
 
     lambdas: np.ndarray
     norms: np.ndarray
@@ -379,29 +381,32 @@ def _lanczos_inverse_norm(a: np.ndarray, start: np.ndarray):
 def resolvent_sweep(spect: SpectrumReport, lambdas) -> ResolventTable:
     """Resolvent norms at the axis points i*lambdas, from the spectrum report.
 
-    One Lanczos run per distinct |lambda| on the report's complex Schur
-    form U: its real Schur factor made triangular, or its eigenvalues on a
-    diagonal when undamped (C is then normal). The pencil is real, so the
-    norm is even in lambda; mirrored points share one run, which halves
-    the work on grids symmetric about 0 (see axis_grid). Nothing is
-    whitened or factored here; resolvent_norm is the dense reference.
+    The pencil is real, so the norm is even in lambda; mirrored points
+    share one computation, which halves the work on grids symmetric about
+    0 (see axis_grid). Undamped, C is normal and the norm is
+    1 / min|i lambda - mu| over the report's eigenvalues mu, +inf at
+    distance 0, with no Lanczos iteration. Damped, one Lanczos run per
+    distinct |lambda| on the complex Schur triangle U made from the
+    report's real Schur factor. Nothing is whitened or factored here;
+    resolvent_norm is the dense reference.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     if lambdas.size == 0 or not np.isfinite(lambdas).all():
         raise NonpositiveParameter(f"need one or more finite axis points, got {lambdas}")
-    if spect.schur is not None:
-        t = _complex_triangle(spect.schur)
-    else:
-        t = np.zeros((spect.eigenvalues.size,) * 2, dtype=np.complex128, order="F")
-        np.fill_diagonal(t, spect.eigenvalues)
+    keys, where = np.unique(np.abs(lambdas), return_inverse=True)
+    iterations = np.zeros(keys.size, dtype=np.int64)
+    if spect.schur is None:
+        dist = np.array([np.abs(1j * key - spect.eigenvalues).min() for key in keys])
+        with np.errstate(divide="ignore"):
+            norms = 1.0 / dist
+        return ResolventTable(lambdas=lambdas, norms=norms[where], iterations=iterations[where])
+    t = _complex_triangle(spect.schur)
     rng = np.random.default_rng(0)
     start = rng.standard_normal(t.shape[0]) + 1j * rng.standard_normal(t.shape[0])
     # A = i lambda I - U in place of U: only the diagonal changes per point
     a = np.negative(t, out=t)
     diagonal = a.diagonal().copy()
-    keys, where = np.unique(np.abs(lambdas), return_inverse=True)
     norms = np.empty(keys.size)
-    iterations = np.empty(keys.size, dtype=np.int64)
     for i, key in enumerate(keys):
         np.fill_diagonal(a, diagonal + 1j * key)
         norms[i], iterations[i] = _lanczos_inverse_norm(a, start)

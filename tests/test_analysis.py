@@ -73,7 +73,6 @@ def test_cross_validate_certifies_the_fully_damped_case(ddd_system):
     assert [r.name for r in rep.invariant_results] == [
         "dynamics.step_energy_balance",
         "spectral.string_damping_spectrum_gap",
-        "spectral.resolvent_lower_bound",
     ]
 
 
@@ -336,10 +335,9 @@ def count_factorizations(monkeypatch, pencil):
 @pytest.mark.parametrize("system", ["ddd_system", "udu_system", "cons_system"])
 def test_verify_builds_no_second_pencil(request, system, monkeypatch):
     """verify checks the pencil it is given: it discretizes and assembles
-    nothing and runs no QZ. A damped pencil is whitened once, and one real
-    Schur factor of C feeds the spectrum and the resolvent check; an
-    undamped one is neither whitened nor Schur-factored, as its resolvent
-    reads the eigenvalues."""
+    nothing, runs no QZ and sweeps no resolvent (no ztrtrs). A damped
+    pencil is whitened once and its C Schur-factored once, for the
+    spectrum; an undamped one is neither whitened nor Schur-factored."""
     cfg, mesh, dofs, pencil = request.getfixturevalue(system)
     forbidden = []
 
@@ -351,7 +349,7 @@ def test_verify_builds_no_second_pencil(request, system, monkeypatch):
 
     whitened, factored = count_factorizations(monkeypatch, pencil)
     for module, name in ((fem, "discretize"), (fem, "assemble_pencil"),
-                         (scipy.linalg, "eigvals")):
+                         (scipy.linalg, "eigvals"), (scipy.linalg.lapack, "ztrtrs")):
         monkeypatch.setattr(module, name, refused(name, getattr(module, name)))
     assert bb.cross_validate(cfg, mesh, dofs, pencil).all_pass
     assert forbidden == []
@@ -363,12 +361,23 @@ def test_verify_builds_no_second_pencil(request, system, monkeypatch):
 @pytest.mark.parametrize("system", ["ddd_system", "udu_system", "cons_system"])
 def test_resolvent_sweep_on_a_report_factors_nothing(request, system, monkeypatch):
     """resolvent_sweep reads its Schur form off the spectrum report: it
-    whitens and factors nothing, damped or not."""
+    whitens and factors nothing, damped or not. Undamped, it reads the
+    norms off the eigenvalues: no triangular solve, no Lanczos iteration."""
     pencil = request.getfixturevalue(system)[3]
     spect = spectral.eigenvalues(pencil)
     whitened, factored = count_factorizations(monkeypatch, pencil)
-    spectral.resolvent_sweep(spect, spectral.axis_grid(-50.0, 50.0, 21))
+    solves = []
+    ztrtrs = scipy.linalg.lapack.ztrtrs
+
+    def counted_ztrtrs(*args, **kwargs):
+        solves.append(1)
+        return ztrtrs(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "ztrtrs", counted_ztrtrs)
+    table = spectral.resolvent_sweep(spect, spectral.axis_grid(-50.0, 50.0, 21))
     assert whitened == [] and factored == []
+    if system == "cons_system":
+        assert solves == [] and not table.iterations.any()
 
 
 @pytest.mark.parametrize("system", ["ddd_system", "udu_system", "cons_system"])

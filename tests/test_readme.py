@@ -26,7 +26,7 @@ def test_readme_library_example_runs(capsys):
     report = scope["report"]
     assert report.mesh_counts == (4, 4, 4)
     assert report.certificate == scope["cert"]
-    assert len(report.invariant_results) == len(analysis._REGISTRY) == 3
+    assert len(report.invariant_results) == len(analysis._REGISTRY) == 2
     assert report.all_pass
     assert '"invariant_results"' in capsys.readouterr().out
 
