@@ -9,11 +9,12 @@ the default dt's rule, does not resolve the mode: no run, inconclusive.
 
 The verdict is one record, DecayCertificate: certify_decay returns it
 and decay.json is its fields; a spectrum with nothing to fit gets no run.
-Alongside the certificate, cross_validate executes one named check per
-invariant that depends on the run (config, mesh, spectrum, plateau run);
-invariants that hold whatever the run live in the unit tests. It returns
-a VerificationReport that holds the certificate next to the invariant
-results; report.json is the certificate's fields plus those of the
+Alongside the certificate, cross_validate calls each check the run can
+fail: the step energy balance of a 50-step plateau run on every config,
+and the spectrum gap when only the string is damped (UDU); invariants
+that hold whatever the run live in the unit tests. It returns a
+VerificationReport that holds the certificate next to one result per
+check; report.json is the certificate's fields plus those of the
 report. One writer, _render_json, produces the text of both files, so a
 field added to DecayCertificate appears in both.
 """
@@ -108,7 +109,7 @@ class VerificationReport:
     certificate is the record certify_decay returns for the run;
     min_axis_distance is the spectrum's smallest |Re mu|, mesh_counts the
     elements per member and invariant_results one InvariantResult per
-    registered check. all_pass holds when every check passed and the
+    check the run can fail. all_pass holds when every check passed and the
     certificate's ratio_check is two_sided_pass or not_applicable.
     """
 
@@ -278,56 +279,40 @@ def certify_decay(
     return _certify(cfg, pencil, dt, t_final)[0]
 
 
-@dataclass
-class _Context:
-    cfg: StructureConfig
-    mesh: Mesh
-    dofs: DofMap
-    pencil: SystemPencil
-    spect: spectral.SpectrumReport
-    certificate: DecayCertificate
-
-
-def _check_step_energy_balance(ctx):
-    """E_{k+1} - E_k = dt * dissipation(midpoint) over 50 steps from the plateau.
+def _check_step_energy_balance(pencil: SystemPencil, y0: StateVector, dt: float) -> InvariantResult:
+    """E_{k+1} - E_k = dt * dissipation(midpoint) over 50 steps from y0.
 
     E_k is the run's own energy record; the midpoint dissipation comes
     from the stored states. The residual is the worst ratio of a step's
     gap to its roundoff bound gamma_{2b+1} (T_k + T_{k+1} + dt |qm|^T |D| |qm|),
     with T = _term_size: the sizes of the terms the three sums add up.
     """
-    dt = ctx.certificate.dt
-    y0 = fem.interpolate(default_initial_data(ctx.cfg), ctx.mesh, ctx.dofs)
-    sim = simulate(ctx.pencil, y0, dt, 50 * dt, snapshot_every=1)
+    sim = simulate(pencil, y0, dt, 50 * dt, snapshot_every=1)
     e = sim.trace.energy
     states = [y for _, y in sim.snapshots]
-    sizes = [_term_size(ctx.pencil, y) for y in states]
-    d_size = dynamics._band_product(np.abs(ctx.pencil.d_band), np.float64)
+    sizes = [_term_size(pencil, y) for y in states]
+    d_size = dynamics._band_product(np.abs(pencil.d_band), np.float64)
     worst = 0.0
     for k, (y, y_next) in enumerate(zip(states, states[1:])):
         mid = StateVector(0.5 * (y.p + y_next.p), 0.5 * (y.q + y_next.q))
-        resid = abs(e[k + 1] - e[k] - dt * dynamics.dissipation(ctx.pencil, mid))
+        resid = abs(e[k + 1] - e[k] - dt * dynamics.dissipation(pencil, mid))
         qm = np.abs(mid.q)
-        bound = _gamma(ctx.pencil) * (sizes[k] + sizes[k + 1] + dt * (qm @ d_size(qm)))
+        bound = _gamma(pencil) * (sizes[k] + sizes[k + 1] + dt * (qm @ d_size(qm)))
         worst = max(worst, resid / max(bound, 1e-300))
-    return worst <= 1.0, worst, "50 trapezoidal steps, midpoint identity"
+    return InvariantResult("dynamics.step_energy_balance", bool(worst <= 1.0), float(worst),
+                           "50 trapezoidal steps, midpoint identity")
 
 
-def _check_string_damping_spectrum_gap(ctx):
-    mu = ctx.spect.eigenvalues
-    if classify_damping(ctx.cfg) is not DampingCase.UDU:
-        return True, 0.0, "only meaningful when damping is confined to the string"
+def _check_string_damping_spectrum_gap(spect: spectral.SpectrumReport) -> InvariantResult:
+    """Every eigenvalue strictly left of the axis, the condition the paper's
+    frequency-domain proof of UDU decay needs; the residual is the abscissa."""
+    mu = spect.eigenvalues
     band = mu[np.abs(mu.imag) <= 50.0]
     band_min = float(np.min(np.abs(band.real))) if band.size else math.nan
-    note = (f"min|Re| = {ctx.spect.min_axis_distance:.6g} overall, "
+    note = (f"min|Re| = {spect.min_axis_distance:.6g} overall, "
             f"{band_min:.6g} on |Im| <= 50")
-    return bool(np.all(mu.real < 0)), float(np.max(mu.real)), note
-
-
-_REGISTRY = [
-    ("dynamics.step_energy_balance", _check_step_energy_balance),
-    ("spectral.string_damping_spectrum_gap", _check_string_damping_spectrum_gap),
-]
+    return InvariantResult("spectral.string_damping_spectrum_gap", spect.abscissa < 0,
+                           spect.abscissa, note)
 
 
 def cross_validate(
@@ -338,20 +323,18 @@ def cross_validate(
     dt: float | None = None,
     t_final: float | None = None,
 ) -> VerificationReport:
-    """Decay certification plus the full invariant sweep.
+    """Decay certification plus every invariant check the run can fail.
 
     Takes the certificate of certify_decay (the same slowest-mode run, fit
-    and verdict) and evaluates every named invariant check once.
+    and verdict), runs the step balance from the plateau initial state at
+    the certificate's dt, and, when only the string is damped, the
+    spectrum-gap check on the certificate's spectrum.
     """
     cert, spect = _certify(cfg, pencil, dt, t_final)
-    ctx = _Context(cfg=cfg, mesh=mesh, dofs=dofs, pencil=pencil, spect=spect,
-                   certificate=cert)
-    results = []
-    for name, check in _REGISTRY:
-        passed, residual, note = check(ctx)
-        results.append(InvariantResult(name=name, passed=bool(passed),
-                                       residual=float(residual), note=note))
-
+    y0 = fem.interpolate(default_initial_data(cfg), mesh, dofs)
+    results = [_check_step_energy_balance(pencil, y0, cert.dt)]
+    if classify_damping(cfg) is DampingCase.UDU:
+        results.append(_check_string_damping_spectrum_gap(spect))
     return VerificationReport(
         certificate=cert,
         min_axis_distance=spect.min_axis_distance,

@@ -302,7 +302,7 @@ def _cmd_resolvent(spec: RunSpec) -> int:
     path = os.path.join(spec.out_dir, "resolvent.csv")
     _write_rows(path, "lambda,norm",
                 ((_fmt(lam), _fmt(nrm)) for lam, nrm in zip(table.lambdas, table.norms)))
-    print(f"resolvent: sup over [{_fmt(spec.lambda_min)}, {_fmt(spec.lambda_max)}] "
+    print(f"resolvent: grid maximum over [{_fmt(spec.lambda_min)}, {_fmt(spec.lambda_max)}] "
           f"({spec.lambda_steps} points, {table.distinct_points} distinct |lambda|, "
           f"{table.total_iterations} Lanczos iterations, at most "
           f"{int(table.iterations.max())} per point) = {_fmt(table.sup)}")

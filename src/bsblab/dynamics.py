@@ -39,6 +39,10 @@ class SolveFailure(BsblabError, RuntimeError):
     """An implicit solve failed or returned non-finite values."""
 
 
+class RecordTooLarge(BsblabError, ValueError):
+    """The energy record of a run's step count cannot be allocated."""
+
+
 @dataclass
 class EnergyTrace:
     """Per-step scalars of a simulation.
@@ -197,7 +201,8 @@ def simulate(
     Runs round(t_final/dt) steps (at least one). The trace records energy,
     dissipation and the cross term at every step; states are stored every
     snapshot_every steps (plus the initial and final one) when
-    snapshot_every > 0.
+    snapshot_every > 0. A step count whose record cannot be allocated
+    raises RecordTooLarge before the step matrix is factored.
     """
     _require_match(pencil, y0)
     if not np.isfinite(dt) or dt <= 0:
@@ -208,16 +213,19 @@ def simulate(
         raise ValueError(f"snapshot_every must be >= 0, got {snapshot_every}")
 
     steps = max(1, int(round(t_final / dt)))
+    try:
+        # np.empty refuses a count np.arange would turn into an empty array
+        e_arr, d_arr, c_arr = (np.empty(steps + 1) for _ in range(3))
+        times = dt * np.arange(steps + 1)
+    except (ValueError, MemoryError) as exc:
+        raise RecordTooLarge(
+            f"the energy record of {steps:.6g} steps does not fit in memory") from exc
     y = y0.to_array()  # the run's state, real or complex throughout; steps update it in place
     step = _trapezoidal_step(pencil, dt, y.dtype)
     s_times, m_times, d_times = (_band_product(ab, y.dtype)
                                  for ab in (pencil.s_band, pencil.m_band, pencil.d_band))
 
     p, q = y[:pencil.n_positions], y[pencil.n_positions:]
-    times = dt * np.arange(steps + 1)
-    e_arr = np.empty(steps + 1)
-    d_arr = np.empty(steps + 1)
-    c_arr = np.empty(steps + 1)
     snapshots = []
 
     def record(i, p, q):

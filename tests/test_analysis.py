@@ -70,10 +70,7 @@ def test_cross_validate_certifies_the_fully_damped_case(ddd_system):
     assert cert.r_squared >= 0.999
     assert rep.all_pass
     assert rep.mesh_counts == (10, 10, 10)
-    assert [r.name for r in rep.invariant_results] == [
-        "dynamics.step_energy_balance",
-        "spectral.string_damping_spectrum_gap",
-    ]
+    assert [r.name for r in rep.invariant_results] == ["dynamics.step_energy_balance"]
 
 
 def test_cross_validate_on_the_conservative_twin(cons_system):
@@ -102,6 +99,17 @@ def test_cross_validate_with_partial_damping_declines_to_certify():
     assert math.isnan(rep.certificate.ratio)
     assert rep.certificate.ratio_check == "not_applicable"
     assert rep.all_pass
+
+
+def test_cross_validate_reports_the_checks_each_regime_can_fail(udu_system, cons_system):
+    """The step balance on every config, the spectrum gap only when damping
+    is confined to the string: off UDU it could not fail."""
+    balance, gap = "dynamics.step_energy_balance", "spectral.string_damping_spectrum_gap"
+    rep = bb.cross_validate(*udu_system)
+    assert [r.name for r in rep.invariant_results] == [balance, gap]
+    assert rep.invariant_results[1].residual == rep.certificate.abscissa < 0
+    for system in (cons_system, partial_damping_system()):
+        assert [r.name for r in bb.cross_validate(*system).invariant_results] == [balance]
 
 
 def test_an_unstable_pencil_fails_the_verdict(ddd_system):
@@ -227,18 +235,18 @@ def test_a_damping_fault_in_the_step_fails_the_step_balance(monkeypatch):
     bound, where the faultless step reads 0.006 of it."""
     cfg = bb.validate_config(read_config(str(CONFIGS / "ddd.cfg")))
     mesh, dofs, pencil = bb.discretize(cfg, 40, 40, 40)
-    ctx = analysis._Context(cfg=cfg, mesh=mesh, dofs=dofs, pencil=pencil, spect=None,
-                            certificate=bb.certify_decay(cfg, pencil))
-    passed, residual, _ = analysis._check_step_energy_balance(ctx)
-    assert passed and residual <= 0.01
+    y0 = bb.interpolate(bb.default_initial_data(cfg), mesh, dofs)
+    dt = bb.certify_decay(cfg, pencil).dt
+    row = analysis._check_step_energy_balance(pencil, y0, dt)
+    assert row.passed and row.residual <= 0.01
     step = dynamics._trapezoidal_step
 
     def faulty(pencil, dt, dtype):
         return step(dataclasses.replace(pencil, d_band=pencil.d_band * (1 + 1e-6)), dt, dtype)
 
     monkeypatch.setattr(dynamics, "_trapezoidal_step", faulty)
-    passed, residual, _ = analysis._check_step_energy_balance(ctx)
-    assert not passed and residual >= 1.5
+    row = analysis._check_step_energy_balance(pencil, y0, dt)
+    assert not row.passed and row.residual >= 1.5
 
 
 def test_explicit_dt_and_t_final_are_respected(ddd_system):

@@ -206,7 +206,9 @@ def test_resolvent_row_count_and_sup(tmp_path, config_file):
     assert len(lines) == 12
     norms = [float(ln.split(",")[1]) for ln in lines[1:]]
     assert all(n > 0 for n in norms)
-    assert "sup" in proc.stdout
+    # the largest norm on the grid, not the sup of the norm along the axis
+    assert "resolvent: grid maximum over [-5, 5] (11 points," in proc.stdout
+    assert "sup" not in proc.stdout
 
 
 def test_resolvent_prints_the_lanczos_work_with_the_sup_last(tmp_path, capsys):
@@ -341,7 +343,9 @@ def test_verify_passes_and_is_reproducible(tmp_path, config_file):
         "invariant_results", "mesh", "min_axis_distance", "r_squared", "ratio", "ratio_check",
         "regime", "t_final",
     ]
-    assert p1.stdout.count("PASS") == len(payload["invariant_results"]) == 2
+    # fully damped: the spectrum-gap check is for UDU only, so one row
+    assert [r["name"] for r in payload["invariant_results"]] == ["dynamics.step_energy_balance"]
+    assert p1.stdout.count("PASS") == 1
     assert "FAIL" not in p1.stdout
     assert payload["all_pass"] is True
 
@@ -349,10 +353,15 @@ def test_verify_passes_and_is_reproducible(tmp_path, config_file):
 @pytest.mark.parametrize("name", ["ddd", "udu", "conservative"])
 def test_verify_passes_on_the_shipped_configs_at_80_elements(tmp_path, name):
     """The step balance's roundoff grows with the mesh, and so does its
-    derived bound: every shipped config passes at 80 elements per member."""
+    derived bound: every shipped config passes at 80 elements per member.
+    Each report lists the checks its config can fail: the spectrum gap
+    only on udu."""
     config = str(Path(__file__).resolve().parents[1] / "configs" / f"{name}.cfg")
     assert cli.main(["verify", "--config", config, "--n1", "80", "--n2", "80", "--n3", "80",
                      "--out-dir", str(tmp_path)]) == 0
+    rows = json.loads((tmp_path / "report.json").read_text())["invariant_results"]
+    assert [r["name"] for r in rows] == ["dynamics.step_energy_balance"] + (
+        ["spectral.string_damping_spectrum_gap"] if name == "udu" else [])
 
 
 def test_verify_fails_on_a_failed_decay_verdict(tmp_path, config_file, capsys):
@@ -417,6 +426,20 @@ def test_overflow_is_a_model_error(tmp_path, command, rho1):
                    "--out-dir", str(tmp_path / "out"))
     assert proc.returncode == 1
     assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command,t_final", [("simulate", []), ("decay", ["--t-final", "1"])])
+def test_a_step_count_whose_record_cannot_be_allocated_is_a_model_error(
+        tmp_path, command, t_final):
+    """t_final/dt = 1e301 and 1e300 are finite, so the usage check passes
+    them, but numpy refuses a record that long without allocating: one
+    error line naming the step count, exit 1."""
+    config = str(Path(__file__).resolve().parents[1] / "configs" / "ddd.cfg")
+    proc = run_cli(command, "--config", config, "--n1", "4", "--n2", "4", "--n3", "4",
+                   "--dt", "1e-300", *t_final, "--out-dir", str(tmp_path))
+    assert proc.returncode == 1
+    steps = "1e+301" if command == "simulate" else "1e+300"
+    assert proc.stderr == f"error: the energy record of {steps} steps does not fit in memory\n"
 
 
 def test_exit_code_for_usage_errors(tmp_path, config_file):

@@ -369,6 +369,32 @@ def test_step_input_validation(ddd_system):
         bb.step_trapezoidal(pencil, tiny, 1e-3)
 
 
+def test_a_record_that_cannot_be_allocated_raises_record_too_large(ddd_system, monkeypatch):
+    """numpy refuses 2**63 + 1 samples with ValueError and, when malloc
+    fails, a count that fits its index type with MemoryError; both become
+    RecordTooLarge naming the step count, before any step is set up."""
+    _, _, _, pencil = ddd_system
+    y0 = plateau(ddd_system)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a run that cannot be recorded factors no step matrix")
+
+    monkeypatch.setattr(dynamics, "_trapezoidal_step", refused)
+    with pytest.raises(dynamics.RecordTooLarge, match=r"of 9\.22337e\+18 steps") as info:
+        bb.simulate(pencil, y0, 1.0, 2.0**63)
+    assert isinstance(info.value.__cause__, ValueError)
+    empty = np.empty
+
+    def malloc_fails(shape, *args, **kwargs):
+        if shape == 10**6 + 1:
+            raise MemoryError("no memory")
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", malloc_fails)
+    with pytest.raises(dynamics.RecordTooLarge, match="of 1e\\+06 steps"):
+        bb.simulate(pencil, y0, 1.0, 1e6)
+
+
 def test_simulate_trace_and_snapshots(ddd_system):
     _, _, _, pencil = ddd_system
     y0 = plateau(ddd_system)

@@ -3,9 +3,11 @@
 import re
 from pathlib import Path
 
-from bsblab import analysis
+import bsblab as bb
+from bsblab.cli import read_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+CONFIGS = README.parent / "configs"
 
 
 def library_example() -> str:
@@ -26,15 +28,20 @@ def test_readme_library_example_runs(capsys):
     report = scope["report"]
     assert report.mesh_counts == (4, 4, 4)
     assert report.certificate == scope["cert"]
-    assert len(report.invariant_results) == len(analysis._REGISTRY) == 2
+    # the example structure is fully damped: one check it can fail
+    assert [r.name for r in report.invariant_results] == ["dynamics.step_energy_balance"]
     assert report.all_pass
     assert '"invariant_results"' in capsys.readouterr().out
 
 
-def test_readme_states_the_invariant_count():
-    """Both places README counts the verify invariants match the registry."""
-    text = README.read_text()
-    counts = (re.findall(r"the (\d+) built-in invariants", text)
-              + re.findall(r"the (\d+)-invariant battery", text))
-    assert len(counts) == 2
-    assert {int(c) for c in counts} == {len(analysis._REGISTRY)}
+def test_readme_names_the_rows_of_each_regime():
+    """README's report.json row says which regime gets which row, and names
+    every row cross_validate writes on the shipped configs."""
+    row = next(line for line in README.read_text().splitlines()
+               if line.startswith("| verify | `report.json` |"))
+    assert ("`dynamics.step_energy_balance` on every config, and "
+            "`spectral.string_damping_spectrum_gap` only on `UDU`") in row
+    for name in ("ddd", "udu", "conservative"):
+        cfg = bb.validate_config(read_config(str(CONFIGS / f"{name}.cfg")))
+        report = bb.cross_validate(cfg, *bb.discretize(cfg, 4, 4, 4))
+        assert all(f"`{r.name}`" in row for r in report.invariant_results)
