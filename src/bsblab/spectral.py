@@ -30,14 +30,20 @@ With X = Lm^{-1} Ls the whitened matrix is
 
     C = [[0, X^T], [-X, -Lm^{-1} D Lm^{-T}]],
 
-so without damping C is exactly skew and its eigenvalues are +-i times
-the singular values of X. `eigenvalues` uses that: an undamped pencil
-(D == 0) gets its spectrum from `svdvals` of the N x N matrix X, with
-every real part exactly 0 and no C formed; a damped one from the real
-Schur factor T of C (dgees), kept for the resolvent. X is lower
-triangular and dense: it is the one N x N array of the undamped route,
-formed in place from Ls by banded triangular solves (dtbtrs). The damped
-route adds a dense copy of D for Lm^{-1} D Lm^{-T}, then assembles C.
+so without damping C is exactly skew and its eigenvalues are +-i omega,
+omega^2 the eigenvalues of the banded pencil (S, M). `eigenvalues` uses
+that: an undamped pencil (D == 0) never forms X or C. LAPACK dsbgv
+(banded split Cholesky, tridiagonal reduction, no vectors) runs twice
+on the stored bands, on (S, M) and on (M, S). The first gives omega^2 to
+an absolute error of about eps omega_max^2, the second 1/omega^2 to about
+eps/omega_min^2, so each frequency above the geometric mean of the ends
+comes from the first and each below it from the second: the relative
+error is at most about eps omega_max/omega_min, at that mean, and the
+low frequencies are as accurate as the high ones. This costs O(N^2 b)
+time and O(N b) memory; every real part is exactly 0. A damped pencil
+gets its spectrum from the real Schur factor T of C (dgees), kept for
+the resolvent: X is formed dense, in place from Ls by banded triangular
+solves (dtbtrs), and a dense copy of D gives Lm^{-1} D Lm^{-T}.
 
 `eigenmode` gives the eigenvector (p, mu p) of one of these eigenvalues
 from a banded solve on the N x N quadratic Q(mu) = mu^2 M + mu D + S
@@ -48,11 +54,13 @@ mu as the last eigenvalue, so `decay` and `verify` report the spectrum
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.cython_lapack
 
 from .dynamics import energy
 from .fem import StateVector, SystemPencil, _dense, _lu_band
@@ -132,24 +140,19 @@ def _lower_solve(lm: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def _cholesky_coupling(pencil: SystemPencil):
-    """Band Cholesky factor Lm of M and the dense coupling X = Lm^{-1} Ls,
-    S = Ls Ls^T, formed in place in a Fortran-ordered N x N array."""
-    ls = _band_cholesky(pencil.s_band, "S")
-    lm = _band_cholesky(pencil.m_band, "M")
-    return lm, _lower_solve(lm, _dense(ls, 0))
-
-
 def _whiten(pencil: SystemPencil) -> np.ndarray:
     """The whitened matrix C.
 
     With G = blockdiag(Ls, Lm) the pencil whitens to C = G^{-1} K G^{-T}
     = [[0, X^T], [-X, -Lm^{-1} D Lm^{-T}]] where X = Lm^{-1} Ls, so C is
-    exactly skew when D = 0, and Fortran-ordered for _real_schur. D is the
-    one pencil matrix made dense here, for the two banded solves. Huge
-    damping can overflow C, which raises FactorizationFailure.
+    exactly skew when D = 0, and Fortran-ordered for _real_schur. X is
+    formed in place from the dense Ls, and D is made dense for the two
+    banded solves of its whitening. Huge damping can overflow C, which
+    raises FactorizationFailure.
     """
-    lm, x = _cholesky_coupling(pencil)
+    ls = _band_cholesky(pencil.s_band, "S")
+    lm = _band_cholesky(pencil.m_band, "M")
+    x = _lower_solve(lm, _dense(ls, 0))
     dl = _lower_solve(lm, _dense(pencil.d_band, pencil.bandwidth))
     dw = _lower_solve(lm, np.asfortranarray(dl.T)).T
     if not np.isfinite(dw).all():
@@ -162,13 +165,69 @@ def _whiten(pencil: SystemPencil) -> np.ndarray:
     return c
 
 
+def _bind_dsbgv():
+    """LAPACK dsbgv from scipy's Cython LAPACK table, as a ctypes function
+    of its 14 pointer arguments; scipy.linalg.lapack has no wrapper for it."""
+    capsule = scipy.linalg.cython_lapack.__pyx_capi__["dsbgv"]
+    api = ctypes.pythonapi
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api))
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 14)(pointer(capsule, name(capsule)))
+
+
+_DSBGV = _bind_dsbgv()
+
+
+def _band_pencil_eigenvalues(a_band: np.ndarray, b_band: np.ndarray, b_name: str) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric-definite pencil (A, B), A x =
+    w B x, from two general bands (kl = ku = b), by dsbgv without vectors
+    (jobz = 'N', uplo = 'L') on copies of their lower band storage, rows
+    b..2b. dsbgv overwrites both copies; info > N means that dpbstf, the
+    split Cholesky factorization of B, failed."""
+    b, n = a_band.shape[0] // 2, a_band.shape[1]
+    ab, bb = (np.array(band[b:], order="F") for band in (a_band, b_band))
+    w, work, z = np.empty(n), np.empty(3 * n), np.empty(1)
+    size, width, lead, one, info = (np.array([k], dtype=np.intc) for k in (n, b, b + 1, 1, 0))
+    _DSBGV(b"N", b"L", size.ctypes.data, width.ctypes.data, width.ctypes.data,
+           ab.ctypes.data, lead.ctypes.data, bb.ctypes.data, lead.ctypes.data,
+           w.ctypes.data, z.ctypes.data, one.ctypes.data, work.ctypes.data, info.ctypes.data)
+    info = int(info[0])
+    if info > n:
+        raise FactorizationFailure(
+            f"{b_name} admits no Cholesky factorization: dpbstf info = {info - n}")
+    if info != 0:
+        raise FactorizationFailure(f"banded generalized eigensolve failed: dsbgv info = {info}")
+    return w
+
+
+def _undamped_frequencies(pencil: SystemPencil) -> np.ndarray:
+    """Ascending omega, omega^2 the eigenvalues of (S, M), from two dsbgv runs.
+
+    dsbgv on (S, M) gives omega^2 to an absolute error of about eps
+    omega_max^2, and on (M, S) gives 1/omega^2 to about eps/omega_min^2.
+    Each rank takes the list that is accurate there, split at the geometric
+    mean of omega_min^2 and omega_max^2 as each list's accurate end gives
+    them: the worst relative error is then about eps omega_max/omega_min,
+    at the split. (M, S) runs first, so a non-SPD S is reported before a
+    non-SPD M.
+    """
+    inverse = _band_pencil_eigenvalues(pencil.m_band, pencil.s_band, "S")
+    squares = _band_pencil_eigenvalues(pencil.s_band, pencil.m_band, "M")
+    low = squares < math.sqrt(squares[-1]) / math.sqrt(inverse[-1])
+    squares[low] = 1.0 / inverse[::-1][low]
+    return np.sqrt(squares)
+
+
 def eigenvalues(pencil: SystemPencil) -> SpectrumReport:
     """Whitened eigensolve of the pencil (K, B).
 
-    Without damping (D == 0 entry for entry) the spectrum is +-i sigma(X),
-    the singular values of the N x N coupling X = Lm^{-1} Ls, with every
-    real part exactly 0; the canonical order is then ascending frequency
-    and mirrored entries are exact negatives. Otherwise the report keeps
+    Without damping (D == 0 entry for entry) the spectrum is +-i omega,
+    omega^2 the eigenvalues of the banded pencil (S, M), from dsbgv on
+    (S, M) for the upper frequencies and on (M, S) for the lower ones
+    (see _undamped_frequencies), with every real part exactly 0; the
+    canonical order is then ascending frequency and mirrored entries are
+    exact negatives. No N x N array is formed. Otherwise the report keeps
     the real Schur factor of the 2N x 2N whitened matrix C it came from.
     """
     if pencil.n_positions == 0:
@@ -177,11 +236,10 @@ def eigenvalues(pencil: SystemPencil) -> SpectrumReport:
     if pencil.d_band.any():
         schur, mu = _real_schur(_whiten(pencil))
     else:
-        _, x = _cholesky_coupling(pencil)
-        sigma = scipy.linalg.svdvals(x, overwrite_a=True)
+        omega = _undamped_frequencies(pencil)
         # filled in place: 1j * w would give -0.0 real parts where w < 0
-        mu = np.zeros(2 * sigma.size, dtype=np.complex128)
-        mu.imag = np.concatenate([-sigma, sigma])
+        mu = np.zeros(2 * omega.size, dtype=np.complex128)
+        mu.imag = np.concatenate([-omega, omega])
     # canonical order: ascending real part, then ascending imaginary part;
     # LAPACK's native order is implementation-defined and must not leak
     # into reports.

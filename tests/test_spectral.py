@@ -57,8 +57,8 @@ def test_tiny_pencil_slowest_mode():
 # --- coupled system spectra -----------------------------------------------------
 
 def test_whitened_eigenvalues_match_generalized_qz(ddd_cfg, udu_cfg, cons_cfg):
-    """Both routes, the Schur form of the damped C and the SVD of the
-    undamped X, against QZ on the first-order pencil."""
+    """Both routes, the Schur form of the damped C and the banded
+    eigensolves of the undamped (S, M), against QZ on the first-order pencil."""
     for cfg in (ddd_cfg, udu_cfg, cons_cfg):
         for n in (3, 6):
             _, _, pencil = fem.discretize(cfg, n, n, n)
@@ -230,6 +230,34 @@ def test_undamped_spectrum_is_exactly_on_the_axis(cons_cfg, cons_system):
         assert np.all(np.diff(eig.imag) >= 0.0)
         assert np.array_equal(eig[::-1].imag, -eig.imag)
         assert rep.abscissa == 0.0 and rep.min_axis_distance == 0.0
+
+
+def test_undamped_spectrum_forms_no_dense_matrix(cons_cfg, monkeypatch):
+    """The undamped route solves on the stored bands: densifying a band or
+    an SVD raises here."""
+    def dense(*args, **kwargs):
+        raise AssertionError("an N x N array was formed")
+
+    monkeypatch.setattr(spectral, "_dense", dense)
+    monkeypatch.setattr(scipy.linalg, "svdvals", dense)
+    for pencil in (fem.discretize(cons_cfg, 20, 20, 20)[2],
+                   oracles.assemble_beam_pencil(1.0, 30),
+                   oracles.assemble_string_pencil(math.pi, 0.0, 30)):
+        assert spectral.eigenvalues(pencil).eigenvalues.size == 2 * pencil.n_positions
+
+
+@pytest.mark.parametrize("n", [20, 40, 80])
+def test_lowest_undamped_frequency_is_within_its_perturbation_bound(cons_cfg, n):
+    """The lowest omega against a long-double inverse iteration on the
+    stored S and M, to the first-order change of omega under an entrywise
+    relative change of gamma_{2b+1} in S and M (the rounding of one banded
+    inner product; oracles.frequency_rounding_bound)."""
+    pencil = fem.discretize(cons_cfg, n, n, n)[2]
+    want, x = oracles.frequency_longdouble(pencil)
+    bound = oracles.frequency_rounding_bound(pencil, x, np.finfo(float).eps / 2)
+    omega = spectral.eigenvalues(pencil).eigenvalues.imag
+    got = np.longdouble(omega[omega > 0][0])
+    assert float(abs(got - want) / want) <= bound
 
 
 def test_both_routes_reject_an_indefinite_or_empty_pencil():
