@@ -7,8 +7,9 @@ rule's exact rate of the mode (_scheme_rate) within a derived roundoff
 bound (_rate_bound), and to exceed it. A dt above _DT_RESOLUTION/|mu|,
 the default dt's rule, does not resolve the mode: no run, inconclusive.
 
-The verdict is one record, DecayCertificate: certify_decay returns it
-and decay.json is its fields; a spectrum with nothing to fit gets no run.
+The certificate is one record, DecayCertificate: certify_decay returns
+it, decay.json is its fields and its verdict field holds the judgement;
+a spectrum with nothing to fit gets no run.
 Alongside the certificate, cross_validate calls each check the run can
 fail: the step energy balance of a 50-step plateau run on every config,
 and the spectrum gap when only the string is damped (UDU); invariants
@@ -110,7 +111,7 @@ class VerificationReport:
     min_axis_distance is the spectrum's smallest |Re mu|, mesh_counts the
     elements per member and invariant_results one InvariantResult per
     check the run can fail. all_pass holds when every check passed and the
-    certificate's ratio_check is two_sided_pass or not_applicable.
+    certificate's verdict is two_sided_pass or not_applicable.
     """
 
     certificate: DecayCertificate
@@ -121,7 +122,7 @@ class VerificationReport:
     @property
     def all_pass(self) -> bool:
         return (all(r.passed for r in self.invariant_results)
-                and self.certificate.ratio_check in ("two_sided_pass", "not_applicable"))
+                and self.certificate.verdict in ("two_sided_pass", "not_applicable"))
 
 
 def _numerically_undamped(spect) -> bool:
@@ -187,11 +188,11 @@ class DecayCertificate:
 
     alpha_fit is the fitted energy rate, with r_squared its fit's, alpha_scheme
     the trapezoidal rule's exact rate of the mode and alpha_bound the roundoff
-    bound on their gap; ratio is alpha_fit / (2 |abscissa|). ratio_check is
-    two_sided_pass when the gap is within alpha_bound and alpha_fit exceeds
-    it, else two_sided_fail; not_applicable when there is nothing to fit and
-    inconclusive when dt does not resolve the mode: then nothing is run, and
-    alpha_fit, alpha_bound, ratio and r_squared are nan.
+    bound on their gap. verdict is two_sided_pass when the gap is within
+    alpha_bound and alpha_fit exceeds it, else two_sided_fail;
+    not_applicable when there is nothing to fit and inconclusive when dt
+    does not resolve the mode: then nothing is run, and alpha_fit,
+    alpha_bound and r_squared are nan.
     """
 
     regime: str
@@ -200,9 +201,8 @@ class DecayCertificate:
     alpha_fit: float
     alpha_scheme: float
     alpha_bound: float
-    ratio: float
     r_squared: float
-    ratio_check: str
+    verdict: str
     dt: float
     t_final: float
 
@@ -244,25 +244,23 @@ def _certify(cfg: StructureConfig, pencil: SystemPencil,
         alpha_fit=math.nan,
         alpha_scheme=_scheme_rate(mu, dt),
         alpha_bound=math.nan,
-        ratio=math.nan,
         r_squared=math.nan,
-        ratio_check="not_applicable",
+        verdict="not_applicable",
         dt=dt,
         t_final=t_final,
     )
     if _numerically_undamped(spect):
         return cert, spect
     if dt > resolving_dt:
-        return dataclasses.replace(cert, ratio_check="inconclusive"), spect
+        return dataclasses.replace(cert, verdict="inconclusive"), spect
     y0 = spectral.eigenmode(pencil, mu)
     trace = simulate(pencil, y0, dt, t_final).trace
     fit = fit_decay(trace)
     alpha_bound = _rate_bound(pencil, y0, trace.times)
-    ratio = fit.alpha / (2.0 * abs(spect.abscissa))
     ok = abs(fit.alpha - cert.alpha_scheme) <= alpha_bound < fit.alpha
     return dataclasses.replace(
-        cert, alpha_fit=fit.alpha, alpha_bound=alpha_bound, ratio=ratio,
-        r_squared=fit.r_squared, ratio_check="two_sided_pass" if ok else "two_sided_fail",
+        cert, alpha_fit=fit.alpha, alpha_bound=alpha_bound, r_squared=fit.r_squared,
+        verdict="two_sided_pass" if ok else "two_sided_fail",
     ), spect
 
 

@@ -1,9 +1,9 @@
 """Command line front end.
 
-Six subcommands: simulate, spectrum, resolvent, decay, modes, verify. All
-read the structure from a key = value config file (keys l0, l1, l2, l3,
-rho1, rho2, beta; anything else is rejected) and write CSV or JSON files
-into --out-dir. Every float is written with 17 significant digits so the
+Five subcommands: simulate, spectrum, resolvent, decay, verify. All read
+the structure from a key = value config file (keys l0, l1, l2, l3, rho1,
+rho2, beta; anything else is rejected) and write CSV or JSON files into
+--out-dir. Every float is written with 17 significant digits so the
 files round-trip exactly, and nothing depends on time or environment:
 repeating an invocation reproduces the outputs byte for byte. A flag left
 out takes its RunSpec default. decay.json and report.json both come from
@@ -26,7 +26,7 @@ import numpy as np
 from . import spectral
 from .analysis import certify_decay, cross_validate, render_decay, render_report
 from .dynamics import default_dt, simulate
-from .fem import discretize, evaluate_state, interpolate
+from .fem import _require_allocatable, discretize, evaluate_state, interpolate
 from .model import (
     BsblabError,
     StructureConfig,
@@ -34,13 +34,7 @@ from .model import (
     default_initial_data,
     validate_config,
 )
-from .spectral import (
-    axis_grid,
-    beam_clamped_free_frequencies,
-    eigenvalues,
-    resolvent_sweep,
-    string_modes_closed_form,
-)
+from .spectral import axis_grid, eigenvalues, resolvent_sweep
 
 
 class UsageError(Exception):
@@ -105,7 +99,6 @@ class RunSpec:
     lambda_min: float = -50.0
     lambda_max: float = 50.0
     lambda_steps: int = 2001
-    count: int = 5
 
 
 class _Parser(argparse.ArgumentParser):
@@ -118,9 +111,9 @@ class _Parser(argparse.ArgumentParser):
 def parse_args(argv) -> RunSpec:
     parser = _Parser(prog="bsblab", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True,
-                                 metavar="{simulate,spectrum,resolvent,decay,modes,verify}")
+                                 metavar="{simulate,spectrum,resolvent,decay,verify}")
 
-    def add(name, help_text, matrices=True):
+    def add(name, help_text):
         # no argparse defaults: a flag left out is absent from the namespace
         # and takes its RunSpec default, so each default is written once
         sub = subs.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
@@ -130,9 +123,8 @@ def parse_args(argv) -> RunSpec:
         sub.add_argument("--n2", type=int, help="elements on the string")
         sub.add_argument("--n3", type=int, help="elements on the second beam")
         sub.add_argument("--out-dir", help="output directory (created if missing)")
-        if matrices:
-            sub.add_argument("--dump-matrices", action="store_true",
-                             help="also write S, M, D, B, K in coordinate format")
+        sub.add_argument("--dump-matrices", action="store_true",
+                         help="also write S, M, D, B, K in coordinate format")
         return sub
 
     def add_run(name, help_text):
@@ -154,9 +146,6 @@ def parse_args(argv) -> RunSpec:
     res.add_argument("--lambda-steps", type=int)
 
     add_run("decay", "slowest-mode decay rate vs spectral abscissa")
-
-    mod = add("modes", "closed-form oracle table for the isolated members", matrices=False)
-    mod.add_argument("--count", type=int, help="modes per member")
 
     add_run("verify", "invariant sweep and decay verdict; exit 0 iff all pass")
 
@@ -186,8 +175,6 @@ def parse_args(argv) -> RunSpec:
         raise UsageError(f"--snapshot-every must be >= 0, got {spec.snapshot_every}")
     if spec.snapshot_points < 2:
         raise UsageError(f"--snapshot-points must be >= 2, got {spec.snapshot_points}")
-    if spec.count < 1:
-        raise UsageError(f"--count must be >= 1, got {spec.count}")
     return spec
 
 
@@ -251,6 +238,10 @@ def _cmd_simulate(spec: RunSpec) -> int:
     cfg, mesh, dofs, pencil = _prepare(spec)
     dt = spec.dt if spec.dt is not None else default_dt(cfg)
     t_final = spec.t_final if spec.t_final is not None else 10.0
+    if spec.snapshot_every > 0:
+        _require_allocatable(spec.snapshot_points,
+                             f"a snapshot grid of {spec.snapshot_points:.6g} points")
+        grid = np.linspace(cfg.l0, cfg.l3, spec.snapshot_points)
     y0 = interpolate(default_initial_data(cfg), mesh, dofs)
     sim = simulate(pencil, y0, dt, t_final, snapshot_every=spec.snapshot_every)
     tr = sim.trace
@@ -262,7 +253,6 @@ def _cmd_simulate(spec: RunSpec) -> int:
     written = [path]
 
     if spec.snapshot_every > 0:
-        grid = np.linspace(cfg.l0, cfg.l3, spec.snapshot_points)
         rows = []
         for t, state in sim.snapshots:
             for x in grid:
@@ -297,8 +287,9 @@ def _cmd_spectrum(spec: RunSpec) -> int:
 
 def _cmd_resolvent(spec: RunSpec) -> int:
     cfg, mesh, dofs, pencil = _prepare(spec)
+    grid = axis_grid(spec.lambda_min, spec.lambda_max, spec.lambda_steps)
     report = eigenvalues(pencil)
-    table = resolvent_sweep(report, axis_grid(spec.lambda_min, spec.lambda_max, spec.lambda_steps))
+    table = resolvent_sweep(report, grid)
     path = os.path.join(spec.out_dir, "resolvent.csv")
     _write_rows(path, "lambda,norm",
                 ((_fmt(lam), _fmt(nrm)) for lam, nrm in zip(table.lambdas, table.norms)))
@@ -313,33 +304,18 @@ def _cmd_resolvent(spec: RunSpec) -> int:
     return 0
 
 
+def _verdict_line(cert) -> str:
+    # the quantities the verdict compares: |alpha_fit - alpha_scheme| <= alpha_bound < alpha_fit
+    return (f"alpha_fit = {_fmt(cert.alpha_fit)}, alpha_scheme = {_fmt(cert.alpha_scheme)}, "
+            f"alpha_bound = {_fmt(cert.alpha_bound)}, verdict = {cert.verdict}")
+
+
 def _cmd_decay(spec: RunSpec) -> int:
     cfg, mesh, dofs, pencil = _prepare(spec)
     cert = certify_decay(cfg, pencil, dt=spec.dt, t_final=spec.t_final)
     path = os.path.join(spec.out_dir, "decay.json")
     _write_text(path, render_decay(cert))
-    print(f"decay: alpha = {_fmt(cert.alpha_fit)}, "
-          f"2|abscissa| = {_fmt(2 * abs(cert.abscissa))}, "
-          f"ratio = {_fmt(cert.ratio)}, check = {cert.ratio_check}")
-    print(f"wrote {path}")
-    return 0
-
-
-def _cmd_modes(spec: RunSpec) -> int:
-    cfg = validate_config(read_config(spec.config_path))
-    os.makedirs(spec.out_dir, exist_ok=True)
-    rows = []
-    length2 = cfg.l2 - cfg.l1
-    for k in range(1, spec.count + 1):
-        plus, minus = string_modes_closed_form(cfg.beta, length2, k)
-        rows.append(("string", str(k), _fmt(plus.real), _fmt(plus.imag)))
-        rows.append(("string", str(k), _fmt(minus.real), _fmt(minus.imag)))
-    for family, length in (("beam1", cfg.l1 - cfg.l0), ("beam2", cfg.l3 - cfg.l2)):
-        for j, omega in enumerate(beam_clamped_free_frequencies(length, spec.count), 1):
-            rows.append((family, str(j), _fmt(0.0), _fmt(omega)))
-    path = os.path.join(spec.out_dir, "modes.csv")
-    _write_rows(path, "family,index,re,im", rows)
-    print(f"modes: {len(rows)} closed-form rows for the isolated members")
+    print(f"decay: {_verdict_line(cert)}")
     print(f"wrote {path}")
     return 0
 
@@ -351,11 +327,9 @@ def _cmd_verify(spec: RunSpec) -> int:
     _write_text(path, render_report(report))
     for r in report.invariant_results:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name} (residual = {_fmt(r.residual)})")
-    verdict = "all checks passed" if report.all_pass else "CHECKS FAILED"
-    cert = report.certificate
-    print(f"verify: {verdict}; regime = {cert.regime}, "
-          f"abscissa = {_fmt(cert.abscissa)}, ratio = {_fmt(cert.ratio)}, "
-          f"check = {cert.ratio_check}")
+    outcome = "all checks passed" if report.all_pass else "CHECKS FAILED"
+    print(f"verify: {outcome}; regime = {report.certificate.regime}, "
+          f"{_verdict_line(report.certificate)}")
     print(f"wrote {path}")
     return 0 if report.all_pass else 1
 
@@ -365,7 +339,6 @@ _COMMANDS = {
     "spectrum": _cmd_spectrum,
     "resolvent": _cmd_resolvent,
     "decay": _cmd_decay,
-    "modes": _cmd_modes,
     "verify": _cmd_verify,
 }
 

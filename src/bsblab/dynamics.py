@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .fem import StateVector, SystemPencil, _lu_band
+from .fem import RecordTooLarge, StateVector, SystemPencil, _lu_band
 from .model import BsblabError, StructureConfig
 
 
@@ -37,10 +37,6 @@ class DimensionMismatch(BsblabError, ValueError):
 
 class SolveFailure(BsblabError, RuntimeError):
     """An implicit solve failed or returned non-finite values."""
-
-
-class RecordTooLarge(BsblabError, ValueError):
-    """The energy record of a run's step count cannot be allocated."""
 
 
 @dataclass

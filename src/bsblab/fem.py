@@ -63,6 +63,21 @@ class OutOfDomain(BsblabError, ValueError):
     """Evaluation point lies outside [l0, l3]."""
 
 
+class RecordTooLarge(BsblabError, ValueError):
+    """An array whose length a count sets cannot be allocated: the nodes of a
+    mesh, the energy record of a run, the axis grid or the snapshot grid."""
+
+
+def _require_allocatable(length: int, what: str) -> None:
+    """Raise RecordTooLarge("<what> does not fit in memory") unless numpy
+    allocates length floats. np.empty refuses a length that np.arange and
+    np.linspace would turn into an empty array, such as 2**63."""
+    try:
+        np.empty(length)
+    except (ValueError, MemoryError) as exc:
+        raise RecordTooLarge(f"{what} does not fit in memory") from exc
+
+
 @dataclass(frozen=True)
 class Mesh:
     """Uniform nodes per interval; endpoints coincide with the junctions."""
@@ -220,6 +235,7 @@ def build_mesh(cfg: StructureConfig, n1: int, n2: int, n3: int) -> Mesh:
     for name, n in (("n1", n1), ("n2", n2), ("n3", n3)):
         if int(n) != n or n < 1:
             raise ZeroElements(f"{name} must be an integer >= 1, got {n}")
+        _require_allocatable(int(n) + 1, f"a mesh of {n:.6g} elements on {name}")
     return Mesh(
         n1=int(n1),
         n2=int(n2),

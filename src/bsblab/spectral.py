@@ -1,4 +1,4 @@
-"""Spectrum, resolvent norms and closed-form mode oracles.
+"""Spectrum and resolvent norms.
 
 The generalized eigenproblem K x = mu B x is whitened through the Cholesky
 factor B = G G^T, with G = blockdiag(Ls, Lm) built from S = Ls Ls^T and
@@ -63,7 +63,7 @@ import scipy.linalg
 import scipy.linalg.cython_lapack
 
 from .dynamics import energy
-from .fem import StateVector, SystemPencil, _dense, _lu_band
+from .fem import StateVector, SystemPencil, _dense, _lu_band, _require_allocatable
 from .model import BsblabError
 
 
@@ -77,7 +77,9 @@ class EmptySpectrum(BsblabError, RuntimeError):
 
 
 class NonpositiveParameter(BsblabError, ValueError):
-    """A closed-form oracle was called outside its domain."""
+    """An axis point or grid outside its domain: a non-finite lambda, no axis
+    point, fewer than 2 grid steps or lambda_min >= lambda_max (axis_grid,
+    resolvent_sweep, resolvent_norm)."""
 
 
 @dataclass
@@ -365,6 +367,7 @@ def axis_grid(lambda_min: float, lambda_max: float, steps: int) -> np.ndarray:
             f"need lambda_min < lambda_max, got [{lambda_min}, {lambda_max}]"
         )
     lambda_min, lambda_max, steps = float(lambda_min), float(lambda_max), int(steps)
+    _require_allocatable(steps, f"a grid of {steps:.6g} axis points")
     mid = 0.5 * lambda_min + 0.5 * lambda_max
     half = 0.5 * lambda_max - 0.5 * lambda_min
     j = 2.0 * np.arange(steps) - (steps - 1)
@@ -469,60 +472,4 @@ def resolvent_sweep(spect: SpectrumReport, lambdas) -> ResolventTable:
         np.fill_diagonal(a, diagonal + 1j * key)
         norms[i], iterations[i] = _lanczos_inverse_norm(a, start)
     return ResolventTable(lambdas=lambdas, norms=norms[where], iterations=iterations[where])
-
-
-# --- closed-form oracles ---------------------------------------------------
-
-def string_modes_closed_form(beta: float, length: float, k: int):
-    """Eigenvalue pair of mode k of the pinned damped string.
-
-    Roots of mu^2 + beta*mu + (k*pi/length)^2 = 0; returned as
-    (plus-branch, minus-branch).
-    """
-    if not np.isfinite(length) or length <= 0:
-        raise NonpositiveParameter(f"length must be > 0, got {length}")
-    if not np.isfinite(beta) or beta < 0:
-        raise NonpositiveParameter(f"beta must be finite and >= 0, got {beta}")
-    if int(k) != k or k < 1:
-        raise NonpositiveParameter(f"mode index must be an integer >= 1, got {k}")
-    omega = k * math.pi / length
-    disc = 0.25 * beta * beta - omega * omega
-    if disc >= 0:
-        root = math.sqrt(disc)
-        return (complex(-0.5 * beta + root), complex(-0.5 * beta - root))
-    root = math.sqrt(-disc)
-    return (complex(-0.5 * beta, root), complex(-0.5 * beta, -root))
-
-
-def beam_clamped_free_frequencies(length: float, count: int) -> np.ndarray:
-    """First `count` natural angular frequencies of a clamped-free beam.
-
-    The wavenumbers kappa_j solve 1 + cos(kappa) cosh(kappa) = 0; each is
-    bracketed by (2j-1)pi/2 -/+ 1 and bisected to 1e-12. Frequencies are
-    (kappa_j / length)^2. The bisection runs on the bounded equivalent
-    cos(kappa) + sech(kappa), which has the same sign everywhere.
-    """
-    if not np.isfinite(length) or length <= 0:
-        raise NonpositiveParameter(f"length must be > 0, got {length}")
-    if int(count) != count or count < 1:
-        raise NonpositiveParameter(f"count must be an integer >= 1, got {count}")
-
-    def g(kappa):
-        return math.cos(kappa) + 1.0 / math.cosh(kappa)
-
-    freqs = np.empty(int(count))
-    for j in range(1, int(count) + 1):
-        lo = (2 * j - 1) * math.pi / 2 - 1.0
-        hi = (2 * j - 1) * math.pi / 2 + 1.0
-        flo = g(lo)
-        while hi - lo > 1e-12:
-            mid = 0.5 * (lo + hi)
-            fmid = g(mid)
-            if (flo > 0) == (fmid > 0):
-                lo, flo = mid, fmid
-            else:
-                hi = mid
-        kappa = 0.5 * (lo + hi)
-        freqs[j - 1] = (kappa / length) ** 2
-    return freqs
 

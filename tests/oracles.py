@@ -3,8 +3,10 @@
 pencil_from_dense wraps hand-made dense S, M and D as a SystemPencil; the
 isolated pinned string and clamped-free beam are assembled with the
 package's element matrices and band scatter, so their spectra can be held
-to the closed-form member modes; eigenvalue_exclusion_determinant is the
-positivity certificate behind the string-damped-only case;
+to the member modes: string_modes_closed_form for the string, an
+independent root of the beam's characteristic equation in each beam test;
+eigenvalue_exclusion_determinant is the positivity certificate behind the
+string-damped-only case;
 frequency_longdouble is an extended-precision reference for one
 frequency of an undamped spectrum, and frequency_rounding_bound the
 first-order error of such a frequency under rounding.
@@ -98,6 +100,27 @@ def assemble_beam_pencil(length: float, n: int, rho: float = 0.0) -> SystemPenci
     M = _scatter_band(2 * n, b, idx, element_matrices("beam_mass", h))
     D = _scatter_band(2 * n, b, idx, rho * element_matrices("beam_slope", h))
     return SystemPencil(S, M, D)
+
+
+def string_modes_closed_form(beta: float, length: float, k: int):
+    """Eigenvalue pair of mode k of the pinned damped string.
+
+    Roots of mu^2 + beta*mu + (k*pi/length)^2 = 0; returned as
+    (plus-branch, minus-branch).
+    """
+    if not np.isfinite(length) or length <= 0:
+        raise NonpositiveParameter(f"length must be > 0, got {length}")
+    if not np.isfinite(beta) or beta < 0:
+        raise NonpositiveParameter(f"beta must be finite and >= 0, got {beta}")
+    if int(k) != k or k < 1:
+        raise NonpositiveParameter(f"mode index must be an integer >= 1, got {k}")
+    omega = k * math.pi / length
+    disc = 0.25 * beta * beta - omega * omega
+    if disc >= 0:
+        root = math.sqrt(disc)
+        return (complex(-0.5 * beta + root), complex(-0.5 * beta - root))
+    root = math.sqrt(-disc)
+    return (complex(-0.5 * beta, root), complex(-0.5 * beta, -root))
 
 
 def frequency_longdouble(pencil: SystemPencil, shift: float = 0.0):

@@ -3,8 +3,8 @@
 Ten end-to-end checks, one per release criterion, each printing a single
 PASS/FAIL line with the measured number so a `pytest -s tests/test_acceptance.py`
 run reads as a report. Everything here goes through the public API, except
-the isolated member pencils and the exclusion determinant, which are test
-oracles (tests/oracles.py).
+the isolated member pencils, the string's closed-form modes and the
+exclusion determinant, which are test oracles (tests/oracles.py).
 """
 
 import json
@@ -101,7 +101,7 @@ def test_03_undamped_run_conserves_energy(systems):
 def test_04_damped_string_modes_match_quadratic_formula():
     pencil = oracles.assemble_string_pencil(math.pi, 1.0, 200)
     computed = bb.eigenvalues(pencil).eigenvalues
-    plus, minus = bb.string_modes_closed_form(1.0, math.pi, 1)
+    plus, minus = oracles.string_modes_closed_form(1.0, math.pi, 1)
     worst = 0.0
     for root in (plus, minus):
         nearest = computed[np.argmin(np.abs(computed - root))]
@@ -136,11 +136,12 @@ def test_05_clamped_free_beam_fundamental_frequency():
 def test_06_fully_damped_decay_rate_matches_spectrum(systems):
     cfg, _, _, pencil = systems["DDD"]
     cert = bb.certify_decay(cfg, pencil)
-    ok = (cert.abscissa < 0.0 and 0.9 <= cert.ratio <= 1.1
-          and cert.ratio_check == "two_sided_pass")
+    ratio = cert.alpha_fit / (2 * abs(cert.abscissa))
+    ok = (cert.abscissa < 0.0 and 0.9 <= ratio <= 1.1
+          and cert.verdict == "two_sided_pass")
     _report(6, ok,
-            f"abscissa {cert.abscissa:.6f}, fitted-rate ratio {cert.ratio:.4f}, "
-            f"verdict {cert.ratio_check} (need abscissa < 0, ratio in [0.9, 1.1] "
+            f"abscissa {cert.abscissa:.6f}, fitted-rate ratio {ratio:.4f}, "
+            f"verdict {cert.verdict} (need abscissa < 0, ratio in [0.9, 1.1] "
             f"and two_sided_pass)")
     assert ok
 

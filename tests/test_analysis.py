@@ -65,8 +65,8 @@ def test_cross_validate_certifies_the_fully_damped_case(ddd_system):
     cert = rep.certificate
     assert cert.regime == "DDD"
     assert cert.abscissa < 0.0
-    assert 0.9 <= cert.ratio <= 1.1
-    assert cert.ratio_check == "two_sided_pass"
+    assert 0.9 <= cert.alpha_fit / (2 * abs(cert.abscissa)) <= 1.1
+    assert cert.verdict == "two_sided_pass"
     assert cert.r_squared >= 0.999
     assert rep.all_pass
     assert rep.mesh_counts == (10, 10, 10)
@@ -77,8 +77,8 @@ def test_cross_validate_on_the_conservative_twin(cons_system):
     cfg, mesh, dofs, pencil = cons_system
     rep = bb.cross_validate(cfg, mesh, dofs, pencil)
     assert rep.certificate.regime == "Conservative"
-    assert math.isnan(rep.certificate.ratio)
-    assert rep.certificate.ratio_check == "not_applicable"
+    assert math.isnan(rep.certificate.alpha_fit)
+    assert rep.certificate.verdict == "not_applicable"
     assert rep.all_pass
 
 
@@ -96,8 +96,8 @@ def test_cross_validate_with_partial_damping_declines_to_certify():
     assert rep.certificate.regime == "Other"
     # damping confined to one beam leaves modes at eigensolver noise, so
     # no rate claim is made, and that is not a failure
-    assert math.isnan(rep.certificate.ratio)
-    assert rep.certificate.ratio_check == "not_applicable"
+    assert math.isnan(rep.certificate.alpha_fit)
+    assert rep.certificate.verdict == "not_applicable"
     assert rep.all_pass
 
 
@@ -114,13 +114,13 @@ def test_cross_validate_reports_the_checks_each_regime_can_fail(udu_system, cons
 
 def test_an_unstable_pencil_fails_the_verdict(ddd_system):
     """Negative damping, D = -0.05 M, moves the spectrum into Re mu > 0; the
-    mode run then grows, its ratio is negative, and verify fails."""
+    mode run then grows, its fitted rate is negative, and verify fails."""
     cfg, mesh, dofs, pencil = ddd_system
     unstable = dataclasses.replace(pencil, d_band=-0.05 * pencil.m_band)
     rep = bb.cross_validate(cfg, mesh, dofs, unstable)
     assert rep.certificate.abscissa > 0
-    assert rep.certificate.ratio < 0
-    assert rep.certificate.ratio_check == "two_sided_fail"
+    assert rep.certificate.alpha_fit / (2 * abs(rep.certificate.abscissa)) < 0
+    assert rep.certificate.verdict == "two_sided_fail"
     assert not rep.all_pass
 
 
@@ -175,7 +175,7 @@ def test_ddd_mode_run_decays_at_the_discrete_rate(n):
         bound = oracle_bound(pencil, spectral.eigenmode(pencil, cert.mode), mode_run_times(cert))
         assert cert.alpha_scheme == analysis._scheme_rate(cert.mode, cert.dt)
         assert abs(cert.alpha_fit - cert.alpha_scheme) <= bound
-        assert cert.ratio_check == "two_sided_pass"
+        assert cert.verdict == "two_sided_pass"
 
 
 @pytest.mark.parametrize("mu, dt", [
@@ -213,11 +213,11 @@ def test_rate_bound_matches_the_dense_reference(request, system):
 
 def test_a_damping_fault_in_the_step_fails_the_verdict(monkeypatch):
     """Scaling D by 1 + 1e-6 inside the step moves the fitted rate off the
-    scheme rate by far more than its roundoff bound, though the ratio stays
-    within 0.3% of 1."""
+    scheme rate by far more than its roundoff bound, though alpha_fit stays
+    within 0.3% of 2 |abscissa|."""
     cfg = bb.validate_config(read_config(str(CONFIGS / "ddd.cfg")))
     _, _, pencil = bb.discretize(cfg, 10, 10, 10)
-    assert bb.certify_decay(cfg, pencil).ratio_check == "two_sided_pass"
+    assert bb.certify_decay(cfg, pencil).verdict == "two_sided_pass"
     step = dynamics._trapezoidal_step
 
     def faulty(pencil, dt, dtype):
@@ -225,8 +225,8 @@ def test_a_damping_fault_in_the_step_fails_the_verdict(monkeypatch):
 
     monkeypatch.setattr(dynamics, "_trapezoidal_step", faulty)
     cert = bb.certify_decay(cfg, pencil)
-    assert 0.997 <= cert.ratio <= 1.0
-    assert cert.ratio_check == "two_sided_fail"
+    assert 0.997 <= cert.alpha_fit / (2 * abs(cert.abscissa)) <= 1.0
+    assert cert.verdict == "two_sided_fail"
 
 
 def test_a_damping_fault_in_the_step_fails_the_step_balance(monkeypatch):
@@ -290,7 +290,7 @@ def test_cross_validate_simulates_the_mode_run_and_the_plateau_run(
     for cfg, mesh, dofs, pencil in (cons_system, partial_damping_system()):
         calls.clear()
         rep = bb.cross_validate(cfg, mesh, dofs, pencil)
-        assert rep.certificate.ratio_check == "not_applicable"
+        assert rep.certificate.verdict == "not_applicable"
         assert calls == [50]
 
     def refused(*args, **kwargs):
@@ -301,7 +301,7 @@ def test_cross_validate_simulates_the_mode_run_and_the_plateau_run(
     unresolved = 1.01 * 0.1 / abs(bb.eigenvalues(pencil).eigenvalues[-1])
     calls.clear()
     rep = bb.cross_validate(cfg, mesh, dofs, pencil, dt=unresolved)
-    assert rep.certificate.ratio_check == "inconclusive"
+    assert rep.certificate.verdict == "inconclusive"
     assert all(r.passed for r in rep.invariant_results) and not rep.all_pass
     assert calls == [50]
 
@@ -309,9 +309,8 @@ def test_cross_validate_simulates_the_mode_run_and_the_plateau_run(
     for (cfg, _, _, pencil), dt, verdict in ((cons_system, None, "not_applicable"),
                                              (ddd_system, unresolved, "inconclusive")):
         cert = bb.certify_decay(cfg, pencil, dt=dt)
-        assert cert.ratio_check == verdict
-        assert all(math.isnan(x)
-                   for x in (cert.alpha_fit, cert.alpha_bound, cert.r_squared, cert.ratio))
+        assert cert.verdict == verdict
+        assert all(math.isnan(x) for x in (cert.alpha_fit, cert.alpha_bound, cert.r_squared))
 
 
 def count_factorizations(monkeypatch, pencil):
@@ -431,8 +430,8 @@ def test_a_certificate_field_reaches_both_files():
         extra: float = 0.25
 
     cert = Extended(regime="DDD", abscissa=-0.5, mode=complex(-0.5, 3.0), alpha_fit=1.0,
-                    alpha_scheme=1.0, alpha_bound=1e-12, ratio=1.0, r_squared=1.0,
-                    ratio_check="two_sided_pass", dt=1e-3, t_final=1.0)
+                    alpha_scheme=1.0, alpha_bound=1e-12, r_squared=1.0,
+                    verdict="two_sided_pass", dt=1e-3, t_final=1.0)
     report = analysis.VerificationReport(certificate=cert, min_axis_distance=0.5,
                                          mesh_counts=(2, 2, 2), invariant_results=[])
     decay = json.loads(analysis.render_decay(cert))
@@ -441,9 +440,10 @@ def test_a_certificate_field_reaches_both_files():
 
 
 def test_report_encodes_nonfinite_ratio_as_string(cons_system):
+    """A rate with no mode run behind it, alpha_fit here, is the string "nan"."""
     cfg, mesh, dofs, pencil = cons_system
     rep = bb.cross_validate(cfg, mesh, dofs, pencil)
     payload = json.loads(bb.render_report(rep))
-    assert payload["ratio"] == "nan"
-    assert payload["ratio_check"] == "not_applicable"
+    assert payload["alpha_fit"] == "nan"
+    assert payload["verdict"] == "not_applicable"
 

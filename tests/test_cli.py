@@ -69,8 +69,7 @@ def test_read_config_missing_file():
 
 # --- argument parsing ----------------------------------------------------------
 
-@pytest.mark.parametrize("command",
-                         ["simulate", "spectrum", "resolvent", "decay", "modes", "verify"])
+@pytest.mark.parametrize("command", ["simulate", "spectrum", "resolvent", "decay", "verify"])
 def test_parse_args_defaults(config_file, command):
     """Every flag left out takes its RunSpec default, on every subcommand,
     including the fields the subcommand has no flag for."""
@@ -80,7 +79,7 @@ def test_parse_args_defaults(config_file, command):
         command=command, config_path=config_file,
         n1=40, n2=40, n3=40, out_dir=".", dump_matrices=False,
         dt=None, t_final=None, snapshot_every=0, snapshot_points=101,
-        lambda_min=-50.0, lambda_max=50.0, lambda_steps=2001, count=5,
+        lambda_min=-50.0, lambda_max=50.0, lambda_steps=2001,
     )
 
 
@@ -104,7 +103,8 @@ def test_parse_args_rejections(config_file):
         ["simulate", "--config", config_file, "--n2", "0"],
         ["simulate", "--config", config_file, "--snapshot-points", "1"],
         ["verify", "--config", config_file, "--c4", "2"],  # no such flag
-        ["modes", "--config", config_file, "--count", "0"],
+        ["decay", "--config", config_file, "--count", "5"],  # modes' flag is gone
+        ["modes", "--config", config_file],  # and so is modes
         ["spectrum"],                       # --config is required
         ["frobnicate", "--config", config_file],
         [],
@@ -114,11 +114,12 @@ def test_parse_args_rejections(config_file):
             parse_args(argv)
 
 
-def test_no_subcommand_lists_all_six():
+def test_no_subcommand_lists_all_five():
     proc = run_cli()
     assert proc.returncode == 2
-    for name in ("simulate", "spectrum", "resolvent", "decay", "modes", "verify"):
+    for name in ("simulate", "spectrum", "resolvent", "decay", "verify"):
         assert name in proc.stderr
+    assert "modes" not in proc.stderr
 
 
 # --- subcommands end to end -------------------------------------------------------
@@ -265,7 +266,7 @@ def test_decay_json_contract(tmp_path, config_file):
     payload = json.loads(text)
     assert set(payload) == {
         "abscissa", "alpha_bound", "alpha_fit", "alpha_scheme", "dt", "mode_im", "mode_re",
-        "r_squared", "ratio", "ratio_check", "regime", "t_final",
+        "r_squared", "regime", "t_final", "verdict",
     }
     assert list(payload) == sorted(payload)  # written in sorted order
     lines = text.splitlines()
@@ -274,9 +275,9 @@ def test_decay_json_contract(tmp_path, config_file):
         comma = "," if i < len(lines) - 1 else ""
         assert re.fullmatch(r'  "[a-z_]+": [^\s,]+' + comma, line), line
     assert payload["regime"] == "DDD"
-    assert payload["ratio_check"] in {"two_sided_pass", "two_sided_fail", "not_applicable",
-                                      "inconclusive"}
-    assert 0.9 <= payload["ratio"] <= 1.1
+    assert payload["verdict"] in {"two_sided_pass", "two_sided_fail", "not_applicable",
+                                  "inconclusive"}
+    assert 0.9 <= payload["alpha_fit"] / (2 * abs(payload["abscissa"])) <= 1.1
 
 
 @pytest.mark.parametrize("name", ["ddd", "udu", "conservative"])
@@ -306,22 +307,6 @@ def test_undamped_default_paths_build_no_dense_pencil_matrix(tmp_path, monkeypat
                      "--out-dir", str(tmp_path)]) == 0
 
 
-def test_modes_table(tmp_path, config_file):
-    out = tmp_path / "out"
-    proc = run_cli("modes", "--config", config_file, "--count", "4",
-                   "--out-dir", str(out))
-    assert proc.returncode == 0, proc.stderr
-    lines = (out / "modes.csv").read_text().splitlines()
-    assert lines[0] == "family,index,re,im"
-    rows = [ln.split(",") for ln in lines[1:]]
-    assert len(rows) == 2 * 4 + 4 + 4
-    families = {r[0] for r in rows}
-    assert families == {"string", "beam1", "beam2"}
-    # the string rows come in conjugate or real pairs
-    string_rows = [r for r in rows if r[0] == "string"]
-    assert len(string_rows) == 8
-
-
 def test_verify_passes_and_is_reproducible(tmp_path, config_file):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
@@ -340,8 +325,8 @@ def test_verify_passes_and_is_reproducible(tmp_path, config_file):
     payload = json.loads(r1)
     assert list(payload) == [  # the exact keys, written in sorted order
         "abscissa", "all_pass", "alpha_bound", "alpha_fit", "alpha_scheme", "dt",
-        "invariant_results", "mesh", "min_axis_distance", "r_squared", "ratio", "ratio_check",
-        "regime", "t_final",
+        "invariant_results", "mesh", "min_axis_distance", "r_squared", "regime", "t_final",
+        "verdict",
     ]
     # fully damped: the spectrum-gap check is for UDU only, so one row
     assert [r["name"] for r in payload["invariant_results"]] == ["dynamics.step_energy_balance"]
@@ -372,7 +357,7 @@ def test_verify_fails_on_a_failed_decay_verdict(tmp_path, config_file, capsys):
     rc = cli.main(["verify", "--config", config_file, "--n1", "8", "--n2", "8", "--n3", "8",
                    "--dt", "2", "--out-dir", str(out)])
     payload = json.loads((out / "report.json").read_text())
-    assert payload["ratio_check"] == "inconclusive"
+    assert payload["verdict"] == "inconclusive"
     assert all(r["passed"] for r in payload["invariant_results"])
     assert payload["all_pass"] is False
     assert rc == 1
@@ -442,6 +427,30 @@ def test_a_step_count_whose_record_cannot_be_allocated_is_a_model_error(
     assert proc.stderr == f"error: the energy record of {steps} steps does not fit in memory\n"
 
 
+HUGE, INT64_MAX = "99999999999999999999", str(2**63 - 1)
+
+
+@pytest.mark.parametrize("argv,what", [
+    (["resolvent", "--lambda-steps", HUGE], "a grid of 1e+20 axis points"),
+    (["resolvent", "--lambda-steps", INT64_MAX], "a grid of 9.22337e+18 axis points"),
+    (["simulate", "--snapshot-every", "1", "--snapshot-points", HUGE],
+     "a snapshot grid of 1e+20 points"),
+    (["simulate", "--snapshot-every", "1", "--snapshot-points", INT64_MAX],
+     "a snapshot grid of 9.22337e+18 points"),
+    (["spectrum", "--n1", HUGE], "a mesh of 1e+20 elements on n1"),
+    (["spectrum", "--n1", INT64_MAX], "a mesh of 9.22337e+18 elements on n1"),
+    (["decay", "--n3", INT64_MAX], "a mesh of 9.22337e+18 elements on n3"),
+])
+def test_a_count_whose_array_cannot_be_allocated_is_a_model_error(tmp_path, capsys, argv, what):
+    """numpy refuses these lengths without allocating. np.arange and
+    np.linspace raised deep inside on them or, at 2**63 - 1 points, returned
+    an empty array; now each is one error line naming the count, exit 1."""
+    config = str(Path(__file__).resolve().parents[1] / "configs" / "ddd.cfg")
+    mesh = [arg for flag in ("--n1", "--n2", "--n3") if flag not in argv for arg in (flag, "4")]
+    assert cli.main([*argv, *mesh, "--config", config, "--out-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {what} does not fit in memory\n"
+
+
 def test_exit_code_for_usage_errors(tmp_path, config_file):
     path = tmp_path / "bad.cfg"
     path.write_text(CONFIG + "zeta = 9\n")
@@ -495,7 +504,7 @@ def test_every_package_error_is_a_bsblab_error():
 
 def test_an_unresolved_dt_is_inconclusive(tmp_path, capsys):
     """On ddd.cfg at n = 10, dt = 1.01 * 0.1/|mu| does not resolve the slowest
-    mode: decay exits 0 and writes inconclusive with the four fitted keys
+    mode: decay exits 0 and writes inconclusive with the three fitted keys
     nan, and verify writes the same verdict, all_pass false, and exits 1."""
     config = str(Path(__file__).resolve().parents[1] / "configs" / "ddd.cfg")
     _, _, pencil = bb.discretize(bb.validate_config(read_config(config)), 10, 10, 10)
@@ -503,9 +512,9 @@ def test_an_unresolved_dt_is_inconclusive(tmp_path, capsys):
     args = ["--config", config, "--n1", "10", "--n2", "10", "--n3", "10", "--dt", repr(dt)]
     assert cli.main(["decay", *args, "--out-dir", str(tmp_path / "decay")]) == 0
     decay = json.loads((tmp_path / "decay" / "decay.json").read_text())
-    assert decay["ratio_check"] == "inconclusive" and decay["dt"] == dt
-    assert all(decay[k] == "nan" for k in ("alpha_fit", "alpha_bound", "r_squared", "ratio"))
+    assert decay["verdict"] == "inconclusive" and decay["dt"] == dt
+    assert all(decay[k] == "nan" for k in ("alpha_fit", "alpha_bound", "r_squared"))
     assert cli.main(["verify", *args, "--out-dir", str(tmp_path / "verify")]) == 1
     report = json.loads((tmp_path / "verify" / "report.json").read_text())
-    assert report["ratio_check"] == "inconclusive" and report["all_pass"] is False
+    assert report["verdict"] == "inconclusive" and report["all_pass"] is False
     assert "CHECKS FAILED" in capsys.readouterr().out

@@ -1,9 +1,12 @@
-"""The README's library example runs as written, at a smaller mesh."""
+"""The README's library example runs as written, at a smaller mesh, and its
+CLI synopsis and output table match what the CLI accepts and writes."""
 
+import json
 import re
 from pathlib import Path
 
 import bsblab as bb
+from bsblab import cli
 from bsblab.cli import read_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -45,3 +48,30 @@ def test_readme_names_the_rows_of_each_regime():
         cfg = bb.validate_config(read_config(str(CONFIGS / f"{name}.cfg")))
         report = bb.cross_validate(cfg, *bb.discretize(cfg, 4, 4, 4))
         assert all(f"`{r.name}`" in row for r in report.invariant_results)
+
+
+def listed_keys(file_name: str) -> list:
+    """The keys README's output table lists for file_name: the backquoted
+    names that open its row's last cell, up to the first '.' or ':'."""
+    row = next(line for line in README.read_text().splitlines()
+               if f"| `{file_name}` |" in line)
+    cell = row.split("|")[3].strip()
+    head = re.split(r"[.:] ", cell, maxsplit=1)[0]
+    assert re.fullmatch(r"`[a-z_]+`(, `[a-z_]+`)*", head), head
+    return re.findall(r"`([a-z_]+)`", head)
+
+
+def test_readme_states_the_output_contract_the_cli_writes(tmp_path):
+    """README's synopsis names exactly the CLI's subcommands, and its
+    decay.json and report.json rows exactly the keys those files hold."""
+    text = README.read_text()
+    synopsis = re.search(r"```sh\n(bsblab .*?)```", text, re.S).group(1)
+    commands = re.findall(r"^bsblab (\w+)", synopsis, re.M)
+    config = str(CONFIGS / "ddd.cfg")
+    assert sorted(commands) == sorted(cli._COMMANDS)
+    assert all(cli.parse_args([name, "--config", config]).command == name for name in commands)
+    mesh = ["--n1", "4", "--n2", "4", "--n3", "4", "--out-dir", str(tmp_path)]
+    for command, file_name in (("decay", "decay.json"), ("verify", "report.json")):
+        assert cli.main([command, "--config", config, *mesh]) == 0
+        written = json.loads((tmp_path / file_name).read_text())
+        assert listed_keys(file_name) == list(written), file_name

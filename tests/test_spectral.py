@@ -276,11 +276,11 @@ def test_both_routes_reject_an_indefinite_or_empty_pencil():
 # --- closed-form member oracles ---------------------------------------------------
 
 def test_string_modes_closed_form_frozen_case():
-    plus, minus = spectral.string_modes_closed_form(1.0, math.pi, 1)
+    plus, minus = oracles.string_modes_closed_form(1.0, math.pi, 1)
     assert plus == pytest.approx(-0.5 + 0.8660254037844386j, abs=1e-15)
     assert minus == pytest.approx(-0.5 - 0.8660254037844386j, abs=1e-15)
     # overdamped string: two real roots
-    plus, minus = spectral.string_modes_closed_form(10.0, math.pi, 1)
+    plus, minus = oracles.string_modes_closed_form(10.0, math.pi, 1)
     assert plus.imag == 0.0 and minus.imag == 0.0
     assert minus.real < plus.real < 0.0
 
@@ -291,7 +291,7 @@ def test_string_modes_closed_form_frozen_case():
     k=st.integers(1, 5),
 )
 def test_string_modes_satisfy_vieta(beta, length, k):
-    plus, minus = spectral.string_modes_closed_form(beta, length, k)
+    plus, minus = oracles.string_modes_closed_form(beta, length, k)
     assert plus + minus == pytest.approx(-beta, abs=1e-10 * max(1.0, beta))
     prod = plus * minus
     want = (k * math.pi / length) ** 2
@@ -299,8 +299,15 @@ def test_string_modes_satisfy_vieta(beta, length, k):
     assert abs(prod.imag) <= 1e-10 * want
 
 
+def test_string_modes_closed_form_rejects_bad_parameters():
+    with pytest.raises(spectral.NonpositiveParameter):
+        oracles.string_modes_closed_form(-1.0, 1.0, 1)
+    with pytest.raises(spectral.NonpositiveParameter):
+        oracles.string_modes_closed_form(1.0, 0.0, 1)
+
+
 def test_discrete_string_converges_to_closed_form():
-    plus, _ = spectral.string_modes_closed_form(1.0, math.pi, 1)
+    plus, _ = oracles.string_modes_closed_form(1.0, math.pi, 1)
     dists = []
     for n in (50, 100):
         pencil = oracles.assemble_string_pencil(math.pi, 1.0, n)
@@ -309,37 +316,6 @@ def test_discrete_string_converges_to_closed_form():
     assert dists[1] <= 2e-4
     # P1 eigenvalues converge at second order
     assert dists[0] / dists[1] == pytest.approx(4.0, rel=0.15)
-
-
-def bisect_beam_root(j):
-    """Independent root finder for 1 + cos(k) cosh(k) = 0 near (2j-1) pi/2."""
-    f = lambda k: 1.0 + math.cos(k) * math.cosh(k)
-    lo = (2 * j - 1) * math.pi / 2 - 1.0
-    hi = (2 * j - 1) * math.pi / 2 + 1.0
-    assert f(lo) * f(hi) < 0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f(lo) * f(mid) <= 0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
-def test_beam_frequencies_match_characteristic_roots():
-    freqs = spectral.beam_clamped_free_frequencies(1.0, 5)
-    assert freqs.shape == (5,)
-    for j, omega in enumerate(freqs, 1):
-        kappa = bisect_beam_root(j)
-        assert omega == pytest.approx(kappa**2, rel=1e-11)
-    # frozen first two roots
-    assert freqs[0] == pytest.approx(1.87510406871196**2, rel=1e-12)
-    assert freqs[1] == pytest.approx(4.69409113297417**2, rel=1e-12)
-    # asymptotics: kappa_5 is within 0.01 of 9 pi / 2
-    assert abs(math.sqrt(freqs[4]) - 4.5 * math.pi) <= 0.01
-    # length scaling: omega ~ 1/L^2
-    doubled = spectral.beam_clamped_free_frequencies(2.0, 5)
-    assert np.allclose(doubled, freqs / 4.0, rtol=1e-11)
 
 
 def test_discrete_beam_matches_lowest_frequency():
@@ -588,12 +564,6 @@ def test_resolvent_parameter_validation(ddd_system):
             spectral.resolvent_sweep(spect, bad)
     with pytest.raises(spectral.NonpositiveParameter):
         spectral.resolvent_norm(pencil, math.inf)
-    with pytest.raises(spectral.NonpositiveParameter):
-        spectral.string_modes_closed_form(-1.0, 1.0, 1)
-    with pytest.raises(spectral.NonpositiveParameter):
-        spectral.string_modes_closed_form(1.0, 0.0, 1)
-    with pytest.raises(spectral.NonpositiveParameter):
-        spectral.beam_clamped_free_frequencies(0.0, 3)
 
 
 def test_eigenvalue_ordering_is_canonical(ddd_system):
