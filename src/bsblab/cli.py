@@ -25,8 +25,8 @@ import numpy as np
 
 from . import spectral
 from .analysis import certify_decay, cross_validate, render_decay, render_report
-from .dynamics import default_dt, simulate
-from .fem import _require_allocatable, discretize, evaluate_state, interpolate
+from .dynamics import DEFAULT_T_FINAL, default_dt, simulate
+from .fem import discretize, interpolate, nodal_field
 from .model import (
     BsblabError,
     StructureConfig,
@@ -95,7 +95,6 @@ class RunSpec:
     dt: float | None = None
     t_final: float | None = None
     snapshot_every: int = 0
-    snapshot_points: int = 101
     lambda_min: float = -50.0
     lambda_max: float = 50.0
     lambda_steps: int = 2001
@@ -124,7 +123,7 @@ def parse_args(argv) -> RunSpec:
         sub.add_argument("--n3", type=int, help="elements on the second beam")
         sub.add_argument("--out-dir", help="output directory (created if missing)")
         sub.add_argument("--dump-matrices", action="store_true",
-                         help="also write S, M, D, B, K in coordinate format")
+                         help="also write S, M and D in coordinate format")
         return sub
 
     def add_run(name, help_text):
@@ -135,8 +134,7 @@ def parse_args(argv) -> RunSpec:
 
     sim = add_run("simulate", "trapezoidal run from the canonical initial state")
     sim.add_argument("--snapshot-every", type=int,
-                     help="store the state every this many steps (0 disables)")
-    sim.add_argument("--snapshot-points", type=int, help="x-grid resolution of snapshots.csv")
+                     help="write the nodal state every this many steps (0 disables)")
 
     add("spectrum", "all pencil eigenvalues")
 
@@ -159,8 +157,9 @@ def parse_args(argv) -> RunSpec:
         raise UsageError(f"--dt must be finite and > 0, got {spec.dt}")
     if spec.t_final is not None and not (np.isfinite(spec.t_final) and spec.t_final > 0):
         raise UsageError(f"--t-final must be finite and > 0, got {spec.t_final}")
-    # t_final defaults to 10 for simulate and to at most 10 for decay and verify
-    if spec.dt is not None and not np.isfinite((spec.t_final or 10.0) / spec.dt):
+    # t_final defaults to DEFAULT_T_FINAL for simulate and to at most that
+    # for decay and verify
+    if spec.dt is not None and not np.isfinite((spec.t_final or DEFAULT_T_FINAL) / spec.dt):
         raise UsageError(f"the step count t_final/dt overflows with --dt {spec.dt}")
     if spec.lambda_steps < 2:
         raise UsageError(f"--lambda-steps must be >= 2, got {spec.lambda_steps}")
@@ -173,8 +172,6 @@ def parse_args(argv) -> RunSpec:
         )
     if spec.snapshot_every < 0:
         raise UsageError(f"--snapshot-every must be >= 0, got {spec.snapshot_every}")
-    if spec.snapshot_points < 2:
-        raise UsageError(f"--snapshot-points must be >= 2, got {spec.snapshot_points}")
     return spec
 
 
@@ -196,9 +193,9 @@ def _write_rows(path: str, header: str, rows) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def _band_entries(ab: np.ndarray, row0: int = 0, col0: int = 0, sign: float = 1.0):
-    """(rows, cols, values) of the nonzero entries of sign * the general band
-    ab, placed as the block at (row0, col0)."""
+def _band_entries(ab: np.ndarray):
+    """(rows, cols, values) of the nonzero entries of the general band ab,
+    in row-major order."""
     b, n = ab.shape[0] // 2, ab.shape[1]
     i, j = np.divmod(np.arange(n * (2 * b + 1)), 2 * b + 1)
     j += i - b  # row i holds columns i - b .. i + b
@@ -206,20 +203,13 @@ def _band_entries(ab: np.ndarray, row0: int = 0, col0: int = 0, sign: float = 1.
     i, j = i[inside], j[inside]
     values = ab[b + i - j, j]
     nonzero = values != 0
-    return i[nonzero] + row0, j[nonzero] + col0, sign * values[nonzero]
+    return i[nonzero], j[nonzero], values[nonzero]
 
 
 def _dump_matrices(pencil, out_dir: str) -> None:
-    # nonzero entries in row-major order, "row col value", read off the bands:
-    # B = blockdiag(S, M) and K = [[0, S], [-S, -D]] as blocks of them
-    n, s, m, d = pencil.n_positions, pencil.s_band, pencil.m_band, pencil.d_band
-    blocks = {"S": [(s,)], "M": [(m,)], "D": [(d,)], "B": [(s,), (m, n, n)],
-              "K": [(s, 0, n), (s, n, 0, -1.0), (d, n, n, -1.0)]}
-    for name, parts in blocks.items():
-        rows, cols, values = map(np.concatenate, zip(*(_band_entries(*part) for part in parts)))
-        order = np.lexsort((cols, rows))
-        text = "".join(f"{i} {j} {_fmt(v)}\n"
-                       for i, j, v in zip(rows[order], cols[order], values[order]))
+    # one "row col value" line per nonzero entry, read off the bands
+    for name, ab in (("S", pencil.s_band), ("M", pencil.m_band), ("D", pencil.d_band)):
+        text = "".join(f"{i} {j} {_fmt(v)}\n" for i, j, v in zip(*_band_entries(ab)))
         _write_text(os.path.join(out_dir, f"{name}.coo.txt"), text)
 
 
@@ -237,11 +227,7 @@ def _prepare(spec: RunSpec):
 def _cmd_simulate(spec: RunSpec) -> int:
     cfg, mesh, dofs, pencil = _prepare(spec)
     dt = spec.dt if spec.dt is not None else default_dt(cfg)
-    t_final = spec.t_final if spec.t_final is not None else 10.0
-    if spec.snapshot_every > 0:
-        _require_allocatable(spec.snapshot_points,
-                             f"a snapshot grid of {spec.snapshot_points:.6g} points")
-        grid = np.linspace(cfg.l0, cfg.l3, spec.snapshot_points)
+    t_final = spec.t_final if spec.t_final is not None else DEFAULT_T_FINAL
     y0 = interpolate(default_initial_data(cfg), mesh, dofs)
     sim = simulate(pencil, y0, dt, t_final, snapshot_every=spec.snapshot_every)
     tr = sim.trace
@@ -253,13 +239,10 @@ def _cmd_simulate(spec: RunSpec) -> int:
     written = [path]
 
     if spec.snapshot_every > 0:
-        rows = []
-        for t, state in sim.snapshots:
-            for x in grid:
-                disp, vel = evaluate_state(state, float(x), mesh, dofs)
-                rows.append((_fmt(t), _fmt(x), _fmt(disp.real), _fmt(vel.real)))
         path = os.path.join(spec.out_dir, "snapshots.csv")
-        _write_rows(path, "t,x,displacement,velocity", rows)
+        _write_rows(path, "t,x,displacement,velocity",
+                    ((_fmt(t), _fmt(x), _fmt(u), _fmt(v)) for t, state in sim.snapshots
+                     for x, u, v in zip(*nodal_field(state, mesh, dofs))))
         written.append(path)
 
     print(f"simulate: {len(tr.times) - 1} steps, dt = {_fmt(dt)}, "
@@ -276,8 +259,7 @@ def _cmd_spectrum(spec: RunSpec) -> int:
     _write_rows(path, "re,im",
                 ((_fmt(m.real), _fmt(m.imag)) for m in report.eigenvalues))
     print(f"spectrum: {report.eigenvalues.size} eigenvalues ({classify_damping(cfg).value}), "
-          f"abscissa = {_fmt(report.abscissa)}, "
-          f"min |Re| = {_fmt(report.min_axis_distance)}")
+          f"abscissa = {_fmt(report.abscissa)}")
     print(f"wrote {path}")
     if spectral.slowest_mode_unresolved(report):
         print(f"warning: the slowest eigenvalue has |mu| = {_fmt(abs(report.eigenvalues[-1]))}, "
@@ -299,7 +281,7 @@ def _cmd_resolvent(spec: RunSpec) -> int:
           f"{int(table.iterations.max())} per point) = {_fmt(table.sup)}")
     print(f"resolvent: first grid maximum at lambda = "
           f"{_fmt(table.lambdas[int(np.argmax(table.norms))])}, "
-          f"min |Re| = {_fmt(report.min_axis_distance)}")
+          f"abscissa = {_fmt(report.abscissa)}")
     print(f"wrote {path}")
     return 0
 

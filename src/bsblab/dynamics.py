@@ -97,6 +97,11 @@ def cross_functional(pencil: SystemPencil, y: StateVector) -> float:
     return np.vdot(y.p, _times(pencil.m_band, y.q)).real
 
 
+# simulate's run length when none is given, and the cap on the default
+# run length of decay and verify
+DEFAULT_T_FINAL = 10.0
+
+
 def default_dt(cfg: StructureConfig) -> float:
     """1e-3 times the period of the slowest string mode.
 

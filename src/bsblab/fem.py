@@ -26,14 +26,14 @@ S p' = S q, M q' = -S p - D q, whose first-order pencil
 
     B = [[S, 0], [0, M]],      K = [[0, S], [-S, -D]]
 
-is built densely on demand, as the first-order reference for the tests
-and for --dump-matrices. States y = (p, q) obey B y' = K y, the energy is
-(1/2)(p^T S p + q^T M q), and Re(y^H K y) = -q^H D q holds exactly, which
-is the discrete image of the dissipation identity of the continuous
-semigroup. It follows from the block form of K once S is symmetric, and
-the tests check the symmetry of S, M and D exactly on their bands. A
-pencil is the three bands and nothing else: which members are damped is
-a fact about the config's coefficients, which the model module decides.
+is built densely on demand, as the first-order reference for the tests.
+States y = (p, q) obey B y' = K y, the energy is (1/2)(p^T S p + q^T M q),
+and Re(y^H K y) = -q^H D q holds exactly, which is the discrete image of
+the dissipation identity of the continuous semigroup. It follows from the
+block form of K once S is symmetric, and the tests check the symmetry of
+S, M and D exactly on their bands. A pencil is the three bands and
+nothing else: which members are damped is a fact about the config's
+coefficients, which the model module decides.
 """
 
 from __future__ import annotations
@@ -56,16 +56,14 @@ class NonpositiveLength(BsblabError, ValueError):
 
 
 class IncompatibleInterface(BsblabError, ValueError):
-    """Initial data disagrees at a junction beyond tolerance."""
-
-
-class OutOfDomain(BsblabError, ValueError):
-    """Evaluation point lies outside [l0, l3]."""
+    """Initial data the discrete space cannot hold: a nodal value that is not
+    finite, a mismatch at a junction beyond tolerance, or a value or slope
+    that does not vanish at a clamped end."""
 
 
 class RecordTooLarge(BsblabError, ValueError):
     """An array whose length a count sets cannot be allocated: the nodes of a
-    mesh, the energy record of a run, the axis grid or the snapshot grid."""
+    mesh, the energy record of a run or the axis grid."""
 
 
 def _require_allocatable(length: int, what: str) -> None:
@@ -444,21 +442,24 @@ def discretize(cfg: StructureConfig, n1: int, n2: int, n3: int):
 _INTERFACE_TOL = 1e-12
 
 
-def _nodal(f, nodes: np.ndarray) -> np.ndarray:
-    return np.array([float(f(float(x))) for x in nodes])
+def _nodal(f, nodes: np.ndarray, label: str) -> np.ndarray:
+    values = np.array([float(f(float(x))) for x in nodes])
+    if not np.isfinite(values).all():
+        raise IncompatibleInterface(f"{label} is not finite at every node")
+    return values
 
 
 def _beam_nodal(profile: Any, nodes: np.ndarray, label: str):
     """Nodal (values, slopes) of a beam profile given as a (value, slope) callable pair."""
     if not (isinstance(profile, tuple) and len(profile) == 2 and all(map(callable, profile))):
         raise TypeError(f"{label}: expected a (value, slope) pair of callables")
-    return _nodal(profile[0], nodes), _nodal(profile[1], nodes)
+    return _nodal(profile[0], nodes, label), _nodal(profile[1], nodes, f"{label} slope")
 
 
 def _string_nodal(profile: Any, nodes: np.ndarray, label: str) -> np.ndarray:
     if not callable(profile):
         raise TypeError(f"{label}: expected a callable")
-    return _nodal(profile, nodes)
+    return _nodal(profile, nodes, label)
 
 
 def _check_junction(left: float, right: float, where: str) -> None:
@@ -487,8 +488,9 @@ def interpolate(data: InitialData, mesh: Mesh, dofs: DofMap) -> StateVector:
     absolute 1e-12); the shared DOF then takes the beam-side value. The
     data must vanish, in value and slope, at the clamped outer ends: the
     discrete space contains nothing else, and projecting silently would
-    misrepresent the data. Cubic beam profiles given with exact slopes
-    and affine string profiles are reproduced exactly.
+    misrepresent the data. Every nodal value and slope must be finite.
+    Cubic beam profiles given with exact slopes and affine string profiles
+    are reproduced exactly.
     """
     out = {}
     for tag, (u, v, w) in (("displacement", (data.u0, data.v0, data.w0)),
@@ -517,38 +519,10 @@ def interpolate(data: InitialData, mesh: Mesh, dofs: DofMap) -> StateVector:
     return StateVector(p=out["displacement"], q=out["velocity"])
 
 
-def evaluate_state(y: StateVector, x: float, mesh: Mesh, dofs: DofMap):
-    """Displacement and velocity of the discrete state at a point x.
-
-    x must lie in [l0, l3]; junction points belong to the member on their
-    left, which is immaterial since the deflection is continuous.
-    """
-    l0 = mesh.nodes1[0]
-    l1 = mesh.nodes1[-1]
-    l2 = mesh.nodes2[-1]
-    l3 = mesh.nodes3[-1]
-    if not np.isfinite(x) or x < l0 or x > l3:
-        raise OutOfDomain(f"x = {x} outside [{l0}, {l3}]")
-
-    if x <= l1:
-        nodes, table, shapes = mesh.nodes1, dofs.beam1, hermite_shapes
-    elif x <= l2:
-        nodes, table, shapes = mesh.nodes2, dofs.string, p1_shapes
-    else:
-        nodes, table, shapes = mesh.nodes3, dofs.beam2, hermite_shapes
-
-    e = int(np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, len(nodes) - 2))
-    h = float(nodes[e + 1] - nodes[e])
-    xi = (x - float(nodes[e])) / h
-    n = shapes(xi, h)
-    idx = (np.concatenate([table[e], table[e + 1]])
-           if table.ndim == 2 else np.array([table[e], table[e + 1]]))
-
-    def combine(coeffs):
-        total = 0.0
-        for k, i in enumerate(idx):
-            if i >= 0:
-                total = total + n[k] * coeffs[i]
-        return total
-
-    return combine(y.p), combine(y.q)
+def nodal_field(y: StateVector, mesh: Mesh, dofs: DofMap):
+    """(x, displacement, velocity) at every mesh node from l0 to l3, each
+    junction once: the state's deflection DOFs, and 0 at the clamped ends."""
+    x = np.concatenate([mesh.nodes1, mesh.nodes2[1:-1], mesh.nodes3])
+    idx = np.concatenate([dofs.beam1[:, 0], dofs.string[1:-1], dofs.beam2[:, 0]])
+    free = idx >= 0
+    return x, np.where(free, y.p[idx], 0.0), np.where(free, y.q[idx], 0.0)

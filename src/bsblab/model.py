@@ -129,17 +129,19 @@ def default_initial_data(cfg: StructureConfig) -> InitialData:
     len1 = cfg.l1 - cfg.l0
     len3 = cfg.l3 - cfg.l2
 
+    # the slopes divide twice rather than by length**2, which under- or
+    # overflows on extreme but valid geometry
     def u_val(x):
         return ((x - cfg.l0) / len1) ** 2
 
     def u_slope(x):
-        return 2.0 * (x - cfg.l0) / len1**2
+        return 2.0 * ((x - cfg.l0) / len1) / len1
 
     def w_val(x):
         return ((cfg.l3 - x) / len3) ** 2
 
     def w_slope(x):
-        return -2.0 * (cfg.l3 - x) / len3**2
+        return -2.0 * ((cfg.l3 - x) / len3) / len3
 
     def flat(x):
         return 1.0

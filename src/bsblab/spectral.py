@@ -84,14 +84,14 @@ class NonpositiveParameter(BsblabError, ValueError):
 
 @dataclass
 class SpectrumReport:
-    """All 2N eigenvalues plus the two scalars the stability theory cares
-    about: the spectral abscissa and the distance of the spectrum to the
-    imaginary axis; `schur` is the real Schur factor of a damped spectrum,
-    for the resolvent, and None for an undamped one."""
+    """All 2N eigenvalues plus the spectral abscissa, the largest real part,
+    whose sign the stability theory cares about (on a dissipative spectrum
+    -abscissa is the distance to the imaginary axis); `schur` is the real
+    Schur factor of a damped spectrum, for the resolvent, and None for an
+    undamped one."""
 
     eigenvalues: np.ndarray
     abscissa: float
-    min_axis_distance: float
     schur: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
@@ -249,7 +249,6 @@ def eigenvalues(pencil: SystemPencil) -> SpectrumReport:
     return SpectrumReport(
         eigenvalues=mu,
         abscissa=float(np.max(mu.real)),
-        min_axis_distance=float(np.min(np.abs(mu.real))),
         schur=schur,
     )
 

@@ -432,8 +432,8 @@ def test_a_certificate_field_reaches_both_files():
     cert = Extended(regime="DDD", abscissa=-0.5, mode=complex(-0.5, 3.0), alpha_fit=1.0,
                     alpha_scheme=1.0, alpha_bound=1e-12, r_squared=1.0,
                     verdict="two_sided_pass", dt=1e-3, t_final=1.0)
-    report = analysis.VerificationReport(certificate=cert, min_axis_distance=0.5,
-                                         mesh_counts=(2, 2, 2), invariant_results=[])
+    report = analysis.VerificationReport(certificate=cert, mesh_counts=(2, 2, 2),
+                                         invariant_results=[])
     decay = json.loads(analysis.render_decay(cert))
     assert decay["extra"] == json.loads(bb.render_report(report))["extra"] == 0.25
     assert (decay["mode_re"], decay["mode_im"]) == (-0.5, 3.0)

@@ -78,7 +78,7 @@ def test_parse_args_defaults(config_file, command):
     assert spec == RunSpec(
         command=command, config_path=config_file,
         n1=40, n2=40, n3=40, out_dir=".", dump_matrices=False,
-        dt=None, t_final=None, snapshot_every=0, snapshot_points=101,
+        dt=None, t_final=None, snapshot_every=0,
         lambda_min=-50.0, lambda_max=50.0, lambda_steps=2001,
     )
 
@@ -101,7 +101,8 @@ def test_parse_args_rejections(config_file):
         ["resolvent", "--config", config_file, "--lambda-max", "inf"],
         ["resolvent", "--config", config_file, "--lambda-min=-inf"],
         ["simulate", "--config", config_file, "--n2", "0"],
-        ["simulate", "--config", config_file, "--snapshot-points", "1"],
+        # no such flag: snapshots are written at the mesh nodes
+        ["simulate", "--config", config_file, "--snapshot-points", "7"],
         ["verify", "--config", config_file, "--c4", "2"],  # no such flag
         ["decay", "--config", config_file, "--count", "5"],  # modes' flag is gone
         ["modes", "--config", config_file],  # and so is modes
@@ -130,7 +131,7 @@ def test_simulate_writes_energy_and_snapshots(tmp_path, config_file):
         "simulate", "--config", config_file,
         "--n1", "4", "--n2", "4", "--n3", "4",
         "--dt", "0.002", "--t-final", "0.02",
-        "--snapshot-every", "5", "--snapshot-points", "7",
+        "--snapshot-every", "5",
         "--out-dir", str(out),
     )
     assert proc.returncode == 0, proc.stderr
@@ -145,8 +146,38 @@ def test_simulate_writes_energy_and_snapshots(tmp_path, config_file):
 
     snap = (out / "snapshots.csv").read_text().splitlines()
     assert snap[0] == "t,x,displacement,velocity"
-    # snapshots at steps 0, 5, 10 with 7 grid points each
-    assert len(snap) == 1 + 3 * 7
+    # snapshots at steps 0, 5, 10 with 4 + 4 + 4 + 1 mesh nodes each
+    assert len(snap) == 1 + 3 * 13
+
+
+def test_snapshot_rows_are_the_deflection_dofs_at_the_nodes(tmp_path):
+    """Each snapshot lists every mesh node from l0 to l3 once, the two
+    junctions included, with the state's deflection DOFs there, read off
+    the DOF map node by node, and 0 at the clamped ends."""
+    config = str(Path(__file__).resolve().parents[1] / "configs" / "ddd.cfg")
+    cfg = bb.validate_config(read_config(config))
+    mesh, dofs, pencil = bb.discretize(cfg, 3, 4, 5)
+    sim = bb.simulate(pencil, bb.interpolate(bb.default_initial_data(cfg), mesh, dofs),
+                      0.002, 0.02, snapshot_every=4)
+    assert cli.main(["simulate", "--config", config, "--n1", "3", "--n2", "4", "--n3", "5",
+                     "--dt", "0.002", "--t-final", "0.02", "--snapshot-every", "4",
+                     "--out-dir", str(tmp_path)]) == 0
+    nodes = ([(x, dofs.beam1[j, 0]) for j, x in enumerate(mesh.nodes1)]
+             + [(x, dofs.string[j]) for j, x in enumerate(mesh.nodes2) if 0 < j < mesh.n2]
+             + [(x, dofs.beam2[j, 0]) for j, x in enumerate(mesh.nodes3)])
+    lines = (tmp_path / "snapshots.csv").read_text().splitlines()
+    assert lines[0] == "t,x,displacement,velocity"
+    rows = [tuple(map(float, line.split(","))) for line in lines[1:]]
+    assert len(rows) == len(sim.snapshots) * 13 == 4 * 13  # steps 0, 4, 8 and 10
+    for k, (t, state) in enumerate(sim.snapshots):
+        block = rows[13 * k:13 * (k + 1)]
+        xs = [x for _, x, _, _ in block]
+        assert xs == sorted(set(xs)) and xs.count(cfg.l1) == xs.count(cfg.l2) == 1
+        for (t_row, x, disp, vel), (node, dof) in zip(block, nodes):
+            assert (t_row, x) == (t, node)
+            want = (state.p[dof], state.q[dof]) if dof >= 0 else (0.0, 0.0)
+            assert (disp, vel) == want
+        assert block[0][2:] == block[-1][2:] == (0.0, 0.0)
 
 
 def test_spectrum_csv_schema(tmp_path, config_file):
@@ -231,7 +262,7 @@ def test_resolvent_prints_the_lanczos_work_with_the_sup_last(tmp_path, capsys):
 
 def test_resolvent_prints_the_udu_study_from_one_schur_form(tmp_path, monkeypatch, capsys):
     """README's udu study: at each mesh one dgees (2N = 98, 198), and a line
-    after the sup with its first grid argmax and the spectrum's min |Re|."""
+    after the sup with its first grid argmax and the spectrum's abscissa."""
     shapes = []
     dgees = scipy.linalg.lapack.dgees
 
@@ -242,8 +273,8 @@ def test_resolvent_prints_the_udu_study_from_one_schur_form(tmp_path, monkeypatc
 
     monkeypatch.setattr(scipy.linalg.lapack, "dgees", counted)
     config = str(Path(__file__).resolve().parents[1] / "configs" / "udu.cfg")
-    for n, sup, argmax, gap in ((10, "7.813919", "-3.3333", "4.738e-03"),
-                                (20, "7.757637", "-3.3333", "1.511e-03")):
+    for n, sup, argmax, abscissa in ((10, "7.813919", "-3.3333", "-4.738e-03"),
+                                     (20, "7.757637", "-3.3333", "-1.511e-03")):
         shapes.clear()
         assert cli.main(["resolvent", "--config", config, "--n1", str(n), "--n2", str(n),
                          "--n3", str(n), "--lambda-steps", "301",
@@ -252,8 +283,8 @@ def test_resolvent_prints_the_udu_study_from_one_schur_form(tmp_path, monkeypatc
         lines = capsys.readouterr().out.splitlines()
         assert f"{float(lines[0].rsplit(' = ', 1)[1]):.6f}" == sup
         got = re.fullmatch(r"resolvent: first grid maximum at lambda = (\S+), "
-                           r"min \|Re\| = (\S+)", lines[1])
-        assert (f"{float(got[1]):.4f}", f"{float(got[2]):.3e}") == (argmax, gap)
+                           r"abscissa = (\S+)", lines[1])
+        assert (f"{float(got[1]):.4f}", f"{float(got[2]):.3e}") == (argmax, abscissa)
         assert lines[2].startswith("wrote ")
 
 
@@ -325,8 +356,7 @@ def test_verify_passes_and_is_reproducible(tmp_path, config_file):
     payload = json.loads(r1)
     assert list(payload) == [  # the exact keys, written in sorted order
         "abscissa", "all_pass", "alpha_bound", "alpha_fit", "alpha_scheme", "dt",
-        "invariant_results", "mesh", "min_axis_distance", "r_squared", "regime", "t_final",
-        "verdict",
+        "invariant_results", "mesh", "r_squared", "regime", "t_final", "verdict",
     ]
     # fully damped: the spectrum-gap check is for UDU only, so one row
     assert [r["name"] for r in payload["invariant_results"]] == ["dynamics.step_energy_balance"]
@@ -366,9 +396,9 @@ def test_verify_fails_on_a_failed_decay_verdict(tmp_path, config_file, capsys):
 
 def test_dump_matrices_round_trip(tmp_path, monkeypatch):
     """The triplets come off the bands, in row-major order, and give back the
-    dense S, M, D, B and K; an all-zero matrix (conservative D) is an empty
-    file."""
-    names = ("S", "M", "D", "B", "K")
+    dense S, M and D; an all-zero matrix (conservative D) is an empty file.
+    B and K, blocks of those three, are not written."""
+    names = ("S", "M", "D")
     for cfg_name in ("ddd", "udu", "conservative"):
         config = str(Path(__file__).resolve().parents[1] / "configs" / f"{cfg_name}.cfg")
         _, _, pencil = bb.discretize(bb.validate_config(read_config(config)), 2, 2, 2)
@@ -388,6 +418,8 @@ def test_dump_matrices_round_trip(tmp_path, monkeypatch):
             assert np.array_equal(got, want), (cfg_name, name)
             assert [(int(i), int(j)) for i, j, _ in entries] == list(zip(*np.nonzero(want)))
             assert (text == "") == (not want.any()), (cfg_name, name)
+        assert sorted(p.name for p in out.iterdir()) == [
+            "D.coo.txt", "M.coo.txt", "S.coo.txt", "spectrum.csv"]
 
 
 # --- exit codes ---------------------------------------------------------------
@@ -427,16 +459,34 @@ def test_a_step_count_whose_record_cannot_be_allocated_is_a_model_error(
     assert proc.stderr == f"error: the energy record of {steps} steps does not fit in memory\n"
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("ends,message", [
+    (("0", "1e-300", "1", "2"), "trapezoidal step produced non-finite values"),
+    (("0", "1", "2", "1e300"), "trapezoidal step produced non-finite values"),
+    (("-1e200", "0", "1", "1e200"), "trapezoidal step produced non-finite values"),
+    (("0", "1e-308", "1", "2"), "beam-1 displacement slope is not finite at every node"),
+], ids=["l1=1e-300", "l3=1e300", "l0=-1e200,l3=1e200", "l1=1e-308"])
+def test_extreme_geometry_is_a_model_error(tmp_path, capsys, ends, message):
+    """Valid geometry whose lengths square to 0 or inf ended in a traceback
+    from the plateau's slopes (ZeroDivisionError, OverflowError). Its slope
+    2/length at l1 = 1e-308 is inf, which interpolate refuses. Each case is
+    now one error line, exit 1."""
+    path = tmp_path / "extreme.cfg"
+    path.write_text(CONFIG.replace("l0 = 0.0\nl1 = 1.0\nl2 = 2.0\nl3 = 3.0",
+                                   "\n".join(f"l{i} = {x}" for i, x in enumerate(ends))))
+    assert cli.main(["simulate", "--config", str(path), "--n1", "4", "--n2", "4", "--n3", "4",
+                     "--t-final", "0.01", "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 HUGE, INT64_MAX = "99999999999999999999", str(2**63 - 1)
 
 
 @pytest.mark.parametrize("argv,what", [
     (["resolvent", "--lambda-steps", HUGE], "a grid of 1e+20 axis points"),
     (["resolvent", "--lambda-steps", INT64_MAX], "a grid of 9.22337e+18 axis points"),
-    (["simulate", "--snapshot-every", "1", "--snapshot-points", HUGE],
-     "a snapshot grid of 1e+20 points"),
-    (["simulate", "--snapshot-every", "1", "--snapshot-points", INT64_MAX],
-     "a snapshot grid of 9.22337e+18 points"),
+    (["simulate", "--n2", HUGE], "a mesh of 1e+20 elements on n2"),
+    (["verify", "--n2", INT64_MAX], "a mesh of 9.22337e+18 elements on n2"),
     (["spectrum", "--n1", HUGE], "a mesh of 1e+20 elements on n1"),
     (["spectrum", "--n1", INT64_MAX], "a mesh of 9.22337e+18 elements on n1"),
     (["decay", "--n3", INT64_MAX], "a mesh of 9.22337e+18 elements on n3"),
