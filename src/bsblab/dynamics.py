@@ -10,18 +10,20 @@ roundoff, for every dt. It is the only scheme. A step is solved in the
 reduced N x N midpoint form of the second-order system (see
 _trapezoidal_step), never on the 2N x 2N pencil, and on the bands the
 pencil stores: the step matrix is an entrywise combination of the bands of
-S, M and D, factored once by banded LU in the run's dtype, and every
-mat-vec of simulate's energy record and of the energy functionals is a
-banded BLAS call. The record's S p and M q are also the step's right-hand
-side, so a step is one banded solve plus the record's three products,
-costs O(N b), and no N x N matrix is formed. Bands are stored in Fortran
-order, the layout BLAS and LAPACK read, so no call copies a real band, and
-a run's dtype (real or complex) is fixed from its initial state before the
-first step, so each product and the solve bind one routine.
+S, M and D, factored once, by banded Cholesky forward in time and banded
+LU backward, and every mat-vec of simulate's energy record and of the
+energy functionals is a banded BLAS call. The record's [S p; M q] comes
+from one product over blockdiag(S, M) and is also the step's right-hand
+side, so a step is one banded solve plus the record's two products
+([S p; M q] and D q), costs O(N b), and no N x N matrix is formed. Bands
+are stored in Fortran order, the layout BLAS and LAPACK read, so no call
+copies a real band, and a run's dtype (real or complex) is fixed from its
+initial state before the first step, so each product and the solve bind
+one routine.
 """
-
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,6 +137,19 @@ def _band_product(ab: np.ndarray, dtype):
     return product
 
 
+def _state_product(pencil: SystemPencil, dtype):
+    """Return y -> [S p; M q] for a state y = [p; q], by one banded product.
+
+    The bands of S and M side by side are the general band (kl = ku = b)
+    of blockdiag(S, M) on the 2N state: column N - 1 of S's band and
+    column 0 of M's band hold zeros where they reach past their block. Each
+    entry is the sum of the separate products plus exact zero terms, so
+    the result equals S p and M q computed apart. np.hstack keeps the
+    bands' Fortran order.
+    """
+    return _band_product(np.hstack([pencil.s_band, pencil.m_band]), dtype)
+
+
 def _trapezoidal_step(pencil: SystemPencil, dt: float, dtype):
     """Factor the trapezoidal step matrix; return the step (y, S p, M q) that
     advances the state y = [p; q] in place.
@@ -148,32 +163,47 @@ def _trapezoidal_step(pencil: SystemPencil, dt: float, dtype):
         q+ = 2 qm - q,            p+ = p + dt qm.
 
     A is formed entrywise on the bands of S, M and D, with their
-    half-bandwidth b, and factored once by banded LU in the run's dtype (y's,
-    float64 or complex128): dgbtrf for a real run, zgbtrf for a complex one,
-    so each step is one banded solve (dgbtrs or zgbtrs) in that dtype. LU
-    rather than banded Cholesky because A can be indefinite for negative dt
-    with damping. S p and M q are the caller's: simulate computes them for
-    the energy record anyway, so a step makes no banded product of its own
-    and costs O(N b). The step consumes M q: the right-hand side is built in
+    half-bandwidth b. For dt > 0 it is SPD (M and S are SPD, D is PSD) and
+    is factored once by banded Cholesky (dpbtrf on its upper band, the
+    first b + 1 rows of the general band); each step is one dpbtrs, or one
+    zpbtrs on the complex cast of the real factor for a complex run. For
+    dt < 0 damping can make A indefinite, so a backward step factors it by
+    banded LU in the run's dtype (dgbtrf or zgbtrf) and solves by dgbtrs or
+    zgbtrs. S p and M q are the caller's: simulate computes them for the
+    energy record anyway, so a step makes no banded product of its own and
+    costs O(N b). The step consumes M q: the right-hand side is built in
     its array by one axpy and solved there, and p and q are updated in y by
-    axpy and scal, in the run's dtype too.
+    axpy and scal, in the run's dtype too. The step does not test y for
+    finite values; its callers do.
     """
     n, b = pencil.n_positions, pencil.bandwidth
     a = pencil.m_band + (0.5 * dt) * pencil.d_band + (0.5 * dt) ** 2 * pencil.s_band
     lapack = scipy.linalg.lapack
-    gbtrf, gbtrs = ((lapack.zgbtrf, lapack.zgbtrs) if np.dtype(dtype) == np.complex128
-                    else (lapack.dgbtrf, lapack.dgbtrs))
     axpy, scal = scipy.linalg.blas.get_blas_funcs(("axpy", "scal"), dtype=dtype)
-    lu, piv, info = gbtrf(_lu_band(a.astype(dtype, copy=False)), b, b)
+    is_complex = np.dtype(dtype) == np.complex128
+    if dt > 0:
+        factor, info = lapack.dpbtrf(a[:b + 1])
+        routine = "dpbtrf"
+        factor = factor.astype(dtype, copy=False)
+        pbtrs = lapack.zpbtrs if is_complex else lapack.dpbtrs
+
+        def solve(rhs):
+            return pbtrs(factor, rhs, overwrite_b=1)[0]
+    else:
+        gbtrf, gbtrs = ((lapack.zgbtrf, lapack.zgbtrs) if is_complex
+                        else (lapack.dgbtrf, lapack.dgbtrs))
+        lu, piv, info = gbtrf(_lu_band(a.astype(dtype, copy=False)), b, b)
+        routine = gbtrf.__name__
+
+        def solve(rhs):
+            return gbtrs(lu, b, b, rhs, piv, overwrite_b=1)[0]
     if info != 0:
-        raise SolveFailure(f"trapezoidal factorization failed: {gbtrf.__name__} info = {info}")
+        raise SolveFailure(f"trapezoidal factorization failed: {routine} info = {info}")
 
     def step(y: np.ndarray, sp: np.ndarray, mq: np.ndarray) -> None:
-        q_mid = gbtrs(lu, b, b, axpy(sp, mq, a=-0.5 * dt), piv, overwrite_b=1)[0]
+        q_mid = solve(axpy(sp, mq, a=-0.5 * dt))
         axpy(q_mid, y[:n], a=dt)
         scal(-1.0, axpy(q_mid, y[n:], a=-2.0))
-        if not np.isfinite(y).all():
-            raise SolveFailure("trapezoidal step produced non-finite values")
 
     return step
 
@@ -183,10 +213,12 @@ def step_trapezoidal(pencil: SystemPencil, y: StateVector, dt: float) -> StateVe
     _require_match(pencil, y)
     if not np.isfinite(dt) or dt == 0:
         raise ValueError(f"dt must be finite and nonzero, got {dt}")
-    y_next = y.to_array()
+    n, y_next = pencil.n_positions, y.to_array()
     dtype = y_next.dtype
-    step = _trapezoidal_step(pencil, dt, dtype)
-    step(y_next, _band_product(pencil.s_band, dtype)(y.p), _band_product(pencil.m_band, dtype)(y.q))
+    spmq = _state_product(pencil, dtype)(y_next)
+    _trapezoidal_step(pencil, dt, dtype)(y_next, spmq[:n], spmq[n:])
+    if not np.isfinite(y_next).all():
+        raise SolveFailure("trapezoidal step produced non-finite values")
     return StateVector.from_array(y_next)
 
 
@@ -203,7 +235,9 @@ def simulate(
     dissipation and the cross term at every step; states are stored every
     snapshot_every steps (plus the initial and final one) when
     snapshot_every > 0. A step count whose record cannot be allocated
-    raises RecordTooLarge before the step matrix is factored.
+    raises RecordTooLarge before the step matrix is factored. A step whose
+    recorded energy is not finite raises SolveFailure: S and M have
+    positive diagonals, so a non-finite entry of p or q makes it so.
     """
     _require_match(pencil, y0)
     if not np.isfinite(dt) or dt <= 0:
@@ -223,26 +257,32 @@ def simulate(
             f"the energy record of {steps:.6g} steps does not fit in memory") from exc
     y = y0.to_array()  # the run's state, real or complex throughout; steps update it in place
     step = _trapezoidal_step(pencil, dt, y.dtype)
-    s_times, m_times, d_times = (_band_product(ab, y.dtype)
-                                 for ab in (pencil.s_band, pencil.m_band, pencil.d_band))
+    state_times = _state_product(pencil, y.dtype)
+    d_times = _band_product(pencil.d_band, y.dtype)
 
-    p, q = y[:pencil.n_positions], y[pencil.n_positions:]
+    n = pencil.n_positions
+    p, q = y[:n], y[n:]
+    # Re(u^H v) is the real dot of the float64 views, so the rows [p; q] of
+    # y's view against those of [S p; M q] give p.Sp, p.Mq and q.Mq at once
+    pq = y.view(np.float64).reshape(2, -1)
     snapshots = []
 
-    def record(i, p, q):
-        sp = s_times(p)
-        mq = m_times(q)
-        e_arr[i] = 0.5 * (np.vdot(p, sp).real + np.vdot(q, mq).real)
+    def record(i):
+        spmq = state_times(y)
+        gram = np.dot(pq, spmq.view(np.float64).reshape(2, -1).T)
+        e_arr[i] = 0.5 * (gram[0, 0] + gram[1, 1])
+        c_arr[i] = gram[0, 1]
         d_arr[i] = -np.vdot(q, d_times(q)).real
-        c_arr[i] = np.vdot(p, mq).real
-        return sp, mq
+        return spmq
 
-    sp, mq = record(0, p, q)
+    spmq = record(0)
     if snapshot_every > 0:
         snapshots.append((0.0, StateVector(p.copy(), q.copy())))
     for i in range(1, steps + 1):
-        step(y, sp, mq)
-        sp, mq = record(i, p, q)
+        step(y, spmq[:n], spmq[n:])
+        spmq = record(i)
+        if not math.isfinite(e_arr[i]):
+            raise SolveFailure("trapezoidal step produced non-finite values")
         if snapshot_every > 0 and (i % snapshot_every == 0 or i == steps):
             snapshots.append((float(times[i]), StateVector(p.copy(), q.copy())))
 

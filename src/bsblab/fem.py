@@ -55,6 +55,12 @@ class NonpositiveLength(BsblabError, ValueError):
     """An element length must be finite and > 0."""
 
 
+class NonfiniteElement(BsblabError, ValueError):
+    """An element length at which an element matrix is not finite in
+    float64: the beam bending entries scale as h^-3 and the beam mass
+    entries down to h^3, so extreme lengths under- or overflow them."""
+
+
 class IncompatibleInterface(BsblabError, ValueError):
     """Initial data the discrete space cannot hold: a nodal value that is not
     finite, a mismatch at a junction beyond tolerance, or a value or slope
@@ -334,7 +340,8 @@ def element_matrices(kind: str, h: float) -> np.ndarray:
     The 4-point rule on beam elements is exact through polynomial degree 7
     (the mass integrand has degree 6); the 2-point rule on string elements
     is exact through degree 3. So every local matrix is exact up to
-    roundoff.
+    roundoff. A length at which the matrix under- or overflows raises
+    NonfiniteElement, and numpy prints no warning.
     """
     if kind not in _ELEMENT_KINDS:
         raise ValueError(f"unknown element kind {kind!r}")
@@ -343,11 +350,15 @@ def element_matrices(kind: str, h: float) -> np.ndarray:
     shapes, deriv, _ = _ELEMENT_KINDS[kind]
     pts, wts = _GAUSS_RULES[kind]
     size = 4 if shapes is hermite_shapes else 2
+    h = np.float64(h)  # numpy arithmetic: a Python float would raise OverflowError
     out = np.zeros((size, size))
-    for t, w in zip(pts, wts):
-        xi = 0.5 * (t + 1.0)
-        n = shapes(xi, h, deriv)
-        out += (0.5 * w * h) * np.outer(n, n)
+    with np.errstate(all="ignore"):
+        for t, w in zip(pts, wts):
+            xi = 0.5 * (t + 1.0)
+            n = shapes(xi, h, deriv)
+            out += (0.5 * w * h) * np.outer(n, n)
+    if not np.isfinite(out).all():
+        raise NonfiniteElement(f"the {kind} matrix is not finite at element length {h:.6g}")
     return out
 
 
@@ -382,14 +393,18 @@ def _scatter_band(size: int, b: int, idx: np.ndarray, local: np.ndarray) -> np.n
     return out
 
 
-def _element_stack(kind: str, nodes: np.ndarray) -> np.ndarray:
+def _element_stack(kind: str, nodes: np.ndarray, member: str) -> np.ndarray:
     """element_matrices(kind, h) for every element length h of a member.
 
     A linspace member has only a few distinct lengths, so each distinct h
-    is integrated once and the stack indexes into those matrices.
+    is integrated once and the stack indexes into those matrices. A length
+    whose matrix is not finite raises NonfiniteElement naming the member.
     """
     lengths, which = np.unique(np.diff(nodes), return_inverse=True)
-    return np.stack([element_matrices(kind, h) for h in lengths])[which]
+    try:
+        return np.stack([element_matrices(kind, h) for h in lengths])[which]
+    except NonfiniteElement as exc:
+        raise NonfiniteElement(f"{member}: {exc}") from None
 
 
 def _element_pairs(table: np.ndarray) -> np.ndarray:
@@ -403,27 +418,32 @@ def assemble_pencil(cfg: StructureConfig, mesh: Mesh, dofs: DofMap) -> SystemPen
     The half-bandwidth is read off the element index arrays before any
     entry is summed (3 on every mesh with two or more elements per beam).
     Every element matrix is built at its own length nodes[e + 1] - nodes[e]
-    (once per distinct length) and scattered into its band by one helper
-    (_scatter_band); each global entry collects at most two element
+    (once per distinct length), all of them before any band is summed, so
+    a length whose matrices are not finite raises NonfiniteElement naming
+    the member and the length. Each is scattered into its band by one
+    helper (_scatter_band); each global entry collects at most two element
     contributions.
     """
     validate_config(cfg)
     n = dofs.n_dofs
-    beams = [(_element_pairs(table), nodes, rho) for table, nodes, rho in (
-        (dofs.beam1, mesh.nodes1, cfg.rho1),
-        (dofs.beam2, mesh.nodes3, cfg.rho2),
-    )]
+    beams = [(_element_pairs(table), rho,
+              *(_element_stack(kind, nodes, member)
+                for kind in ("beam_bending", "beam_mass", "beam_slope")))
+             for table, nodes, rho, member in (
+                 (dofs.beam1, mesh.nodes1, cfg.rho1, "beam-1"),
+                 (dofs.beam2, mesh.nodes3, cfg.rho2, "beam-2"))]
     string = _element_pairs(dofs.string)
+    stiffness, mass = (_element_stack(kind, mesh.nodes2, "string")
+                       for kind in ("string_stiffness", "string_mass"))
     b = max(_index_bandwidth(idx) for idx in (beams[0][0], beams[1][0], string))
     S, M, D = (np.zeros((2 * b + 1, n), order="F") for _ in range(3))
 
-    for idx, nodes, rho in beams:
-        S += _scatter_band(n, b, idx, _element_stack("beam_bending", nodes))
-        M += _scatter_band(n, b, idx, _element_stack("beam_mass", nodes))
-        D += _scatter_band(n, b, idx, rho * _element_stack("beam_slope", nodes))
+    for idx, rho, bending, beam_mass, slope in beams:
+        S += _scatter_band(n, b, idx, bending)
+        M += _scatter_band(n, b, idx, beam_mass)
+        D += _scatter_band(n, b, idx, rho * slope)
 
-    mass = _element_stack("string_mass", mesh.nodes2)
-    S += _scatter_band(n, b, string, _element_stack("string_stiffness", mesh.nodes2))
+    S += _scatter_band(n, b, string, stiffness)
     M += _scatter_band(n, b, string, mass)
     D += _scatter_band(n, b, string, cfg.beta * mass)
 

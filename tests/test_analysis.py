@@ -232,7 +232,7 @@ def test_a_damping_fault_in_the_step_fails_the_verdict(monkeypatch):
 def test_a_damping_fault_in_the_step_fails_the_step_balance(monkeypatch):
     """The same fault at 40 elements per member breaks the per-step balance
     E_{k+1} - E_k = dt dissipation(midpoint) by 1.7 times its roundoff
-    bound, where the faultless step reads 0.006 of it."""
+    bound, where the faultless step reads 0.009 of it."""
     cfg = bb.validate_config(read_config(str(CONFIGS / "ddd.cfg")))
     mesh, dofs, pencil = bb.discretize(cfg, 40, 40, 40)
     y0 = bb.interpolate(bb.default_initial_data(cfg), mesh, dofs)

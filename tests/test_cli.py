@@ -459,24 +459,25 @@ def test_a_step_count_whose_record_cannot_be_allocated_is_a_model_error(
     assert proc.stderr == f"error: the energy record of {steps} steps does not fit in memory\n"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("ends,message", [
-    (("0", "1e-300", "1", "2"), "trapezoidal step produced non-finite values"),
-    (("0", "1", "2", "1e300"), "trapezoidal step produced non-finite values"),
-    (("-1e200", "0", "1", "1e200"), "trapezoidal step produced non-finite values"),
-    (("0", "1e-308", "1", "2"), "beam-1 displacement slope is not finite at every node"),
+    (("0", "1e-300", "1", "2"), "beam-1: the beam_bending matrix is not finite at element length 2.5e-301"),
+    (("0", "1", "2", "1e300"), "beam-2: the beam_mass matrix is not finite at element length 2.5e+299"),
+    (("-1e200", "0", "1", "1e200"), "beam-1: the beam_mass matrix is not finite at element length 2.5e+199"),
+    (("0", "1e-308", "1", "2"), "beam-1: the beam_bending matrix is not finite at element length 2.5e-309"),
 ], ids=["l1=1e-300", "l3=1e300", "l0=-1e200,l3=1e200", "l1=1e-308"])
 def test_extreme_geometry_is_a_model_error(tmp_path, capsys, ends, message):
-    """Valid geometry whose lengths square to 0 or inf ended in a traceback
-    from the plateau's slopes (ZeroDivisionError, OverflowError). Its slope
-    2/length at l1 = 1e-308 is inf, which interpolate refuses. Each case is
-    now one error line, exit 1."""
+    """Valid geometry whose element lengths make a beam element matrix
+    under- or overflow (bending scales as h^-3, mass down to h^3) is refused
+    by assembly, naming the member and the length: one error line, exit 1
+    and no numpy warning, in every command that assembles a pencil."""
     path = tmp_path / "extreme.cfg"
     path.write_text(CONFIG.replace("l0 = 0.0\nl1 = 1.0\nl2 = 2.0\nl3 = 3.0",
                                    "\n".join(f"l{i} = {x}" for i, x in enumerate(ends))))
-    assert cli.main(["simulate", "--config", str(path), "--n1", "4", "--n2", "4", "--n3", "4",
-                     "--t-final", "0.01", "--out-dir", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    for command in ("simulate", "spectrum", "resolvent", "decay", "verify"):
+        assert cli.main([command, "--config", str(path), "--n1", "4", "--n2", "4", "--n3", "4",
+                         "--out-dir", str(tmp_path / command)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 HUGE, INT64_MAX = "99999999999999999999", str(2**63 - 1)

@@ -253,11 +253,14 @@ def rounding_bound(pencil, dt, p, q, x):
     side M q - dt/2 S p sums 2b + 1 products per row plus a scaling and a
     subtraction, so its error is at most gamma_{2b+5} (|M||q| + |dt/2||S||p|)
     (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.5,
-    with two terms for complex products). The banded LU solve is
-    backward stable, (A + dA) x = r, |dA| <= gamma_{3(3b+1)+2} P|L||U| (9.3
-    and 9.4; an LU row holds at most 3b + 1 entries). Both perturbations
-    reach x through |A^-1|, and q+ = 2x - q and p+ = p + dt x add two
-    roundings each. Two evaluations differ by at most twice one's error.
+    with two terms for complex products). Both banded solves are backward
+    stable, (A + dA) x = r: for dt > 0 the Cholesky solve A = R^T R with
+    |dA| <= gamma_{3(b+1)+1} |R^T||R| (10.4; a row of R holds at most b + 1
+    entries), for dt < 0 the LU solve with |dA| <= gamma_{3(3b+1)+2} P|L||U|
+    (9.3 and 9.4; an LU row holds at most 3b + 1 entries). Both
+    perturbations reach x through |A^-1|, and q+ = 2x - q and p+ = p + dt x
+    add two roundings each. Two evaluations differ by at most twice one's
+    error.
     """
     b = pencil.bandwidth
     u = np.finfo(float).eps / 2
@@ -266,18 +269,23 @@ def rounding_bound(pencil, dt, p, q, x):
         return k * u / (1 - k * u)
 
     a = pencil.M + (dt / 2) * pencil.D + (dt / 2) ** 2 * pencil.S
-    perm, lower, upper = scipy.linalg.lu(a)
-    lu_abs = perm @ (np.abs(lower) @ np.abs(upper))
+    if dt > 0:
+        r = np.abs(scipy.linalg.cholesky(a))
+        solve_error = gamma(3 * (b + 1) + 1) * (r.T @ r)
+    else:
+        perm, lower, upper = scipy.linalg.lu(a)
+        solve_error = gamma(3 * (3 * b + 1) + 2) * (perm @ (np.abs(lower) @ np.abs(upper)))
     dx = np.abs(np.linalg.inv(a)) @ (
         gamma(2 * b + 5) * (np.abs(pencil.M) @ np.abs(q) + abs(dt) / 2 * np.abs(pencil.S) @ np.abs(p))
-        + gamma(3 * (3 * b + 1) + 2) * lu_abs @ np.abs(x))
+        + solve_error @ np.abs(x))
     return (2 * (abs(dt) * dx + gamma(2) * (np.abs(p) + abs(dt) * np.abs(x))),
             2 * (2 * dx + gamma(2) * (2 * np.abs(x) + np.abs(q))))
 
 
 def test_complex_step_is_two_real_steps(ddd_system):
-    """The complex step (zgbtrf/zgbtrs, zgbmv) equals the real step
-    (dgbtrf/dgbtrs, dgbmv) on the real and on the imaginary part, to within
+    """The complex step (zpbtrs or zgbtrf/zgbtrs, zgbmv) equals the real
+    step (dpbtrs or dgbtrf/dgbtrs, dgbmv) on the real and on the imaginary
+    part, to within
     the rounding bound of rounding_bound. Not bitwise: the complex BLAS and
     LAPACK kernels round (and fuse) their multiply-adds differently from the
     real ones, so already one zgbmv differs from dgbmv in the last bits."""
@@ -339,13 +347,16 @@ def test_steps_leave_the_initial_state_alone(ddd_system):
 
 
 @pytest.mark.parametrize("complex_valued", [False, True])
-def test_a_step_is_one_solve_and_three_banded_products(ddd_system, monkeypatch, complex_valued):
-    """A k-step simulate factors once, solves k times and makes 3(k + 1)
-    banded products: S p, M q and D q at each of the k + 1 records, whose
-    S p and M q are also the next step's right-hand side."""
+def test_a_step_is_one_solve_and_two_banded_products(ddd_system, monkeypatch, complex_valued):
+    """A k-step forward simulate factors once by banded Cholesky (dpbtrf, a
+    complex run too), solves k times and makes 2(k + 1) banded products:
+    [S p; M q] and D q at each of the k + 1 records, whose S p and M q are
+    also the next step's right-hand side. A backward step factors and
+    solves by banded LU, once each, after its one [S p; M q]."""
     _, _, _, pencil = ddd_system
     counts = {}
-    for module, names in ((scipy.linalg.lapack, ("dgbtrf", "zgbtrf", "dgbtrs", "zgbtrs")),
+    for module, names in ((scipy.linalg.lapack, ("dpbtrf", "zpbtrf", "dpbtrs", "zpbtrs",
+                                                 "dgbtrf", "zgbtrf", "dgbtrs", "zgbtrs")),
                           (scipy.linalg.blas, ("dgbmv", "zgbmv"))):
         for name in names:
             def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
@@ -353,9 +364,51 @@ def test_a_step_is_one_solve_and_three_banded_products(ddd_system, monkeypatch, 
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(module, name, counted)
     k = 7
-    bb.simulate(pencil, random_state(pencil, 37, complex_valued=complex_valued), 1e-3, k * 1e-3)
+    y = random_state(pencil, 37, complex_valued=complex_valued)
+    bb.simulate(pencil, y, 1e-3, k * 1e-3)
     kind = "z" if complex_valued else "d"
-    assert counts == {f"{kind}gbtrf": 1, f"{kind}gbtrs": k, f"{kind}gbmv": 3 * (k + 1)}
+    assert counts == {"dpbtrf": 1, f"{kind}pbtrs": k, f"{kind}gbmv": 2 * (k + 1)}
+    counts.clear()
+    bb.step_trapezoidal(pencil, y, -1e-3)
+    assert counts == {f"{kind}gbtrf": 1, f"{kind}gbtrs": 1, f"{kind}gbmv": 1}
+
+
+@pytest.mark.parametrize("complex_valued", [False, True])
+def test_one_product_gives_s_p_and_m_q(ddd_system, complex_valued):
+    """The banded product over blockdiag(S, M) equals S p and M q computed
+    apart, bitwise: it adds only exact zeros to each sum. On an assembled
+    pencil (b = 3) and on a dense one (b = N - 1)."""
+    for pencil in (ddd_system[3], dense_pencil(damping=1.0)):
+        n = pencil.n_positions
+        y = random_state(pencil, 41, complex_valued=complex_valued).to_array()
+        got = dynamics._state_product(pencil, y.dtype)(y)
+        assert np.array_equal(got[:n], dynamics._band_product(pencil.s_band, y.dtype)(y[:n]))
+        assert np.array_equal(got[n:], dynamics._band_product(pencil.m_band, y.dtype)(y[n:]))
+
+
+@pytest.mark.parametrize("complex_valued", [False, True])
+def test_a_non_finite_velocity_fails_the_run_at_its_step(ddd_system, monkeypatch, complex_valued):
+    """simulate tests the recorded energy, not the state: a NaN written into
+    one entry of q at step 3 makes E non-finite, which raises SolveFailure
+    at that step."""
+    _, _, _, pencil = ddd_system
+    make_step, steps = dynamics._trapezoidal_step, []
+
+    def faulty(pencil, dt, dtype):
+        step = make_step(pencil, dt, dtype)
+
+        def nan_at_step_3(y, sp, mq):
+            step(y, sp, mq)
+            steps.append(None)
+            if len(steps) == 3:
+                y[pencil.n_positions + 5] = np.nan
+        return nan_at_step_3
+
+    monkeypatch.setattr(dynamics, "_trapezoidal_step", faulty)
+    y0 = random_state(pencil, 43, complex_valued=complex_valued)
+    with pytest.raises(dynamics.SolveFailure, match="non-finite"):
+        bb.simulate(pencil, y0, 1e-3, 10e-3)
+    assert len(steps) == 3
 
 
 def test_step_input_validation(ddd_system):

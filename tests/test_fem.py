@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -109,6 +110,18 @@ def test_element_matrices_bad_inputs():
         fem.element_matrices("beam_mass", 0.0)
     with pytest.raises(fem.NonpositiveLength):
         fem.element_matrices("string_mass", -1.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_element_matrices_that_under_or_overflow_raise_nonfinite_element():
+    """Bending entries scale as h^-3 and beam mass entries down to h^3, so
+    extreme but valid lengths give matrices that are not finite; each is
+    one NonfiniteElement naming the kind and the length, with no numpy
+    warning, for a Python float length too."""
+    for kind, h in (("beam_bending", 2.5e-301), ("beam_mass", 2.5e299), ("beam_mass", 1e300)):
+        with pytest.raises(fem.NonfiniteElement, match=re.escape(f"{kind} matrix is not finite at element length {h:.6g}")):
+            fem.element_matrices(kind, h)
+    assert np.isfinite(fem.element_matrices("string_mass", 2.5e-301)).all()
 
 
 def test_hermite_shapes_interpolation_property():
@@ -472,12 +485,12 @@ def dense_coupled_reference(cfg, mesh, dofs):
     for table, nodes, rho in ((dofs.beam1, mesh.nodes1, cfg.rho1),
                               (dofs.beam2, mesh.nodes3, cfg.rho2)):
         idx = fem._element_pairs(table)
-        S += dense_scatter(n, idx, fem._element_stack("beam_bending", nodes))
-        M += dense_scatter(n, idx, fem._element_stack("beam_mass", nodes))
-        D += dense_scatter(n, idx, rho * fem._element_stack("beam_slope", nodes))
+        S += dense_scatter(n, idx, fem._element_stack("beam_bending", nodes, "beam"))
+        M += dense_scatter(n, idx, fem._element_stack("beam_mass", nodes, "beam"))
+        D += dense_scatter(n, idx, rho * fem._element_stack("beam_slope", nodes, "beam"))
     idx = fem._element_pairs(dofs.string)
-    mass = fem._element_stack("string_mass", mesh.nodes2)
-    S += dense_scatter(n, idx, fem._element_stack("string_stiffness", mesh.nodes2))
+    mass = fem._element_stack("string_mass", mesh.nodes2, "string")
+    S += dense_scatter(n, idx, fem._element_stack("string_stiffness", mesh.nodes2, "string"))
     M += dense_scatter(n, idx, mass)
     D += dense_scatter(n, idx, cfg.beta * mass)
     return S, M, D
