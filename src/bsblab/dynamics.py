@@ -93,12 +93,6 @@ def dissipation(pencil: SystemPencil, y: StateVector) -> float:
     return -np.vdot(y.q, _times(pencil.d_band, y.q)).real
 
 
-def cross_functional(pencil: SystemPencil, y: StateVector) -> float:
-    """The cross term Re(p^H M q), the L2 pairing of position and velocity."""
-    _require_match(pencil, y)
-    return np.vdot(y.p, _times(pencil.m_band, y.q)).real
-
-
 # simulate's run length when none is given, and the cap on the default
 # run length of decay and verify
 DEFAULT_T_FINAL = 10.0

@@ -26,12 +26,11 @@ S p' = S q, M q' = -S p - D q, whose first-order pencil
 
     B = [[S, 0], [0, M]],      K = [[0, S], [-S, -D]]
 
-is built densely on demand, as the first-order reference for the tests.
-States y = (p, q) obey B y' = K y, the energy is (1/2)(p^T S p + q^T M q),
-and Re(y^H K y) = -q^H D q holds exactly, which is the discrete image of
-the dissipation identity of the continuous semigroup. It follows from the
-block form of K once S is symmetric, and the tests check the symmetry of
-S, M and D exactly on their bands. A pencil is the three bands and
+no package code forms. States y = (p, q) obey B y' = K y, the energy is
+(1/2)(p^T S p + q^T M q), and Re(y^H K y) = -q^H D q holds exactly, which
+is the discrete image of the dissipation identity of the continuous
+semigroup. It follows from the block form of K once S is symmetric, and
+the tests check the symmetry of S, M and D exactly on their bands. A pencil is the three bands and
 nothing else: which members are damped is a fact about the config's
 coefficients, which the model module decides.
 """
@@ -56,9 +55,10 @@ class NonpositiveLength(BsblabError, ValueError):
 
 
 class NonfiniteElement(BsblabError, ValueError):
-    """An element length at which an element matrix is not finite in
-    float64: the beam bending entries scale as h^-3 and the beam mass
-    entries down to h^3, so extreme lengths under- or overflow them."""
+    """An element length or damping coefficient at which an assembled
+    matrix is not finite in float64: the beam bending entries scale as h^-3
+    and the beam mass entries down to h^3, so extreme lengths under- or
+    overflow them, and a huge rho1, rho2 or beta overflows the band of D."""
 
 
 class IncompatibleInterface(BsblabError, ValueError):
@@ -140,10 +140,7 @@ class SystemPencil:
     order: entry (i, j) sits in row b + i - j of column j, and positions
     outside the matrix hold 0. Assembly knows b from the DOF map (3 on the
     coupled mesh) and scatters into the bands, so a pencil costs O(N b)
-    memory and no code on the simulate path builds an N x N matrix. The
-    dense S, M and D, and the 2N x 2N blocks B and K of the first-order
-    form B y' = K y, are built on every access: they serve the tests and
-    small-mesh references, and no package code reads them.
+    memory and no code on the simulate path builds an N x N matrix.
     """
 
     s_band: np.ndarray
@@ -158,41 +155,6 @@ class SystemPencil:
     def bandwidth(self) -> int:
         """The half-bandwidth b shared by the three bands."""
         return self.s_band.shape[0] // 2
-
-    @property
-    def S(self) -> np.ndarray:
-        """Dense S, built on each access."""
-        return _dense(self.s_band, self.bandwidth)
-
-    @property
-    def M(self) -> np.ndarray:
-        """Dense M, built on each access."""
-        return _dense(self.m_band, self.bandwidth)
-
-    @property
-    def D(self) -> np.ndarray:
-        """Dense D, built on each access."""
-        return _dense(self.d_band, self.bandwidth)
-
-    @property
-    def B(self) -> np.ndarray:
-        """blockdiag(S, M), built on each access."""
-        n = self.n_positions
-        B = np.zeros((2 * n, 2 * n))
-        B[:n, :n] = self.S
-        B[n:, n:] = self.M
-        return B
-
-    @property
-    def K(self) -> np.ndarray:
-        """[[0, S], [-S, -D]], built on each access."""
-        n = self.n_positions
-        S = self.S
-        K = np.zeros((2 * n, 2 * n))
-        K[:n, n:] = S
-        K[n:, :n] = -S
-        K[n:, n:] = -self.D
-        return K
 
 
 @dataclass
@@ -422,30 +384,34 @@ def assemble_pencil(cfg: StructureConfig, mesh: Mesh, dofs: DofMap) -> SystemPen
     a length whose matrices are not finite raises NonfiniteElement naming
     the member and the length. Each is scattered into its band by one
     helper (_scatter_band); each global entry collects at most two element
-    contributions.
+    contributions. The members are summed in turn, beam-1, beam-2, string,
+    and a damping coefficient whose term leaves D's band not finite raises
+    NonfiniteElement naming the member and the coefficient, with no numpy
+    warning.
     """
     validate_config(cfg)
     n = dofs.n_dofs
-    beams = [(_element_pairs(table), rho,
-              *(_element_stack(kind, nodes, member)
-                for kind in ("beam_bending", "beam_mass", "beam_slope")))
-             for table, nodes, rho, member in (
-                 (dofs.beam1, mesh.nodes1, cfg.rho1, "beam-1"),
-                 (dofs.beam2, mesh.nodes3, cfg.rho2, "beam-2"))]
-    string = _element_pairs(dofs.string)
+    members = [(_element_pairs(table), member, coefficient,
+                *(_element_stack(kind, nodes, member)
+                  for kind in ("beam_bending", "beam_mass", "beam_slope")))
+               for table, nodes, member, coefficient in (
+                   (dofs.beam1, mesh.nodes1, "beam-1", "rho1"),
+                   (dofs.beam2, mesh.nodes3, "beam-2", "rho2"))]
     stiffness, mass = (_element_stack(kind, mesh.nodes2, "string")
                        for kind in ("string_stiffness", "string_mass"))
-    b = max(_index_bandwidth(idx) for idx in (beams[0][0], beams[1][0], string))
+    members.append((_element_pairs(dofs.string), "string", "beta", stiffness, mass, mass))
+    b = max(_index_bandwidth(idx) for idx, *_ in members)
     S, M, D = (np.zeros((2 * b + 1, n), order="F") for _ in range(3))
 
-    for idx, rho, bending, beam_mass, slope in beams:
-        S += _scatter_band(n, b, idx, bending)
-        M += _scatter_band(n, b, idx, beam_mass)
-        D += _scatter_band(n, b, idx, rho * slope)
-
-    S += _scatter_band(n, b, string, stiffness)
-    M += _scatter_band(n, b, string, mass)
-    D += _scatter_band(n, b, string, cfg.beta * mass)
+    for idx, member, coefficient, stiff, inertia, damping in members:
+        S += _scatter_band(n, b, idx, stiff)
+        M += _scatter_band(n, b, idx, inertia)
+        value = getattr(cfg, coefficient)
+        with np.errstate(all="ignore"):
+            D += _scatter_band(n, b, idx, value * damping)
+        if not np.isfinite(D).all():
+            raise NonfiniteElement(f"{member}: the damping band is not finite at "
+                                   f"{coefficient} = {value:.6g}")
 
     return SystemPencil(S, M, D)
 

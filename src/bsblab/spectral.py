@@ -10,10 +10,9 @@ originals. The resolvent norm along the imaginary axis is therefore
 
     R(lambda) = 1 / sigma_min(i lambda I - C).
 
-`resolvent_norm` evaluates one point by a dense SVD of i lambda I - C; it
-is the reference. `resolvent_sweep` takes the SpectrumReport that
-`eigenvalues` returns and any axis points (`axis_grid` makes a uniform,
-mirror-symmetric grid). An undamped C is skew, hence normal, so there
+`resolvent_sweep` takes the SpectrumReport that `eigenvalues` returns
+and any axis points (`axis_grid` makes a uniform, mirror-symmetric
+grid). An undamped C is skew, hence normal, so there
 R(lambda) = 1 / dist(i lambda, spectrum), read off the eigenvalues. A
 damped one gets R(lambda)^2 at each distinct |lambda| as the largest
 eigenvalue of A^{-*} A^{-1}, A = i lambda I - U, by Lanczos with full
@@ -72,14 +71,10 @@ class FactorizationFailure(BsblabError, RuntimeError):
     whitened matrix overflows or has no Schur form, or Q(mu) no eigenvector."""
 
 
-class EmptySpectrum(BsblabError, RuntimeError):
-    """The pencil has no eigenvalues (zero-size system)."""
-
-
 class NonpositiveParameter(BsblabError, ValueError):
     """An axis point or grid outside its domain: a non-finite lambda, no axis
     point, fewer than 2 grid steps or lambda_min >= lambda_max (axis_grid,
-    resolvent_sweep, resolvent_norm)."""
+    resolvent_sweep)."""
 
 
 @dataclass
@@ -232,8 +227,6 @@ def eigenvalues(pencil: SystemPencil) -> SpectrumReport:
     exact negatives. No N x N array is formed. Otherwise the report keeps
     the real Schur factor of the 2N x 2N whitened matrix C it came from.
     """
-    if pencil.n_positions == 0:
-        raise EmptySpectrum("pencil has no degrees of freedom")
     schur = None
     if pencil.d_band.any():
         schur, mu = _real_schur(_whiten(pencil))
@@ -332,19 +325,6 @@ def eigenmode(pencil: SystemPencil, mu: complex) -> StateVector:
     return StateVector(y[:n], y[n:])
 
 
-def resolvent_norm(pencil: SystemPencil, lam: float) -> float:
-    """Energy-norm of the resolvent at the axis point i*lam.
-
-    Returns +inf (rather than raising) when i*lam is an eigenvalue to
-    working precision.
-    """
-    if not np.isfinite(lam):
-        raise NonpositiveParameter(f"lambda must be finite, got {lam}")
-    c = _whiten(pencil)
-    smin = float(scipy.linalg.svdvals(1j * float(lam) * np.eye(c.shape[0]) - c)[-1])
-    return math.inf if smin == 0.0 else 1.0 / smin
-
-
 # Lanczos stops when the Ritz residual is at most this fraction of the
 # Ritz value; the squared norm is then accurate to about that, relative.
 LANCZOS_TOL = 1e-12
@@ -386,8 +366,8 @@ def _lanczos_inverse_norm(a: np.ndarray, start: np.ndarray):
     about 0.18 ms: 0.11 ms in the two solves, 0.01 ms in dstebz/dstein,
     the rest in the Gram-Schmidt passes. A must be Fortran-ordered, or
     f2py would copy it on every solve. A zero pivot or a non-finite solve
-    means A is singular to working precision and gives +inf, as in
-    resolvent_norm; a non-finite Lanczos coefficient raises ValueError.
+    means A is singular to working precision and gives +inf, the norm at an
+    eigenvalue; a non-finite Lanczos coefficient raises ValueError.
     """
     if not a.flags.f_contiguous:
         raise ValueError("the triangular factor must be Fortran-ordered")
@@ -447,8 +427,7 @@ def resolvent_sweep(spect: SpectrumReport, lambdas) -> ResolventTable:
     1 / min|i lambda - mu| over the report's eigenvalues mu, +inf at
     distance 0, with no Lanczos iteration. Damped, one Lanczos run per
     distinct |lambda| on the complex Schur triangle U made from the
-    report's real Schur factor. Nothing is whitened or factored here;
-    resolvent_norm is the dense reference.
+    report's real Schur factor. Nothing is whitened or factored here.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     if lambdas.size == 0 or not np.isfinite(lambdas).all():

@@ -1,5 +1,11 @@
-"""Reference pencils and closed forms that only the tests use.
+"""Reference pencils, dense views and closed forms that only the tests use.
 
+The package stores a pencil as the bands of S, M and D and forms none of
+them densely; `dense` is the exact inverse of `band`, `matrices` gives the
+dense S, M and D of a pencil and `first_order` the 2N x 2N blocks B and K
+of B y' = K y, the references the tests compare the banded code against.
+`resolvent_norm` is the dense SVD reference for `resolvent_sweep` and
+`cross_functional` the cross term that `simulate` records inline.
 pencil_from_dense wraps hand-made dense S, M and D as a SystemPencil; the
 isolated pinned string and clamped-free beam are assembled with the
 package's element matrices and band scatter, so their spectra can be held
@@ -15,9 +21,11 @@ first-order error of such a frequency under rounding.
 import math
 
 import numpy as np
+import scipy.linalg
 
 from bsblab.fem import (
     NonpositiveLength,
+    StateVector,
     SystemPencil,
     ZeroElements,
     _element_pairs,
@@ -25,7 +33,7 @@ from bsblab.fem import (
     _scatter_band,
     element_matrices,
 )
-from bsblab.spectral import NonpositiveParameter
+from bsblab.spectral import NonpositiveParameter, _whiten
 
 
 def band(a: np.ndarray, b: int) -> np.ndarray:
@@ -40,6 +48,45 @@ def band(a: np.ndarray, b: int) -> np.ndarray:
     for k in range(-b, b + 1):  # k = j - i
         ab[b - k, max(k, 0):n + min(k, 0)] = np.diagonal(a, k)
     return ab
+
+
+def dense(ab: np.ndarray) -> np.ndarray:
+    """The N x N matrix of a general band (kl = ku = b), in ab's dtype: the
+    exact inverse of band, reading diagonal k = j - i from the slots of row
+    b - k that band writes it to."""
+    b, n = ab.shape[0] // 2, ab.shape[1]
+    a = np.zeros((n, n), dtype=ab.dtype)
+    for k in range(-b, b + 1):
+        i = np.arange(max(-k, 0), n - max(k, 0))
+        a[i, i + k] = ab[b - k, max(k, 0):n + min(k, 0)]
+    return a
+
+
+def matrices(pencil: SystemPencil):
+    """The dense S, M and D of a pencil."""
+    return tuple(dense(ab) for ab in (pencil.s_band, pencil.m_band, pencil.d_band))
+
+
+def first_order(pencil: SystemPencil):
+    """The 2N x 2N blocks B = blockdiag(S, M) and K = [[0, S], [-S, -D]] of
+    the first-order form B y' = K y."""
+    S, M, D = matrices(pencil)
+    zero = np.zeros_like(S)
+    return np.block([[S, zero], [zero, M]]), np.block([[zero, S], [-S, -D]])
+
+
+def resolvent_norm(pencil: SystemPencil, lam: float) -> float:
+    """Energy norm of the resolvent at the axis point i lam, by one dense
+    SVD of i lam I - C, C the whitened matrix of spectral._whiten; +inf
+    where i lam is an eigenvalue to working precision."""
+    c = _whiten(pencil)
+    smin = float(scipy.linalg.svdvals(1j * float(lam) * np.eye(c.shape[0]) - c)[-1])
+    return math.inf if smin == 0.0 else 1.0 / smin
+
+
+def cross_functional(pencil: SystemPencil, y: StateVector) -> float:
+    """The cross term Re(p^H M q), the L2 pairing of position and velocity."""
+    return np.vdot(y.p, dense(pencil.m_band) @ y.q).real
 
 
 def half_bandwidth(*matrices: np.ndarray) -> int:
@@ -138,9 +185,9 @@ def frequency_longdouble(pencil: SystemPencil, shift: float = 0.0):
     start is a fixed pseudo-random vector, so no mode is missed by symmetry.
     """
     b = pencil.bandwidth
-    m = pencil.M.astype(np.longdouble)
+    s, m = (dense(ab).astype(np.longdouble) for ab in (pencil.s_band, pencil.m_band))
     sigma = np.longdouble(shift) ** 2
-    a = pencil.S.astype(np.longdouble) - sigma * m
+    a = s - sigma * m
     n = a.shape[0]
     pivots = np.empty(n, dtype=int)
     for k in range(n):  # a becomes L - I + U, with L unit lower
@@ -183,7 +230,7 @@ def frequency_rounding_bound(pencil: SystemPencil, x: np.ndarray, u: float) -> f
     kappa = |x|^T |S| |x| / x^T S x + |x|^T |M| |x| / x^T M x, so omega by
     at most gamma kappa / 2 relative.
     """
-    s, m = (a.astype(np.longdouble) for a in (pencil.S, pencil.M))
+    s, m = (dense(ab).astype(np.longdouble) for ab in (pencil.s_band, pencil.m_band))
     kappa = float(abs(x) @ abs(s) @ abs(x) / (x @ s @ x) + abs(x) @ abs(m) @ abs(x) / (x @ m @ x))
     k = 2 * pencil.bandwidth + 1
     return k * u / (1 - k * u) * kappa / 2

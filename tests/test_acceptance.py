@@ -3,8 +3,9 @@
 Ten end-to-end checks, one per release criterion, each printing a single
 PASS/FAIL line with the measured number so a `pytest -s tests/test_acceptance.py`
 run reads as a report. Everything here goes through the public API, except
-the isolated member pencils, the string's closed-form modes and the
-exclusion determinant, which are test oracles (tests/oracles.py).
+the dense first-order blocks, the isolated member pencils, the string's
+closed-form modes and the exclusion determinant, which are test oracles
+(tests/oracles.py).
 """
 
 import json
@@ -53,13 +54,15 @@ def test_01_dissipativity_identity_all_regimes(systems):
     rng = np.random.default_rng(20260822)
     worst = 0.0
     for name, (_, _, _, pencil) in systems.items():
-        dim = pencil.B.shape[0]
+        _, K = oracles.first_order(pencil)
+        D = oracles.matrices(pencil)[2]
+        dim = K.shape[0]
         half = pencil.n_positions
         for _ in range(100):
             y = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-            quad = y.conj() @ (pencil.K @ y)
+            quad = y.conj() @ (K @ y)
             q = y[half:]
-            damp = float(np.real(q.conj() @ (pencil.D @ q)))
+            damp = float(np.real(q.conj() @ (D @ q)))
             resid = abs(quad.real + damp) / (abs(quad) + damp + 1.0)
             worst = max(worst, resid)
     ok = worst <= 1e-12

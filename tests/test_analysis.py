@@ -11,6 +11,8 @@ import bsblab as bb
 from bsblab import analysis, cli, dynamics, fem, spectral
 from bsblab.cli import read_config
 
+import oracles
+
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
@@ -155,7 +157,8 @@ def oracle_bound(pencil, y0, times):
     u = np.finfo(float).eps / 2
     k = 2 * pencil.bandwidth + 1
     p, q = np.abs(y0.p), np.abs(y0.q)
-    t_over_e = 0.5 * (p @ np.abs(pencil.S) @ p + q @ np.abs(pencil.M) @ q) / bb.energy(pencil, y0)
+    S, M, _ = oracles.matrices(pencil)
+    t_over_e = 0.5 * (p @ np.abs(S) @ p + q @ np.abs(M) @ q) / bb.energy(pencil, y0)
     fitted = times[(times >= 0.2 * times[-1]) & (times <= 0.9 * times[-1])]
     tc = fitted - fitted.mean()
     delta = (len(times) - 1) * (k * u / (1 - k * u)) * t_over_e

@@ -189,29 +189,18 @@ def test_dof_map_is_a_bijection(ddd_cfg, n1, n2, n3):
 
 def test_gram_matrices_are_spd(ddd_system):
     _, _, _, pencil = ddd_system
-    for mat in (pencil.S, pencil.M):
+    S, M, D = oracles.matrices(pencil)
+    for mat in (S, M):
         assert np.array_equal(mat, mat.T)
         scipy.linalg.cholesky(mat)  # raises if not positive definite
     # damping matrix is symmetric positive semidefinite
-    assert np.array_equal(pencil.D, pencil.D.T)
-    assert scipy.linalg.eigvalsh(pencil.D).min() >= -1e-12
+    assert np.array_equal(D, D.T)
+    assert scipy.linalg.eigvalsh(D).min() >= -1e-12
 
 
 def test_damping_matrix_vanishes_without_damping(cons_system):
     _, _, _, pencil = cons_system
-    assert np.all(pencil.D == 0.0)
-
-
-def test_block_structure(ddd_system):
-    _, _, _, pencil = ddd_system
-    n = pencil.n_positions
-    assert np.array_equal(pencil.B[:n, :n], pencil.S)
-    assert np.array_equal(pencil.B[n:, n:], pencil.M)
-    assert np.all(pencil.B[:n, n:] == 0.0) and np.all(pencil.B[n:, :n] == 0.0)
-    assert np.all(pencil.K[:n, :n] == 0.0)
-    assert np.array_equal(pencil.K[:n, n:], pencil.S)
-    assert np.array_equal(pencil.K[n:, :n], -pencil.S)
-    assert np.array_equal(pencil.K[n:, n:], -pencil.D)
+    assert np.all(pencil.d_band == 0.0)
 
 
 def loop_assembly(size, elements):
@@ -226,8 +215,7 @@ def loop_assembly(size, elements):
 
 
 def assert_bitwise(pencil, expected):
-    for name, want in zip("SMD", expected):
-        got = getattr(pencil, name)
+    for name, got, want in zip("SMD", oracles.matrices(pencil), expected):
         assert np.array_equal(got, want), name
         assert got.tobytes() == want.tobytes(), name  # also tells 0.0 from -0.0
 
@@ -282,9 +270,10 @@ def test_dissipativity_identity(ddd_system, seed):
     """
     _, _, _, pencil = ddd_system
     y = random_state(pencil, seed, complex_valued=True)
-    rhs = pencil.K @ y.to_array()
-    yd = bb.StateVector.from_array(np.linalg.solve(pencil.B.astype(complex), rhs))
-    de = np.vdot(y.p, pencil.S @ yd.p).real + np.vdot(y.q, pencil.M @ yd.q).real
+    B, K = oracles.first_order(pencil)
+    S, M, _ = oracles.matrices(pencil)
+    yd = bb.StateVector.from_array(np.linalg.solve(B.astype(complex), K @ y.to_array()))
+    de = np.vdot(y.p, S @ yd.p).real + np.vdot(y.q, M @ yd.q).real
     expected = bb.dissipation(pencil, y)
     scale = max(bb.energy(pencil, y), 1.0)
     assert abs(de - expected) <= 1e-10 * scale
@@ -433,9 +422,9 @@ def test_string_pencil_shapes_and_regime():
     pencil = oracles.assemble_string_pencil(2.0, 0.5, 8)
     assert pencil.n_positions == 7
     # beta > 0 damps the string, beta = 0 leaves D = 0
-    assert pencil.D.any()
+    assert pencil.d_band.any()
     undamped = oracles.assemble_string_pencil(2.0, 0.0, 8)
-    assert np.all(undamped.D == 0.0)
+    assert np.all(undamped.d_band == 0.0)
     with pytest.raises(fem.ZeroElements):
         oracles.assemble_string_pencil(2.0, 0.5, 1)
     with pytest.raises(fem.NonpositiveLength):
@@ -445,9 +434,9 @@ def test_string_pencil_shapes_and_regime():
 def test_beam_pencil_shapes_and_regime():
     pencil = oracles.assemble_beam_pencil(1.5, 6)
     assert pencil.n_positions == 12
-    assert not pencil.D.any()
+    assert not pencil.d_band.any()
     damped = oracles.assemble_beam_pencil(1.5, 6, rho=0.3)
-    assert scipy.linalg.eigvalsh(damped.D).min() >= -1e-12
+    assert scipy.linalg.eigvalsh(oracles.dense(damped.d_band)).min() >= -1e-12
     with pytest.raises(fem.ZeroElements):
         oracles.assemble_beam_pencil(1.5, 0)
 
@@ -459,9 +448,10 @@ def test_string_pencil_matches_hand_assembly():
     pencil = oracles.assemble_string_pencil(length, beta, n)
     expected_s = (np.diag([2.0] * 4) + np.diag([-1.0] * 3, 1) + np.diag([-1.0] * 3, -1)) / h
     expected_m = (np.diag([4.0] * 4) + np.diag([1.0] * 3, 1) + np.diag([1.0] * 3, -1)) * h / 6
-    assert np.allclose(pencil.S, expected_s, atol=1e-13)
-    assert np.allclose(pencil.M, expected_m, atol=1e-15)
-    assert np.allclose(pencil.D, beta * expected_m, atol=1e-15)
+    S, M, D = oracles.matrices(pencil)
+    assert np.allclose(S, expected_s, atol=1e-13)
+    assert np.allclose(M, expected_m, atol=1e-15)
+    assert np.allclose(D, beta * expected_m, atol=1e-15)
 
 
 # --- banded assembly against the dense scatter it replaced --------------------
@@ -515,13 +505,29 @@ def dense_member_references(length=1.5, n=10, beta=0.7, rho=0.3):
 
 def assert_bands_are_the_dense_matrices(pencil, ref, b):
     """Bitwise: the stored bands are the band of each dense reference, and
-    the dense properties rebuild the reference."""
+    oracles.dense rebuilds the reference from them."""
     assert pencil.bandwidth == b
     for band, dense, matrix in zip((pencil.s_band, pencil.m_band, pencil.d_band),
-                                   (pencil.S, pencil.M, pencil.D), ref):
+                                   oracles.matrices(pencil), ref):
         assert band.flags.f_contiguous and band.shape == (2 * b + 1, matrix.shape[0])
         assert band.tobytes(order="F") == oracles.band(matrix, b).tobytes(order="F")
         assert dense.tobytes() == matrix.tobytes()
+
+
+def test_dense_view_is_the_exact_inverse_of_band(ddd_system, udu_system, cons_system):
+    """oracles.dense reads back, bitwise, every band that oracles.band
+    writes, from the assembled pencils and from hand-made dense ones; the
+    dense references of the tests share no code with the package."""
+    full = np.random.default_rng(3).standard_normal((5, 5))
+    pencils = [system[3] for system in (ddd_system, udu_system, cons_system)]
+    # a full S and an unsymmetric D, so a transposed read shows too
+    pencils.append(oracles.pencil_from_dense(S=full + full.T, M=np.eye(5), D=np.triu(full, 2)))
+    pencils.append(oracles.pencil_from_dense(S=np.diag([2.0, 3.0]), M=np.eye(2), D=np.zeros((2, 2))))
+    for pencil in pencils:
+        for ab in (pencil.s_band, pencil.m_band, pencil.d_band):
+            again = oracles.band(oracles.dense(ab), pencil.bandwidth)
+            assert again.dtype == ab.dtype and again.shape == ab.shape
+            assert again.tobytes(order="F") == ab.tobytes(order="F")
 
 
 @pytest.mark.parametrize("n", [3, 10, 40])

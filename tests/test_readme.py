@@ -1,6 +1,8 @@
-"""The README's library example runs as written, at a smaller mesh, and its
-CLI synopsis and output table match what the CLI accepts and writes."""
+"""The README's library example runs as written, at a smaller mesh, its
+library section names what the package exports, and its CLI synopsis and
+output table match what the CLI accepts and writes."""
 
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -8,6 +10,8 @@ from pathlib import Path
 import bsblab as bb
 from bsblab import cli
 from bsblab.cli import read_config
+
+import oracles
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 CONFIGS = README.parent / "configs"
@@ -35,6 +39,29 @@ def test_readme_library_example_runs(capsys):
     assert [r.name for r in report.invariant_results] == ["dynamics.step_energy_balance"]
     assert report.all_pass
     assert '"invariant_results"' in capsys.readouterr().out
+
+
+def test_readme_library_section_matches_the_exports():
+    """Every name README calls through `bb.` is in bsblab.__all__; every
+    name its oracle list places in tests/oracles.py is defined there and is
+    not exported; SystemPencil has no public attribute but the five that
+    README names."""
+    text = README.read_text()
+    section = text[text.index("## Library"):text.index("## Studies")]
+    exported = set(re.findall(r"\bbb\.(\w+)", text))
+    assert exported and exported <= set(bb.__all__)
+    listed = section[section.index("Oracles that only the tests use"):]
+    listed = listed[:listed.index("\n\n", listed.index("\n- "))]
+    moved = set()
+    for item in re.findall(r"^- (.*?)(?=^- |\Z)", listed, re.M | re.S):
+        moved.update(re.findall(r"`(\w+)`", item.split(":", 1)[0]))
+    assert {"dense", "matrices", "first_order", "resolvent_norm", "cross_functional"} <= moved
+    assert all(callable(getattr(oracles, name, None)) for name in moved), moved
+    assert not moved & set(bb.__all__)
+    public = {f.name for f in dataclasses.fields(bb.SystemPencil)}
+    public |= {name for name in vars(bb.SystemPencil) if not name.startswith("_")}
+    assert public == {"s_band", "m_band", "d_band", "n_positions", "bandwidth"}
+    assert all(f"`{name}`" in section for name in public)
 
 
 def test_readme_names_the_rows_of_each_regime():

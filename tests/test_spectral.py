@@ -33,14 +33,14 @@ def test_tiny_pencil_eigenvalues():
 
 
 def test_tiny_pencil_resolvent_norm_is_golden_ratio():
-    got = spectral.resolvent_norm(tiny_pencil(), 0.0)
+    got = oracles.resolvent_norm(tiny_pencil(), 0.0)
     assert got == pytest.approx(1.618033988749895, abs=1e-13)
     # independent route: direct SVD of i lambda I - K at a few points
     k = np.array([[0.0, 1.0], [-1.0, -1.0]])
     for lam in (0.0, 0.5, -2.0, 11.0):
         a = 1j * lam * np.eye(2) - k
         want = 1.0 / np.linalg.svd(a, compute_uv=False).min()
-        assert spectral.resolvent_norm(tiny_pencil(), lam) == pytest.approx(want, rel=1e-12)
+        assert oracles.resolvent_norm(tiny_pencil(), lam) == pytest.approx(want, rel=1e-12)
 
 
 def test_tiny_pencil_slowest_mode():
@@ -49,8 +49,9 @@ def test_tiny_pencil_slowest_mode():
     assert mu == pytest.approx(-0.5 + 0.8660254037844386j, abs=1e-14)
     y = spectral.eigenmode(pencil, mu).to_array()
     # eigenpair residual and unit-energy normalization
-    assert np.linalg.norm(pencil.K @ y - mu * (pencil.B @ y)) <= 1e-12
-    assert 0.5 * np.vdot(y, pencil.B @ y).real == pytest.approx(1.0, rel=1e-12)
+    B, K = oracles.first_order(pencil)
+    assert np.linalg.norm(K @ y - mu * (B @ y)) <= 1e-12
+    assert 0.5 * np.vdot(y, B @ y).real == pytest.approx(1.0, rel=1e-12)
 
 
 # --- coupled system spectra -----------------------------------------------------
@@ -62,7 +63,8 @@ def test_whitened_eigenvalues_match_generalized_qz(ddd_cfg, udu_cfg, cons_cfg):
         for n in (3, 6):
             _, _, pencil = fem.discretize(cfg, n, n, n)
             rep = spectral.eigenvalues(pencil)
-            qz = scipy.linalg.eigvals(pencil.K, pencil.B)
+            B, K = oracles.first_order(pencil)
+            qz = scipy.linalg.eigvals(K, B)
             # match as sets, in both directions, so a spectrum collapsed onto
             # a few QZ values fails: element order is not comparable across
             # routes when conjugate pairs differ at rounding level
@@ -133,9 +135,9 @@ def test_only_a_damped_report_keeps_its_schur_factor(ddd_system, cons_system):
 def quadratic_residual(pencil, mu, p):
     """Backward error ||Q(mu) p|| / ((|mu|^2 ||M|| + |mu| ||D|| + ||S||) ||p||)
     of p as a null vector of Q(mu) = mu^2 M + mu D + S, in 2-norms."""
-    q = mu * mu * pencil.M + mu * pencil.D + pencil.S
-    scale = sum(abs(w) * np.linalg.norm(a, 2) for w, a in
-                ((mu * mu, pencil.M), (mu, pencil.D), (1.0, pencil.S)))
+    S, M, D = oracles.matrices(pencil)
+    q = mu * mu * M + mu * D + S
+    scale = sum(abs(w) * np.linalg.norm(a, 2) for w, a in ((mu * mu, M), (mu, D), (1.0, S)))
     return np.linalg.norm(q @ p) / (scale * np.linalg.norm(p))
 
 
@@ -187,8 +189,9 @@ def test_eigenmode_rejects_a_vanishing_first_iterate_before_dividing(ddd_cfg):
 def dense_whitened_reference(pencil):
     """Eigenvalues of the 2N x 2N whitened matrix by dense eigvals, built
     here from the Cholesky factors rather than by spectral._whiten."""
-    ls = scipy.linalg.cholesky(pencil.S, lower=True)
-    lm = scipy.linalg.cholesky(pencil.M, lower=True)
+    S, M, _ = oracles.matrices(pencil)
+    ls = scipy.linalg.cholesky(S, lower=True)
+    lm = scipy.linalg.cholesky(M, lower=True)
     x = scipy.linalg.solve_triangular(lm, ls, lower=True)
     zero = np.zeros_like(x)
     return scipy.linalg.eigvals(np.block([[zero, x.T], [-x, zero]]))
@@ -203,7 +206,7 @@ def undamped_pencils(cons_cfg):
 
 def test_undamped_spectrum_matches_the_dense_whitened_eigensolve(cons_cfg):
     for pencil in undamped_pencils(cons_cfg):
-        assert not pencil.D.any()
+        assert not pencil.d_band.any()
         eig = spectral.eigenvalues(pencil).eigenvalues
         ref = dense_whitened_reference(pencil)
         assert eig.shape == ref.shape == (2 * pencil.n_positions,)
@@ -257,17 +260,13 @@ def test_lowest_undamped_frequency_is_within_its_perturbation_bound(cons_cfg, n)
     assert float(abs(got - want) / want) <= bound
 
 
-def test_both_routes_reject_an_indefinite_or_empty_pencil():
+def test_both_routes_reject_an_indefinite_pencil():
     eye, indefinite = np.eye(2), np.diag([1.0, -1.0])
-    empty = np.zeros((0, 0))
     for damping in (np.zeros((2, 2)), eye):
         for s, m in ((indefinite, eye), (eye, indefinite)):
             pencil = oracles.pencil_from_dense(S=s, M=m, D=damping)
             with pytest.raises(spectral.FactorizationFailure):
                 spectral.eigenvalues(pencil)
-    with pytest.raises(spectral.EmptySpectrum):
-        spectral.eigenvalues(
-            oracles.pencil_from_dense(S=empty, M=empty, D=empty))
 
 
 # --- closed-form member oracles ---------------------------------------------------
@@ -351,14 +350,14 @@ def test_resolvent_norm_lower_bound(ddd_system):
     eig = spectral.eigenvalues(pencil).eigenvalues
     for lam in (-7.3, 0.0, 2.0, 19.5):
         dist = np.abs(1j * lam - eig).min()
-        assert spectral.resolvent_norm(pencil, lam) >= 1.0 / dist - 1e-12
+        assert oracles.resolvent_norm(pencil, lam) >= 1.0 / dist - 1e-12
 
 
 def test_resolvent_far_field_decay(ddd_cfg):
     _, _, pencil = fem.discretize(ddd_cfg, 6, 6, 6)
     top = np.abs(spectral.eigenvalues(pencil).eigenvalues).max()
     for lam in (4 * top, 40 * top):
-        assert spectral.resolvent_norm(pencil, lam) <= 2.0 / lam
+        assert oracles.resolvent_norm(pencil, lam) <= 2.0 / lam
 
 
 def test_resolvent_blows_up_on_a_conservative_eigenfrequency(cons_system):
@@ -366,7 +365,7 @@ def test_resolvent_blows_up_on_a_conservative_eigenfrequency(cons_system):
     spect = spectral.eigenvalues(pencil)
     eig = spect.eigenvalues
     lam0 = float(eig[eig.imag > 1e-6].imag.min())
-    assert spectral.resolvent_norm(pencil, lam0) >= 1e5
+    assert oracles.resolvent_norm(pencil, lam0) >= 1e5
     # the grid pins its end points, so both land on the eigenfrequency
     table = spectral.resolvent_sweep(spect, spectral.axis_grid(-lam0, lam0, 3))
     assert table.lambdas[0] == -lam0 and table.lambdas[-1] == lam0
@@ -415,7 +414,7 @@ def test_sweep_matches_the_dense_svd_reference(request, name, lo, hi, steps):
     eig = spect.eigenvalues
     table = spectral.resolvent_sweep(spect, spectral.axis_grid(lo, hi, steps))
     for lam, norm, its in zip(table.lambdas, table.norms, table.iterations):
-        want = spectral.resolvent_norm(pencil, float(lam))
+        want = oracles.resolvent_norm(pencil, float(lam))
         assert norm == pytest.approx(want, rel=1e-10)
         dist = np.abs(1j * lam - eig).min()
         assert norm * dist >= 1.0 - 1e-9
@@ -559,8 +558,6 @@ def test_resolvent_parameter_validation(ddd_system):
     for bad in ([0.0, math.inf], [-math.inf, 0.0], [math.nan], []):
         with pytest.raises(spectral.NonpositiveParameter, match="one or more finite axis points"):
             spectral.resolvent_sweep(spect, bad)
-    with pytest.raises(spectral.NonpositiveParameter):
-        spectral.resolvent_norm(pencil, math.inf)
 
 
 def test_eigenvalue_ordering_is_canonical(ddd_system):
