@@ -132,7 +132,7 @@ def _numerically_undamped(spect) -> bool:
     noise. The threshold is not a noise bound: udu.cfg at 80 elements per
     member (abscissa -2.99e-5, about 1e6 eps times the scale, its fit well
     within its bound) falls under it (3.26e-5) too. Certifying the slowest
-    mode of the band the mesh resolves instead is ROADMAP item 6; meshes
+    mode of the band the mesh resolves instead is ROADMAP item 10; meshes
     on which the UDU decay stays uniform (the matched-mesh rule) are item 1.
     """
     scale = max(1.0, float(np.abs(spect.eigenvalues).max()))

@@ -188,9 +188,10 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _write_rows(path: str, header: str, rows) -> None:
-    lines = [header]
-    lines.extend(",".join(fields) for fields in rows)
-    _write_text(path, "\n".join(lines) + "\n")
+    # each row is written as it is produced, so no file is held whole
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(fields) + "\n" for fields in rows)
 
 
 def _band_entries(ab: np.ndarray):

@@ -10,9 +10,10 @@ roundoff, for every dt. It is the only scheme. A step is solved in the
 reduced N x N midpoint form of the second-order system (see
 _trapezoidal_step), never on the 2N x 2N pencil, and on the bands the
 pencil stores: the step matrix is an entrywise combination of the bands of
-S, M and D, factored once, by banded Cholesky forward in time and banded
-LU backward, and every mat-vec of simulate's energy record and of the
-energy functionals is a banded BLAS call. The record's [S p; M q] comes
+S, M and D, factored once by banded Cholesky, and every mat-vec of
+simulate's energy record and of the energy functionals is a banded BLAS
+call. simulate is the one driver, and it runs forward in time (dt > 0),
+as the damped semigroup does. The record's [S p; M q] comes
 from one product over blockdiag(S, M) and is also the step's right-hand
 side, so a step is one banded solve plus the record's two products
 ([S p; M q] and D q), costs O(N b), and no N x N matrix is formed. Bands
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .fem import RecordTooLarge, StateVector, SystemPencil, _lu_band
+from .fem import RecordTooLarge, StateVector, SystemPencil
 from .model import BsblabError, StructureConfig
 
 
@@ -157,63 +158,34 @@ def _trapezoidal_step(pencil: SystemPencil, dt: float, dtype):
         q+ = 2 qm - q,            p+ = p + dt qm.
 
     A is formed entrywise on the bands of S, M and D, with their
-    half-bandwidth b. For dt > 0 it is SPD (M and S are SPD, D is PSD) and
-    is factored once by banded Cholesky (dpbtrf on its upper band, the
-    first b + 1 rows of the general band); each step is one dpbtrs, or one
-    zpbtrs on the complex cast of the real factor for a complex run. For
-    dt < 0 damping can make A indefinite, so a backward step factors it by
-    banded LU in the run's dtype (dgbtrf or zgbtrf) and solves by dgbtrs or
-    zgbtrs. S p and M q are the caller's: simulate computes them for the
-    energy record anyway, so a step makes no banded product of its own and
-    costs O(N b). The step consumes M q: the right-hand side is built in
-    its array by one axpy and solved there, and p and q are updated in y by
-    axpy and scal, in the run's dtype too. The step does not test y for
-    finite values; its callers do.
+    half-bandwidth b. For dt > 0, the only dt simulate accepts, A is SPD
+    (M and S are SPD, D is PSD) and is factored once by banded Cholesky
+    (dpbtrf on its upper band, the first b + 1 rows of the general band);
+    each step is one dpbtrs, or one zpbtrs on the complex cast of the real
+    factor for a complex run. S p and M q are the caller's: simulate
+    computes them for the energy record anyway, so a step makes no banded
+    product of its own and costs O(N b). The step consumes M q: the
+    right-hand side is built in its array by one axpy and solved there,
+    and p and q are updated in y by axpy and scal, in the run's dtype too.
+    The step does not test y for finite values; simulate tests the
+    energy it records.
     """
     n, b = pencil.n_positions, pencil.bandwidth
     a = pencil.m_band + (0.5 * dt) * pencil.d_band + (0.5 * dt) ** 2 * pencil.s_band
     lapack = scipy.linalg.lapack
     axpy, scal = scipy.linalg.blas.get_blas_funcs(("axpy", "scal"), dtype=dtype)
-    is_complex = np.dtype(dtype) == np.complex128
-    if dt > 0:
-        factor, info = lapack.dpbtrf(a[:b + 1])
-        routine = "dpbtrf"
-        factor = factor.astype(dtype, copy=False)
-        pbtrs = lapack.zpbtrs if is_complex else lapack.dpbtrs
-
-        def solve(rhs):
-            return pbtrs(factor, rhs, overwrite_b=1)[0]
-    else:
-        gbtrf, gbtrs = ((lapack.zgbtrf, lapack.zgbtrs) if is_complex
-                        else (lapack.dgbtrf, lapack.dgbtrs))
-        lu, piv, info = gbtrf(_lu_band(a.astype(dtype, copy=False)), b, b)
-        routine = gbtrf.__name__
-
-        def solve(rhs):
-            return gbtrs(lu, b, b, rhs, piv, overwrite_b=1)[0]
+    factor, info = lapack.dpbtrf(a[:b + 1])
     if info != 0:
-        raise SolveFailure(f"trapezoidal factorization failed: {routine} info = {info}")
+        raise SolveFailure(f"trapezoidal factorization failed: dpbtrf info = {info}")
+    factor = factor.astype(dtype, copy=False)
+    pbtrs = lapack.zpbtrs if np.dtype(dtype) == np.complex128 else lapack.dpbtrs
 
     def step(y: np.ndarray, sp: np.ndarray, mq: np.ndarray) -> None:
-        q_mid = solve(axpy(sp, mq, a=-0.5 * dt))
+        q_mid = pbtrs(factor, axpy(sp, mq, a=-0.5 * dt), overwrite_b=1)[0]
         axpy(q_mid, y[:n], a=dt)
         scal(-1.0, axpy(q_mid, y[n:], a=-2.0))
 
     return step
-
-
-def step_trapezoidal(pencil: SystemPencil, y: StateVector, dt: float) -> StateVector:
-    """One trapezoidal step. Negative dt runs the scheme backward in time."""
-    _require_match(pencil, y)
-    if not np.isfinite(dt) or dt == 0:
-        raise ValueError(f"dt must be finite and nonzero, got {dt}")
-    n, y_next = pencil.n_positions, y.to_array()
-    dtype = y_next.dtype
-    spmq = _state_product(pencil, dtype)(y_next)
-    _trapezoidal_step(pencil, dt, dtype)(y_next, spmq[:n], spmq[n:])
-    if not np.isfinite(y_next).all():
-        raise SolveFailure("trapezoidal step produced non-finite values")
-    return StateVector.from_array(y_next)
 
 
 def simulate(

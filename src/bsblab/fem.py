@@ -188,12 +188,6 @@ class StateVector:
     def to_array(self) -> np.ndarray:
         return np.concatenate([self.p, self.q])
 
-    @classmethod
-    def from_array(cls, y: np.ndarray) -> "StateVector":
-        y = np.asarray(y)
-        half = y.shape[0] // 2
-        return cls(y[:half], y[half:])
-
 
 def build_mesh(cfg: StructureConfig, n1: int, n2: int, n3: int) -> Mesh:
     """Uniform mesh with n1, n2, n3 elements on the three intervals."""

@@ -48,16 +48,16 @@ def test_dissipation_is_nonpositive(ddd_system, seed):
 def test_trapezoidal_step_energy_balance(ddd_system):
     """E(y+) - E(y) = dt * dissipation(midpoint), exactly, step by step."""
     _, _, _, pencil = ddd_system
-    y = plateau(ddd_system)
     dt = 1e-3
+    sim = bb.simulate(pencil, plateau(ddd_system), dt, 100 * dt, snapshot_every=1)
+    states = [y for _, y in sim.snapshots]
+    assert len(states) == 101
     worst = 0.0
-    for _ in range(100):
-        y_next = bb.step_trapezoidal(pencil, y, dt)
+    for y, y_next in zip(states, states[1:]):
         mid = bb.StateVector(0.5 * (y.p + y_next.p), 0.5 * (y.q + y_next.q))
         gap = (bb.energy(pencil, y_next) - bb.energy(pencil, y)
                - dt * bb.dissipation(pencil, mid))
         worst = max(worst, abs(gap) / bb.energy(pencil, y))
-        y = y_next
     assert worst <= 1e-9
 
 
@@ -78,22 +78,23 @@ def test_damped_run_loses_energy_monotonically(ddd_system):
 
 
 def test_step_with_negative_dt_inverts_the_step(ddd_system, cons_cfg):
-    """The trapezoidal map with -dt is the exact inverse, damping included.
-    The undamped pencil is stepped at default_dt up to n = 160, where the
-    round trip reads 3.4e-9 relative."""
+    """The trapezoidal map with -dt is the exact inverse, damping included:
+    a forward step of simulate, undone by the dense 2N reference step with
+    -dt, gives back the initial state. The undamped pencil is stepped at
+    default_dt up to n = 160, where the round trip reads 4.7e-9 relative."""
     _, _, _, pencil = ddd_system
     y0 = plateau(ddd_system)
     dt = 2e-3
-    y1 = bb.step_trapezoidal(pencil, y0, dt)
-    back = bb.step_trapezoidal(pencil, y1, -dt)
+    y1 = one_step(pencil, y0, dt)
+    back = trapezoidal_reference(pencil, y1, -dt)
     scale = np.abs(y0.to_array()).max()
-    assert np.abs(back.to_array() - y0.to_array()).max() <= 1e-8 * scale
+    assert np.abs(back - y0.to_array()).max() <= 1e-8 * scale
     dt = bb.default_dt(cons_cfg)
     for n in (10, 40, 160):
         mesh, dofs, pencil = bb.discretize(cons_cfg, n, n, n)
         y0 = plateau((cons_cfg, mesh, dofs, pencil))
-        y1 = bb.step_trapezoidal(pencil, y0, dt)
-        gap = bb.step_trapezoidal(pencil, y1, -dt).to_array() - y0.to_array()
+        y1 = one_step(pencil, y0, dt)
+        gap = trapezoidal_reference(pencil, y1, -dt) - y0.to_array()
         assert np.linalg.norm(gap) <= 1e-8 * np.linalg.norm(y0.to_array()), n
 
 
@@ -110,10 +111,7 @@ def test_trapezoidal_is_second_order(ddd_system):
     t_end = 0.08
 
     def final_state(dt):
-        y = y0
-        for _ in range(int(round(t_end / dt))):
-            y = bb.step_trapezoidal(pencil, y, dt)
-        return y.to_array()
+        return bb.simulate(pencil, y0, dt, t_end).final_state.to_array()
 
     ref = final_state(t_end / 512)
     err_coarse = np.linalg.norm(final_state(t_end / 16) - ref)
@@ -126,6 +124,11 @@ def trapezoidal_reference(pencil, y, dt):
     """(B - dt/2 K) y+ = (B + dt/2 K) y, solved on the 2N pencil."""
     B, K = oracles.first_order(pencil)
     return np.linalg.solve(B - (dt / 2) * K, (B + (dt / 2) * K) @ y.to_array())
+
+
+def one_step(pencil, y, dt):
+    """One trapezoidal step, as simulate takes it."""
+    return bb.simulate(pencil, y, dt, dt).final_state
 
 
 def close(got, want):
@@ -149,13 +152,12 @@ def dense_pencil(damping, seed=5, n=6):
 def test_reduced_steps_match_the_first_order_pencil(ddd_system, complex_valued):
     """The N x N step reproduces the 2N x 2N trapezoidal step on (B, K).
 
-    The reference solves (B - dt/2 K) y+ = (B + dt/2 K) y directly,
-    forward and backward in time.
+    The reference solves (B - dt/2 K) y+ = (B + dt/2 K) y directly.
     """
     _, _, _, pencil = ddd_system
     y = random_state(pencil, 7, complex_valued=complex_valued)
-    for dt in (1e-3, -1e-3):
-        assert close(bb.step_trapezoidal(pencil, y, dt), trapezoidal_reference(pencil, y, dt))
+    dt = 1e-3
+    assert close(one_step(pencil, y, dt), trapezoidal_reference(pencil, y, dt))
 
 
 @pytest.mark.parametrize("complex_valued", [False, True])
@@ -164,22 +166,8 @@ def test_banded_steps_on_a_full_bandwidth_pencil(complex_valued):
     pencil = dense_pencil(damping=1.0)
     assert pencil.bandwidth == pencil.n_positions - 1
     y = random_state(pencil, 11, complex_valued=complex_valued)
-    for dt in (1e-2, -1e-2):
-        assert close(bb.step_trapezoidal(pencil, y, dt), trapezoidal_reference(pencil, y, dt))
-
-
-@pytest.mark.parametrize("complex_valued", [False, True])
-def test_backward_step_with_an_indefinite_step_matrix(complex_valued):
-    """Negative dt against strong damping makes A = M + dt/2 D + dt^2/4 S
-    indefinite, which no Cholesky factor admits; the LU step still matches."""
-    pencil = dense_pencil(damping=50.0)
-    dt = -1.0
-    S, M, D = oracles.matrices(pencil)
-    a = M + (dt / 2) * D + (dt / 2) ** 2 * S
-    eig = np.linalg.eigvalsh(a)
-    assert eig[0] < 0.0 < eig[-1]
-    y = random_state(pencil, 13, complex_valued=complex_valued)
-    assert close(bb.step_trapezoidal(pencil, y, dt), trapezoidal_reference(pencil, y, dt))
+    dt = 1e-2
+    assert close(one_step(pencil, y, dt), trapezoidal_reference(pencil, y, dt))
 
 
 def test_step_failures_raise_solve_failure():
@@ -188,7 +176,7 @@ def test_step_failures_raise_solve_failure():
     singular = oracles.pencil_from_dense(S=zero, M=zero, D=zero)
     y = bb.StateVector(np.ones(3), np.ones(3))
     with pytest.raises(dynamics.SolveFailure, match="factorization"):
-        bb.step_trapezoidal(singular, y, 1e-3)
+        bb.simulate(singular, y, 1e-3, 1e-3)
     eye = np.eye(3)
     huge = oracles.pencil_from_dense(S=1e300 * eye, M=eye, D=zero)
     with pytest.raises(dynamics.SolveFailure, match="non-finite"):
@@ -201,7 +189,7 @@ def test_step_failures_raise_solve_failure():
 def test_simulate_trace_matches_its_snapshots(ddd_system):
     """The banded energy record, and the banded energy and dissipation
     functionals, equal products with the dense S, M and D on the states,
-    and the run equals a chain of single trapezoidal steps."""
+    and each step of the run is the trapezoidal step on (B, K)."""
     _, _, _, pencil = ddd_system
     assert pencil.bandwidth == 3
     y0 = random_state(pencil, 17, complex_valued=True)
@@ -221,10 +209,8 @@ def test_simulate_trace_matches_its_snapshots(ddd_system):
         assert np.abs(banded - want).max() <= 1e-12 * scale
     want = np.array([oracles.cross_functional(pencil, y) for y in states])
     assert np.abs(sim.trace.cross - want).max() <= 1e-12 * np.abs(want).max()
-    y = y0
-    for _ in range(steps):
-        y = bb.step_trapezoidal(pencil, y, dt)
-    assert close(sim.final_state, y.to_array())
+    for y, y_next in zip(states, states[1:]):
+        assert close(y_next, trapezoidal_reference(pencil, y, dt))
 
 
 def test_band_storage_is_fortran_ordered():
@@ -253,16 +239,14 @@ def rounding_bound(pencil, dt, p, q, x):
 
     With u the unit roundoff and gamma_k = k u / (1 - k u): the right-hand
     side M q - dt/2 S p sums 2b + 1 products per row plus a scaling and a
-    subtraction, so its error is at most gamma_{2b+5} (|M||q| + |dt/2||S||p|)
+    subtraction, so its error is at most gamma_{2b+5} (|M||q| + dt/2 |S||p|)
     (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.5,
-    with two terms for complex products). Both banded solves are backward
-    stable, (A + dA) x = r: for dt > 0 the Cholesky solve A = R^T R with
+    with two terms for complex products). The banded Cholesky solve
+    A = R^T R is backward stable, (A + dA) x = r with
     |dA| <= gamma_{3(b+1)+1} |R^T||R| (10.4; a row of R holds at most b + 1
-    entries), for dt < 0 the LU solve with |dA| <= gamma_{3(3b+1)+2} P|L||U|
-    (9.3 and 9.4; an LU row holds at most 3b + 1 entries). Both
-    perturbations reach x through |A^-1|, and q+ = 2x - q and p+ = p + dt x
-    add two roundings each. Two evaluations differ by at most twice one's
-    error.
+    entries). Both perturbations reach x through |A^-1|, and q+ = 2x - q
+    and p+ = p + dt x add two roundings each. Two evaluations differ by at
+    most twice one's error.
     """
     b = pencil.bandwidth
     u = np.finfo(float).eps / 2
@@ -272,33 +256,27 @@ def rounding_bound(pencil, dt, p, q, x):
 
     S, M, D = oracles.matrices(pencil)
     a = M + (dt / 2) * D + (dt / 2) ** 2 * S
-    if dt > 0:
-        r = np.abs(scipy.linalg.cholesky(a))
-        solve_error = gamma(3 * (b + 1) + 1) * (r.T @ r)
-    else:
-        perm, lower, upper = scipy.linalg.lu(a)
-        solve_error = gamma(3 * (3 * b + 1) + 2) * (perm @ (np.abs(lower) @ np.abs(upper)))
+    r = np.abs(scipy.linalg.cholesky(a))
     dx = np.abs(np.linalg.inv(a)) @ (
-        gamma(2 * b + 5) * (np.abs(M) @ np.abs(q) + abs(dt) / 2 * np.abs(S) @ np.abs(p))
-        + solve_error @ np.abs(x))
-    return (2 * (abs(dt) * dx + gamma(2) * (np.abs(p) + abs(dt) * np.abs(x))),
+        gamma(2 * b + 5) * (np.abs(M) @ np.abs(q) + dt / 2 * np.abs(S) @ np.abs(p))
+        + gamma(3 * (b + 1) + 1) * (r.T @ r) @ np.abs(x))
+    return (2 * (dt * dx + gamma(2) * (np.abs(p) + dt * np.abs(x))),
             2 * (2 * dx + gamma(2) * (2 * np.abs(x) + np.abs(q))))
 
 
 def test_complex_step_is_two_real_steps(ddd_system):
-    """The complex step (zpbtrs or zgbtrf/zgbtrs, zgbmv) equals the real
-    step (dpbtrs or dgbtrf/dgbtrs, dgbmv) on the real and on the imaginary
-    part, to within
-    the rounding bound of rounding_bound. Not bitwise: the complex BLAS and
-    LAPACK kernels round (and fuse) their multiply-adds differently from the
-    real ones, so already one zgbmv differs from dgbmv in the last bits."""
+    """The complex step (zpbtrs, zgbmv) equals the real step (dpbtrs,
+    dgbmv) on the real and on the imaginary part, to within the rounding
+    bound of rounding_bound. Not bitwise: the complex BLAS and LAPACK
+    kernels round (and fuse) their multiply-adds differently from the real
+    ones, so already one zgbmv differs from dgbmv in the last bits."""
     _, _, _, pencil = ddd_system
     y = random_state(pencil, 19, complex_valued=True)
-    for dt in (1e-3, -1e-3, 1e-1):
-        z = bb.step_trapezoidal(pencil, y, dt)
+    for dt in (1e-3, 1e-1):
+        z = one_step(pencil, y, dt)
         for part in (np.real, np.imag):
             p, q = part(y.p).copy(), part(y.q).copy()
-            w = bb.step_trapezoidal(pencil, bb.StateVector(p, q), dt)
+            w = one_step(pencil, bb.StateVector(p, q), dt)
             assert not np.iscomplexobj(w.p) and not np.iscomplexobj(w.q)
             bound_p, bound_q = rounding_bound(pencil, dt, p, q, (w.q + q) / 2)
             assert np.all(np.abs(part(z.p) - w.p) <= bound_p)
@@ -344,7 +322,6 @@ def test_steps_leave_the_initial_state_alone(ddd_system):
     for complex_valued in (False, True):
         y = random_state(pencil, 31, complex_valued=complex_valued)
         kept = y.to_array().copy()
-        bb.step_trapezoidal(pencil, y, 1e-3)
         bb.simulate(pencil, y, 1e-3, 5e-3)
         assert np.array_equal(y.to_array(), kept)
 
@@ -354,8 +331,7 @@ def test_a_step_is_one_solve_and_two_banded_products(ddd_system, monkeypatch, co
     """A k-step forward simulate factors once by banded Cholesky (dpbtrf, a
     complex run too), solves k times and makes 2(k + 1) banded products:
     [S p; M q] and D q at each of the k + 1 records, whose S p and M q are
-    also the next step's right-hand side. A backward step factors and
-    solves by banded LU, once each, after its one [S p; M q]."""
+    also the next step's right-hand side. No banded LU runs."""
     _, _, _, pencil = ddd_system
     counts = {}
     for module, names in ((scipy.linalg.lapack, ("dpbtrf", "zpbtrf", "dpbtrs", "zpbtrs",
@@ -371,9 +347,6 @@ def test_a_step_is_one_solve_and_two_banded_products(ddd_system, monkeypatch, co
     bb.simulate(pencil, y, 1e-3, k * 1e-3)
     kind = "z" if complex_valued else "d"
     assert counts == {"dpbtrf": 1, f"{kind}pbtrs": k, f"{kind}gbmv": 2 * (k + 1)}
-    counts.clear()
-    bb.step_trapezoidal(pencil, y, -1e-3)
-    assert counts == {f"{kind}gbtrf": 1, f"{kind}gbtrs": 1, f"{kind}gbmv": 1}
 
 
 @pytest.mark.parametrize("complex_valued", [False, True])
@@ -414,15 +387,23 @@ def test_a_non_finite_velocity_fails_the_run_at_its_step(ddd_system, monkeypatch
     assert len(steps) == 3
 
 
-def test_step_input_validation(ddd_system):
+def test_simulate_input_validation(ddd_system):
+    """simulate refuses a step that is not finite and > 0, a run length
+    that is not finite and > 0, a negative snapshot interval and a state
+    of the wrong length, whatever its caller checked first."""
     _, _, _, pencil = ddd_system
     y = plateau(ddd_system)
-    for bad in (0.0, float("inf")):
-        with pytest.raises(ValueError):
-            bb.step_trapezoidal(pencil, y, bad)
-    tiny = bb.StateVector(np.ones(2), np.ones(2))
+    for dt in (0.0, -1e-3, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="dt must be"):
+            bb.simulate(pencil, y, dt, 1e-2)
+    for t_final in (0.0, float("inf")):
+        with pytest.raises(ValueError, match="t_final must be"):
+            bb.simulate(pencil, y, 1e-3, t_final)
+    with pytest.raises(ValueError, match="snapshot_every must be"):
+        bb.simulate(pencil, y, 1e-3, 1e-2, snapshot_every=-1)
+    short = bb.StateVector(np.ones(2), np.ones(2))
     with pytest.raises(dynamics.DimensionMismatch):
-        bb.step_trapezoidal(pencil, tiny, 1e-3)
+        bb.simulate(pencil, short, 1e-3, 1e-2)
 
 
 def test_a_record_that_cannot_be_allocated_raises_record_too_large(ddd_system, monkeypatch):
