@@ -158,11 +158,17 @@ def _gamma(pencil: SystemPencil) -> float:
     return k * u / (1 - k * u)
 
 
-def _term_size(pencil: SystemPencil, y: StateVector) -> float:
-    """T = (|p|^T |S| |p| + |q|^T |M| |q|)/2, the size of the terms E(y) sums."""
-    p, q = np.abs(y.p), np.abs(y.q)
-    return 0.5 * (p @ dynamics._band_product(np.abs(pencil.s_band), p.dtype)(p)
-                  + q @ dynamics._band_product(np.abs(pencil.m_band), q.dtype)(q))
+def _term_size(pencil: SystemPencil):
+    """Return y -> T = (|p|^T |S| |p| + |q|^T |M| |q|)/2, the size of the
+    terms E(y) sums, with the bands |S| and |M| formed once."""
+    abs_s, abs_m = (dynamics._band_product(np.abs(ab), np.float64)
+                    for ab in (pencil.s_band, pencil.m_band))
+
+    def size(y: StateVector) -> float:
+        p, q = np.abs(y.p), np.abs(y.q)
+        return 0.5 * (p @ abs_s(p) + q @ abs_m(q))
+
+    return size
 
 
 def _rate_bound(pencil: SystemPencil, y0: StateVector, times: np.ndarray) -> float:
@@ -177,7 +183,7 @@ def _rate_bound(pencil: SystemPencil, y0: StateVector, times: np.ndarray) -> flo
     """
     fitted = times[_fit_window(times)[1]]
     tc = fitted - fitted.mean()
-    delta = (len(times) - 1) * _gamma(pencil) * _term_size(pencil, y0) / dynamics.energy(pencil, y0)
+    delta = (len(times) - 1) * _gamma(pencil) * _term_size(pencil)(y0) / dynamics.energy(pencil, y0)
     return float(delta * np.abs(tc).sum() / (tc @ tc))
 
 
@@ -253,7 +259,7 @@ def _certify(cfg: StructureConfig, pencil: SystemPencil,
     if dt > resolving_dt:
         return dataclasses.replace(cert, verdict="inconclusive"), spect
     y0 = spectral.eigenmode(pencil, mu)
-    trace = simulate(pencil, y0, dt, t_final).trace
+    trace = simulate(pencil, y0, dt, t_final, energy_only=True).trace
     fit = fit_decay(trace)
     alpha_bound = _rate_bound(pencil, y0, trace.times)
     ok = abs(fit.alpha - cert.alpha_scheme) <= alpha_bound < fit.alpha
@@ -284,11 +290,12 @@ def _check_step_energy_balance(pencil: SystemPencil, y0: StateVector, dt: float)
     from the stored states. The residual is the worst ratio of a step's
     gap to its roundoff bound gamma_{2b+1} (T_k + T_{k+1} + dt |qm|^T |D| |qm|),
     with T = _term_size: the sizes of the terms the three sums add up.
+    |S|, |M| and |D| are formed once per check.
     """
-    sim = simulate(pencil, y0, dt, 50 * dt, snapshot_every=1)
+    sim = simulate(pencil, y0, dt, 50 * dt, snapshot_every=1, energy_only=True)
     e = sim.trace.energy
     states = [y for _, y in sim.snapshots]
-    sizes = [_term_size(pencil, y) for y in states]
+    sizes = list(map(_term_size(pencil), states))
     d_size = dynamics._band_product(np.abs(pencil.d_band), np.float64)
     worst = 0.0
     for k, (y, y_next) in enumerate(zip(states, states[1:])):

@@ -13,11 +13,14 @@ pencil stores: the step matrix is an entrywise combination of the bands of
 S, M and D, factored once by banded Cholesky, and every mat-vec of
 simulate's energy record and of the energy functionals is a banded BLAS
 call. simulate is the one driver, and it runs forward in time (dt > 0),
-as the damped semigroup does. The record's [S p; M q] comes
-from one product over blockdiag(S, M) and is also the step's right-hand
-side, so a step is one banded solve plus the record's two products
-([S p; M q] and D q), costs O(N b), and no N x N matrix is formed. Bands
-are stored in Fortran order, the layout BLAS and LAPACK read, so no call
+as the damped semigroup does. The record's [S p; M q] comes from one
+product over blockdiag(S, M), written into one array the run owns, and
+is also the step's right-hand side. A step is one banded solve plus that
+product, and, when the run records the rate columns (dissipation and
+cross term), one more product D q, in a new array; an energy-only run,
+the decay certificate's, makes none, and its step allocates no array of
+length N. A step costs O(N b) and forms no N x N matrix. Bands are
+stored in Fortran order, the layout BLAS and LAPACK read, so no call
 copies a real band, and a run's dtype (real or complex) is fixed from its
 initial state before the first step, so each product and the solve bind
 one routine.
@@ -48,18 +51,19 @@ class EnergyTrace:
 
     energy[i] is E(y(t_i)), dissipation[i] the instantaneous (nonpositive)
     energy rate, cross[i] the position-velocity cross term p^T M q (the F
-    column of energy.csv). The energy is nonincreasing in a damped regime
-    and conserved without damping, up to roundoff that grows with the mesh:
-    each step sums terms of size T = (|p|^T |S| |p| + |q|^T |M| |q|)/2, and
-    T/E grows about 16x per mesh doubling. A conservative run drifts by
-    about 1e-9 relative at 80 elements per member, 1e-8 at 160 and 1e-6 at
-    640.
+    column of energy.csv). dissipation and cross, the rate columns, are
+    None for a run that recorded the energy only. The energy is
+    nonincreasing in a damped regime and conserved without damping, up to
+    roundoff that grows with the mesh: each step sums terms of size
+    T = (|p|^T |S| |p| + |q|^T |M| |q|)/2, and T/E grows about 16x per
+    mesh doubling. A conservative run drifts by about 1e-9 relative at 80
+    elements per member, 1e-8 at 160 and 1e-6 at 640.
     """
 
     times: np.ndarray
     energy: np.ndarray
-    dissipation: np.ndarray
-    cross: np.ndarray
+    dissipation: np.ndarray | None
+    cross: np.ndarray | None
 
 
 @dataclass
@@ -110,8 +114,8 @@ def default_dt(cfg: StructureConfig) -> float:
     return 2e-3 * (cfg.l2 - cfg.l1)
 
 
-def _band_product(ab: np.ndarray, dtype):
-    """Return x -> a @ x, a new array, by banded BLAS in the run's dtype.
+def _band_product(ab: np.ndarray, dtype, out: np.ndarray | None = None):
+    """Return x -> a @ x by banded BLAS in the run's dtype.
 
     ab is the general band (kl = ku = b) of a. dtype (float64 or
     complex128) is fixed here, so the closure binds one of dgbmv and zgbmv
@@ -119,7 +123,10 @@ def _band_product(ab: np.ndarray, dtype):
     have it too, or the wrapper casts it on every call. scipy's gbmv
     wrappers want at least kl + ku + 1 rows, so a band wider than that
     (2b + 1 > N, dense test pencils) runs as an m x N product whose extra
-    rows are zero, cut back to N.
+    rows are zero, cut back to N. Each call returns a new array, or, given
+    out (m entries of dtype), writes the product into out and returns its
+    first N entries: gbmv runs with beta = 0, so what out held does not
+    reach the result.
     """
     b, n = ab.shape[0] // 2, ab.shape[1]
     m = max(n, 2 * b + 1)
@@ -127,22 +134,24 @@ def _band_product(ab: np.ndarray, dtype):
     gbmv = scipy.linalg.blas.zgbmv if ab.dtype == np.complex128 else scipy.linalg.blas.dgbmv
 
     def product(x: np.ndarray) -> np.ndarray:
-        return gbmv(m, n, b, b, 1.0, ab, x)[:n]
+        return gbmv(m, n, b, b, 1.0, ab, x, beta=0.0, y=out, overwrite_y=1)[:n]
 
     return product
 
 
-def _state_product(pencil: SystemPencil, dtype):
-    """Return y -> [S p; M q] for a state y = [p; q], by one banded product.
+def _state_product(pencil: SystemPencil, out: np.ndarray):
+    """Return y -> [S p; M q] for a state y = [p; q], by one banded product
+    written into out (2N entries, in the run's dtype), which every call
+    overwrites and returns.
 
     The bands of S and M side by side are the general band (kl = ku = b)
     of blockdiag(S, M) on the 2N state: column N - 1 of S's band and
     column 0 of M's band hold zeros where they reach past their block. Each
     entry is the sum of the separate products plus exact zero terms, so
     the result equals S p and M q computed apart. np.hstack keeps the
-    bands' Fortran order.
+    bands' Fortran order. 2b + 1 < 2N, so the product needs no extra rows.
     """
-    return _band_product(np.hstack([pencil.s_band, pencil.m_band]), dtype)
+    return _band_product(np.hstack([pencil.s_band, pencil.m_band]), out.dtype, out)
 
 
 def _trapezoidal_step(pencil: SystemPencil, dt: float, dtype):
@@ -194,11 +203,16 @@ def simulate(
     dt: float,
     t_final: float,
     snapshot_every: int = 0,
+    *,
+    energy_only: bool = False,
 ) -> SimOutput:
     """Trapezoidal time integration with the implicit matrix factored once.
 
-    Runs round(t_final/dt) steps (at least one). The trace records energy,
-    dissipation and the cross term at every step; states are stored every
+    Runs round(t_final/dt) steps (at least one). The trace records the
+    energy at every step and, unless energy_only, the rate columns
+    dissipation and cross term too; an energy-only run makes no D q
+    product and leaves both None. Its energy is bitwise the full run's,
+    as both take it from the same 2 x 2 product. States are stored every
     snapshot_every steps (plus the initial and final one) when
     snapshot_every > 0. A step count whose record cannot be allocated
     raises RecordTooLarge before the step matrix is factored. A step whose
@@ -216,37 +230,40 @@ def simulate(
     steps = max(1, int(round(t_final / dt)))
     try:
         # np.empty refuses a count np.arange would turn into an empty array
-        e_arr, d_arr, c_arr = (np.empty(steps + 1) for _ in range(3))
+        e_arr = np.empty(steps + 1)
+        d_arr, c_arr = (None, None) if energy_only else (np.empty(steps + 1), np.empty(steps + 1))
         times = dt * np.arange(steps + 1)
     except (ValueError, MemoryError) as exc:
         raise RecordTooLarge(
             f"the energy record of {steps:.6g} steps does not fit in memory") from exc
     y = y0.to_array()  # the run's state, real or complex throughout; steps update it in place
     step = _trapezoidal_step(pencil, dt, y.dtype)
-    state_times = _state_product(pencil, y.dtype)
-    d_times = _band_product(pencil.d_band, y.dtype)
-
     n = pencil.n_positions
-    p, q = y[:n], y[n:]
+    spmq = np.empty(2 * n, y.dtype)  # [S p; M q], rewritten by every record
+    state_times = _state_product(pencil, spmq)
+    d_times = None if energy_only else _band_product(pencil.d_band, y.dtype)
+
+    p, q, sp, mq = y[:n], y[n:], spmq[:n], spmq[n:]
     # Re(u^H v) is the real dot of the float64 views, so the rows [p; q] of
     # y's view against those of [S p; M q] give p.Sp, p.Mq and q.Mq at once
     pq = y.view(np.float64).reshape(2, -1)
+    spmq_t = spmq.view(np.float64).reshape(2, -1).T
     snapshots = []
 
     def record(i):
-        spmq = state_times(y)
-        gram = np.dot(pq, spmq.view(np.float64).reshape(2, -1).T)
+        state_times(y)
+        gram = np.dot(pq, spmq_t)
         e_arr[i] = 0.5 * (gram[0, 0] + gram[1, 1])
-        c_arr[i] = gram[0, 1]
-        d_arr[i] = -np.vdot(q, d_times(q)).real
-        return spmq
+        if d_times is not None:
+            c_arr[i] = gram[0, 1]
+            d_arr[i] = -np.vdot(q, d_times(q)).real
 
-    spmq = record(0)
+    record(0)
     if snapshot_every > 0:
         snapshots.append((0.0, StateVector(p.copy(), q.copy())))
     for i in range(1, steps + 1):
-        step(y, spmq[:n], spmq[n:])
-        spmq = record(i)
+        step(y, sp, mq)
+        record(i)
         if not math.isfinite(e_arr[i]):
             raise SolveFailure("trapezoidal step produced non-finite values")
         if snapshot_every > 0 and (i % snapshot_every == 0 or i == steps):

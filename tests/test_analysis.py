@@ -277,19 +277,26 @@ def test_cross_validate_simulates_the_mode_run_and_the_plateau_run(
         ddd_system, cons_system, monkeypatch):
     """verify runs two simulations on a damped spectrum: the slowest-mode run
     its verdict fits and the 50-step plateau run of the energy-balance check.
+    Both record the energy only, and so does certify_decay's mode run.
     With nothing to fit (conservative, damping on one beam only) or a dt that
     does not resolve the mode (1.01 * 0.1/|mu| on ddd) it runs the plateau
     alone, and certify_decay forms no mode and runs nothing."""
-    calls = []
+    calls, energy_only = [], []
 
     def counted(pencil, y0, dt, t_final, **kwargs):
         calls.append(round(t_final / dt))
+        energy_only.append(kwargs.get("energy_only", False))
         return bb.simulate(pencil, y0, dt, t_final, **kwargs)
 
     monkeypatch.setattr(analysis, "simulate", counted)
     cfg, mesh, dofs, pencil = ddd_system
     rep = bb.cross_validate(cfg, mesh, dofs, pencil)
     assert calls == [round(rep.certificate.t_final / rep.certificate.dt), 50]
+    assert energy_only == [True, True]
+    calls.clear()
+    energy_only.clear()
+    cert = bb.certify_decay(cfg, pencil)
+    assert calls == [round(cert.t_final / cert.dt)] and energy_only == [True]
     for cfg, mesh, dofs, pencil in (cons_system, partial_damping_system()):
         calls.clear()
         rep = bb.cross_validate(cfg, mesh, dofs, pencil)

@@ -331,7 +331,8 @@ def test_a_step_is_one_solve_and_two_banded_products(ddd_system, monkeypatch, co
     """A k-step forward simulate factors once by banded Cholesky (dpbtrf, a
     complex run too), solves k times and makes 2(k + 1) banded products:
     [S p; M q] and D q at each of the k + 1 records, whose S p and M q are
-    also the next step's right-hand side. No banded LU runs."""
+    also the next step's right-hand side. An energy-only run makes no D q,
+    so k + 1 products. No banded LU runs."""
     _, _, _, pencil = ddd_system
     counts = {}
     for module, names in ((scipy.linalg.lapack, ("dpbtrf", "zpbtrf", "dpbtrs", "zpbtrs",
@@ -344,20 +345,43 @@ def test_a_step_is_one_solve_and_two_banded_products(ddd_system, monkeypatch, co
             monkeypatch.setattr(module, name, counted)
     k = 7
     y = random_state(pencil, 37, complex_valued=complex_valued)
-    bb.simulate(pencil, y, 1e-3, k * 1e-3)
     kind = "z" if complex_valued else "d"
-    assert counts == {"dpbtrf": 1, f"{kind}pbtrs": k, f"{kind}gbmv": 2 * (k + 1)}
+    for energy_only, products in ((False, 2 * (k + 1)), (True, k + 1)):
+        counts.clear()
+        bb.simulate(pencil, y, 1e-3, k * 1e-3, energy_only=energy_only)
+        assert counts == {"dpbtrf": 1, f"{kind}pbtrs": k, f"{kind}gbmv": products}, energy_only
+
+
+def test_an_energy_only_record_is_the_full_records_energy(ddd_system, udu_system, cons_system):
+    """Dropping the rate columns changes nothing else: the times, the
+    energy and the final state equal the full run's bitwise, on real and
+    complex states, on the three regimes and on a dense pencil (b = N - 1),
+    whose product over blockdiag(S, M) has the widest band; dissipation
+    and cross are None."""
+    pencils = [system[3] for system in (ddd_system, udu_system, cons_system)]
+    for pencil in pencils + [dense_pencil(damping=1.0)]:
+        for complex_valued in (False, True):
+            y0 = random_state(pencil, 47, complex_valued=complex_valued)
+            full = bb.simulate(pencil, y0, 1e-3, 40e-3)
+            lean = bb.simulate(pencil, y0, 1e-3, 40e-3, energy_only=True)
+            assert lean.trace.dissipation is None and lean.trace.cross is None
+            assert np.array_equal(lean.trace.times, full.trace.times)
+            assert np.array_equal(lean.trace.energy, full.trace.energy)
+            assert np.array_equal(lean.final_state.to_array(), full.final_state.to_array())
 
 
 @pytest.mark.parametrize("complex_valued", [False, True])
 def test_one_product_gives_s_p_and_m_q(ddd_system, complex_valued):
     """The banded product over blockdiag(S, M) equals S p and M q computed
     apart, bitwise: it adds only exact zeros to each sum. On an assembled
-    pencil (b = 3) and on a dense one (b = N - 1)."""
+    pencil (b = 3) and on a dense one (b = N - 1). It is written into the
+    array it is given, whose earlier NaNs do not reach it."""
     for pencil in (ddd_system[3], dense_pencil(damping=1.0)):
         n = pencil.n_positions
         y = random_state(pencil, 41, complex_valued=complex_valued).to_array()
-        got = dynamics._state_product(pencil, y.dtype)(y)
+        out = np.full(2 * n, np.nan, y.dtype)
+        got = dynamics._state_product(pencil, out)(y)
+        assert np.shares_memory(got, out)
         assert np.array_equal(got[:n], dynamics._band_product(pencil.s_band, y.dtype)(y[:n]))
         assert np.array_equal(got[n:], dynamics._band_product(pencil.m_band, y.dtype)(y[n:]))
 
