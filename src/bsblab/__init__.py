@@ -10,17 +10,14 @@ resolvent. See README.md for the layout and the CLI.
 from .model import (
     BsblabError,
     DampingCase,
-    InitialData,
     NegativeDamping,
     OrderingViolation,
     StructureConfig,
     classify_damping,
-    default_initial_data,
     validate_config,
 )
 from .fem import (
     DofMap,
-    IncompatibleInterface,
     Mesh,
     NonfiniteElement,
     NonpositiveLength,
@@ -73,15 +70,12 @@ __version__ = "0.1.0"
 __all__ = [
     "BsblabError",
     "DampingCase",
-    "InitialData",
     "NegativeDamping",
     "OrderingViolation",
     "StructureConfig",
     "classify_damping",
-    "default_initial_data",
     "validate_config",
     "DofMap",
-    "IncompatibleInterface",
     "Mesh",
     "NonfiniteElement",
     "NonpositiveLength",

@@ -31,7 +31,7 @@ import numpy as np
 from . import dynamics, fem, spectral
 from .dynamics import DEFAULT_T_FINAL, EnergyTrace, default_dt, simulate
 from .fem import DofMap, Mesh, StateVector, SystemPencil
-from .model import BsblabError, DampingCase, StructureConfig, classify_damping, default_initial_data
+from .model import BsblabError, DampingCase, StructureConfig, classify_damping
 from .spectral import eigenvalues
 
 
@@ -132,8 +132,9 @@ def _numerically_undamped(spect) -> bool:
     noise. The threshold is not a noise bound: udu.cfg at 80 elements per
     member (abscissa -2.99e-5, about 1e6 eps times the scale, its fit well
     within its bound) falls under it (3.26e-5) too. Certifying the slowest
-    mode of the band the mesh resolves instead is ROADMAP item 10; meshes
-    on which the UDU decay stays uniform (the matched-mesh rule) are item 1.
+    mode of the band the mesh resolves instead is the alternative inside
+    ROADMAP item 3; meshes on which the UDU decay stays uniform (the
+    matched-mesh rule) are item 1.
     """
     scale = max(1.0, float(np.abs(spect.eigenvalues).max()))
     return abs(spect.abscissa) <= 1e-10 * scale
@@ -335,7 +336,7 @@ def cross_validate(
     spectrum-gap check on the certificate's spectrum.
     """
     cert, spect = _certify(cfg, pencil, dt, t_final)
-    y0 = fem.interpolate(default_initial_data(cfg), mesh, dofs)
+    y0 = fem.interpolate(cfg, mesh, dofs)
     results = [_check_step_energy_balance(pencil, y0, cert.dt)]
     if classify_damping(cfg) is DampingCase.UDU:
         results.append(_check_string_damping_spectrum_gap(spect))

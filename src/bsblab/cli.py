@@ -27,13 +27,7 @@ from . import spectral
 from .analysis import certify_decay, cross_validate, render_decay, render_report
 from .dynamics import DEFAULT_T_FINAL, default_dt, simulate
 from .fem import discretize, interpolate, nodal_field
-from .model import (
-    BsblabError,
-    StructureConfig,
-    classify_damping,
-    default_initial_data,
-    validate_config,
-)
+from .model import BsblabError, StructureConfig, classify_damping, validate_config
 from .spectral import axis_grid, eigenvalues, resolvent_sweep
 
 
@@ -229,7 +223,7 @@ def _cmd_simulate(spec: RunSpec) -> int:
     cfg, mesh, dofs, pencil = _prepare(spec)
     dt = spec.dt if spec.dt is not None else default_dt(cfg)
     t_final = spec.t_final if spec.t_final is not None else DEFAULT_T_FINAL
-    y0 = interpolate(default_initial_data(cfg), mesh, dofs)
+    y0 = interpolate(cfg, mesh, dofs)
     sim = simulate(pencil, y0, dt, t_final, snapshot_every=spec.snapshot_every)
     tr = sim.trace
 

@@ -17,13 +17,13 @@ as the damped semigroup does. The record's [S p; M q] comes from one
 product over blockdiag(S, M), written into one array the run owns, and
 is also the step's right-hand side. A step is one banded solve plus that
 product, and, when the run records the rate columns (dissipation and
-cross term), one more product D q, in a new array; an energy-only run,
-the decay certificate's, makes none, and its step allocates no array of
-length N. A step costs O(N b) and forms no N x N matrix. Bands are
-stored in Fortran order, the layout BLAS and LAPACK read, so no call
-copies a real band, and a run's dtype (real or complex) is fixed from its
-initial state before the first step, so each product and the solve bind
-one routine.
+cross term) on a pencil whose D band is not all zero, one more product
+D q, in a new array; an energy-only run, the decay certificate's, makes
+none, and its step allocates no array of length N. A step costs O(N b)
+and forms no N x N matrix. Bands are stored in Fortran order, the layout
+BLAS and LAPACK read, so no call copies a real band, and a run's dtype
+(real or complex) is fixed from its initial state before the first step,
+so each product and the solve bind one routine.
 """
 from __future__ import annotations
 
@@ -211,7 +211,9 @@ def simulate(
     Runs round(t_final/dt) steps (at least one). The trace records the
     energy at every step and, unless energy_only, the rate columns
     dissipation and cross term too; an energy-only run makes no D q
-    product and leaves both None. Its energy is bitwise the full run's,
+    product and leaves both None. On a pencil whose D band is all zero
+    the dissipation column is zeros and no D q product is made either.
+    An energy-only run's energy is bitwise the full run's,
     as both take it from the same 2 x 2 product. States are stored every
     snapshot_every steps (plus the initial and final one) when
     snapshot_every > 0. A step count whose record cannot be allocated
@@ -231,7 +233,7 @@ def simulate(
     try:
         # np.empty refuses a count np.arange would turn into an empty array
         e_arr = np.empty(steps + 1)
-        d_arr, c_arr = (None, None) if energy_only else (np.empty(steps + 1), np.empty(steps + 1))
+        d_arr, c_arr = (None, None) if energy_only else (np.zeros(steps + 1), np.empty(steps + 1))
         times = dt * np.arange(steps + 1)
     except (ValueError, MemoryError) as exc:
         raise RecordTooLarge(
@@ -241,7 +243,9 @@ def simulate(
     n = pencil.n_positions
     spmq = np.empty(2 * n, y.dtype)  # [S p; M q], rewritten by every record
     state_times = _state_product(pencil, spmq)
-    d_times = None if energy_only else _band_product(pencil.d_band, y.dtype)
+    # -q^H D q is 0 on a zero D band, which the zeros of d_arr already hold
+    damped = not energy_only and pencil.d_band.any()
+    d_times = _band_product(pencil.d_band, y.dtype) if damped else None
 
     p, q, sp, mq = y[:n], y[n:], spmq[:n], spmq[n:]
     # Re(u^H v) is the real dot of the float64 views, so the rows [p; q] of
@@ -254,8 +258,9 @@ def simulate(
         state_times(y)
         gram = np.dot(pq, spmq_t)
         e_arr[i] = 0.5 * (gram[0, 0] + gram[1, 1])
-        if d_times is not None:
+        if c_arr is not None:
             c_arr[i] = gram[0, 1]
+        if d_times is not None:
             d_arr[i] = -np.vdot(q, d_times(q)).real
 
     record(0)

@@ -38,12 +38,11 @@ coefficients, which the model module decides.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .model import BsblabError, InitialData, StructureConfig, validate_config
+from .model import BsblabError, StructureConfig, validate_config
 
 
 class ZeroElements(BsblabError, ValueError):
@@ -59,12 +58,6 @@ class NonfiniteElement(BsblabError, ValueError):
     matrix is not finite in float64: the beam bending entries scale as h^-3
     and the beam mass entries down to h^3, so extreme lengths under- or
     overflow them, and a huge rho1, rho2 or beta overflows the band of D."""
-
-
-class IncompatibleInterface(BsblabError, ValueError):
-    """Initial data the discrete space cannot hold: a nodal value that is not
-    finite, a mismatch at a junction beyond tolerance, or a value or slope
-    that does not vanish at a clamped end."""
 
 
 class RecordTooLarge(BsblabError, ValueError):
@@ -417,86 +410,31 @@ def discretize(cfg: StructureConfig, n1: int, n2: int, n3: int):
     return mesh, dofs, assemble_pencil(cfg, mesh, dofs)
 
 
-# --- initial data ----------------------------------------------------------
+# --- initial state --------------------------------------------------------
 
-_INTERFACE_TOL = 1e-12
+def interpolate(cfg: StructureConfig, mesh: Mesh, dofs: DofMap) -> StateVector:
+    """The plateau's nodal state: the lifted plateau, at rest.
 
-
-def _nodal(f, nodes: np.ndarray, label: str) -> np.ndarray:
-    values = np.array([float(f(float(x))) for x in nodes])
-    if not np.isfinite(values).all():
-        raise IncompatibleInterface(f"{label} is not finite at every node")
-    return values
-
-
-def _beam_nodal(profile: Any, nodes: np.ndarray, label: str):
-    """Nodal (values, slopes) of a beam profile given as a (value, slope) callable pair."""
-    if not (isinstance(profile, tuple) and len(profile) == 2 and all(map(callable, profile))):
-        raise TypeError(f"{label}: expected a (value, slope) pair of callables")
-    return _nodal(profile[0], nodes, label), _nodal(profile[1], nodes, f"{label} slope")
-
-
-def _string_nodal(profile: Any, nodes: np.ndarray, label: str) -> np.ndarray:
-    if not callable(profile):
-        raise TypeError(f"{label}: expected a callable")
-    return _nodal(profile, nodes, label)
-
-
-def _check_junction(left: float, right: float, where: str) -> None:
-    if abs(left - right) > _INTERFACE_TOL * max(1.0, abs(left), abs(right)):
-        raise IncompatibleInterface(
-            f"initial data disagrees at {where}: {left!r} vs {right!r}"
-        )
-
-
-def _check_clamped(value: float, slope: float, scale: float, where: str) -> None:
-    # looser than the junction tolerance: a profile formula evaluated at
-    # the clamped node leaves rounding of a few eps times the profile
-    # scale, while genuine violations are order one
-    tol = 1e-8 * max(1.0, scale)
-    if abs(value) > tol or abs(slope) > tol:
-        raise IncompatibleInterface(
-            f"initial data must vanish (value and slope) at {where}, "
-            f"got value {value!r}, slope {slope!r}"
-        )
-
-
-def interpolate(data: InitialData, mesh: Mesh, dofs: DofMap) -> StateVector:
-    """Nodal interpolant of initial data in the discrete space.
-
-    Junction values must agree within 1e-12 (relative, floored at an
-    absolute 1e-12); the shared DOF then takes the beam-side value. The
-    data must vanish, in value and slope, at the clamped outer ends: the
-    discrete space contains nothing else, and projecting silently would
-    misrepresent the data. Every nodal value and slope must be finite.
-    Cubic beam profiles given with exact slopes and affine string profiles
-    are reproduced exactly.
+    Beam-1 sits at ((x - l0)/len1)^2 with slope 2 ((x - l0)/len1)/len1,
+    beam-2 mirrors it from l3, the string sits flat at 1 and q = 0. The
+    slopes divide twice rather than by len^2, which under- or overflows on
+    extreme but valid geometry. The profile is clamped and continuous by
+    construction (its junction value is (l1 - l0)/len1 = 1) and lies in
+    every discrete space, so the state is the same function on every mesh.
+    Each entry is computed per node in Python floats: numpy's array
+    square is s*s, which differs from s ** 2 in the last bit for some s.
     """
-    out = {}
-    for tag, (u, v, w) in (("displacement", (data.u0, data.v0, data.w0)),
-                           ("velocity", (data.u1, data.v1, data.w1))):
-        uv, us = _beam_nodal(u, mesh.nodes1, f"beam-1 {tag}")
-        sv = _string_nodal(v, mesh.nodes2, f"string {tag}")
-        wv, ws = _beam_nodal(w, mesh.nodes3, f"beam-2 {tag}")
-        _check_junction(uv[-1], sv[0], f"the left junction ({tag})")
-        _check_junction(sv[-1], wv[0], f"the right junction ({tag})")
-        _check_clamped(uv[0], us[0], float(max(np.abs(uv).max(), np.abs(us).max())),
-                       f"the clamped left end ({tag})")
-        _check_clamped(wv[-1], ws[-1], float(max(np.abs(wv).max(), np.abs(ws).max())),
-                       f"the clamped right end ({tag})")
-        vec = np.zeros(dofs.n_dofs)
-        for j in range(mesh.n1 + 1):
-            if dofs.beam1[j, 0] >= 0:
-                vec[dofs.beam1[j, 0]] = uv[j]
-                vec[dofs.beam1[j, 1]] = us[j]
-        for j in range(1, mesh.n2):
-            vec[dofs.string[j]] = sv[j]
-        for j in range(mesh.n3 + 1):
-            if dofs.beam2[j, 0] >= 0:
-                vec[dofs.beam2[j, 0]] = wv[j]
-                vec[dofs.beam2[j, 1]] = ws[j]
-        out[tag] = vec
-    return StateVector(p=out["displacement"], q=out["velocity"])
+    len1, len3 = cfg.l1 - cfg.l0, cfg.l3 - cfg.l2
+    p = np.ones(dofs.n_dofs)  # every DOF the beams do not set is an interior string node
+    for j, x in enumerate(mesh.nodes1.tolist()):
+        if dofs.beam1[j, 0] >= 0:
+            s = (x - cfg.l0) / len1
+            p[dofs.beam1[j]] = s ** 2, 2.0 * s / len1
+    for j, x in enumerate(mesh.nodes3.tolist()):
+        if dofs.beam2[j, 0] >= 0:
+            s = (cfg.l3 - x) / len3
+            p[dofs.beam2[j]] = s ** 2, -2.0 * s / len3
+    return StateVector(p=p, q=np.zeros(dofs.n_dofs))
 
 
 def nodal_field(y: StateVector, mesh: Mesh, dofs: DofMap):

@@ -13,7 +13,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Any
 
 
 class BsblabError(Exception):
@@ -94,66 +93,3 @@ def classify_damping(cfg: StructureConfig) -> DampingCase:
     if beams_off and cfg.beta == 0:
         return DampingCase.CONSERVATIVE
     return DampingCase.OTHER
-
-
-@dataclass
-class InitialData:
-    """Initial displacement and velocity profiles, one pair per member.
-
-    u0/u1 live on the first beam, v0/v1 on the string, w0/w1 on the second
-    beam (displacement first, velocity second). A beam profile is a
-    (value, slope) pair of callables of x, a string profile one callable of
-    x; interpolation raises TypeError on anything else.
-
-    Valid data is clamped at the outer ends and continuous at the two
-    junctions; interpolation checks the junction values and rejects
-    mismatches.
-    """
-
-    u0: Any
-    u1: Any
-    v0: Any
-    v1: Any
-    w0: Any
-    w1: Any
-
-
-def default_initial_data(cfg: StructureConfig) -> InitialData:
-    """Canonical deterministic initial state: a lifted plateau, at rest.
-
-    The beams ramp quadratically from their clamped ends up to unit
-    deflection at the junctions and the string sits flat at unit height.
-    Quadratic ramps keep the profile inside every discrete space, so the
-    interpolant is mesh-independent. All velocities are zero.
-    """
-    len1 = cfg.l1 - cfg.l0
-    len3 = cfg.l3 - cfg.l2
-
-    # the slopes divide twice rather than by length**2, which under- or
-    # overflows on extreme but valid geometry
-    def u_val(x):
-        return ((x - cfg.l0) / len1) ** 2
-
-    def u_slope(x):
-        return 2.0 * ((x - cfg.l0) / len1) / len1
-
-    def w_val(x):
-        return ((cfg.l3 - x) / len3) ** 2
-
-    def w_slope(x):
-        return -2.0 * ((cfg.l3 - x) / len3) / len3
-
-    def flat(x):
-        return 1.0
-
-    def zero(x):
-        return 0.0
-
-    return InitialData(
-        u0=(u_val, u_slope),
-        u1=(zero, zero),
-        v0=flat,
-        v1=zero,
-        w0=(w_val, w_slope),
-        w1=(zero, zero),
-    )

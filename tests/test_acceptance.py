@@ -46,7 +46,7 @@ def systems():
 
 def _plateau(system):
     cfg, mesh, dofs, _ = system
-    return bb.interpolate(bb.default_initial_data(cfg), mesh, dofs)
+    return bb.interpolate(cfg, mesh, dofs)
 
 
 def test_01_dissipativity_identity_all_regimes(systems):

@@ -238,7 +238,7 @@ def test_a_damping_fault_in_the_step_fails_the_step_balance(monkeypatch):
     bound, where the faultless step reads 0.009 of it."""
     cfg = bb.validate_config(read_config(str(CONFIGS / "ddd.cfg")))
     mesh, dofs, pencil = bb.discretize(cfg, 40, 40, 40)
-    y0 = bb.interpolate(bb.default_initial_data(cfg), mesh, dofs)
+    y0 = bb.interpolate(cfg, mesh, dofs)
     dt = bb.certify_decay(cfg, pencil).dt
     row = analysis._check_step_energy_balance(pencil, y0, dt)
     assert row.passed and row.residual <= 0.01

@@ -159,7 +159,7 @@ def test_snapshot_rows_are_the_deflection_dofs_at_the_nodes(tmp_path):
     config = str(Path(__file__).resolve().parents[1] / "configs" / "ddd.cfg")
     cfg = bb.validate_config(read_config(config))
     mesh, dofs, pencil = bb.discretize(cfg, 3, 4, 5)
-    sim = bb.simulate(pencil, bb.interpolate(bb.default_initial_data(cfg), mesh, dofs),
+    sim = bb.simulate(pencil, bb.interpolate(cfg, mesh, dofs),
                       0.002, 0.02, snapshot_every=4)
     assert cli.main(["simulate", "--config", config, "--n1", "3", "--n2", "4", "--n3", "5",
                      "--dt", "0.002", "--t-final", "0.02", "--snapshot-every", "4",

@@ -12,7 +12,7 @@ import oracles
 
 def plateau(system):
     cfg, mesh, dofs, _ = system
-    return fem.interpolate(bb.default_initial_data(cfg), mesh, dofs)
+    return fem.interpolate(cfg, mesh, dofs)
 
 
 def test_energy_of_plateau_state(ddd_system):
@@ -327,13 +327,14 @@ def test_steps_leave_the_initial_state_alone(ddd_system):
 
 
 @pytest.mark.parametrize("complex_valued", [False, True])
-def test_a_step_is_one_solve_and_two_banded_products(ddd_system, monkeypatch, complex_valued):
+def test_a_step_is_one_solve_and_two_banded_products(ddd_system, cons_system, monkeypatch,
+                                                     complex_valued):
     """A k-step forward simulate factors once by banded Cholesky (dpbtrf, a
     complex run too), solves k times and makes 2(k + 1) banded products:
     [S p; M q] and D q at each of the k + 1 records, whose S p and M q are
     also the next step's right-hand side. An energy-only run makes no D q,
-    so k + 1 products. No banded LU runs."""
-    _, _, _, pencil = ddd_system
+    so k + 1 products, and neither does a full run on a pencil whose D band
+    is all zero, whose dissipation column is zeros. No banded LU runs."""
     counts = {}
     for module, names in ((scipy.linalg.lapack, ("dpbtrf", "zpbtrf", "dpbtrs", "zpbtrs",
                                                  "dgbtrf", "zgbtrf", "dgbtrs", "zgbtrs")),
@@ -344,12 +345,18 @@ def test_a_step_is_one_solve_and_two_banded_products(ddd_system, monkeypatch, co
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(module, name, counted)
     k = 7
-    y = random_state(pencil, 37, complex_valued=complex_valued)
     kind = "z" if complex_valued else "d"
-    for energy_only, products in ((False, 2 * (k + 1)), (True, k + 1)):
+    for system, energy_only, products in ((ddd_system, False, 2 * (k + 1)),
+                                          (ddd_system, True, k + 1),
+                                          (cons_system, False, k + 1)):
+        pencil = system[3]
+        y = random_state(pencil, 37, complex_valued=complex_valued)
         counts.clear()
-        bb.simulate(pencil, y, 1e-3, k * 1e-3, energy_only=energy_only)
-        assert counts == {"dpbtrf": 1, f"{kind}pbtrs": k, f"{kind}gbmv": products}, energy_only
+        sim = bb.simulate(pencil, y, 1e-3, k * 1e-3, energy_only=energy_only)
+        want = {"dpbtrf": 1, f"{kind}pbtrs": k, f"{kind}gbmv": products}
+        assert counts == want, (system[0], energy_only)
+        if system is cons_system:
+            assert np.array_equal(sim.trace.dissipation, np.zeros(k + 1))
 
 
 def test_an_energy_only_record_is_the_full_records_energy(ddd_system, udu_system, cons_system):

@@ -1,4 +1,3 @@
-import dataclasses
 import re
 
 import numpy as np
@@ -10,7 +9,6 @@ from numpy.polynomial import Polynomial
 
 import bsblab as bb
 from bsblab import fem
-from bsblab.model import InitialData
 
 from conftest import random_state
 import oracles
@@ -280,108 +278,57 @@ def test_dissipativity_identity(ddd_system, seed):
     assert abs(de - expected) <= 1e-10 * scale
 
 
-# --- interpolation and evaluation ---------------------------------------------
+# --- the initial state and evaluation -----------------------------------------
 
-def test_interpolation_reproduces_cubics_and_linears(ddd_cfg):
-    """Hermite cubics reproduce any admissible cubic; P1 any linear function.
-
-    Admissible means vanishing value and slope at the clamped outer ends,
-    so the beam cubics are written in the form s^2 (a + b s) with s the
-    distance from the clamped end.
-    """
-    mesh, dofs, _ = fem.discretize(ddd_cfg, 3, 4, 5)
-
-    def u_val(x):
-        s = x - ddd_cfg.l0
-        return s**2 * (0.7 - 0.4 * s)
-
-    def u_slope(x):
-        s = x - ddd_cfg.l0
-        return 2 * s * 0.7 - 3 * 0.4 * s**2
-
-    def w_val(x):
-        s = ddd_cfg.l3 - x
-        return s**2 * (-0.2 + 0.35 * s)
-
-    def w_slope(x):
-        s = ddd_cfg.l3 - x
-        return -(2 * s * (-0.2) + 3 * 0.35 * s**2)
-
-    a = u_val(ddd_cfg.l1)
-    b = w_val(ddd_cfg.l2)
-    slope = (b - a) / (ddd_cfg.l2 - ddd_cfg.l1)
-
-    def v_val(x):
-        return a + slope * (x - ddd_cfg.l1)
-
-    zero = lambda x: 0.0
-    data = InitialData(
-        u0=(u_val, u_slope), u1=(zero, zero),
-        v0=v_val, v1=zero,
-        w0=(w_val, w_slope), w1=(zero, zero),
-    )
-    y = fem.interpolate(data, mesh, dofs)
-    x, disp, vel = fem.nodal_field(y, mesh, dofs)
-    want = [u_val(t) if t <= ddd_cfg.l1 else v_val(t) if t <= ddd_cfg.l2 else w_val(t)
-            for t in x]
-    assert disp == pytest.approx(want, abs=1e-12)
-    assert np.all(vel == 0.0)
-    for table, nodes, slope in ((dofs.beam1, mesh.nodes1, u_slope),
-                                (dofs.beam2, mesh.nodes3, w_slope)):
-        free = table[:, 1] >= 0
-        assert y.p[table[free, 1]] == pytest.approx([slope(t) for t in nodes[free]], abs=1e-12)
+def _plateau_reference(cfg, mesh, dofs):
+    """The plateau's nodal state from its formulas, node by node in Python
+    floats; NaN where no node writes."""
+    len1, len3 = cfg.l1 - cfg.l0, cfg.l3 - cfg.l2
+    want = np.full(dofs.n_dofs, np.nan)
+    for (value, slope), x in zip(dofs.beam1[1:], mesh.nodes1[1:].tolist()):
+        s = (x - cfg.l0) / len1
+        want[value], want[slope] = s ** 2, 2.0 * s / len1
+    for (value, slope), x in zip(dofs.beam2[:-1], mesh.nodes3[:-1].tolist()):
+        s = (cfg.l3 - x) / len3
+        want[value], want[slope] = s ** 2, -2.0 * s / len3
+    want[dofs.string[1:-1]] = 1.0
+    return want
 
 
-def test_interpolation_rejects_junction_mismatch(ddd_cfg):
-    mesh, dofs, _ = fem.discretize(ddd_cfg, 2, 2, 2)
-    data = bb.default_initial_data(ddd_cfg)
-    broken = InitialData(
-        u0=data.u0, u1=data.u1,
-        v0=lambda x: 2.0,  # string plateau at 2 against beam tips at 1
-        v1=data.v1,
-        w0=data.w0, w1=data.w1,
-    )
-    with pytest.raises(fem.IncompatibleInterface):
-        fem.interpolate(broken, mesh, dofs)
-
-
-def test_interpolation_rejects_clamped_end_violation(ddd_cfg):
-    mesh, dofs, _ = fem.discretize(ddd_cfg, 2, 2, 2)
-    data = bb.default_initial_data(ddd_cfg)
-    lifted = InitialData(
-        # constant 1 on the first beam: nonzero at the clamped end
-        u0=(lambda x: 1.0, lambda x: 0.0),
-        u1=data.u1,
-        v0=data.v0, v1=data.v1,
-        w0=data.w0, w1=data.w1,
-    )
-    with pytest.raises(fem.IncompatibleInterface):
-        fem.interpolate(lifted, mesh, dofs)
-
-
-def _nodal_pair(pair, nodes):
-    return tuple(np.array([f(float(x)) for x in nodes]) for f in pair)
-
-
-@pytest.mark.parametrize("member,form", [
-    ("u0", lambda data, mesh: data.u0[0]),
-    ("u0", lambda data, mesh: _nodal_pair(data.u0, mesh.nodes1)),
-    ("v0", lambda data, mesh: np.ones_like(mesh.nodes2)),
-], ids=["bare_beam_callable", "beam_nodal_arrays", "string_nodal_array"])
-def test_interpolation_takes_callables_only(ddd_cfg, member, form):
-    """A beam profile is a (value, slope) pair of callables and a string
-    profile one callable. The same data in any other form, junctions and
-    clamped ends intact, is rejected rather than approximated."""
-    mesh, dofs, _ = fem.discretize(ddd_cfg, 2, 2, 2)
-    data = bb.default_initial_data(ddd_cfg)
-    other = dataclasses.replace(data, **{member: form(data, mesh)})
-    with pytest.raises(TypeError):
-        fem.interpolate(other, mesh, dofs)
+def test_the_initial_state_is_the_plateau_at_rest():
+    """interpolate writes the lifted plateau at rest on DDD configs (unit
+    and uneven intervals), at two meshes each: every free beam DOF holds
+    the profile's value or slope at its node (beam-2 mirrored), every
+    interior string DOF is 1, the clamped DOFs have no index, and q = 0.
+    The state is bitwise the reference built from the formulas in Python
+    floats. At 41 elements a beam-1 node of the unit config and a beam-2
+    node of the uneven one have s * s one ulp from s ** 2."""
+    for geometry in ((0.0, 1.0, 2.0, 3.0), (-1.0, 0.5, 4.0, 9.0)):
+        cfg = bb.validate_config(bb.StructureConfig(*geometry, 1.0, 1.0, 1.0))
+        len1, len3 = cfg.l1 - cfg.l0, cfg.l3 - cfg.l2
+        for n1, n2, n3 in ((3, 4, 5), (41, 121, 41)):
+            mesh, dofs, _ = fem.discretize(cfg, n1, n2, n3)
+            y = fem.interpolate(cfg, mesh, dofs)
+            assert np.all(dofs.beam1[0] == -1) and np.all(dofs.beam2[-1] == -1)
+            assert dofs.n_dofs == 2 * n1 + (n2 - 1) + 2 * n3
+            for table, dist, length, sign in (
+                    (dofs.beam1, mesh.nodes1 - cfg.l0, len1, 1.0),
+                    (dofs.beam2, cfg.l3 - mesh.nodes3, len3, -1.0)):
+                free = table[:, 0] >= 0
+                assert y.p[table[free, 0]] == pytest.approx((dist[free] / length) ** 2,
+                                                            rel=1e-14)
+                assert y.p[table[free, 1]] == pytest.approx(
+                    sign * 2 * dist[free] / length**2, rel=1e-14, abs=1e-14)
+            assert np.all(y.p[dofs.string[1:-1]] == 1.0)
+            assert np.all(y.q == 0.0)
+            want = _plateau_reference(cfg, mesh, dofs)
+            assert not np.isnan(want).any()
+            assert np.array_equal(y.p, want)
 
 
 def test_plateau_interpolant_is_continuous_at_junctions(ddd_system):
     cfg, mesh, dofs, _ = ddd_system
-    y = fem.interpolate(bb.default_initial_data(cfg), mesh, dofs)
+    y = fem.interpolate(cfg, mesh, dofs)
     x, disp, _ = fem.nodal_field(y, mesh, dofs)
     # one node per junction, where the beam tip meets the string's plateau
     assert list(x).count(cfg.l1) == list(x).count(cfg.l2) == 1
@@ -395,11 +342,10 @@ def test_plateau_energy_is_the_same_on_the_refined_mesh(ddd_cfg, n):
     so their energies differ by rounding alone. That grows like eps/h^3
     through the bending entries (1e-9 at n = 40, 3e-7 at n = 160), while a
     nesting bug shows at 1e-3 or worse."""
-    data = bb.default_initial_data(ddd_cfg)
     energies = []
     for m in (n, 2 * n):
         mesh, dofs, pencil = fem.discretize(ddd_cfg, m, m, m)
-        energies.append(bb.energy(pencil, fem.interpolate(data, mesh, dofs)))
+        energies.append(bb.energy(pencil, fem.interpolate(ddd_cfg, mesh, dofs)))
     coarse, fine = energies
     assert abs(fine - coarse) <= 1e-6 * abs(coarse)
 

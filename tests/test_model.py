@@ -10,7 +10,6 @@ from bsblab import (
     OrderingViolation,
     StructureConfig,
     classify_damping,
-    default_initial_data,
     validate_config,
 )
 
@@ -93,32 +92,3 @@ def test_classification_partitions_parameter_space(rho1, rho2, beta):
     else:
         assert case is DampingCase.OTHER
 
-
-def test_default_initial_data_geometry():
-    cfg = validate_config(make(l0=-1.0, l1=0.5, l2=4.0, l3=9.0))
-    data = default_initial_data(cfg)
-    u_val, u_slope = data.u0
-    w_val, w_slope = data.w0
-
-    # clamped ends: zero deflection and zero slope
-    assert u_val(cfg.l0) == 0.0
-    assert u_slope(cfg.l0) == 0.0
-    assert w_val(cfg.l3) == 0.0
-    assert w_slope(cfg.l3) == 0.0
-
-    # unit deflection at both junctions, matching the flat string
-    assert u_val(cfg.l1) == pytest.approx(1.0, abs=1e-14)
-    assert w_val(cfg.l2) == pytest.approx(1.0, abs=1e-14)
-    assert data.v0(cfg.l1) == 1.0
-    assert data.v0(cfg.l2) == 1.0
-
-    # starts at rest
-    u1_val, u1_slope = data.u1
-    w1_val, w1_slope = data.w1
-    for x in (cfg.l0, 0.1, cfg.l1):
-        assert u1_val(x) == 0.0
-        assert u1_slope(x) == 0.0
-    assert data.v1(2.0) == 0.0
-    for x in (cfg.l2, 5.0, cfg.l3):
-        assert w1_val(x) == 0.0
-        assert w1_slope(x) == 0.0
