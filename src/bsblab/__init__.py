@@ -17,7 +17,6 @@ from .model import (
     validate_config,
 )
 from .fem import (
-    DofMap,
     Mesh,
     NonfiniteElement,
     NonpositiveLength,
@@ -26,7 +25,6 @@ from .fem import (
     SystemPencil,
     ZeroElements,
     assemble_pencil,
-    build_dof_map,
     build_mesh,
     discretize,
     interpolate,
@@ -75,7 +73,6 @@ __all__ = [
     "StructureConfig",
     "classify_damping",
     "validate_config",
-    "DofMap",
     "Mesh",
     "NonfiniteElement",
     "NonpositiveLength",
@@ -84,7 +81,6 @@ __all__ = [
     "SystemPencil",
     "ZeroElements",
     "assemble_pencil",
-    "build_dof_map",
     "build_mesh",
     "discretize",
     "interpolate",

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import dynamics, fem, spectral
 from .dynamics import DEFAULT_T_FINAL, EnergyTrace, default_dt, simulate
-from .fem import DofMap, Mesh, StateVector, SystemPencil
+from .fem import Mesh, StateVector, SystemPencil
 from .model import BsblabError, DampingCase, StructureConfig, classify_damping
 from .spectral import eigenvalues
 
@@ -323,7 +323,6 @@ def _check_string_damping_spectrum_gap(spect: spectral.SpectrumReport) -> Invari
 def cross_validate(
     cfg: StructureConfig,
     mesh: Mesh,
-    dofs: DofMap,
     pencil: SystemPencil,
     dt: float | None = None,
     t_final: float | None = None,
@@ -331,12 +330,13 @@ def cross_validate(
     """Decay certification plus every invariant check the run can fail.
 
     Takes the certificate of certify_decay (the same slowest-mode run, fit
-    and verdict), runs the step balance from the plateau initial state at
-    the certificate's dt, and, when only the string is damped, the
-    spectrum-gap check on the certificate's spectrum.
+    and verdict), runs the step balance from the plateau initial state,
+    laid out by the mesh's own DOF numbering, at the certificate's dt,
+    and, when only the string is damped, the spectrum-gap check on the
+    certificate's spectrum. pencil must be assembled on mesh.
     """
     cert, spect = _certify(cfg, pencil, dt, t_final)
-    y0 = fem.interpolate(cfg, mesh, dofs)
+    y0 = fem.interpolate(cfg, mesh)
     results = [_check_step_energy_balance(pencil, y0, cert.dt)]
     if classify_damping(cfg) is DampingCase.UDU:
         results.append(_check_string_damping_spectrum_gap(spect))

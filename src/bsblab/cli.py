@@ -85,7 +85,6 @@ class RunSpec:
     n2: int = 40
     n3: int = 40
     out_dir: str = "."
-    dump_matrices: bool = False
     dt: float | None = None
     t_final: float | None = None
     snapshot_every: int = 0
@@ -116,8 +115,6 @@ def parse_args(argv) -> RunSpec:
         sub.add_argument("--n2", type=int, help="elements on the string")
         sub.add_argument("--n3", type=int, help="elements on the second beam")
         sub.add_argument("--out-dir", help="output directory (created if missing)")
-        sub.add_argument("--dump-matrices", action="store_true",
-                         help="also write S, M and D in coordinate format")
         return sub
 
     def add_run(name, help_text):
@@ -188,42 +185,20 @@ def _write_rows(path: str, header: str, rows) -> None:
         fh.writelines(",".join(fields) + "\n" for fields in rows)
 
 
-def _band_entries(ab: np.ndarray):
-    """(rows, cols, values) of the nonzero entries of the general band ab,
-    in row-major order."""
-    b, n = ab.shape[0] // 2, ab.shape[1]
-    i, j = np.divmod(np.arange(n * (2 * b + 1)), 2 * b + 1)
-    j += i - b  # row i holds columns i - b .. i + b
-    inside = (j >= 0) & (j < n)
-    i, j = i[inside], j[inside]
-    values = ab[b + i - j, j]
-    nonzero = values != 0
-    return i[nonzero], j[nonzero], values[nonzero]
-
-
-def _dump_matrices(pencil, out_dir: str) -> None:
-    # one "row col value" line per nonzero entry, read off the bands
-    for name, ab in (("S", pencil.s_band), ("M", pencil.m_band), ("D", pencil.d_band)):
-        text = "".join(f"{i} {j} {_fmt(v)}\n" for i, j, v in zip(*_band_entries(ab)))
-        _write_text(os.path.join(out_dir, f"{name}.coo.txt"), text)
-
-
 def _prepare(spec: RunSpec):
     cfg = validate_config(read_config(spec.config_path))
-    mesh, dofs, pencil = discretize(cfg, spec.n1, spec.n2, spec.n3)
+    mesh, pencil = discretize(cfg, spec.n1, spec.n2, spec.n3)
     os.makedirs(spec.out_dir, exist_ok=True)
-    if spec.dump_matrices:
-        _dump_matrices(pencil, spec.out_dir)
-    return cfg, mesh, dofs, pencil
+    return cfg, mesh, pencil
 
 
 # --- subcommands ------------------------------------------------------------
 
 def _cmd_simulate(spec: RunSpec) -> int:
-    cfg, mesh, dofs, pencil = _prepare(spec)
+    cfg, mesh, pencil = _prepare(spec)
     dt = spec.dt if spec.dt is not None else default_dt(cfg)
     t_final = spec.t_final if spec.t_final is not None else DEFAULT_T_FINAL
-    y0 = interpolate(cfg, mesh, dofs)
+    y0 = interpolate(cfg, mesh)
     sim = simulate(pencil, y0, dt, t_final, snapshot_every=spec.snapshot_every)
     tr = sim.trace
 
@@ -237,7 +212,7 @@ def _cmd_simulate(spec: RunSpec) -> int:
         path = os.path.join(spec.out_dir, "snapshots.csv")
         _write_rows(path, "t,x,displacement,velocity",
                     ((_fmt(t), _fmt(x), _fmt(u), _fmt(v)) for t, state in sim.snapshots
-                     for x, u, v in zip(*nodal_field(state, mesh, dofs))))
+                     for x, u, v in zip(*nodal_field(state, mesh))))
         written.append(path)
 
     print(f"simulate: {len(tr.times) - 1} steps, dt = {_fmt(dt)}, "
@@ -248,7 +223,7 @@ def _cmd_simulate(spec: RunSpec) -> int:
 
 
 def _cmd_spectrum(spec: RunSpec) -> int:
-    cfg, mesh, dofs, pencil = _prepare(spec)
+    cfg, mesh, pencil = _prepare(spec)
     report = eigenvalues(pencil)
     path = os.path.join(spec.out_dir, "spectrum.csv")
     _write_rows(path, "re,im",
@@ -263,7 +238,7 @@ def _cmd_spectrum(spec: RunSpec) -> int:
 
 
 def _cmd_resolvent(spec: RunSpec) -> int:
-    cfg, mesh, dofs, pencil = _prepare(spec)
+    cfg, mesh, pencil = _prepare(spec)
     grid = axis_grid(spec.lambda_min, spec.lambda_max, spec.lambda_steps)
     report = eigenvalues(pencil)
     table = resolvent_sweep(report, grid)
@@ -288,7 +263,7 @@ def _verdict_line(cert) -> str:
 
 
 def _cmd_decay(spec: RunSpec) -> int:
-    cfg, mesh, dofs, pencil = _prepare(spec)
+    cfg, mesh, pencil = _prepare(spec)
     cert = certify_decay(cfg, pencil, dt=spec.dt, t_final=spec.t_final)
     path = os.path.join(spec.out_dir, "decay.json")
     _write_text(path, render_decay(cert))
@@ -298,8 +273,8 @@ def _cmd_decay(spec: RunSpec) -> int:
 
 
 def _cmd_verify(spec: RunSpec) -> int:
-    cfg, mesh, dofs, pencil = _prepare(spec)
-    report = cross_validate(cfg, mesh, dofs, pencil, dt=spec.dt, t_final=spec.t_final)
+    cfg, mesh, pencil = _prepare(spec)
+    report = cross_validate(cfg, mesh, pencil, dt=spec.dt, t_final=spec.t_final)
     path = os.path.join(spec.out_dir, "report.json")
     _write_text(path, render_report(report))
     for r in report.invariant_results:

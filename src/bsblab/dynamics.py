@@ -122,11 +122,11 @@ def _band_product(ab: np.ndarray, dtype, out: np.ndarray | None = None):
     and holds the band in that dtype (a real band is not copied); x should
     have it too, or the wrapper casts it on every call. scipy's gbmv
     wrappers want at least kl + ku + 1 rows, so a band wider than that
-    (2b + 1 > N, dense test pencils) runs as an m x N product whose extra
-    rows are zero, cut back to N. Each call returns a new array, or, given
-    out (m entries of dtype), writes the product into out and returns its
-    first N entries: gbmv runs with beta = 0, so what out held does not
-    reach the result.
+    (2b + 1 > N, as on the 1/1/1 mesh, where N = 4 and b = 2) runs as an
+    m x N product whose extra rows are zero, cut back to N. Each call
+    returns a new array, or, given out (m entries of dtype), writes the
+    product into out and returns its first N entries: gbmv runs with
+    beta = 0, so what out held does not reach the result.
     """
     b, n = ab.shape[0] // 2, ab.shape[1]
     m = max(n, 2 * b + 1)

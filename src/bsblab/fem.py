@@ -10,16 +10,17 @@ form and is never imposed.
 
 Global DOF ordering
 -------------------
-Beam-1 DOFs come first, node-major with deflection before slope and the
-clamped node dropped; then the string interior deflections left to right;
-then beam-2 DOFs node-major with its clamped node dropped. The total count
-is N = 2*n1 + (n2 - 1) + 2*n3.
+A Mesh carries the numbering next to its nodes. Beam-1 DOFs come first,
+node-major with deflection before slope and the clamped node dropped; then
+the string interior deflections left to right; then beam-2 DOFs node-major
+with its clamped node dropped. The total count is
+N = 2*n1 + (n2 - 1) + 2*n3.
 
 Assembly produces three N x N matrices: S the position Gram (beam bending
 plus string stiffness), M the mass matrix, and D the damping Gram (rho1 and
 rho2 times the beam slope Grams plus beta times the string mass). Every
 element couples DOFs at most b = 3 apart, so assembly records that
-half-bandwidth from the DOF map and scatters the element matrices
+half-bandwidth from the mesh's numbering and scatters the element matrices
 straight into LAPACK general-band storage (see SystemPencil); no N x N
 array is allocated. S, M and D define the second-order system
 S p' = S q, M q' = -S p - D q, whose first-order pencil
@@ -77,7 +78,13 @@ def _require_allocatable(length: int, what: str) -> None:
 
 @dataclass(frozen=True)
 class Mesh:
-    """Uniform nodes per interval; endpoints coincide with the junctions."""
+    """Uniform nodes per interval, and the global index of every DOF.
+
+    The endpoints of the node arrays coincide with the junctions. beam1 and
+    beam2 have shape (n+1, 2) with column 0 the deflection and column 1 the
+    slope, -1 marking an eliminated (clamped) DOF. string has shape (n2+1,);
+    its first and last entries alias the adjacent beam tip deflection DOFs.
+    """
 
     n1: int
     n2: int
@@ -85,17 +92,6 @@ class Mesh:
     nodes1: np.ndarray
     nodes2: np.ndarray
     nodes3: np.ndarray
-
-
-@dataclass(frozen=True)
-class DofMap:
-    """Global indices per node; -1 marks an eliminated (clamped) DOF.
-
-    beam1 and beam2 have shape (n+1, 2) with column 0 the deflection and
-    column 1 the slope. string has shape (n2+1,); its first and last entries
-    alias the adjacent beam tip deflection DOFs.
-    """
-
     n_dofs: int
     beam1: np.ndarray
     string: np.ndarray
@@ -131,9 +127,9 @@ class SystemPencil:
     Each of s_band, m_band and d_band holds its N x N matrix in LAPACK
     general-band storage with kl = ku = b (the half-bandwidth), in Fortran
     order: entry (i, j) sits in row b + i - j of column j, and positions
-    outside the matrix hold 0. Assembly knows b from the DOF map (3 on the
-    coupled mesh) and scatters into the bands, so a pencil costs O(N b)
-    memory and no code on the simulate path builds an N x N matrix.
+    outside the matrix hold 0. Assembly knows b from the mesh's numbering
+    (3 on the coupled mesh) and scatters into the bands, so a pencil costs
+    O(N b) memory and no code on the simulate path builds an N x N matrix.
     """
 
     s_band: np.ndarray
@@ -183,48 +179,38 @@ class StateVector:
 
 
 def build_mesh(cfg: StructureConfig, n1: int, n2: int, n3: int) -> Mesh:
-    """Uniform mesh with n1, n2, n3 elements on the three intervals."""
-    validate_config(cfg)
-    for name, n in (("n1", n1), ("n2", n2), ("n3", n3)):
-        if int(n) != n or n < 1:
-            raise ZeroElements(f"{name} must be an integer >= 1, got {n}")
-        _require_allocatable(int(n) + 1, f"a mesh of {n:.6g} elements on {name}")
-    return Mesh(
-        n1=int(n1),
-        n2=int(n2),
-        n3=int(n3),
-        nodes1=np.linspace(cfg.l0, cfg.l1, int(n1) + 1),
-        nodes2=np.linspace(cfg.l1, cfg.l2, int(n2) + 1),
-        nodes3=np.linspace(cfg.l2, cfg.l3, int(n3) + 1),
-    )
-
-
-def build_dof_map(mesh: Mesh) -> DofMap:
-    """Number the free DOFs in the fixed global order.
+    """Uniform mesh with n1, n2, n3 elements on the three intervals, its
+    free DOFs numbered in the fixed global order.
 
     Clamping eliminates both DOFs of beam-1 node 0 and beam-2 node n3. The
     string endpoints reuse the beam tip deflection indices, so continuity at
     the junctions is built into the space rather than constrained.
     """
-    n1, n2, n3 = mesh.n1, mesh.n2, mesh.n3
-    beam1 = np.full((n1 + 1, 2), -1, dtype=int)
-    for j in range(1, n1 + 1):
-        beam1[j, 0] = 2 * (j - 1)
-        beam1[j, 1] = 2 * (j - 1) + 1
-
-    string = np.empty(n2 + 1, dtype=int)
-    string[0] = beam1[n1, 0]
-    for j in range(1, n2):
-        string[j] = 2 * n1 + (j - 1)
-
-    offset = 2 * n1 + (n2 - 1)
-    beam2 = np.full((n3 + 1, 2), -1, dtype=int)
-    for j in range(n3):
-        beam2[j, 0] = offset + 2 * j
-        beam2[j, 1] = offset + 2 * j + 1
-    string[n2] = beam2[0, 0]
-
-    return DofMap(n_dofs=offset + 2 * n3, beam1=beam1, string=string, beam2=beam2)
+    validate_config(cfg)
+    for name, n in (("n1", n1), ("n2", n2), ("n3", n3)):
+        if int(n) != n or n < 1:
+            raise ZeroElements(f"{name} must be an integer >= 1, got {n}")
+        _require_allocatable(int(n) + 1, f"a mesh of {n:.6g} elements on {name}")
+    n1, n2, n3 = int(n1), int(n2), int(n3)
+    offset = 2 * n1 + n2 - 1  # the first beam-2 DOF
+    beam1 = np.arange(-2, 2 * n1).reshape(n1 + 1, 2)
+    beam1[0] = -1
+    beam2 = np.arange(offset, offset + 2 * n3 + 2).reshape(n3 + 1, 2)
+    beam2[-1] = -1
+    string = np.arange(2 * n1 - 1, offset + 1)
+    string[[0, -1]] = beam1[-1, 0], beam2[0, 0]
+    return Mesh(
+        n1=n1,
+        n2=n2,
+        n3=n3,
+        nodes1=np.linspace(cfg.l0, cfg.l1, n1 + 1),
+        nodes2=np.linspace(cfg.l1, cfg.l2, n2 + 1),
+        nodes3=np.linspace(cfg.l2, cfg.l3, n3 + 1),
+        n_dofs=offset + 2 * n3,
+        beam1=beam1,
+        string=string,
+        beam2=beam2,
+    )
 
 
 # --- element shape functions and matrices ---------------------------------
@@ -361,7 +347,7 @@ def _element_pairs(table: np.ndarray) -> np.ndarray:
     return np.column_stack([table[:-1], table[1:]])
 
 
-def assemble_pencil(cfg: StructureConfig, mesh: Mesh, dofs: DofMap) -> SystemPencil:
+def assemble_pencil(cfg: StructureConfig, mesh: Mesh) -> SystemPencil:
     """Assemble the bands of S, M and D.
 
     The half-bandwidth is read off the element index arrays before any
@@ -377,16 +363,16 @@ def assemble_pencil(cfg: StructureConfig, mesh: Mesh, dofs: DofMap) -> SystemPen
     warning.
     """
     validate_config(cfg)
-    n = dofs.n_dofs
+    n = mesh.n_dofs
     members = [(_element_pairs(table), member, coefficient,
                 *(_element_stack(kind, nodes, member)
                   for kind in ("beam_bending", "beam_mass", "beam_slope")))
                for table, nodes, member, coefficient in (
-                   (dofs.beam1, mesh.nodes1, "beam-1", "rho1"),
-                   (dofs.beam2, mesh.nodes3, "beam-2", "rho2"))]
+                   (mesh.beam1, mesh.nodes1, "beam-1", "rho1"),
+                   (mesh.beam2, mesh.nodes3, "beam-2", "rho2"))]
     stiffness, mass = (_element_stack(kind, mesh.nodes2, "string")
                        for kind in ("string_stiffness", "string_mass"))
-    members.append((_element_pairs(dofs.string), "string", "beta", stiffness, mass, mass))
+    members.append((_element_pairs(mesh.string), "string", "beta", stiffness, mass, mass))
     b = max(_index_bandwidth(idx) for idx, *_ in members)
     S, M, D = (np.zeros((2 * b + 1, n), order="F") for _ in range(3))
 
@@ -404,15 +390,14 @@ def assemble_pencil(cfg: StructureConfig, mesh: Mesh, dofs: DofMap) -> SystemPen
 
 
 def discretize(cfg: StructureConfig, n1: int, n2: int, n3: int):
-    """Convenience: mesh, DOF map and pencil in one call."""
+    """Convenience: mesh and pencil in one call."""
     mesh = build_mesh(cfg, n1, n2, n3)
-    dofs = build_dof_map(mesh)
-    return mesh, dofs, assemble_pencil(cfg, mesh, dofs)
+    return mesh, assemble_pencil(cfg, mesh)
 
 
 # --- initial state --------------------------------------------------------
 
-def interpolate(cfg: StructureConfig, mesh: Mesh, dofs: DofMap) -> StateVector:
+def interpolate(cfg: StructureConfig, mesh: Mesh) -> StateVector:
     """The plateau's nodal state: the lifted plateau, at rest.
 
     Beam-1 sits at ((x - l0)/len1)^2 with slope 2 ((x - l0)/len1)/len1,
@@ -425,22 +410,22 @@ def interpolate(cfg: StructureConfig, mesh: Mesh, dofs: DofMap) -> StateVector:
     square is s*s, which differs from s ** 2 in the last bit for some s.
     """
     len1, len3 = cfg.l1 - cfg.l0, cfg.l3 - cfg.l2
-    p = np.ones(dofs.n_dofs)  # every DOF the beams do not set is an interior string node
+    p = np.ones(mesh.n_dofs)  # every DOF the beams do not set is an interior string node
     for j, x in enumerate(mesh.nodes1.tolist()):
-        if dofs.beam1[j, 0] >= 0:
+        if mesh.beam1[j, 0] >= 0:
             s = (x - cfg.l0) / len1
-            p[dofs.beam1[j]] = s ** 2, 2.0 * s / len1
+            p[mesh.beam1[j]] = s ** 2, 2.0 * s / len1
     for j, x in enumerate(mesh.nodes3.tolist()):
-        if dofs.beam2[j, 0] >= 0:
+        if mesh.beam2[j, 0] >= 0:
             s = (cfg.l3 - x) / len3
-            p[dofs.beam2[j]] = s ** 2, -2.0 * s / len3
-    return StateVector(p=p, q=np.zeros(dofs.n_dofs))
+            p[mesh.beam2[j]] = s ** 2, -2.0 * s / len3
+    return StateVector(p=p, q=np.zeros(mesh.n_dofs))
 
 
-def nodal_field(y: StateVector, mesh: Mesh, dofs: DofMap):
+def nodal_field(y: StateVector, mesh: Mesh):
     """(x, displacement, velocity) at every mesh node from l0 to l3, each
     junction once: the state's deflection DOFs, and 0 at the clamped ends."""
     x = np.concatenate([mesh.nodes1, mesh.nodes2[1:-1], mesh.nodes3])
-    idx = np.concatenate([dofs.beam1[:, 0], dofs.string[1:-1], dofs.beam2[:, 0]])
+    idx = np.concatenate([mesh.beam1[:, 0], mesh.string[1:-1], mesh.beam2[:, 0]])
     free = idx >= 0
     return x, np.where(free, y.p[idx], 0.0), np.where(free, y.q[idx], 0.0)

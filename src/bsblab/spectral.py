@@ -20,7 +20,7 @@ reorthogonalization, where C = Q U Q^* is the complex Schur form made
 from the report's real Schur factor (Q is never formed: it leaves
 2-norms alone). Each iteration calls LAPACK directly: two triangular
 solves (ztrtrs) and the largest Ritz pair of the Lanczos tridiagonal
-(dstebz + dstein), about 0.18 ms at n = 40. Lanczos stops once the Ritz
+(dstebz + dstein), about 0.12 ms at n = 40. Lanczos stops once the Ritz
 residual beta_k |s_k| is at most 1e-12 of the Ritz value, and after at
 most dim C iterations, where the Krylov space is exhausted and the Ritz
 value is exact.
@@ -362,12 +362,12 @@ def _lanczos_inverse_norm(a: np.ndarray, start: np.ndarray):
     directly: each iteration makes two ztrtrs solves (A w = q, A^* u = w)
     and, from the second iteration on, takes the largest Ritz pair of the
     (k+1) x (k+1) tridiagonal by dstebz (by index, block order) and
-    dstein. At 2N = 398 (n = 40, one BLAS thread) an iteration costs
-    about 0.18 ms: 0.11 ms in the two solves, 0.01 ms in dstebz/dstein,
-    the rest in the Gram-Schmidt passes. A must be Fortran-ordered, or
-    f2py would copy it on every solve. A zero pivot or a non-finite solve
-    means A is singular to working precision and gives +inf, the norm at an
-    eigenvalue; a non-finite Lanczos coefficient raises ValueError.
+    dstein. At 2N = 398 (n = 40, one BLAS thread, a 2-vCPU Xeon) an
+    iteration costs about 0.12 ms, over half of it in the two solves. A
+    must be Fortran-ordered, or f2py would copy it on every solve. A zero
+    pivot or a non-finite solve means A is singular to working precision
+    and gives +inf, the norm at an eigenvalue; a non-finite Lanczos
+    coefficient raises ValueError.
     """
     if not a.flags.f_contiguous:
         raise ValueError("the triangular factor must be Fortran-ordered")

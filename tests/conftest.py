@@ -21,20 +21,20 @@ def cons_cfg():
 
 @pytest.fixture(scope="session")
 def ddd_system(ddd_cfg):
-    mesh, dofs, pencil = bb.discretize(ddd_cfg, 10, 10, 10)
-    return ddd_cfg, mesh, dofs, pencil
+    mesh, pencil = bb.discretize(ddd_cfg, 10, 10, 10)
+    return ddd_cfg, mesh, pencil
 
 
 @pytest.fixture(scope="session")
 def udu_system(udu_cfg):
-    mesh, dofs, pencil = bb.discretize(udu_cfg, 10, 10, 10)
-    return udu_cfg, mesh, dofs, pencil
+    mesh, pencil = bb.discretize(udu_cfg, 10, 10, 10)
+    return udu_cfg, mesh, pencil
 
 
 @pytest.fixture(scope="session")
 def cons_system(cons_cfg):
-    mesh, dofs, pencil = bb.discretize(cons_cfg, 10, 10, 10)
-    return cons_cfg, mesh, dofs, pencil
+    mesh, pencil = bb.discretize(cons_cfg, 10, 10, 10)
+    return cons_cfg, mesh, pencil
 
 
 def random_state(pencil, seed, complex_valued=False):

@@ -39,21 +39,21 @@ def systems():
     built = {}
     for name, (rho1, rho2, beta) in REGIMES.items():
         cfg = bb.StructureConfig(*UNIT_GEOMETRY, rho1=rho1, rho2=rho2, beta=beta)
-        mesh, dofs, pencil = bb.discretize(cfg, 20, 20, 20)
-        built[name] = (cfg, mesh, dofs, pencil)
+        mesh, pencil = bb.discretize(cfg, 20, 20, 20)
+        built[name] = (cfg, mesh, pencil)
     return built
 
 
 def _plateau(system):
-    cfg, mesh, dofs, _ = system
-    return bb.interpolate(cfg, mesh, dofs)
+    cfg, mesh, _ = system
+    return bb.interpolate(cfg, mesh)
 
 
 def test_01_dissipativity_identity_all_regimes(systems):
     """Re(y*Ky) equals the negative damping quadratic for every state."""
     rng = np.random.default_rng(20260822)
     worst = 0.0
-    for name, (_, _, _, pencil) in systems.items():
+    for name, (_, _, pencil) in systems.items():
         _, K = oracles.first_order(pencil)
         D = oracles.matrices(pencil)[2]
         dim = K.shape[0]
@@ -73,7 +73,7 @@ def test_01_dissipativity_identity_all_regimes(systems):
 def test_02_trapezoidal_balance_500_steps(systems):
     """E(y+) - E(y) = dt * dissipation(midpoint) across a long damped run."""
     system = systems["DDD"]
-    _, _, _, pencil = system
+    _, _, pencil = system
     dt = 1e-3
     sim = bb.simulate(pencil, _plateau(system), dt, 500 * dt, snapshot_every=1)
     states = [y for _, y in sim.snapshots]
@@ -91,7 +91,7 @@ def test_02_trapezoidal_balance_500_steps(systems):
 
 def test_03_undamped_run_conserves_energy(systems):
     system = systems["Conservative"]
-    _, _, _, pencil = system
+    _, _, pencil = system
     sim = bb.simulate(pencil, _plateau(system), 1e-3, 1.0)
     e = sim.trace.energy
     assert len(e) == 1001
@@ -137,7 +137,7 @@ def test_05_clamped_free_beam_fundamental_frequency():
 
 
 def test_06_fully_damped_decay_rate_matches_spectrum(systems):
-    cfg, _, _, pencil = systems["DDD"]
+    cfg, _, pencil = systems["DDD"]
     cert = bb.certify_decay(cfg, pencil)
     ratio = cert.alpha_fit / (2 * abs(cert.abscissa))
     ok = (cert.abscissa < 0.0 and 0.9 <= ratio <= 1.1
@@ -150,7 +150,7 @@ def test_06_fully_damped_decay_rate_matches_spectrum(systems):
 
 
 def test_07_string_only_damping_stable_with_bounded_resolvent(systems):
-    cfg, _, _, pencil = systems["UDU"]
+    cfg, _, pencil = systems["UDU"]
     spect = bb.eigenvalues(pencil)
     re = spect.eigenvalues.real
     all_left = bool((re < 0.0).all())
@@ -158,7 +158,7 @@ def test_07_string_only_damping_stable_with_bounded_resolvent(systems):
 
     grid = bb.axis_grid(-50.0, 50.0, 2001)
     sup20 = float(bb.resolvent_sweep(spect, grid).norms.max())
-    _, _, fine = bb.discretize(cfg, 40, 40, 40)
+    _, fine = bb.discretize(cfg, 40, 40, 40)
     sup40 = float(bb.resolvent_sweep(bb.eigenvalues(fine), grid).norms.max())
     factor = max(sup20, sup40) / min(sup20, sup40)
 
@@ -171,7 +171,7 @@ def test_07_string_only_damping_stable_with_bounded_resolvent(systems):
 
 
 def test_08_undamped_resolvent_blows_up_on_an_eigenfrequency(systems):
-    _, _, _, pencil = systems["Conservative"]
+    _, _, pencil = systems["Conservative"]
     spect = bb.eigenvalues(pencil)
     freqs = spect.eigenvalues.imag
     omega = float(freqs[freqs > 1.0].min())

@@ -62,8 +62,8 @@ def test_fit_window_validation():
 
 
 def test_cross_validate_certifies_the_fully_damped_case(ddd_system):
-    cfg, mesh, dofs, pencil = ddd_system
-    rep = bb.cross_validate(cfg, mesh, dofs, pencil)
+    cfg, mesh, pencil = ddd_system
+    rep = bb.cross_validate(cfg, mesh, pencil)
     cert = rep.certificate
     assert cert.regime == "DDD"
     assert cert.abscissa < 0.0
@@ -76,8 +76,8 @@ def test_cross_validate_certifies_the_fully_damped_case(ddd_system):
 
 
 def test_cross_validate_on_the_conservative_twin(cons_system):
-    cfg, mesh, dofs, pencil = cons_system
-    rep = bb.cross_validate(cfg, mesh, dofs, pencil)
+    cfg, mesh, pencil = cons_system
+    rep = bb.cross_validate(cfg, mesh, pencil)
     assert rep.certificate.regime == "Conservative"
     assert math.isnan(rep.certificate.alpha_fit)
     assert rep.certificate.verdict == "not_applicable"
@@ -93,8 +93,8 @@ def partial_damping_system():
 
 
 def test_cross_validate_with_partial_damping_declines_to_certify():
-    cfg, mesh, dofs, pencil = partial_damping_system()
-    rep = bb.cross_validate(cfg, mesh, dofs, pencil)
+    cfg, mesh, pencil = partial_damping_system()
+    rep = bb.cross_validate(cfg, mesh, pencil)
     assert rep.certificate.regime == "Other"
     # damping confined to one beam leaves modes at eigensolver noise, so
     # no rate claim is made, and that is not a failure
@@ -114,12 +114,28 @@ def test_cross_validate_reports_the_checks_each_regime_can_fail(udu_system, cons
         assert [r.name for r in bb.cross_validate(*system).invariant_results] == [balance]
 
 
+@pytest.mark.parametrize("n", [10, 40])
+def test_only_the_gap_row_sees_a_udu_pencil_without_damping(udu_cfg, n):
+    """A UDU config whose pencil lost its D band has its spectrum on the
+    axis. The certificate has nothing to fit and the step balance holds,
+    so the spectrum-gap row alone fails verify."""
+    mesh, pencil = bb.discretize(udu_cfg, n, n, n)
+    undamped = dataclasses.replace(pencil, d_band=np.zeros_like(pencil.d_band))
+    rep = bb.cross_validate(udu_cfg, mesh, undamped)
+    assert rep.certificate.verdict == "not_applicable"
+    balance, gap = rep.invariant_results
+    assert balance.name == "dynamics.step_energy_balance" and balance.passed
+    assert gap.name == "spectral.string_damping_spectrum_gap"
+    assert not gap.passed and gap.residual == 0.0
+    assert not rep.all_pass
+
+
 def test_an_unstable_pencil_fails_the_verdict(ddd_system):
     """Negative damping, D = -0.05 M, moves the spectrum into Re mu > 0; the
     mode run then grows, its fitted rate is negative, and verify fails."""
-    cfg, mesh, dofs, pencil = ddd_system
+    cfg, mesh, pencil = ddd_system
     unstable = dataclasses.replace(pencil, d_band=-0.05 * pencil.m_band)
-    rep = bb.cross_validate(cfg, mesh, dofs, unstable)
+    rep = bb.cross_validate(cfg, mesh, unstable)
     assert rep.certificate.abscissa > 0
     assert rep.certificate.alpha_fit / (2 * abs(rep.certificate.abscissa)) < 0
     assert rep.certificate.verdict == "two_sided_fail"
@@ -131,7 +147,7 @@ def test_a_mode_at_the_spectrums_roundoff_gets_no_verdict(ddd_cfg):
     mode below eps max|mu|, which the spectrum does not resolve; it gets no
     certificate, not_applicable or other."""
     cfg = bb.validate_config(dataclasses.replace(ddd_cfg, rho1=1e10))
-    _, _, pencil = bb.discretize(cfg, 4, 4, 4)
+    _, pencil = bb.discretize(cfg, 4, 4, 4)
     with pytest.raises(analysis.UnresolvedMode):
         bb.certify_decay(cfg, pencil)
 
@@ -142,9 +158,9 @@ def mode_run_times(cert):
 
 
 def test_certify_decay_agrees_with_cross_validate(ddd_system):
-    cfg, mesh, dofs, pencil = ddd_system
+    cfg, mesh, pencil = ddd_system
     cert = bb.certify_decay(cfg, pencil)
-    rep = bb.cross_validate(cfg, mesh, dofs, pencil)
+    rep = bb.cross_validate(cfg, mesh, pencil)
     # same deterministic pipeline underneath, so the same record
     assert cert == rep.certificate
     assert cert.mode.real == pytest.approx(cert.abscissa, rel=1e-12)
@@ -172,7 +188,7 @@ def test_ddd_mode_run_decays_at_the_discrete_rate(n):
     roundoff bound of oracle_bound."""
     for name in ("ddd", "udu"):
         cfg = bb.validate_config(read_config(str(CONFIGS / f"{name}.cfg")))
-        _, _, pencil = bb.discretize(cfg, n, n, n)
+        _, pencil = bb.discretize(cfg, n, n, n)
         cert, _ = analysis._certify(cfg, pencil, None, None)
         assert cert == bb.certify_decay(cfg, pencil)
         bound = oracle_bound(pencil, spectral.eigenmode(pencil, cert.mode), mode_run_times(cert))
@@ -203,7 +219,7 @@ def test_rate_bound_matches_the_dense_reference(request, system):
     """_rate_bound sums T on the bands; oracle_bound on the dense |S|, |M|.
     The conservative certificate runs no mode and has no bound, so there
     the test calls _rate_bound on the times its mode run would have."""
-    cfg, _, _, pencil = request.getfixturevalue(system)
+    cfg, _, pencil = request.getfixturevalue(system)
     cert = bb.certify_decay(cfg, pencil)
     y0, times = spectral.eigenmode(pencil, cert.mode), mode_run_times(cert)
     bound = analysis._rate_bound(pencil, y0, times)
@@ -219,7 +235,7 @@ def test_a_damping_fault_in_the_step_fails_the_verdict(monkeypatch):
     scheme rate by far more than its roundoff bound, though alpha_fit stays
     within 0.3% of 2 |abscissa|."""
     cfg = bb.validate_config(read_config(str(CONFIGS / "ddd.cfg")))
-    _, _, pencil = bb.discretize(cfg, 10, 10, 10)
+    _, pencil = bb.discretize(cfg, 10, 10, 10)
     assert bb.certify_decay(cfg, pencil).verdict == "two_sided_pass"
     step = dynamics._trapezoidal_step
 
@@ -237,8 +253,8 @@ def test_a_damping_fault_in_the_step_fails_the_step_balance(monkeypatch):
     E_{k+1} - E_k = dt dissipation(midpoint) by 1.7 times its roundoff
     bound, where the faultless step reads 0.009 of it."""
     cfg = bb.validate_config(read_config(str(CONFIGS / "ddd.cfg")))
-    mesh, dofs, pencil = bb.discretize(cfg, 40, 40, 40)
-    y0 = bb.interpolate(cfg, mesh, dofs)
+    mesh, pencil = bb.discretize(cfg, 40, 40, 40)
+    y0 = bb.interpolate(cfg, mesh)
     dt = bb.certify_decay(cfg, pencil).dt
     row = analysis._check_step_energy_balance(pencil, y0, dt)
     assert row.passed and row.residual <= 0.01
@@ -253,7 +269,7 @@ def test_a_damping_fault_in_the_step_fails_the_step_balance(monkeypatch):
 
 
 def test_explicit_dt_and_t_final_are_respected(ddd_system):
-    cfg, mesh, dofs, pencil = ddd_system
+    cfg, mesh, pencil = ddd_system
     cert = bb.certify_decay(cfg, pencil, dt=1e-3, t_final=2.0)
     assert cert.dt == 1e-3
     assert cert.t_final == 2.0
@@ -289,17 +305,17 @@ def test_cross_validate_simulates_the_mode_run_and_the_plateau_run(
         return bb.simulate(pencil, y0, dt, t_final, **kwargs)
 
     monkeypatch.setattr(analysis, "simulate", counted)
-    cfg, mesh, dofs, pencil = ddd_system
-    rep = bb.cross_validate(cfg, mesh, dofs, pencil)
+    cfg, mesh, pencil = ddd_system
+    rep = bb.cross_validate(cfg, mesh, pencil)
     assert calls == [round(rep.certificate.t_final / rep.certificate.dt), 50]
     assert energy_only == [True, True]
     calls.clear()
     energy_only.clear()
     cert = bb.certify_decay(cfg, pencil)
     assert calls == [round(cert.t_final / cert.dt)] and energy_only == [True]
-    for cfg, mesh, dofs, pencil in (cons_system, partial_damping_system()):
+    for cfg, mesh, pencil in (cons_system, partial_damping_system()):
         calls.clear()
-        rep = bb.cross_validate(cfg, mesh, dofs, pencil)
+        rep = bb.cross_validate(cfg, mesh, pencil)
         assert rep.certificate.verdict == "not_applicable"
         assert calls == [50]
 
@@ -307,17 +323,17 @@ def test_cross_validate_simulates_the_mode_run_and_the_plateau_run(
         raise AssertionError("a not_applicable or inconclusive certificate runs nothing")
 
     monkeypatch.setattr(spectral, "eigenmode", refused)
-    cfg, mesh, dofs, pencil = ddd_system
+    cfg, mesh, pencil = ddd_system
     unresolved = 1.01 * 0.1 / abs(bb.eigenvalues(pencil).eigenvalues[-1])
     calls.clear()
-    rep = bb.cross_validate(cfg, mesh, dofs, pencil, dt=unresolved)
+    rep = bb.cross_validate(cfg, mesh, pencil, dt=unresolved)
     assert rep.certificate.verdict == "inconclusive"
     assert all(r.passed for r in rep.invariant_results) and not rep.all_pass
     assert calls == [50]
 
     monkeypatch.setattr(analysis, "simulate", refused)
-    for (cfg, _, _, pencil), dt, verdict in ((cons_system, None, "not_applicable"),
-                                             (ddd_system, unresolved, "inconclusive")):
+    for (cfg, _, pencil), dt, verdict in ((cons_system, None, "not_applicable"),
+                                          (ddd_system, unresolved, "inconclusive")):
         cert = bb.certify_decay(cfg, pencil, dt=dt)
         assert cert.verdict == verdict
         assert all(math.isnan(x) for x in (cert.alpha_fit, cert.alpha_bound, cert.r_squared))
@@ -355,7 +371,7 @@ def test_verify_builds_no_second_pencil(request, system, monkeypatch):
     nothing, runs no QZ and sweeps no resolvent (no ztrtrs). A damped
     pencil is whitened once and its C Schur-factored once, for the
     spectrum; an undamped one is neither whitened nor Schur-factored."""
-    cfg, mesh, dofs, pencil = request.getfixturevalue(system)
+    cfg, mesh, pencil = request.getfixturevalue(system)
     forbidden = []
 
     def refused(name, routine):
@@ -368,7 +384,7 @@ def test_verify_builds_no_second_pencil(request, system, monkeypatch):
     for module, name in ((fem, "discretize"), (fem, "assemble_pencil"),
                          (scipy.linalg, "eigvals"), (scipy.linalg.lapack, "ztrtrs")):
         monkeypatch.setattr(module, name, refused(name, getattr(module, name)))
-    assert bb.cross_validate(cfg, mesh, dofs, pencil).all_pass
+    assert bb.cross_validate(cfg, mesh, pencil).all_pass
     assert forbidden == []
     damped = bool(pencil.d_band.any())
     assert whitened == ([pencil.n_positions] if damped else [])
@@ -380,7 +396,7 @@ def test_resolvent_sweep_on_a_report_factors_nothing(request, system, monkeypatc
     """resolvent_sweep reads its Schur form off the spectrum report: it
     whitens and factors nothing, damped or not. Undamped, it reads the
     norms off the eigenvalues: no triangular solve, no Lanczos iteration."""
-    pencil = request.getfixturevalue(system)[3]
+    pencil = request.getfixturevalue(system)[2]
     spect = spectral.eigenvalues(pencil)
     whitened, factored = count_factorizations(monkeypatch, pencil)
     solves = []
@@ -402,7 +418,7 @@ def test_resolvent_sweep_factors_the_pencil_at_most_once(request, system, monkey
     """The resolvent job whitens a damped pencil once and runs one dgees on
     C, for the spectrum its sweep reads; an undamped one it neither whitens
     nor Schur-factors."""
-    pencil = request.getfixturevalue(system)[3]
+    pencil = request.getfixturevalue(system)[2]
     name = {"ddd_system": "ddd", "udu_system": "udu", "cons_system": "conservative"}[system]
     whitened, factored = count_factorizations(monkeypatch, pencil)
     assert cli.main(["resolvent", "--config", str(CONFIGS / f"{name}.cfg"),
@@ -414,10 +430,10 @@ def test_resolvent_sweep_factors_the_pencil_at_most_once(request, system, monkey
 
 
 def test_report_rendering_is_byte_stable_and_valid_json(ddd_system):
-    cfg, mesh, dofs, pencil = ddd_system
-    rep = bb.cross_validate(cfg, mesh, dofs, pencil)
+    cfg, mesh, pencil = ddd_system
+    rep = bb.cross_validate(cfg, mesh, pencil)
     text1 = bb.render_report(rep)
-    text2 = bb.render_report(bb.cross_validate(cfg, mesh, dofs, pencil))
+    text2 = bb.render_report(bb.cross_validate(cfg, mesh, pencil))
     assert text1 == text2
     payload = json.loads(text1)
     assert payload["regime"] == "DDD"
@@ -451,8 +467,8 @@ def test_a_certificate_field_reaches_both_files():
 
 def test_report_encodes_nonfinite_ratio_as_string(cons_system):
     """A rate with no mode run behind it, alpha_fit here, is the string "nan"."""
-    cfg, mesh, dofs, pencil = cons_system
-    rep = bb.cross_validate(cfg, mesh, dofs, pencil)
+    cfg, mesh, pencil = cons_system
+    rep = bb.cross_validate(cfg, mesh, pencil)
     payload = json.loads(bb.render_report(rep))
     assert payload["alpha_fit"] == "nan"
     assert payload["verdict"] == "not_applicable"

@@ -79,7 +79,7 @@ def test_parse_args_defaults(config_file, command):
     assert isinstance(spec, RunSpec)
     assert spec == RunSpec(
         command=command, config_path=config_file,
-        n1=40, n2=40, n3=40, out_dir=".", dump_matrices=False,
+        n1=40, n2=40, n3=40, out_dir=".",
         dt=None, t_final=None, snapshot_every=0,
         lambda_min=-50.0, lambda_max=50.0, lambda_steps=2001,
     )
@@ -158,15 +158,15 @@ def test_snapshot_rows_are_the_deflection_dofs_at_the_nodes(tmp_path):
     the DOF map node by node, and 0 at the clamped ends."""
     config = str(Path(__file__).resolve().parents[1] / "configs" / "ddd.cfg")
     cfg = bb.validate_config(read_config(config))
-    mesh, dofs, pencil = bb.discretize(cfg, 3, 4, 5)
-    sim = bb.simulate(pencil, bb.interpolate(cfg, mesh, dofs),
+    mesh, pencil = bb.discretize(cfg, 3, 4, 5)
+    sim = bb.simulate(pencil, bb.interpolate(cfg, mesh),
                       0.002, 0.02, snapshot_every=4)
     assert cli.main(["simulate", "--config", config, "--n1", "3", "--n2", "4", "--n3", "5",
                      "--dt", "0.002", "--t-final", "0.02", "--snapshot-every", "4",
                      "--out-dir", str(tmp_path)]) == 0
-    nodes = ([(x, dofs.beam1[j, 0]) for j, x in enumerate(mesh.nodes1)]
-             + [(x, dofs.string[j]) for j, x in enumerate(mesh.nodes2) if 0 < j < mesh.n2]
-             + [(x, dofs.beam2[j, 0]) for j, x in enumerate(mesh.nodes3)])
+    nodes = ([(x, mesh.beam1[j, 0]) for j, x in enumerate(mesh.nodes1)]
+             + [(x, mesh.string[j]) for j, x in enumerate(mesh.nodes2) if 0 < j < mesh.n2]
+             + [(x, mesh.beam2[j, 0]) for j, x in enumerate(mesh.nodes3)])
     lines = (tmp_path / "snapshots.csv").read_text().splitlines()
     assert lines[0] == "t,x,displacement,velocity"
     rows = [tuple(map(float, line.split(","))) for line in lines[1:]]
@@ -251,7 +251,7 @@ def test_resolvent_prints_the_lanczos_work_with_the_sup_last(tmp_path, capsys):
                      "--lambda-min", "-50", "--lambda-max", "50", "--lambda-steps", "41",
                      "--out-dir", str(tmp_path)]) == 0
     line = capsys.readouterr().out.splitlines()[0]
-    _, _, pencil = bb.discretize(bb.validate_config(read_config(config)), 10, 10, 10)
+    _, pencil = bb.discretize(bb.validate_config(read_config(config)), 10, 10, 10)
     grid = spectral.axis_grid(-50.0, 50.0, 41)
     table = spectral.resolvent_sweep(spectral.eigenvalues(pencil), grid)
     # mirrored points share one Lanczos run, so each |lambda| counts once
@@ -381,6 +381,20 @@ def test_verify_passes_on_the_shipped_configs_at_80_elements(tmp_path, name):
         ["spectral.string_damping_spectrum_gap"] if name == "udu" else [])
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ["ddd", "udu", "conservative"])
+@pytest.mark.parametrize("command", ["simulate", "spectrum", "resolvent", "decay", "verify"])
+def test_every_command_runs_on_the_smallest_mesh(tmp_path, name, command):
+    """One element per member gives N = 4 unknowns and half-bandwidth 2, so
+    2b + 1 > N and the banded products run on zero-padded rows. Every
+    command exits 0 there with warnings as errors."""
+    config = str(Path(__file__).resolve().parents[1] / "configs" / f"{name}.cfg")
+    _, pencil = bb.discretize(bb.validate_config(read_config(config)), 1, 1, 1)
+    assert (pencil.n_positions, pencil.bandwidth) == (4, 2)
+    assert cli.main([command, "--config", config, "--n1", "1", "--n2", "1", "--n3", "1",
+                     "--out-dir", str(tmp_path)]) == 0
+
+
 def test_verify_fails_on_a_failed_decay_verdict(tmp_path, config_file, capsys):
     """At dt = 2 on ddd every invariant passes, but dt |mu| is far above 0.1:
     the dt does not resolve the mode, and the inconclusive verdict fails
@@ -395,32 +409,6 @@ def test_verify_fails_on_a_failed_decay_verdict(tmp_path, config_file, capsys):
     assert rc == 1
     assert "CHECKS FAILED" in capsys.readouterr().out
 
-
-def test_dump_matrices_round_trip(tmp_path):
-    """The triplets come off the bands, in row-major order, and give back the
-    dense S, M and D; an all-zero matrix (conservative D) is an empty file.
-    B and K, blocks of those three, are not written."""
-    for cfg_name in ("ddd", "udu", "conservative"):
-        config = str(Path(__file__).resolve().parents[1] / "configs" / f"{cfg_name}.cfg")
-        _, _, pencil = bb.discretize(bb.validate_config(read_config(config)), 2, 2, 2)
-        wants = dict(zip("SMD", oracles.matrices(pencil)))
-        out = tmp_path / cfg_name
-        assert cli.main(["spectrum", "--config", config, "--n1", "2", "--n2", "2",
-                         "--n3", "2", "--dump-matrices", "--out-dir", str(out)]) == 0
-        for name, want in wants.items():
-            text = (out / f"{name}.coo.txt").read_text()
-            got = np.zeros_like(want)
-            entries = [ln.split() for ln in text.splitlines()]
-            for i, j, v in entries:
-                got[int(i), int(j)] = float(v)
-            assert np.array_equal(got, want), (cfg_name, name)
-            assert [(int(i), int(j)) for i, j, _ in entries] == list(zip(*np.nonzero(want)))
-            assert (text == "") == (not want.any()), (cfg_name, name)
-        assert sorted(p.name for p in out.iterdir()) == [
-            "D.coo.txt", "M.coo.txt", "S.coo.txt", "spectrum.csv"]
-
-
-# --- exit codes ---------------------------------------------------------------
 
 def test_exit_code_for_model_errors(tmp_path):
     path = tmp_path / "disorder.cfg"
@@ -566,7 +554,7 @@ def test_an_unresolved_dt_is_inconclusive(tmp_path, capsys):
     mode: decay exits 0 and writes inconclusive with the three fitted keys
     nan, and verify writes the same verdict, all_pass false, and exits 1."""
     config = str(Path(__file__).resolve().parents[1] / "configs" / "ddd.cfg")
-    _, _, pencil = bb.discretize(bb.validate_config(read_config(config)), 10, 10, 10)
+    _, pencil = bb.discretize(bb.validate_config(read_config(config)), 10, 10, 10)
     dt = 1.01 * 0.1 / float(abs(spectral.eigenvalues(pencil).eigenvalues[-1]))
     args = ["--config", config, "--n1", "10", "--n2", "10", "--n3", "10", "--dt", repr(dt)]
     assert cli.main(["decay", *args, "--out-dir", str(tmp_path / "decay")]) == 0

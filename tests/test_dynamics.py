@@ -11,8 +11,8 @@ import oracles
 
 
 def plateau(system):
-    cfg, mesh, dofs, _ = system
-    return fem.interpolate(cfg, mesh, dofs)
+    cfg, mesh, _ = system
+    return fem.interpolate(cfg, mesh)
 
 
 def test_energy_of_plateau_state(ddd_system):
@@ -22,7 +22,7 @@ def test_energy_of_plateau_state(ddd_system):
     bending integral is 4 per beam and the total energy 4. The string is
     flat and everything is at rest.
     """
-    _, _, _, pencil = ddd_system
+    _, _, pencil = ddd_system
     e = bb.energy(pencil, plateau(ddd_system))
     assert e == pytest.approx(4.0, rel=1e-12)
 
@@ -30,7 +30,7 @@ def test_energy_of_plateau_state(ddd_system):
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_energy_is_positive(ddd_system, seed):
-    _, _, _, pencil = ddd_system
+    _, _, pencil = ddd_system
     y = random_state(pencil, seed)
     assert bb.energy(pencil, y) > 0.0
     zero = bb.StateVector(np.zeros(pencil.n_positions), np.zeros(pencil.n_positions))
@@ -40,14 +40,14 @@ def test_energy_is_positive(ddd_system, seed):
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_dissipation_is_nonpositive(ddd_system, seed):
-    _, _, _, pencil = ddd_system
+    _, _, pencil = ddd_system
     y = random_state(pencil, seed, complex_valued=True)
     assert bb.dissipation(pencil, y) <= 0.0
 
 
 def test_trapezoidal_step_energy_balance(ddd_system):
     """E(y+) - E(y) = dt * dissipation(midpoint), exactly, step by step."""
-    _, _, _, pencil = ddd_system
+    _, _, pencil = ddd_system
     dt = 1e-3
     sim = bb.simulate(pencil, plateau(ddd_system), dt, 100 * dt, snapshot_every=1)
     states = [y for _, y in sim.snapshots]
@@ -62,7 +62,7 @@ def test_trapezoidal_step_energy_balance(ddd_system):
 
 
 def test_conservative_run_preserves_energy(cons_system):
-    _, _, _, pencil = cons_system
+    _, _, pencil = cons_system
     y0 = plateau(cons_system)
     sim = bb.simulate(pencil, y0, 1e-3, 0.2)
     e = sim.trace.energy
@@ -70,7 +70,7 @@ def test_conservative_run_preserves_energy(cons_system):
 
 
 def test_damped_run_loses_energy_monotonically(ddd_system):
-    _, _, _, pencil = ddd_system
+    _, _, pencil = ddd_system
     sim = bb.simulate(pencil, plateau(ddd_system), 1e-3, 0.5)
     diffs = np.diff(sim.trace.energy)
     assert diffs.max() <= 1e-9 * sim.trace.energy[0]
@@ -82,7 +82,7 @@ def test_step_with_negative_dt_inverts_the_step(ddd_system, cons_cfg):
     a forward step of simulate, undone by the dense 2N reference step with
     -dt, gives back the initial state. The undamped pencil is stepped at
     default_dt up to n = 160, where the round trip reads 4.7e-9 relative."""
-    _, _, _, pencil = ddd_system
+    _, _, pencil = ddd_system
     y0 = plateau(ddd_system)
     dt = 2e-3
     y1 = one_step(pencil, y0, dt)
@@ -91,8 +91,8 @@ def test_step_with_negative_dt_inverts_the_step(ddd_system, cons_cfg):
     assert np.abs(back - y0.to_array()).max() <= 1e-8 * scale
     dt = bb.default_dt(cons_cfg)
     for n in (10, 40, 160):
-        mesh, dofs, pencil = bb.discretize(cons_cfg, n, n, n)
-        y0 = plateau((cons_cfg, mesh, dofs, pencil))
+        mesh, pencil = bb.discretize(cons_cfg, n, n, n)
+        y0 = plateau((cons_cfg, mesh, pencil))
         y1 = one_step(pencil, y0, dt)
         gap = trapezoidal_reference(pencil, y1, -dt) - y0.to_array()
         assert np.linalg.norm(gap) <= 1e-8 * np.linalg.norm(y0.to_array()), n
@@ -105,7 +105,7 @@ def test_trapezoidal_is_second_order(ddd_system):
     starts on the slowest mode: a rough state would excite frequencies far
     beyond 1/dt, where the scheme is outside its asymptotic regime.
     """
-    _, _, _, pencil = ddd_system
+    _, _, pencil = ddd_system
     mode = bb.eigenmode(pencil, bb.eigenvalues(pencil).eigenvalues[-1])
     y0 = bb.StateVector(mode.p.real.copy(), mode.q.real.copy())
     t_end = 0.08
@@ -154,7 +154,7 @@ def test_reduced_steps_match_the_first_order_pencil(ddd_system, complex_valued):
 
     The reference solves (B - dt/2 K) y+ = (B + dt/2 K) y directly.
     """
-    _, _, _, pencil = ddd_system
+    _, _, pencil = ddd_system
     y = random_state(pencil, 7, complex_valued=complex_valued)
     dt = 1e-3
     assert close(one_step(pencil, y, dt), trapezoidal_reference(pencil, y, dt))
@@ -190,7 +190,7 @@ def test_simulate_trace_matches_its_snapshots(ddd_system):
     """The banded energy record, and the banded energy and dissipation
     functionals, equal products with the dense S, M and D on the states,
     and each step of the run is the trapezoidal step on (B, K)."""
-    _, _, _, pencil = ddd_system
+    _, _, pencil = ddd_system
     assert pencil.bandwidth == 3
     y0 = random_state(pencil, 17, complex_valued=True)
     dt, steps = 1e-3, 30
@@ -270,7 +270,7 @@ def test_complex_step_is_two_real_steps(ddd_system):
     bound of rounding_bound. Not bitwise: the complex BLAS and LAPACK
     kernels round (and fuse) their multiply-adds differently from the real
     ones, so already one zgbmv differs from dgbmv in the last bits."""
-    _, _, _, pencil = ddd_system
+    _, _, pencil = ddd_system
     y = random_state(pencil, 19, complex_valued=True)
     for dt in (1e-3, 1e-1):
         z = one_step(pencil, y, dt)
@@ -286,7 +286,7 @@ def test_complex_step_is_two_real_steps(ddd_system):
 def test_step_buffers_carry_no_state(ddd_system):
     """Two live closures, one closure fed two states in turn, and two
     simulate runs in a row all reproduce the same trajectory bitwise."""
-    _, _, _, pencil = ddd_system
+    _, _, pencil = ddd_system
     dt, n = 1e-3, pencil.n_positions
     s_times, m_times = (dynamics._band_product(ab, np.complex128)
                         for ab in (pencil.s_band, pencil.m_band))
@@ -318,7 +318,7 @@ def test_step_buffers_carry_no_state(ddd_system):
 
 def test_steps_leave_the_initial_state_alone(ddd_system):
     """The step updates the state in place, in a copy the run owns."""
-    _, _, _, pencil = ddd_system
+    _, _, pencil = ddd_system
     for complex_valued in (False, True):
         y = random_state(pencil, 31, complex_valued=complex_valued)
         kept = y.to_array().copy()
@@ -349,7 +349,7 @@ def test_a_step_is_one_solve_and_two_banded_products(ddd_system, cons_system, mo
     for system, energy_only, products in ((ddd_system, False, 2 * (k + 1)),
                                           (ddd_system, True, k + 1),
                                           (cons_system, False, k + 1)):
-        pencil = system[3]
+        pencil = system[2]
         y = random_state(pencil, 37, complex_valued=complex_valued)
         counts.clear()
         sim = bb.simulate(pencil, y, 1e-3, k * 1e-3, energy_only=energy_only)
@@ -365,7 +365,7 @@ def test_an_energy_only_record_is_the_full_records_energy(ddd_system, udu_system
     complex states, on the three regimes and on a dense pencil (b = N - 1),
     whose product over blockdiag(S, M) has the widest band; dissipation
     and cross are None."""
-    pencils = [system[3] for system in (ddd_system, udu_system, cons_system)]
+    pencils = [system[2] for system in (ddd_system, udu_system, cons_system)]
     for pencil in pencils + [dense_pencil(damping=1.0)]:
         for complex_valued in (False, True):
             y0 = random_state(pencil, 47, complex_valued=complex_valued)
@@ -383,7 +383,7 @@ def test_one_product_gives_s_p_and_m_q(ddd_system, complex_valued):
     apart, bitwise: it adds only exact zeros to each sum. On an assembled
     pencil (b = 3) and on a dense one (b = N - 1). It is written into the
     array it is given, whose earlier NaNs do not reach it."""
-    for pencil in (ddd_system[3], dense_pencil(damping=1.0)):
+    for pencil in (ddd_system[2], dense_pencil(damping=1.0)):
         n = pencil.n_positions
         y = random_state(pencil, 41, complex_valued=complex_valued).to_array()
         out = np.full(2 * n, np.nan, y.dtype)
@@ -398,7 +398,7 @@ def test_a_non_finite_velocity_fails_the_run_at_its_step(ddd_system, monkeypatch
     """simulate tests the recorded energy, not the state: a NaN written into
     one entry of q at step 3 makes E non-finite, which raises SolveFailure
     at that step."""
-    _, _, _, pencil = ddd_system
+    _, _, pencil = ddd_system
     make_step, steps = dynamics._trapezoidal_step, []
 
     def faulty(pencil, dt, dtype):
@@ -422,7 +422,7 @@ def test_simulate_input_validation(ddd_system):
     """simulate refuses a step that is not finite and > 0, a run length
     that is not finite and > 0, a negative snapshot interval and a state
     of the wrong length, whatever its caller checked first."""
-    _, _, _, pencil = ddd_system
+    _, _, pencil = ddd_system
     y = plateau(ddd_system)
     for dt in (0.0, -1e-3, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="dt must be"):
@@ -441,7 +441,7 @@ def test_a_record_that_cannot_be_allocated_raises_record_too_large(ddd_system, m
     """numpy refuses 2**63 + 1 samples with ValueError and, when malloc
     fails, a count that fits its index type with MemoryError; both become
     RecordTooLarge naming the step count, before any step is set up."""
-    _, _, _, pencil = ddd_system
+    _, _, pencil = ddd_system
     y0 = plateau(ddd_system)
 
     def refused(*args, **kwargs):
@@ -464,7 +464,7 @@ def test_a_record_that_cannot_be_allocated_raises_record_too_large(ddd_system, m
 
 
 def test_simulate_trace_and_snapshots(ddd_system):
-    _, _, _, pencil = ddd_system
+    _, _, pencil = ddd_system
     y0 = plateau(ddd_system)
     sim = bb.simulate(pencil, y0, 1e-3, 5e-3, snapshot_every=2)
     tr = sim.trace
@@ -486,7 +486,7 @@ def test_cross_term_bound(ddd_system, seed):
 
     Cauchy-Schwarz in the M inner product and p^T M p <= gamma p^T S p.
     """
-    _, _, _, pencil = ddd_system
+    _, _, pencil = ddd_system
     S, M, _ = oracles.matrices(pencil)
     gamma = scipy.linalg.eigh(M, S, eigvals_only=True)[-1]
     y = random_state(pencil, seed)
@@ -501,7 +501,7 @@ def test_default_dt_follows_the_string_span():
 
 def test_complex_states_simulate(udu_system):
     """Complex initial data propagates; energy decays like the real parts."""
-    _, _, _, pencil = udu_system
+    _, _, pencil = udu_system
     y0 = bb.eigenmode(pencil, bb.eigenvalues(pencil).eigenvalues[-1])
     sim = bb.simulate(pencil, y0, 1e-3, 0.1)
     assert np.iscomplexobj(sim.final_state.p)

@@ -154,14 +154,13 @@ def test_build_mesh_nodes(ddd_cfg):
 def test_dof_map_minimal_mesh(ddd_cfg):
     # one element per member: 2 + 0 + 2 unknowns
     mesh = fem.build_mesh(ddd_cfg, 1, 1, 1)
-    dofs = fem.build_dof_map(mesh)
-    assert dofs.n_dofs == 4
-    assert tuple(dofs.beam1[0]) == (-1, -1)          # clamped
-    assert tuple(dofs.beam1[1]) == (0, 1)            # free tip
-    assert dofs.string[0] == 0                       # shares the tip deflection
-    assert dofs.string[1] == 2                       # shares the other tip
-    assert tuple(dofs.beam2[0]) == (2, 3)
-    assert tuple(dofs.beam2[1]) == (-1, -1)          # clamped
+    assert mesh.n_dofs == 4
+    assert tuple(mesh.beam1[0]) == (-1, -1)          # clamped
+    assert tuple(mesh.beam1[1]) == (0, 1)            # free tip
+    assert mesh.string[0] == 0                       # shares the tip deflection
+    assert mesh.string[1] == 2                       # shares the other tip
+    assert tuple(mesh.beam2[0]) == (2, 3)
+    assert tuple(mesh.beam2[1]) == (-1, -1)          # clamped
 
 
 @given(
@@ -171,22 +170,36 @@ def test_dof_map_minimal_mesh(ddd_cfg):
 )
 def test_dof_map_is_a_bijection(ddd_cfg, n1, n2, n3):
     mesh = fem.build_mesh(ddd_cfg, n1, n2, n3)
-    dofs = fem.build_dof_map(mesh)
-    assert dofs.n_dofs == 2 * n1 + (n2 - 1) + 2 * n3
+    assert mesh.n_dofs == 2 * n1 + (n2 - 1) + 2 * n3
 
-    seen = list(dofs.beam1[dofs.beam1 >= 0].ravel())
-    seen += list(dofs.string[1:-1])
-    seen += list(dofs.beam2[dofs.beam2 >= 0].ravel())
+    seen = list(mesh.beam1[mesh.beam1 >= 0].ravel())
+    seen += list(mesh.string[1:-1])
+    seen += list(mesh.beam2[mesh.beam2 >= 0].ravel())
     # junction DOFs are aliases of beam tip deflections, not new unknowns
-    assert dofs.string[0] == dofs.beam1[n1, 0]
-    assert dofs.string[n2] == dofs.beam2[0, 0]
-    assert sorted(seen) == list(range(dofs.n_dofs))
+    assert mesh.string[0] == mesh.beam1[n1, 0]
+    assert mesh.string[n2] == mesh.beam2[0, 0]
+    assert sorted(seen) == list(range(mesh.n_dofs))
+
+    # the numbering node by node, in the global order of the fem docstring
+    beam1 = np.full((n1 + 1, 2), -1)
+    beam2 = np.full((n3 + 1, 2), -1)
+    string = np.empty(n2 + 1, dtype=int)
+    counter = iter(range(mesh.n_dofs))
+    for j in range(1, n1 + 1):
+        beam1[j] = next(counter), next(counter)
+    for j in range(1, n2):
+        string[j] = next(counter)
+    for j in range(n3):
+        beam2[j] = next(counter), next(counter)
+    string[[0, -1]] = beam1[-1, 0], beam2[0, 0]
+    for want, got in ((beam1, mesh.beam1), (string, mesh.string), (beam2, mesh.beam2)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 # --- assembled pencil properties ---------------------------------------------
 
 def test_gram_matrices_are_spd(ddd_system):
-    _, _, _, pencil = ddd_system
+    _, _, pencil = ddd_system
     S, M, D = oracles.matrices(pencil)
     for mat in (S, M):
         assert np.array_equal(mat, mat.T)
@@ -197,7 +210,7 @@ def test_gram_matrices_are_spd(ddd_system):
 
 
 def test_damping_matrix_vanishes_without_damping(cons_system):
-    _, _, _, pencil = cons_system
+    _, _, pencil = cons_system
     assert np.all(pencil.d_band == 0.0)
 
 
@@ -218,12 +231,12 @@ def assert_bitwise(pencil, expected):
         assert got.tobytes() == want.tobytes(), name  # also tells 0.0 from -0.0
 
 
-def coupled_elements(cfg, mesh, dofs):
+def coupled_elements(cfg, mesh):
     """(indices, S_e, M_e, D_e) for every element, beams first, then the string."""
     em = fem.element_matrices
     elements = []
-    for table, nodes, rho in ((dofs.beam1, mesh.nodes1, cfg.rho1),
-                              (dofs.beam2, mesh.nodes3, cfg.rho2)):
+    for table, nodes, rho in ((mesh.beam1, mesh.nodes1, cfg.rho1),
+                              (mesh.beam2, mesh.nodes3, cfg.rho2)):
         for e in range(len(nodes) - 1):
             h = nodes[e + 1] - nodes[e]
             elements.append((np.concatenate([table[e], table[e + 1]]), em("beam_bending", h),
@@ -231,7 +244,7 @@ def coupled_elements(cfg, mesh, dofs):
     for e in range(mesh.n2):
         h = mesh.nodes2[e + 1] - mesh.nodes2[e]
         mass = em("string_mass", h)
-        elements.append(([dofs.string[e], dofs.string[e + 1]], em("string_stiffness", h),
+        elements.append(([mesh.string[e], mesh.string[e + 1]], em("string_stiffness", h),
                          mass, cfg.beta * mass))
     return elements
 
@@ -240,9 +253,8 @@ def test_assembly_matches_a_per_element_loop(ddd_cfg, udu_cfg):
     for cfg in (ddd_cfg, udu_cfg):
         for counts in ((7, 6, 5), (3, 1, 2), (1, 1, 1)):
             mesh = fem.build_mesh(cfg, *counts)
-            dofs = fem.build_dof_map(mesh)
-            expected = loop_assembly(dofs.n_dofs, coupled_elements(cfg, mesh, dofs))
-            assert_bitwise(fem.assemble_pencil(cfg, mesh, dofs), expected)
+            expected = loop_assembly(mesh.n_dofs, coupled_elements(cfg, mesh))
+            assert_bitwise(fem.assemble_pencil(cfg, mesh), expected)
 
     h = 2.0 / 8
     stiff, mass = fem.element_matrices("string_stiffness", h), fem.element_matrices("string_mass", h)
@@ -266,7 +278,7 @@ def test_dissipativity_identity(ddd_system, seed):
     y' solves B y' = K y; the energy derivative Re(p* S p' + q* M q') must
     equal the dissipation functional exactly, whatever the state.
     """
-    _, _, _, pencil = ddd_system
+    _, _, pencil = ddd_system
     y = random_state(pencil, seed, complex_valued=True)
     B, K = oracles.first_order(pencil)
     S, M, _ = oracles.matrices(pencil)
@@ -280,18 +292,18 @@ def test_dissipativity_identity(ddd_system, seed):
 
 # --- the initial state and evaluation -----------------------------------------
 
-def _plateau_reference(cfg, mesh, dofs):
+def _plateau_reference(cfg, mesh):
     """The plateau's nodal state from its formulas, node by node in Python
     floats; NaN where no node writes."""
     len1, len3 = cfg.l1 - cfg.l0, cfg.l3 - cfg.l2
-    want = np.full(dofs.n_dofs, np.nan)
-    for (value, slope), x in zip(dofs.beam1[1:], mesh.nodes1[1:].tolist()):
+    want = np.full(mesh.n_dofs, np.nan)
+    for (value, slope), x in zip(mesh.beam1[1:], mesh.nodes1[1:].tolist()):
         s = (x - cfg.l0) / len1
         want[value], want[slope] = s ** 2, 2.0 * s / len1
-    for (value, slope), x in zip(dofs.beam2[:-1], mesh.nodes3[:-1].tolist()):
+    for (value, slope), x in zip(mesh.beam2[:-1], mesh.nodes3[:-1].tolist()):
         s = (cfg.l3 - x) / len3
         want[value], want[slope] = s ** 2, -2.0 * s / len3
-    want[dofs.string[1:-1]] = 1.0
+    want[mesh.string[1:-1]] = 1.0
     return want
 
 
@@ -307,29 +319,29 @@ def test_the_initial_state_is_the_plateau_at_rest():
         cfg = bb.validate_config(bb.StructureConfig(*geometry, 1.0, 1.0, 1.0))
         len1, len3 = cfg.l1 - cfg.l0, cfg.l3 - cfg.l2
         for n1, n2, n3 in ((3, 4, 5), (41, 121, 41)):
-            mesh, dofs, _ = fem.discretize(cfg, n1, n2, n3)
-            y = fem.interpolate(cfg, mesh, dofs)
-            assert np.all(dofs.beam1[0] == -1) and np.all(dofs.beam2[-1] == -1)
-            assert dofs.n_dofs == 2 * n1 + (n2 - 1) + 2 * n3
+            mesh, _ = fem.discretize(cfg, n1, n2, n3)
+            y = fem.interpolate(cfg, mesh)
+            assert np.all(mesh.beam1[0] == -1) and np.all(mesh.beam2[-1] == -1)
+            assert mesh.n_dofs == 2 * n1 + (n2 - 1) + 2 * n3
             for table, dist, length, sign in (
-                    (dofs.beam1, mesh.nodes1 - cfg.l0, len1, 1.0),
-                    (dofs.beam2, cfg.l3 - mesh.nodes3, len3, -1.0)):
+                    (mesh.beam1, mesh.nodes1 - cfg.l0, len1, 1.0),
+                    (mesh.beam2, cfg.l3 - mesh.nodes3, len3, -1.0)):
                 free = table[:, 0] >= 0
                 assert y.p[table[free, 0]] == pytest.approx((dist[free] / length) ** 2,
                                                             rel=1e-14)
                 assert y.p[table[free, 1]] == pytest.approx(
                     sign * 2 * dist[free] / length**2, rel=1e-14, abs=1e-14)
-            assert np.all(y.p[dofs.string[1:-1]] == 1.0)
+            assert np.all(y.p[mesh.string[1:-1]] == 1.0)
             assert np.all(y.q == 0.0)
-            want = _plateau_reference(cfg, mesh, dofs)
+            want = _plateau_reference(cfg, mesh)
             assert not np.isnan(want).any()
             assert np.array_equal(y.p, want)
 
 
 def test_plateau_interpolant_is_continuous_at_junctions(ddd_system):
-    cfg, mesh, dofs, _ = ddd_system
-    y = fem.interpolate(cfg, mesh, dofs)
-    x, disp, _ = fem.nodal_field(y, mesh, dofs)
+    cfg, mesh, _ = ddd_system
+    y = fem.interpolate(cfg, mesh)
+    x, disp, _ = fem.nodal_field(y, mesh)
     # one node per junction, where the beam tip meets the string's plateau
     assert list(x).count(cfg.l1) == list(x).count(cfg.l2) == 1
     string = (x >= cfg.l1) & (x <= cfg.l2)
@@ -344,8 +356,8 @@ def test_plateau_energy_is_the_same_on_the_refined_mesh(ddd_cfg, n):
     nesting bug shows at 1e-3 or worse."""
     energies = []
     for m in (n, 2 * n):
-        mesh, dofs, pencil = fem.discretize(ddd_cfg, m, m, m)
-        energies.append(bb.energy(pencil, fem.interpolate(ddd_cfg, mesh, dofs)))
+        mesh, pencil = fem.discretize(ddd_cfg, m, m, m)
+        energies.append(bb.energy(pencil, fem.interpolate(ddd_cfg, mesh)))
     coarse, fine = energies
     assert abs(fine - coarse) <= 1e-6 * abs(coarse)
 
@@ -413,17 +425,17 @@ def dense_scatter(size, idx, local):
     return out
 
 
-def dense_coupled_reference(cfg, mesh, dofs):
+def dense_coupled_reference(cfg, mesh):
     """S, M, D of the coupled mesh summed densely, member by member."""
-    n = dofs.n_dofs
+    n = mesh.n_dofs
     S, M, D = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n))
-    for table, nodes, rho in ((dofs.beam1, mesh.nodes1, cfg.rho1),
-                              (dofs.beam2, mesh.nodes3, cfg.rho2)):
+    for table, nodes, rho in ((mesh.beam1, mesh.nodes1, cfg.rho1),
+                              (mesh.beam2, mesh.nodes3, cfg.rho2)):
         idx = fem._element_pairs(table)
         S += dense_scatter(n, idx, fem._element_stack("beam_bending", nodes, "beam"))
         M += dense_scatter(n, idx, fem._element_stack("beam_mass", nodes, "beam"))
         D += dense_scatter(n, idx, rho * fem._element_stack("beam_slope", nodes, "beam"))
-    idx = fem._element_pairs(dofs.string)
+    idx = fem._element_pairs(mesh.string)
     mass = fem._element_stack("string_mass", mesh.nodes2, "string")
     S += dense_scatter(n, idx, fem._element_stack("string_stiffness", mesh.nodes2, "string"))
     M += dense_scatter(n, idx, mass)
@@ -464,7 +476,7 @@ def test_dense_view_is_the_exact_inverse_of_band(ddd_system, udu_system, cons_sy
     writes, from the assembled pencils and from hand-made dense ones; the
     dense references of the tests share no code with the package."""
     full = np.random.default_rng(3).standard_normal((5, 5))
-    pencils = [system[3] for system in (ddd_system, udu_system, cons_system)]
+    pencils = [system[2] for system in (ddd_system, udu_system, cons_system)]
     # a full S and an unsymmetric D, so a transposed read shows too
     pencils.append(oracles.pencil_from_dense(S=full + full.T, M=np.eye(5), D=np.triu(full, 2)))
     pencils.append(oracles.pencil_from_dense(S=np.diag([2.0, 3.0]), M=np.eye(2), D=np.zeros((2, 2))))
@@ -478,8 +490,8 @@ def test_dense_view_is_the_exact_inverse_of_band(ddd_system, udu_system, cons_sy
 @pytest.mark.parametrize("n", [3, 10, 40])
 def test_banded_assembly_equals_the_dense_scatter_bitwise(ddd_cfg, udu_cfg, cons_cfg, n):
     for cfg in (ddd_cfg, udu_cfg, cons_cfg):
-        mesh, dofs, pencil = fem.discretize(cfg, n, n, n)
-        ref = dense_coupled_reference(cfg, mesh, dofs)
+        mesh, pencil = fem.discretize(cfg, n, n, n)
+        ref = dense_coupled_reference(cfg, mesh)
         assert oracles.half_bandwidth(*ref) == 3
         assert_bands_are_the_dense_matrices(pencil, ref, 3)
         # exact symmetry, read off the bands: A[j, j + k] sits in row b - k

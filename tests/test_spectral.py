@@ -61,7 +61,7 @@ def test_whitened_eigenvalues_match_generalized_qz(ddd_cfg, udu_cfg, cons_cfg):
     eigensolves of the undamped (S, M), against QZ on the first-order pencil."""
     for cfg in (ddd_cfg, udu_cfg, cons_cfg):
         for n in (3, 6):
-            _, _, pencil = fem.discretize(cfg, n, n, n)
+            _, pencil = fem.discretize(cfg, n, n, n)
             rep = spectral.eigenvalues(pencil)
             B, K = oracles.first_order(pencil)
             qz = scipy.linalg.eigvals(K, B)
@@ -73,7 +73,7 @@ def test_whitened_eigenvalues_match_generalized_qz(ddd_cfg, udu_cfg, cons_cfg):
 
 
 def test_spectrum_is_conjugate_symmetric(ddd_system, udu_system):
-    for _, _, _, pencil in (ddd_system, udu_system):
+    for _, _, pencil in (ddd_system, udu_system):
         eig = spectral.eigenvalues(pencil).eigenvalues
         conj = np.conj(eig)
         conj = conj[np.lexsort((conj.imag, conj.real))]
@@ -82,7 +82,7 @@ def test_spectrum_is_conjugate_symmetric(ddd_system, udu_system):
 
 def test_damped_spectrum_lies_in_the_left_half_plane(ddd_system, udu_system):
     for system in (ddd_system, udu_system):
-        _, _, _, pencil = system
+        _, _, pencil = system
         rep = spectral.eigenvalues(pencil)
         assert rep.abscissa < 0.0
         assert np.all(rep.eigenvalues.real < 0.0)
@@ -97,7 +97,7 @@ def nearest_gaps(a, b):
 @pytest.mark.parametrize("n", [6, 20])
 @pytest.mark.parametrize("cfg_name", ["ddd_cfg", "udu_cfg"])
 def test_damped_spectrum_matches_the_dense_eigensolve_of_c(cfg_name, n, request):
-    _, _, pencil = fem.discretize(request.getfixturevalue(cfg_name), n, n, n)
+    _, pencil = fem.discretize(request.getfixturevalue(cfg_name), n, n, n)
     rep = spectral.eigenvalues(pencil)
     ref = scipy.linalg.eigvals(spectral._whiten(pencil))
     assert rep.eigenvalues.shape == ref.shape
@@ -110,7 +110,7 @@ def test_damped_spectrum_matches_the_dense_eigensolve_of_c(cfg_name, n, request)
 
 @pytest.mark.parametrize("name", ["ddd_system", "udu_system", "cons_system"])
 def test_complex_triangle_is_a_unitary_triangularization(request, name):
-    _, _, _, pencil = request.getfixturevalue(name)
+    _, _, pencil = request.getfixturevalue(name)
     t, mu = spectral._real_schur(spectral._whiten(pencil))
     assert np.diagonal(t, -1).any()  # there are 2 x 2 blocks to rotate
     kept = t.copy()
@@ -125,8 +125,8 @@ def test_complex_triangle_is_a_unitary_triangularization(request, name):
 
 def test_only_a_damped_report_keeps_its_schur_factor(ddd_system, cons_system):
     # only a damped spectrum keeps a Schur factor, and repr and == skip it
-    damped = spectral.eigenvalues(ddd_system[3])
-    assert spectral.eigenvalues(cons_system[3]).schur is None
+    damped = spectral.eigenvalues(ddd_system[2])
+    assert spectral.eigenvalues(cons_system[2]).schur is None
     assert "schur" not in repr(damped)
     twin = spectral.SpectrumReport(damped.eigenvalues, damped.abscissa)
     assert twin.schur is None and twin == damped
@@ -144,7 +144,7 @@ def quadratic_residual(pencil, mu, p):
 @pytest.mark.parametrize("n", [6, 20])
 @pytest.mark.parametrize("cfg_name", ["ddd_cfg", "udu_cfg", "cons_cfg"])
 def test_slowest_mode_matches_abscissa(cfg_name, n, request):
-    _, _, pencil = fem.discretize(request.getfixturevalue(cfg_name), n, n, n)
+    _, pencil = fem.discretize(request.getfixturevalue(cfg_name), n, n, n)
     # the last eigenvalue in canonical order: decay and verify report the
     # spectrum that `spectrum` writes
     mu = spectral.eigenvalues(pencil).eigenvalues[-1]
@@ -178,7 +178,7 @@ def test_eigenmode_rejects_a_vanishing_first_iterate_before_dividing(ddd_cfg):
     iterate underflows to zero; eigenmode raises on its norm without a
     numpy divide-by-zero warning."""
     cfg = bb.validate_config(dataclasses.replace(ddd_cfg, rho1=1e150))
-    _, _, pencil = bb.discretize(cfg, 4, 4, 4)
+    _, pencil = bb.discretize(cfg, 4, 4, 4)
     mu = complex(bb.eigenvalues(pencil).eigenvalues[-1])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -199,7 +199,7 @@ def dense_whitened_reference(pencil):
 
 def undamped_pencils(cons_cfg):
     for n in (6, 20):
-        yield fem.discretize(cons_cfg, n, n, n)[2]
+        yield fem.discretize(cons_cfg, n, n, n)[1]
     yield oracles.assemble_beam_pencil(1.0, 30)
     yield oracles.assemble_string_pencil(math.pi, 0.0, 30)
 
@@ -221,7 +221,7 @@ def test_undamped_spectrum_matches_the_dense_whitened_eigensolve(cons_cfg):
 
 
 def test_undamped_spectrum_is_exactly_on_the_axis(cons_cfg, cons_system):
-    _, _, _, pencil = cons_system
+    _, _, pencil = cons_system
     for p in (pencil, *undamped_pencils(cons_cfg)):
         rep = spectral.eigenvalues(p)
         eig = rep.eigenvalues
@@ -240,7 +240,7 @@ def test_undamped_spectrum_forms_no_dense_matrix(cons_cfg, monkeypatch):
 
     monkeypatch.setattr(spectral, "_dense", dense)
     monkeypatch.setattr(scipy.linalg, "svdvals", dense)
-    for pencil in (fem.discretize(cons_cfg, 20, 20, 20)[2],
+    for pencil in (fem.discretize(cons_cfg, 20, 20, 20)[1],
                    oracles.assemble_beam_pencil(1.0, 30),
                    oracles.assemble_string_pencil(math.pi, 0.0, 30)):
         assert spectral.eigenvalues(pencil).eigenvalues.size == 2 * pencil.n_positions
@@ -252,7 +252,7 @@ def test_lowest_undamped_frequency_is_within_its_perturbation_bound(cons_cfg, n)
     stored S and M, to the first-order change of omega under an entrywise
     relative change of gamma_{2b+1} in S and M (the rounding of one banded
     inner product; oracles.frequency_rounding_bound)."""
-    pencil = fem.discretize(cons_cfg, n, n, n)[2]
+    pencil = fem.discretize(cons_cfg, n, n, n)[1]
     want, x = oracles.frequency_longdouble(pencil)
     bound = oracles.frequency_rounding_bound(pencil, x, np.finfo(float).eps / 2)
     omega = spectral.eigenvalues(pencil).eigenvalues.imag
@@ -346,7 +346,7 @@ def test_exclusion_determinant_rejects_nonpositive():
 
 def test_resolvent_norm_lower_bound(ddd_system):
     """1/sigma_min is at least the reciprocal distance to the spectrum."""
-    _, _, _, pencil = ddd_system
+    _, _, pencil = ddd_system
     eig = spectral.eigenvalues(pencil).eigenvalues
     for lam in (-7.3, 0.0, 2.0, 19.5):
         dist = np.abs(1j * lam - eig).min()
@@ -354,14 +354,14 @@ def test_resolvent_norm_lower_bound(ddd_system):
 
 
 def test_resolvent_far_field_decay(ddd_cfg):
-    _, _, pencil = fem.discretize(ddd_cfg, 6, 6, 6)
+    _, pencil = fem.discretize(ddd_cfg, 6, 6, 6)
     top = np.abs(spectral.eigenvalues(pencil).eigenvalues).max()
     for lam in (4 * top, 40 * top):
         assert oracles.resolvent_norm(pencil, lam) <= 2.0 / lam
 
 
 def test_resolvent_blows_up_on_a_conservative_eigenfrequency(cons_system):
-    _, _, _, pencil = cons_system
+    _, _, pencil = cons_system
     spect = spectral.eigenvalues(pencil)
     eig = spect.eigenvalues
     lam0 = float(eig[eig.imag > 1e-6].imag.min())
@@ -376,7 +376,7 @@ def test_resolvent_blows_up_on_a_conservative_eigenfrequency(cons_system):
 
 
 def test_resolvent_sweep_grid_and_mirror(ddd_system):
-    _, _, _, pencil = ddd_system
+    _, _, pencil = ddd_system
     grid = spectral.axis_grid(-10.0, 10.0, 21)
     table = spectral.resolvent_sweep(spectral.eigenvalues(pencil), grid)
     assert table.lambdas.shape == table.norms.shape == (21,)
@@ -409,7 +409,7 @@ def test_sweep_matches_the_dense_svd_reference(request, name, lo, hi, steps):
     """Schur triangle + Lanczos sweep against one svdvals per point; an
     undamped C is normal, so there the norm is 1/dist(i lambda, spectrum),
     read off the eigenvalues with no Lanczos iteration."""
-    _, _, _, pencil = request.getfixturevalue(name)
+    _, _, pencil = request.getfixturevalue(name)
     spect = spectral.eigenvalues(pencil)
     eig = spect.eigenvalues
     table = spectral.resolvent_sweep(spect, spectral.axis_grid(lo, hi, steps))
@@ -481,7 +481,7 @@ def shifted_schur_factor(pencil):
 
 @pytest.mark.parametrize("name", ["ddd_system", "udu_system", "cons_system"])
 def test_lanczos_matches_the_wrapper_loop_bitwise(request, name):
-    _, _, _, pencil = request.getfixturevalue(name)
+    _, _, pencil = request.getfixturevalue(name)
     a, diagonal, start = shifted_schur_factor(pencil)
     for lam in (0.0, -3.7, 3.7, 26.9, 50.0):
         np.fill_diagonal(a, diagonal + 1j * abs(lam))
@@ -493,7 +493,7 @@ def test_lanczos_matches_the_wrapper_loop_bitwise(request, name):
 def test_lanczos_matches_the_wrapper_loop_on_an_eigenfrequency(cons_system):
     # shift by the Schur diagonal entry of an undamped mode whose real part
     # is smallest (exactly 0 with the reference LAPACK), which zeroes the pivot
-    _, _, _, pencil = cons_system
+    _, _, pencil = cons_system
     a, diagonal, start = shifted_schur_factor(pencil)
     upper = np.flatnonzero(diagonal.imag < 0)
     j = upper[np.argmin(np.abs(diagonal.real[upper]))]
@@ -539,7 +539,7 @@ def test_lanczos_takes_only_a_fortran_ordered_factor(ddd_system):
     a = np.triu(np.ones((4, 4), dtype=complex))
     with pytest.raises(ValueError, match="Fortran"):
         spectral._lanczos_inverse_norm(a, np.ones(4, dtype=complex))
-    _, _, _, pencil = ddd_system
+    _, _, pencil = ddd_system
     c = spectral._whiten(pencil)
     assert c.flags.f_contiguous
     t = spectral._complex_triangle(spectral.eigenvalues(pencil).schur)
@@ -547,7 +547,7 @@ def test_lanczos_takes_only_a_fortran_ordered_factor(ddd_system):
 
 
 def test_resolvent_parameter_validation(ddd_system):
-    _, _, _, pencil = ddd_system
+    _, _, pencil = ddd_system
     with pytest.raises(spectral.NonpositiveParameter, match="steps must be an integer >= 2"):
         spectral.axis_grid(-1.0, 1.0, 1)
     with pytest.raises(spectral.NonpositiveParameter, match="need lambda_min < lambda_max"):
@@ -561,7 +561,7 @@ def test_resolvent_parameter_validation(ddd_system):
 
 
 def test_eigenvalue_ordering_is_canonical(ddd_system):
-    _, _, _, pencil = ddd_system
+    _, _, pencil = ddd_system
     eig = spectral.eigenvalues(pencil).eigenvalues
     order = np.lexsort((eig.imag, eig.real))
     assert np.array_equal(order, np.arange(eig.size))
