@@ -10,38 +10,30 @@ resolvent. See README.md for the layout and the CLI.
 from .model import (
     BsblabError,
     DampingCase,
-    NegativeDamping,
-    OrderingViolation,
+    ModelError,
+    NumericalError,
     StructureConfig,
     classify_damping,
     validate_config,
 )
 from .fem import (
     Mesh,
-    NonfiniteElement,
-    NonpositiveLength,
-    RecordTooLarge,
     StateVector,
     SystemPencil,
-    ZeroElements,
     assemble_pencil,
     build_mesh,
     discretize,
     interpolate,
 )
 from .dynamics import (
-    DimensionMismatch,
     EnergyTrace,
     SimOutput,
-    SolveFailure,
     default_dt,
     dissipation,
     energy,
     simulate,
 )
 from .spectral import (
-    FactorizationFailure,
-    NonpositiveParameter,
     ResolventTable,
     SpectrumReport,
     axis_grid,
@@ -53,10 +45,7 @@ from .analysis import (
     DecayCertificate,
     DecayFit,
     InvariantResult,
-    NonpositiveEnergy,
-    UnresolvedMode,
     VerificationReport,
-    WindowTooSmall,
     certify_decay,
     cross_validate,
     fit_decay,
@@ -68,32 +57,24 @@ __version__ = "0.1.0"
 __all__ = [
     "BsblabError",
     "DampingCase",
-    "NegativeDamping",
-    "OrderingViolation",
+    "ModelError",
+    "NumericalError",
     "StructureConfig",
     "classify_damping",
     "validate_config",
     "Mesh",
-    "NonfiniteElement",
-    "NonpositiveLength",
-    "RecordTooLarge",
     "StateVector",
     "SystemPencil",
-    "ZeroElements",
     "assemble_pencil",
     "build_mesh",
     "discretize",
     "interpolate",
-    "DimensionMismatch",
     "EnergyTrace",
     "SimOutput",
-    "SolveFailure",
     "default_dt",
     "dissipation",
     "energy",
     "simulate",
-    "FactorizationFailure",
-    "NonpositiveParameter",
     "ResolventTable",
     "SpectrumReport",
     "axis_grid",
@@ -103,10 +84,7 @@ __all__ = [
     "DecayCertificate",
     "DecayFit",
     "InvariantResult",
-    "NonpositiveEnergy",
-    "UnresolvedMode",
     "VerificationReport",
-    "WindowTooSmall",
     "certify_decay",
     "cross_validate",
     "fit_decay",

@@ -31,20 +31,8 @@ import numpy as np
 from . import dynamics, fem, spectral
 from .dynamics import DEFAULT_T_FINAL, EnergyTrace, default_dt, simulate
 from .fem import Mesh, StateVector, SystemPencil
-from .model import BsblabError, DampingCase, StructureConfig, classify_damping
+from .model import DampingCase, ModelError, StructureConfig, classify_damping
 from .spectral import eigenvalues
-
-
-class NonpositiveEnergy(BsblabError, ValueError):
-    """log E is undefined: the fit window contains E <= 0."""
-
-
-class WindowTooSmall(BsblabError, ValueError):
-    """Fewer than 10 trace samples fall inside the fit window."""
-
-
-class UnresolvedMode(BsblabError, ValueError):
-    """The slowest mode is within eps max|mu| of 0 (spectral.slowest_mode_unresolved)."""
 
 
 @dataclass
@@ -71,16 +59,17 @@ def _fit_window(times: np.ndarray):
 def fit_decay(trace: EnergyTrace) -> DecayFit:
     """Fit log E(t) over the window [0.2, 0.9] * t_end.
 
-    Plain normal equations; raises WindowTooSmall below 10 samples and
-    NonpositiveEnergy when the window holds a nonpositive energy value.
+    Plain normal equations; raises ModelError below 10 samples in the
+    window, and when the window holds a nonpositive energy value, where
+    log E is undefined.
     """
     (lo, hi), mask = _fit_window(trace.times)
     n = int(np.count_nonzero(mask))
     if n < 10:
-        raise WindowTooSmall(f"window [{lo}, {hi}] holds {n} samples, need >= 10")
+        raise ModelError(f"window [{lo}, {hi}] holds {n} samples, need >= 10")
     e = trace.energy[mask]
     if np.any(e <= 0):
-        raise NonpositiveEnergy("window contains nonpositive energy values")
+        raise ModelError("window contains nonpositive energy values")
     t = trace.times[mask]
     y = np.log(e)
     tc = t - t.mean()
@@ -228,12 +217,12 @@ def _certify(cfg: StructureConfig, pencil: SystemPencil,
     for a numerically undamped spectrum (not_applicable, the conservative
     regime included) or a dt that does not resolve the mode (inconclusive).
     A mode the spectrum does not resolve (spectral.slowest_mode_unresolved,
-    where damping dwarfs stiffness) raises UnresolvedMode, with no verdict.
+    where damping dwarfs stiffness) raises ModelError, with no verdict.
     """
     spect = eigenvalues(pencil)
     mu = complex(spect.eigenvalues[-1])
     if spectral.slowest_mode_unresolved(spect):
-        raise UnresolvedMode(f"slowest mode {mu} is roundoff of the spectrum's scale")
+        raise ModelError(f"slowest mode {mu} is roundoff of the spectrum's scale")
     resolving_dt = _DT_RESOLUTION / max(abs(mu), 1e-12)
     if dt is None:
         dt = min(default_dt(cfg), resolving_dt)

@@ -10,8 +10,10 @@ out takes its RunSpec default. decay.json and report.json both come from
 the analysis module's one JSON writer: decay writes the DecayCertificate,
 verify the VerificationReport that holds it.
 
-Exit codes: 0 success, 1 for a model or numerical error (a BsblabError)
-and for a failed verify, 2 for usage errors.
+Exit codes: 0 success, 2 for usage errors, 1 for a failed verify and for
+the package's two errors: a ModelError (the input is outside what the
+model or float64 can take) or a NumericalError (a factorization, solve or
+eigensolve broke down).
 """
 
 from __future__ import annotations
@@ -178,11 +180,20 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _write_rows(path: str, header: str, rows) -> None:
-    # each row is written as it is produced, so no file is held whole
+_ROWS_PER_WRITE = 4096  # no file is held whole
+
+
+def _write_csv(path: str, header: str, blocks) -> None:
+    """The header, then each block, a tuple of equal-length columns, as %.17g
+    rows, stacked and formatted by one template _ROWS_PER_WRITE rows at a
+    time; + 0.0 folds negative zero as _fmt does."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\n")
-        fh.writelines(",".join(fields) + "\n" for fields in rows)
+        for block in blocks:
+            row = ",".join(["%.17g"] * len(block)) + "\n"
+            for start in range(0, len(block[0]), _ROWS_PER_WRITE):
+                chunk = np.column_stack([c[start:start + _ROWS_PER_WRITE] for c in block]) + 0.0
+                fh.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def _prepare(spec: RunSpec):
@@ -190,6 +201,13 @@ def _prepare(spec: RunSpec):
     mesh, pencil = discretize(cfg, spec.n1, spec.n2, spec.n3)
     os.makedirs(spec.out_dir, exist_ok=True)
     return cfg, mesh, pencil
+
+
+def _warn_if_unresolved(report) -> None:
+    """Warn on stderr of a spectrum decay refuses (spectral.slowest_mode_unresolved)."""
+    if spectral.slowest_mode_unresolved(report):
+        print(f"warning: the slowest eigenvalue has |mu| = {_fmt(abs(report.eigenvalues[-1]))}, "
+              "within eps max|mu| of 0; the spectrum is not resolved", file=sys.stderr)
 
 
 # --- subcommands ------------------------------------------------------------
@@ -203,16 +221,14 @@ def _cmd_simulate(spec: RunSpec) -> int:
     tr = sim.trace
 
     path = os.path.join(spec.out_dir, "energy.csv")
-    _write_rows(path, "t,E,dissipation,F",
-                ((_fmt(t), _fmt(e), _fmt(d), _fmt(c))
-                 for t, e, d, c in zip(tr.times, tr.energy, tr.dissipation, tr.cross)))
+    _write_csv(path, "t,E,dissipation,F", [(tr.times, tr.energy, tr.dissipation, tr.cross)])
     written = [path]
 
     if spec.snapshot_every > 0:
         path = os.path.join(spec.out_dir, "snapshots.csv")
-        _write_rows(path, "t,x,displacement,velocity",
-                    ((_fmt(t), _fmt(x), _fmt(u), _fmt(v)) for t, state in sim.snapshots
-                     for x, u, v in zip(*nodal_field(state, mesh))))
+        nodes = mesh.n1 + mesh.n2 + mesh.n3 + 1
+        _write_csv(path, "t,x,displacement,velocity",
+                   ((np.full(nodes, t), *nodal_field(state, mesh)) for t, state in sim.snapshots))
         written.append(path)
 
     print(f"simulate: {len(tr.times) - 1} steps, dt = {_fmt(dt)}, "
@@ -226,14 +242,11 @@ def _cmd_spectrum(spec: RunSpec) -> int:
     cfg, mesh, pencil = _prepare(spec)
     report = eigenvalues(pencil)
     path = os.path.join(spec.out_dir, "spectrum.csv")
-    _write_rows(path, "re,im",
-                ((_fmt(m.real), _fmt(m.imag)) for m in report.eigenvalues))
+    _write_csv(path, "re,im", [(report.eigenvalues.real, report.eigenvalues.imag)])
     print(f"spectrum: {report.eigenvalues.size} eigenvalues ({classify_damping(cfg).value}), "
           f"abscissa = {_fmt(report.abscissa)}")
     print(f"wrote {path}")
-    if spectral.slowest_mode_unresolved(report):
-        print(f"warning: the slowest eigenvalue has |mu| = {_fmt(abs(report.eigenvalues[-1]))}, "
-              "within eps max|mu| of 0; the spectrum is not resolved", file=sys.stderr)
+    _warn_if_unresolved(report)
     return 0
 
 
@@ -243,8 +256,7 @@ def _cmd_resolvent(spec: RunSpec) -> int:
     report = eigenvalues(pencil)
     table = resolvent_sweep(report, grid)
     path = os.path.join(spec.out_dir, "resolvent.csv")
-    _write_rows(path, "lambda,norm",
-                ((_fmt(lam), _fmt(nrm)) for lam, nrm in zip(table.lambdas, table.norms)))
+    _write_csv(path, "lambda,norm", [(table.lambdas, table.norms)])
     print(f"resolvent: grid maximum over [{_fmt(spec.lambda_min)}, {_fmt(spec.lambda_max)}] "
           f"({spec.lambda_steps} points, {table.distinct_points} distinct |lambda|, "
           f"{table.total_iterations} Lanczos iterations, at most "
@@ -253,6 +265,7 @@ def _cmd_resolvent(spec: RunSpec) -> int:
           f"{_fmt(table.lambdas[int(np.argmax(table.norms))])}, "
           f"abscissa = {_fmt(report.abscissa)}")
     print(f"wrote {path}")
+    _warn_if_unresolved(report)
     return 0
 
 

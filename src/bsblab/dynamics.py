@@ -33,16 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .fem import RecordTooLarge, StateVector, SystemPencil
-from .model import BsblabError, StructureConfig
-
-
-class DimensionMismatch(BsblabError, ValueError):
-    """State length does not match the pencil."""
-
-
-class SolveFailure(BsblabError, RuntimeError):
-    """An implicit solve failed or returned non-finite values."""
+from .fem import StateVector, SystemPencil
+from .model import ModelError, NumericalError, StructureConfig
 
 
 @dataclass
@@ -74,10 +66,10 @@ class SimOutput:
 
 
 def _require_match(pencil: SystemPencil, y: StateVector) -> None:
+    """Raise ModelError unless the state's length matches the pencil."""
     if y.p.shape[0] != pencil.n_positions:
-        raise DimensionMismatch(
-            f"state has {y.p.shape[0]} position DOFs, pencil has {pencil.n_positions}"
-        )
+        raise ModelError(f"state has {y.p.shape[0]} position DOFs, "
+                         f"pencil has {pencil.n_positions}")
 
 
 def _times(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -185,7 +177,7 @@ def _trapezoidal_step(pencil: SystemPencil, dt: float, dtype):
     axpy, scal = scipy.linalg.blas.get_blas_funcs(("axpy", "scal"), dtype=dtype)
     factor, info = lapack.dpbtrf(a[:b + 1])
     if info != 0:
-        raise SolveFailure(f"trapezoidal factorization failed: dpbtrf info = {info}")
+        raise NumericalError(f"trapezoidal factorization failed: dpbtrf info = {info}")
     factor = factor.astype(dtype, copy=False)
     pbtrs = lapack.zpbtrs if np.dtype(dtype) == np.complex128 else lapack.dpbtrs
 
@@ -216,18 +208,20 @@ def simulate(
     An energy-only run's energy is bitwise the full run's,
     as both take it from the same 2 x 2 product. States are stored every
     snapshot_every steps (plus the initial and final one) when
-    snapshot_every > 0. A step count whose record cannot be allocated
-    raises RecordTooLarge before the step matrix is factored. A step whose
-    recorded energy is not finite raises SolveFailure: S and M have
-    positive diagonals, so a non-finite entry of p or q makes it so.
+    snapshot_every > 0. A state whose length does not match the pencil, a
+    dt or t_final that is not finite and > 0, a negative snapshot_every,
+    or a step count whose record cannot be allocated raises ModelError,
+    before the step matrix is factored. A failed factorization, or a step
+    whose recorded energy is not finite, raises NumericalError: S and M
+    have positive diagonals, so a non-finite entry of p or q makes it so.
     """
     _require_match(pencil, y0)
     if not np.isfinite(dt) or dt <= 0:
-        raise ValueError(f"dt must be finite and > 0, got {dt}")
+        raise ModelError(f"dt must be finite and > 0, got {dt}")
     if not np.isfinite(t_final) or t_final <= 0:
-        raise ValueError(f"t_final must be finite and > 0, got {t_final}")
+        raise ModelError(f"t_final must be finite and > 0, got {t_final}")
     if snapshot_every < 0:
-        raise ValueError(f"snapshot_every must be >= 0, got {snapshot_every}")
+        raise ModelError(f"snapshot_every must be >= 0, got {snapshot_every}")
 
     steps = max(1, int(round(t_final / dt)))
     try:
@@ -236,7 +230,7 @@ def simulate(
         d_arr, c_arr = (None, None) if energy_only else (np.zeros(steps + 1), np.empty(steps + 1))
         times = dt * np.arange(steps + 1)
     except (ValueError, MemoryError) as exc:
-        raise RecordTooLarge(
+        raise ModelError(
             f"the energy record of {steps:.6g} steps does not fit in memory") from exc
     y = y0.to_array()  # the run's state, real or complex throughout; steps update it in place
     step = _trapezoidal_step(pencil, dt, y.dtype)
@@ -270,7 +264,7 @@ def simulate(
         step(y, sp, mq)
         record(i)
         if not math.isfinite(e_arr[i]):
-            raise SolveFailure("trapezoidal step produced non-finite values")
+            raise NumericalError("trapezoidal step produced non-finite values")
         if snapshot_every > 0 and (i % snapshot_every == 0 or i == steps):
             snapshots.append((float(times[i]), StateVector(p.copy(), q.copy())))
 

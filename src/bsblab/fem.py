@@ -43,37 +43,17 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .model import BsblabError, StructureConfig, validate_config
-
-
-class ZeroElements(BsblabError, ValueError):
-    """An interval was asked to carry fewer elements than it supports."""
-
-
-class NonpositiveLength(BsblabError, ValueError):
-    """An element length must be finite and > 0."""
-
-
-class NonfiniteElement(BsblabError, ValueError):
-    """An element length or damping coefficient at which an assembled
-    matrix is not finite in float64: the beam bending entries scale as h^-3
-    and the beam mass entries down to h^3, so extreme lengths under- or
-    overflow them, and a huge rho1, rho2 or beta overflows the band of D."""
-
-
-class RecordTooLarge(BsblabError, ValueError):
-    """An array whose length a count sets cannot be allocated: the nodes of a
-    mesh, the energy record of a run or the axis grid."""
+from .model import ModelError, StructureConfig, validate_config
 
 
 def _require_allocatable(length: int, what: str) -> None:
-    """Raise RecordTooLarge("<what> does not fit in memory") unless numpy
-    allocates length floats. np.empty refuses a length that np.arange and
-    np.linspace would turn into an empty array, such as 2**63."""
+    """Raise ModelError("<what> does not fit in memory") unless numpy
+    allocates length floats (mesh nodes, axis grid). np.empty refuses a
+    length that np.arange and np.linspace would make empty, such as 2**63."""
     try:
         np.empty(length)
     except (ValueError, MemoryError) as exc:
-        raise RecordTooLarge(f"{what} does not fit in memory") from exc
+        raise ModelError(f"{what} does not fit in memory") from exc
 
 
 @dataclass(frozen=True)
@@ -152,7 +132,7 @@ class StateVector:
 
     Entries may be real or complex (complex states show up when a single
     eigenmode is propagated); both arrays must share one length and hold
-    finite entries.
+    finite entries, or construction raises ModelError.
     """
 
     p: np.ndarray
@@ -165,12 +145,12 @@ class StateVector:
         p = p.astype(dtype, copy=False)
         q = q.astype(dtype, copy=False)
         if p.ndim != 1 or q.ndim != 1 or p.shape != q.shape:
-            raise ValueError(
+            raise ModelError(
                 f"p and q must be 1-d arrays of equal length, got {p.shape} and {q.shape}"
             )
         if not (np.all(np.isfinite(p.real)) and np.all(np.isfinite(p.imag))
                 and np.all(np.isfinite(q.real)) and np.all(np.isfinite(q.imag))):
-            raise ValueError("state entries must be finite")
+            raise ModelError("state entries must be finite")
         self.p = p
         self.q = q
 
@@ -184,12 +164,13 @@ def build_mesh(cfg: StructureConfig, n1: int, n2: int, n3: int) -> Mesh:
 
     Clamping eliminates both DOFs of beam-1 node 0 and beam-2 node n3. The
     string endpoints reuse the beam tip deflection indices, so continuity at
-    the junctions is built into the space rather than constrained.
+    the junctions is built into the space rather than constrained. A count
+    below 1 or too large to allocate raises ModelError.
     """
     validate_config(cfg)
     for name, n in (("n1", n1), ("n2", n2), ("n3", n3)):
         if int(n) != n or n < 1:
-            raise ZeroElements(f"{name} must be an integer >= 1, got {n}")
+            raise ModelError(f"{name} must be an integer >= 1, got {n}")
         _require_allocatable(int(n) + 1, f"a mesh of {n:.6g} elements on {name}")
     n1, n2, n3 = int(n1), int(n2), int(n3)
     offset = 2 * n1 + n2 - 1  # the first beam-2 DOF
@@ -243,7 +224,7 @@ def hermite_shapes(xi: float, h: float, deriv: int = 0) -> np.ndarray:
             (6.0 - 12.0 * xi) / h**2,
             (-2.0 + 6.0 * xi) / h,
         ])
-    raise ValueError(f"deriv must be 0, 1 or 2, got {deriv}")
+    raise ModelError(f"deriv must be 0, 1 or 2, got {deriv}")
 
 
 def p1_shapes(xi: float, h: float, deriv: int = 0) -> np.ndarray:
@@ -252,7 +233,7 @@ def p1_shapes(xi: float, h: float, deriv: int = 0) -> np.ndarray:
         return np.array([1.0 - xi, xi])
     if deriv == 1:
         return np.array([-1.0 / h, 1.0 / h])
-    raise ValueError(f"deriv must be 0 or 1, got {deriv}")
+    raise ModelError(f"deriv must be 0 or 1, got {deriv}")
 
 
 _ELEMENT_KINDS = {
@@ -275,13 +256,15 @@ def element_matrices(kind: str, h: float) -> np.ndarray:
     The 4-point rule on beam elements is exact through polynomial degree 7
     (the mass integrand has degree 6); the 2-point rule on string elements
     is exact through degree 3. So every local matrix is exact up to
-    roundoff. A length at which the matrix under- or overflows raises
-    NonfiniteElement, and numpy prints no warning.
+    roundoff. An unknown kind, a length that is not finite and > 0, or one
+    at which the matrix under- or overflows raises ModelError, and numpy
+    prints no warning: the bending entries scale as h^-3 and the mass
+    entries down to h^3.
     """
     if kind not in _ELEMENT_KINDS:
-        raise ValueError(f"unknown element kind {kind!r}")
+        raise ModelError(f"unknown element kind {kind!r}")
     if not np.isfinite(h) or h <= 0:
-        raise NonpositiveLength(f"element length must be finite and > 0, got {h}")
+        raise ModelError(f"element length must be finite and > 0, got {h}")
     shapes, deriv, _ = _ELEMENT_KINDS[kind]
     pts, wts = _GAUSS_RULES[kind]
     size = 4 if shapes is hermite_shapes else 2
@@ -293,7 +276,7 @@ def element_matrices(kind: str, h: float) -> np.ndarray:
             n = shapes(xi, h, deriv)
             out += (0.5 * w * h) * np.outer(n, n)
     if not np.isfinite(out).all():
-        raise NonfiniteElement(f"the {kind} matrix is not finite at element length {h:.6g}")
+        raise ModelError(f"the {kind} matrix is not finite at element length {h:.6g}")
     return out
 
 
@@ -333,13 +316,13 @@ def _element_stack(kind: str, nodes: np.ndarray, member: str) -> np.ndarray:
 
     A linspace member has only a few distinct lengths, so each distinct h
     is integrated once and the stack indexes into those matrices. A length
-    whose matrix is not finite raises NonfiniteElement naming the member.
+    element_matrices refuses raises its ModelError, prefixed with the member.
     """
     lengths, which = np.unique(np.diff(nodes), return_inverse=True)
     try:
         return np.stack([element_matrices(kind, h) for h in lengths])[which]
-    except NonfiniteElement as exc:
-        raise NonfiniteElement(f"{member}: {exc}") from None
+    except ModelError as exc:
+        raise ModelError(f"{member}: {exc}") from None
 
 
 def _element_pairs(table: np.ndarray) -> np.ndarray:
@@ -354,12 +337,12 @@ def assemble_pencil(cfg: StructureConfig, mesh: Mesh) -> SystemPencil:
     entry is summed (3 on every mesh with two or more elements per beam).
     Every element matrix is built at its own length nodes[e + 1] - nodes[e]
     (once per distinct length), all of them before any band is summed, so
-    a length whose matrices are not finite raises NonfiniteElement naming
-    the member and the length. Each is scattered into its band by one
+    a length whose matrices are not finite, or that is 0, raises ModelError
+    naming the member and the length. Each is scattered into its band by one
     helper (_scatter_band); each global entry collects at most two element
     contributions. The members are summed in turn, beam-1, beam-2, string,
     and a damping coefficient whose term leaves D's band not finite raises
-    NonfiniteElement naming the member and the coefficient, with no numpy
+    ModelError naming the member and the coefficient, with no numpy
     warning.
     """
     validate_config(cfg)
@@ -383,8 +366,8 @@ def assemble_pencil(cfg: StructureConfig, mesh: Mesh) -> SystemPencil:
         with np.errstate(all="ignore"):
             D += _scatter_band(n, b, idx, value * damping)
         if not np.isfinite(D).all():
-            raise NonfiniteElement(f"{member}: the damping band is not finite at "
-                                   f"{coefficient} = {value:.6g}")
+            raise ModelError(f"{member}: the damping band is not finite at "
+                             f"{coefficient} = {value:.6g}")
 
     return SystemPencil(S, M, D)
 

@@ -20,12 +20,12 @@ class BsblabError(Exception):
     the CLI reports with exit status 1."""
 
 
-class OrderingViolation(BsblabError, ValueError):
-    """Interval endpoints are not finite and strictly increasing."""
+class ModelError(BsblabError, ValueError):
+    """The input is outside what the model or float64 can take."""
 
 
-class NegativeDamping(BsblabError, ValueError):
-    """A damping coefficient is negative or not finite."""
+class NumericalError(BsblabError, RuntimeError):
+    """A factorization, solve or eigensolve broke down."""
 
 
 class DampingCase(enum.Enum):
@@ -59,21 +59,19 @@ class StructureConfig:
 def validate_config(cfg: StructureConfig) -> StructureConfig:
     """Check a configuration and return it unchanged.
 
-    Raises OrderingViolation unless l0 < l1 < l2 < l3 with finite endpoints,
-    and NegativeDamping unless rho1, rho2, beta are finite and >= 0.
+    Raises ModelError unless l0 < l1 < l2 < l3 with finite endpoints and
+    rho1, rho2, beta are finite and >= 0.
     Calling it twice is a no-op by construction.
     """
     ends = (cfg.l0, cfg.l1, cfg.l2, cfg.l3)
     if not all(math.isfinite(x) for x in ends):
-        raise OrderingViolation(f"interval endpoints must be finite, got {ends}")
+        raise ModelError(f"interval endpoints must be finite, got {ends}")
     if not (cfg.l0 < cfg.l1 < cfg.l2 < cfg.l3):
-        raise OrderingViolation(
-            f"interval endpoints must satisfy l0 < l1 < l2 < l3, got {ends}"
-        )
+        raise ModelError(f"interval endpoints must satisfy l0 < l1 < l2 < l3, got {ends}")
     for name in ("rho1", "rho2", "beta"):
         value = getattr(cfg, name)
         if not math.isfinite(value) or value < 0:
-            raise NegativeDamping(f"{name} must be finite and >= 0, got {value}")
+            raise ModelError(f"{name} must be finite and >= 0, got {value}")
     return cfg
 
 

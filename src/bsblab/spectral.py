@@ -63,18 +63,7 @@ import scipy.linalg.cython_lapack
 
 from .dynamics import energy
 from .fem import StateVector, SystemPencil, _dense, _lu_band, _require_allocatable
-from .model import BsblabError
-
-
-class FactorizationFailure(BsblabError, RuntimeError):
-    """S or M is not symmetric positive definite to working precision, the
-    whitened matrix overflows or has no Schur form, or Q(mu) no eigenvector."""
-
-
-class NonpositiveParameter(BsblabError, ValueError):
-    """An axis point or grid outside its domain: a non-finite lambda, no axis
-    point, fewer than 2 grid steps or lambda_min >= lambda_max (axis_grid,
-    resolvent_sweep)."""
+from .model import ModelError, NumericalError
 
 
 @dataclass
@@ -123,8 +112,7 @@ def _band_cholesky(ab: np.ndarray, name: str) -> np.ndarray:
     b = ab.shape[0] // 2
     factor, info = scipy.linalg.lapack.dpbtrf(ab[b:], lower=1)
     if info != 0:
-        raise FactorizationFailure(
-            f"{name} admits no Cholesky factorization: dpbtrf info = {info}")
+        raise NumericalError(f"{name} admits no Cholesky factorization: dpbtrf info = {info}")
     return factor
 
 
@@ -133,7 +121,7 @@ def _lower_solve(lm: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     Fortran-ordered rhs."""
     x, info = scipy.linalg.lapack.dtbtrs(lm, rhs, uplo="L", overwrite_b=1)
     if info != 0:
-        raise FactorizationFailure(f"triangular solve with Lm failed: dtbtrs info = {info}")
+        raise NumericalError(f"triangular solve with Lm failed: dtbtrs info = {info}")
     return x
 
 
@@ -144,8 +132,8 @@ def _whiten(pencil: SystemPencil) -> np.ndarray:
     = [[0, X^T], [-X, -Lm^{-1} D Lm^{-T}]] where X = Lm^{-1} Ls, so C is
     exactly skew when D = 0, and Fortran-ordered for _real_schur. X is
     formed in place from the dense Ls, and D is made dense for the two
-    banded solves of its whitening. Huge damping can overflow C, which
-    raises FactorizationFailure.
+    banded solves of its whitening. S or M not positive definite to working
+    precision, or huge damping that overflows C, raises NumericalError.
     """
     ls = _band_cholesky(pencil.s_band, "S")
     lm = _band_cholesky(pencil.m_band, "M")
@@ -153,7 +141,7 @@ def _whiten(pencil: SystemPencil) -> np.ndarray:
     dl = _lower_solve(lm, _dense(pencil.d_band, pencil.bandwidth))
     dw = _lower_solve(lm, np.asfortranarray(dl.T)).T
     if not np.isfinite(dw).all():
-        raise FactorizationFailure("the whitened damping Lm^{-1} D Lm^{-T} is not finite")
+        raise NumericalError("the whitened damping Lm^{-1} D Lm^{-T} is not finite")
     n = pencil.n_positions
     c = np.zeros((2 * n, 2 * n), order="F")
     c[:n, n:] = x.T
@@ -191,10 +179,10 @@ def _band_pencil_eigenvalues(a_band: np.ndarray, b_band: np.ndarray, b_name: str
            w.ctypes.data, z.ctypes.data, one.ctypes.data, work.ctypes.data, info.ctypes.data)
     info = int(info[0])
     if info > n:
-        raise FactorizationFailure(
+        raise NumericalError(
             f"{b_name} admits no Cholesky factorization: dpbstf info = {info - n}")
     if info != 0:
-        raise FactorizationFailure(f"banded generalized eigensolve failed: dsbgv info = {info}")
+        raise NumericalError(f"banded generalized eigensolve failed: dsbgv info = {info}")
     return w
 
 
@@ -226,6 +214,8 @@ def eigenvalues(pencil: SystemPencil) -> SpectrumReport:
     canonical order is then ascending frequency and mirrored entries are
     exact negatives. No N x N array is formed. Otherwise the report keeps
     the real Schur factor of the 2N x 2N whitened matrix C it came from.
+    S or M not positive definite, C not finite or no Schur form raises
+    NumericalError.
     """
     schur = None
     if pencil.d_band.any():
@@ -260,7 +250,7 @@ def _real_schur(c: np.ndarray):
     lwork = int(gees(select, c, compute_v=0, lwork=-1, overwrite_a=1)[-2][0])
     t, _, wr, wi, _, _, info = gees(select, c, compute_v=0, lwork=lwork, overwrite_a=1)
     if info != 0:
-        raise FactorizationFailure(f"real Schur form did not converge (info = {info})")
+        raise NumericalError(f"real Schur form did not converge (info = {info})")
     return t, wr + 1j * wi
 
 
@@ -293,14 +283,14 @@ def eigenmode(pencil: SystemPencil, mu: complex) -> StateVector:
     |mu| |D|_1 + |S|_1), as in LAPACK's zlaein, with each 1-norm the largest
     column sum of its band; |Q(mu)|_1 itself can be 0. A non-finite or zero
     first iterate, or a non-finite or zero-energy vector (Q(mu) overflowed),
-    raises before anything divides by it.
+    raises NumericalError before anything divides by it.
     """
     n, b = pencil.n_positions, pencil.bandwidth
     zgbtrf, zgbtrs = scipy.linalg.lapack.zgbtrf, scipy.linalg.lapack.zgbtrs
     q = mu * mu * pencil.m_band + mu * pencil.d_band + pencil.s_band
     lu, piv, info = zgbtrf(_lu_band(q), b, b)
     if info < 0:
-        raise FactorizationFailure(f"banded LU of Q(mu) failed: zgbtrf info = {info}")
+        raise NumericalError(f"banded LU of Q(mu) failed: zgbtrf info = {info}")
     if info > 0:
         def norm1(ab):
             return float(np.abs(ab).sum(axis=0).max())
@@ -313,12 +303,12 @@ def eigenmode(pencil: SystemPencil, mu: complex) -> StateVector:
     x, _ = zgbtrs(lu, b, b, rng.standard_normal(n) + 1j * rng.standard_normal(n), piv)
     norm = np.linalg.norm(x)
     if not 0.0 < norm < math.inf:
-        raise FactorizationFailure(f"inverse iteration on Q(mu) gave no eigenvector (norm {norm})")
+        raise NumericalError(f"inverse iteration on Q(mu) gave no eigenvector (norm {norm})")
     x, _ = zgbtrs(lu, b, b, x / norm, piv)
     y = np.concatenate([x, mu * x])
     e = energy(pencil, StateVector(y[:n], y[n:])) if np.isfinite(y).all() else math.nan
     if not 0.0 < e < math.inf:
-        raise FactorizationFailure(f"inverse iteration on Q(mu) gave no eigenvector (energy {e})")
+        raise NumericalError(f"inverse iteration on Q(mu) gave no eigenvector (energy {e})")
     y /= math.sqrt(e)
     k = int(np.argmax(np.abs(y)))
     y /= y[k] / abs(y[k])
@@ -337,14 +327,14 @@ def axis_grid(lambda_min: float, lambda_max: float, steps: int) -> np.ndarray:
     Point k is mid + half * j / (steps - 1) with the integer
     j = 2k - (steps - 1), so mirrored points differ only in the sign of j.
     np.linspace agrees to rounding but is not symmetric bitwise, which
-    would defeat the mirror cache of resolvent_sweep.
+    would defeat the mirror cache of resolvent_sweep. Fewer than 2 steps,
+    lambda_min >= lambda_max, a non-finite end or a grid that cannot be
+    allocated raises ModelError.
     """
     if int(steps) != steps or steps < 2:
-        raise NonpositiveParameter(f"steps must be an integer >= 2, got {steps}")
+        raise ModelError(f"steps must be an integer >= 2, got {steps}")
     if not (np.isfinite(lambda_min) and np.isfinite(lambda_max)) or lambda_max <= lambda_min:
-        raise NonpositiveParameter(
-            f"need lambda_min < lambda_max, got [{lambda_min}, {lambda_max}]"
-        )
+        raise ModelError(f"need lambda_min < lambda_max, got [{lambda_min}, {lambda_max}]")
     lambda_min, lambda_max, steps = float(lambda_min), float(lambda_max), int(steps)
     _require_allocatable(steps, f"a grid of {steps:.6g} axis points")
     mid = 0.5 * lambda_min + 0.5 * lambda_max
@@ -367,7 +357,7 @@ def _lanczos_inverse_norm(a: np.ndarray, start: np.ndarray):
     must be Fortran-ordered, or f2py would copy it on every solve. A zero
     pivot or a non-finite solve means A is singular to working precision
     and gives +inf, the norm at an eigenvalue; a non-finite Lanczos
-    coefficient raises ValueError.
+    coefficient or a failed Ritz pair raises NumericalError.
     """
     if not a.flags.f_contiguous:
         raise ValueError("the triangular factor must be Fortran-ordered")
@@ -399,7 +389,7 @@ def _lanczos_inverse_norm(a: np.ndarray, start: np.ndarray):
         betas[k] = np.linalg.norm(u)
         # the tridiagonal of this iteration holds alphas[:k+1], betas[:k]
         if not math.isfinite(alphas[k]) or (k > 0 and not math.isfinite(betas[k - 1])):
-            raise ValueError(f"non-finite Lanczos coefficient at iteration {k + 1}")
+            raise NumericalError(f"non-finite Lanczos coefficient at iteration {k + 1}")
         if k == 0:
             theta, s = float(alphas[0]), 1.0
         else:
@@ -408,7 +398,7 @@ def _lanczos_inverse_norm(a: np.ndarray, start: np.ndarray):
             if info == 0:
                 z, info = stein(d, e, ritz[:found], iblock, isplit)
             if info != 0:
-                raise scipy.linalg.LinAlgError(
+                raise NumericalError(
                     f"largest Ritz pair of the Lanczos tridiagonal failed (info = {info})")
             theta, s = float(ritz[0]), z[k, 0]
         if betas[k] * abs(s) <= LANCZOS_TOL * theta:
@@ -427,11 +417,12 @@ def resolvent_sweep(spect: SpectrumReport, lambdas) -> ResolventTable:
     1 / min|i lambda - mu| over the report's eigenvalues mu, +inf at
     distance 0, with no Lanczos iteration. Damped, one Lanczos run per
     distinct |lambda| on the complex Schur triangle U made from the
-    report's real Schur factor. Nothing is whitened or factored here.
+    report's real Schur factor. Nothing is whitened or factored here. No
+    axis point, or a non-finite one, raises ModelError.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     if lambdas.size == 0 or not np.isfinite(lambdas).all():
-        raise NonpositiveParameter(f"need one or more finite axis points, got {lambdas}")
+        raise ModelError(f"need one or more finite axis points, got {lambdas}")
     keys, where = np.unique(np.abs(lambdas), return_inverse=True)
     iterations = np.zeros(keys.size, dtype=np.int64)
     if spect.schur is None:

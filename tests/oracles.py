@@ -24,16 +24,15 @@ import numpy as np
 import scipy.linalg
 
 from bsblab.fem import (
-    NonpositiveLength,
     StateVector,
     SystemPencil,
-    ZeroElements,
     _element_pairs,
     _index_bandwidth,
     _scatter_band,
     element_matrices,
 )
-from bsblab.spectral import NonpositiveParameter, _whiten
+from bsblab.model import ModelError
+from bsblab.spectral import _whiten
 
 
 def band(a: np.ndarray, b: int) -> np.ndarray:
@@ -110,11 +109,11 @@ def assemble_string_pencil(length: float, beta: float, n: int) -> SystemPencil:
     the DOFs and D = beta * M.
     """
     if not np.isfinite(length) or length <= 0:
-        raise NonpositiveLength(f"string length must be > 0, got {length}")
+        raise ModelError(f"string length must be > 0, got {length}")
     if beta < 0 or not np.isfinite(beta):
         raise ValueError(f"beta must be finite and >= 0, got {beta}")
     if int(n) != n or n < 2:
-        raise ZeroElements(f"a pinned string needs n >= 2 elements, got {n}")
+        raise ModelError(f"a pinned string needs n >= 2 elements, got {n}")
     n = int(n)
     idx = _element_pairs(np.concatenate([[-1], np.arange(n - 1), [-1]]))
     b = _index_bandwidth(idx)
@@ -132,11 +131,11 @@ def assemble_beam_pencil(length: float, n: int, rho: float = 0.0) -> SystemPenci
     D = rho times the slope Gram.
     """
     if not np.isfinite(length) or length <= 0:
-        raise NonpositiveLength(f"beam length must be > 0, got {length}")
+        raise ModelError(f"beam length must be > 0, got {length}")
     if rho < 0 or not np.isfinite(rho):
         raise ValueError(f"rho must be finite and >= 0, got {rho}")
     if int(n) != n or n < 1:
-        raise ZeroElements(f"n must be an integer >= 1, got {n}")
+        raise ModelError(f"n must be an integer >= 1, got {n}")
     n = int(n)
     table = np.full((n + 1, 2), -1, dtype=int)
     table[1:] = np.arange(2 * n).reshape(n, 2)
@@ -156,11 +155,11 @@ def string_modes_closed_form(beta: float, length: float, k: int):
     (plus-branch, minus-branch).
     """
     if not np.isfinite(length) or length <= 0:
-        raise NonpositiveParameter(f"length must be > 0, got {length}")
+        raise ModelError(f"length must be > 0, got {length}")
     if not np.isfinite(beta) or beta < 0:
-        raise NonpositiveParameter(f"beta must be finite and >= 0, got {beta}")
+        raise ModelError(f"beta must be finite and >= 0, got {beta}")
     if int(k) != k or k < 1:
-        raise NonpositiveParameter(f"mode index must be an integer >= 1, got {k}")
+        raise ModelError(f"mode index must be an integer >= 1, got {k}")
     omega = k * math.pi / length
     disc = 0.25 * beta * beta - omega * omega
     if disc >= 0:
@@ -246,7 +245,7 @@ def eigenvalue_exclusion_determinant(a: float) -> float:
     generator eigenvalues in the string-damped-only regime.
     """
     if not np.isfinite(a) or a <= 0:
-        raise NonpositiveParameter(f"a must be finite and > 0, got {a}")
+        raise ModelError(f"a must be finite and > 0, got {a}")
     r = math.sqrt(a)
     if r > 700.0:
         # cosh overflows past ~710; the sum is astronomically above 1

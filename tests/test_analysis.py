@@ -50,14 +50,14 @@ def test_fit_r_squared_drops_on_non_exponential_data():
 
 
 def test_fit_window_validation():
-    with pytest.raises(analysis.WindowTooSmall):
+    with pytest.raises(bb.ModelError, match=r"\] holds 7 samples, need >= 10$"):
         bb.fit_decay(synthetic_trace(n=12))  # 7 samples in [0.2, 0.9] * t_end
     tr = synthetic_trace(n=401)
     dead = dynamics.EnergyTrace(
         times=tr.times, energy=np.zeros_like(tr.energy),
         dissipation=tr.dissipation, cross=tr.cross,
     )
-    with pytest.raises(analysis.NonpositiveEnergy):
+    with pytest.raises(bb.ModelError, match="^window contains nonpositive energy values$"):
         bb.fit_decay(dead)
 
 
@@ -148,7 +148,7 @@ def test_a_mode_at_the_spectrums_roundoff_gets_no_verdict(ddd_cfg):
     certificate, not_applicable or other."""
     cfg = bb.validate_config(dataclasses.replace(ddd_cfg, rho1=1e10))
     _, pencil = bb.discretize(cfg, 4, 4, 4)
-    with pytest.raises(analysis.UnresolvedMode):
+    with pytest.raises(bb.ModelError, match="is roundoff of the spectrum's scale$"):
         bb.certify_decay(cfg, pencil)
 
 
@@ -228,44 +228,6 @@ def test_rate_bound_matches_the_dense_reference(request, system):
         assert math.isnan(cert.alpha_bound)
     else:
         assert cert.alpha_bound == bound
-
-
-def test_a_damping_fault_in_the_step_fails_the_verdict(monkeypatch):
-    """Scaling D by 1 + 1e-6 inside the step moves the fitted rate off the
-    scheme rate by far more than its roundoff bound, though alpha_fit stays
-    within 0.3% of 2 |abscissa|."""
-    cfg = bb.validate_config(read_config(str(CONFIGS / "ddd.cfg")))
-    _, pencil = bb.discretize(cfg, 10, 10, 10)
-    assert bb.certify_decay(cfg, pencil).verdict == "two_sided_pass"
-    step = dynamics._trapezoidal_step
-
-    def faulty(pencil, dt, dtype):
-        return step(dataclasses.replace(pencil, d_band=pencil.d_band * (1 + 1e-6)), dt, dtype)
-
-    monkeypatch.setattr(dynamics, "_trapezoidal_step", faulty)
-    cert = bb.certify_decay(cfg, pencil)
-    assert 0.997 <= cert.alpha_fit / (2 * abs(cert.abscissa)) <= 1.0
-    assert cert.verdict == "two_sided_fail"
-
-
-def test_a_damping_fault_in_the_step_fails_the_step_balance(monkeypatch):
-    """The same fault at 40 elements per member breaks the per-step balance
-    E_{k+1} - E_k = dt dissipation(midpoint) by 1.7 times its roundoff
-    bound, where the faultless step reads 0.009 of it."""
-    cfg = bb.validate_config(read_config(str(CONFIGS / "ddd.cfg")))
-    mesh, pencil = bb.discretize(cfg, 40, 40, 40)
-    y0 = bb.interpolate(cfg, mesh)
-    dt = bb.certify_decay(cfg, pencil).dt
-    row = analysis._check_step_energy_balance(pencil, y0, dt)
-    assert row.passed and row.residual <= 0.01
-    step = dynamics._trapezoidal_step
-
-    def faulty(pencil, dt, dtype):
-        return step(dataclasses.replace(pencil, d_band=pencil.d_band * (1 + 1e-6)), dt, dtype)
-
-    monkeypatch.setattr(dynamics, "_trapezoidal_step", faulty)
-    row = analysis._check_step_energy_balance(pencil, y0, dt)
-    assert not row.passed and row.residual >= 1.5
 
 
 def test_explicit_dt_and_t_final_are_respected(ddd_system):

@@ -199,8 +199,8 @@ def test_spectrum_csv_schema(tmp_path, config_file):
 
 def test_spectrum_warns_when_a_dissipative_spectrum_has_re_above_zero(tmp_path, capsys):
     """Damping that dwarfs stiffness (rho1 = 1e150 at n = 4) leaves a slowest
-    eigenvalue within eps max|mu| of 0, the test decay refuses with
-    UnresolvedMode. spectrum names its |mu| on stderr; stdout, the CSV and
+    eigenvalue within eps max|mu| of 0, the test decay refuses with a
+    ModelError. spectrum names its |mu| on stderr; stdout, the CSV and
     the exit code are as without the warning. A resolved spectrum prints no
     warning, even with roundoff Re > 0 (damping on the first beam alone)."""
     cases = (("rho1 = 1.0", "rho1 = 1.0", 4, "38 eigenvalues (DDD)", False),
@@ -226,6 +226,32 @@ def test_spectrum_warns_when_a_dissipative_spectrum_has_re_above_zero(tmp_path, 
             continue
         assert captured.err == (f"warning: the slowest eigenvalue has |mu| = {cli._fmt(slowest)}, "
                                 "within eps max|mu| of 0; the spectrum is not resolved\n")
+
+
+def test_resolvent_warns_as_spectrum_does_on_an_unresolved_spectrum(tmp_path, capsys):
+    """rho1 = rho2 = beta = 1e150 at n = 4 leaves a slowest eigenvalue
+    within eps max|mu| of 0, and the grid maximum is inf. resolvent prints
+    spectrum's warning line on stderr; its stdout, resolvent.csv and exit
+    code are those of a sweep without the warning."""
+    path = tmp_path / "huge.cfg"
+    path.write_text(re.sub(r"^(rho1|rho2|beta) = .*$", r"\1 = 1e150", CONFIG, flags=re.M))
+    mesh = ["--config", str(path), "--n1", "4", "--n2", "4", "--n3", "4"]
+    warning = ("warning: the slowest eigenvalue has |mu| = 1.2107579608134657e+136, "
+               "within eps max|mu| of 0; the spectrum is not resolved\n")
+    assert cli.main(["spectrum", *mesh, "--out-dir", str(tmp_path / "spectrum")]) == 0
+    assert capsys.readouterr().err == warning
+    out = tmp_path / "resolvent"
+    assert cli.main(["resolvent", *mesh, "--lambda-steps", "5", "--out-dir", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == warning
+    assert captured.out.splitlines() == [
+        "resolvent: grid maximum over [-50, 50] (5 points, 3 distinct |lambda|, "
+        "5 Lanczos iterations, at most 2 per point) = inf",
+        "resolvent: first grid maximum at lambda = 0, abscissa = 1.2107579608134657e+136",
+        f"wrote {out / 'resolvent.csv'}",
+    ]
+    rows = (out / "resolvent.csv").read_text().splitlines()
+    assert rows[0] == "lambda,norm" and rows[3] == "0,inf"
 
 
 def test_resolvent_row_count_and_sup(tmp_path, config_file):
@@ -457,14 +483,17 @@ def test_a_step_count_whose_record_cannot_be_allocated_is_a_model_error(
     ({"l1": "1e-308", "l2": "1", "l3": "2"},
      "beam-1: the beam_bending matrix is not finite at element length 2.5e-309"),
     ({"rho1": "1e308"}, "beam-1: the damping band is not finite at rho1 = 1e+308"),
-], ids=["l1=1e-300", "l3=1e300", "l0=-1e200,l3=1e200", "l1=1e-308", "rho1=1e308"])
+    ({"l1": "1e-323", "l2": "1", "l3": "2"},
+     "beam-1: element length must be finite and > 0, got 0.0"),
+], ids=["l1=1e-300", "l3=1e300", "l0=-1e200,l3=1e200", "l1=1e-308", "rho1=1e308", "l1=1e-323"])
 def test_extreme_geometry_is_a_model_error(tmp_path, capsys, edits, message):
     """Valid geometry whose element lengths make a beam element matrix
     under- or overflow (bending scales as h^-3, mass down to h^3), or a
     damping coefficient that overflows the band of D, is refused by
     assembly, naming the member and the length or coefficient: one error
     line, exit 1 and no numpy warning, in every command that assembles a
-    pencil."""
+    pencil. So is an element length that rounds to 0 (a beam 1e-323 long
+    on four elements)."""
     text = CONFIG
     for key, value in edits.items():
         text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
@@ -534,19 +563,24 @@ def test_only_module_errors_exit_with_status_one(tmp_path, config_file, monkeypa
     monkeypatch.setattr(cli, "eigenvalues", fail(ValueError("not a module error")))
     with pytest.raises(ValueError, match="not a module error"):
         cli.run(spec)
-    monkeypatch.setattr(cli, "eigenvalues", fail(spectral.NonpositiveParameter("bad")))
-    assert cli.run(spec) == 1
+    for error in (bb.ModelError("bad"), bb.NumericalError("bad")):
+        monkeypatch.setattr(cli, "eigenvalues", fail(error))
+        assert cli.run(spec) == 1
 
 
 def test_every_package_error_is_a_bsblab_error():
-    """cli.run maps BsblabError to exit 1, so every error class the model,
-    fem, dynamics, spectral and analysis modules define must derive from it."""
-    errors = [obj for module in (model, fem, dynamics, spectral, analysis)
+    """cli.run maps BsblabError to exit 1, and the package defines exactly
+    two kinds of it: ModelError, a ValueError, and NumericalError, a
+    RuntimeError."""
+    errors = {obj for module in (model, fem, dynamics, spectral, analysis)
               for obj in vars(module).values()
               if isinstance(obj, type) and issubclass(obj, BaseException)
-              and obj.__module__ == module.__name__]
-    assert len(errors) >= 14
-    assert all(issubclass(e, bb.BsblabError) for e in errors), errors
+              and obj.__module__ == module.__name__}
+    assert errors == {bb.BsblabError, bb.ModelError, bb.NumericalError}
+    assert issubclass(bb.ModelError, bb.BsblabError)
+    assert issubclass(bb.ModelError, ValueError)
+    assert issubclass(bb.NumericalError, bb.BsblabError)
+    assert issubclass(bb.NumericalError, RuntimeError)
 
 
 def test_an_unresolved_dt_is_inconclusive(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -182,7 +183,8 @@ def test_eigenmode_rejects_a_vanishing_first_iterate_before_dividing(ddd_cfg):
     mu = complex(bb.eigenvalues(pencil).eigenvalues[-1])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(spectral.FactorizationFailure, match="no eigenvector"):
+        message = "inverse iteration on Q(mu) gave no eigenvector (norm 0.0)"
+        with pytest.raises(bb.NumericalError, match=f"^{re.escape(message)}$"):
             spectral.eigenmode(pencil, mu)
 
 
@@ -265,7 +267,7 @@ def test_both_routes_reject_an_indefinite_pencil():
     for damping in (np.zeros((2, 2)), eye):
         for s, m in ((indefinite, eye), (eye, indefinite)):
             pencil = oracles.pencil_from_dense(S=s, M=m, D=damping)
-            with pytest.raises(spectral.FactorizationFailure):
+            with pytest.raises(bb.NumericalError, match="admits no Cholesky factorization"):
                 spectral.eigenvalues(pencil)
 
 
@@ -296,9 +298,9 @@ def test_string_modes_satisfy_vieta(beta, length, k):
 
 
 def test_string_modes_closed_form_rejects_bad_parameters():
-    with pytest.raises(spectral.NonpositiveParameter):
+    with pytest.raises(bb.ModelError, match="beta must be finite and >= 0, got -1.0"):
         oracles.string_modes_closed_form(-1.0, 1.0, 1)
-    with pytest.raises(spectral.NonpositiveParameter):
+    with pytest.raises(bb.ModelError, match="length must be > 0, got 0.0"):
         oracles.string_modes_closed_form(1.0, 0.0, 1)
 
 
@@ -338,7 +340,7 @@ def test_exclusion_determinant_exceeds_one(a):
 
 def test_exclusion_determinant_rejects_nonpositive():
     for a in (0.0, -1.0, math.nan):
-        with pytest.raises(spectral.NonpositiveParameter):
+        with pytest.raises(bb.ModelError, match="a must be finite and > 0"):
             oracles.eigenvalue_exclusion_determinant(a)
 
 
@@ -531,7 +533,8 @@ def test_lanczos_edge_cases_match_the_wrappers():
     with np.errstate(over="ignore"):
         with pytest.raises(ValueError, match="infs or NaNs"):
             reference_lanczos_inverse_norm(a, start)
-        with pytest.raises(ValueError, match="non-finite Lanczos coefficient at iteration 2"):
+        with pytest.raises(bb.NumericalError,
+                           match="^non-finite Lanczos coefficient at iteration 2$"):
             spectral._lanczos_inverse_norm(a, start)
 
 
@@ -548,15 +551,15 @@ def test_lanczos_takes_only_a_fortran_ordered_factor(ddd_system):
 
 def test_resolvent_parameter_validation(ddd_system):
     _, _, pencil = ddd_system
-    with pytest.raises(spectral.NonpositiveParameter, match="steps must be an integer >= 2"):
+    with pytest.raises(bb.ModelError, match="steps must be an integer >= 2"):
         spectral.axis_grid(-1.0, 1.0, 1)
-    with pytest.raises(spectral.NonpositiveParameter, match="need lambda_min < lambda_max"):
+    with pytest.raises(bb.ModelError, match="need lambda_min < lambda_max"):
         spectral.axis_grid(1.0, -1.0, 11)
-    with pytest.raises(spectral.NonpositiveParameter, match="need lambda_min < lambda_max"):
+    with pytest.raises(bb.ModelError, match="need lambda_min < lambda_max"):
         spectral.axis_grid(-1.0, math.inf, 11)
     spect = spectral.eigenvalues(pencil)
     for bad in ([0.0, math.inf], [-math.inf, 0.0], [math.nan], []):
-        with pytest.raises(spectral.NonpositiveParameter, match="one or more finite axis points"):
+        with pytest.raises(bb.ModelError, match="one or more finite axis points"):
             spectral.resolvent_sweep(spect, bad)
 
 
