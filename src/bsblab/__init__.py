@@ -14,7 +14,6 @@ from .model import (
     NumericalError,
     StructureConfig,
     classify_damping,
-    validate_config,
 )
 from .fem import (
     Mesh,
@@ -61,7 +60,6 @@ __all__ = [
     "NumericalError",
     "StructureConfig",
     "classify_damping",
-    "validate_config",
     "Mesh",
     "StateVector",
     "SystemPencil",

@@ -9,11 +9,12 @@ the default dt's rule, does not resolve the mode: no run, inconclusive.
 
 The certificate is one record, DecayCertificate: certify_decay returns
 it, decay.json is its fields and its verdict field holds the judgement;
-a spectrum with nothing to fit gets no run.
+a spectrum with nothing to fit gets no run. An explicit dt or t_final
+is checked as simulate checks it, before the eigensolve.
 Alongside the certificate, cross_validate calls each check the run can
 fail: the step energy balance of a 50-step plateau run on every config,
-and the spectrum gap when only the string is damped (UDU); invariants
-that hold whatever the run live in the unit tests. It returns a
+and the spectrum gap on DDD and UDU, where the paper proves decay;
+invariants that hold whatever the run live in the unit tests. It returns a
 VerificationReport that holds the certificate next to one result per
 check; report.json is the certificate's fields plus those of the
 report. One writer, _render_json, produces the text of both files, so a
@@ -217,8 +218,12 @@ def _certify(cfg: StructureConfig, pencil: SystemPencil,
     for a numerically undamped spectrum (not_applicable, the conservative
     regime included) or a dt that does not resolve the mode (inconclusive).
     A mode the spectrum does not resolve (spectral.slowest_mode_unresolved,
-    where damping dwarfs stiffness) raises ModelError, with no verdict.
+    where damping dwarfs stiffness) raises ModelError, with no verdict. So
+    does, before the eigensolve, a dt or t_final that simulate refuses,
+    default_dt(cfg) or DEFAULT_T_FINAL standing in for None.
     """
+    dynamics._step_count(default_dt(cfg) if dt is None else dt,
+                         DEFAULT_T_FINAL if t_final is None else t_final)
     spect = eigenvalues(pencil)
     mu = complex(spect.eigenvalues[-1])
     if spectral.slowest_mode_unresolved(spect):
@@ -299,8 +304,8 @@ def _check_step_energy_balance(pencil: SystemPencil, y0: StateVector, dt: float)
 
 
 def _check_string_damping_spectrum_gap(spect: spectral.SpectrumReport) -> InvariantResult:
-    """Every eigenvalue strictly left of the axis, the condition the paper's
-    frequency-domain proof of UDU decay needs; the residual is the abscissa."""
+    """Every eigenvalue strictly left of the axis, which the exponential decay
+    the paper proves on DDD and UDU needs; the residual is the abscissa."""
     mu = spect.eigenvalues
     band = mu[np.abs(mu.imag) <= 50.0]
     band_min = float(np.min(np.abs(band.real))) if band.size else math.nan
@@ -321,13 +326,13 @@ def cross_validate(
     Takes the certificate of certify_decay (the same slowest-mode run, fit
     and verdict), runs the step balance from the plateau initial state,
     laid out by the mesh's own DOF numbering, at the certificate's dt,
-    and, when only the string is damped, the spectrum-gap check on the
-    certificate's spectrum. pencil must be assembled on mesh.
+    and, on DDD and UDU, the gap check on its spectrum (on Other, real parts
+    sit at roundoff of either sign). pencil must be assembled on mesh.
     """
     cert, spect = _certify(cfg, pencil, dt, t_final)
     y0 = fem.interpolate(cfg, mesh)
     results = [_check_step_energy_balance(pencil, y0, cert.dt)]
-    if classify_damping(cfg) is DampingCase.UDU:
+    if classify_damping(cfg) in (DampingCase.DDD, DampingCase.UDU):
         results.append(_check_string_damping_spectrum_gap(spect))
     return VerificationReport(
         certificate=cert,

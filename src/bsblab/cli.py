@@ -10,10 +10,10 @@ out takes its RunSpec default. decay.json and report.json both come from
 the analysis module's one JSON writer: decay writes the DecayCertificate,
 verify the VerificationReport that holds it.
 
-Exit codes: 0 success, 2 for usage errors, 1 for a failed verify and for
-the package's two errors: a ModelError (the input is outside what the
-model or float64 can take) or a NumericalError (a factorization, solve or
-eigensolve broke down).
+Exit codes: 0 success; 2 for a command line, config file or out-dir that
+cannot be used; 1 for a failed verify and for the package's two errors: a
+ModelError (a value out of range; the package makes every range check) or
+a NumericalError (a factorization, solve or eigensolve broke down).
 """
 
 from __future__ import annotations
@@ -29,12 +29,12 @@ from . import spectral
 from .analysis import certify_decay, cross_validate, render_decay, render_report
 from .dynamics import DEFAULT_T_FINAL, default_dt, simulate
 from .fem import discretize, interpolate, nodal_field
-from .model import BsblabError, StructureConfig, classify_damping, validate_config
+from .model import BsblabError, StructureConfig, classify_damping
 from .spectral import axis_grid, eigenvalues, resolvent_sweep
 
 
 class UsageError(Exception):
-    """Bad command line or config file; exits with status 2."""
+    """A command line, config file or out-dir that cannot be used; exit 2."""
 
 
 _CONFIG_KEYS = ("l0", "l1", "l2", "l3", "rho1", "rho2", "beta")
@@ -43,7 +43,8 @@ def read_config(path: str) -> StructureConfig:
     """Parse the key = value config file into a StructureConfig.
 
     Blank lines and # comments are skipped; unknown, duplicate or missing
-    keys and unparseable numbers raise UsageError.
+    keys and unparseable numbers raise UsageError; values the model
+    refuses raise ModelError from StructureConfig.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -140,32 +141,7 @@ def parse_args(argv) -> RunSpec:
 
     add_run("verify", "invariant sweep and decay verdict; exit 0 iff all pass")
 
-    ns = parser.parse_args(argv)
-    spec = RunSpec(**vars(ns))
-
-    for name in ("n1", "n2", "n3"):
-        if getattr(spec, name) < 1:
-            raise UsageError(f"--{name} must be >= 1, got {getattr(spec, name)}")
-    if spec.dt is not None and not (np.isfinite(spec.dt) and spec.dt > 0):
-        raise UsageError(f"--dt must be finite and > 0, got {spec.dt}")
-    if spec.t_final is not None and not (np.isfinite(spec.t_final) and spec.t_final > 0):
-        raise UsageError(f"--t-final must be finite and > 0, got {spec.t_final}")
-    # t_final defaults to DEFAULT_T_FINAL for simulate and to at most that
-    # for decay and verify
-    if spec.dt is not None and not np.isfinite((spec.t_final or DEFAULT_T_FINAL) / spec.dt):
-        raise UsageError(f"the step count t_final/dt overflows with --dt {spec.dt}")
-    if spec.lambda_steps < 2:
-        raise UsageError(f"--lambda-steps must be >= 2, got {spec.lambda_steps}")
-    if not np.isfinite([spec.lambda_min, spec.lambda_max]).all():
-        raise UsageError(f"--lambda-min and --lambda-max must be finite, "
-                         f"got [{spec.lambda_min}, {spec.lambda_max}]")
-    if not spec.lambda_max > spec.lambda_min:
-        raise UsageError(
-            f"--lambda-max must exceed --lambda-min, got [{spec.lambda_min}, {spec.lambda_max}]"
-        )
-    if spec.snapshot_every < 0:
-        raise UsageError(f"--snapshot-every must be >= 0, got {spec.snapshot_every}")
-    return spec
+    return RunSpec(**vars(parser.parse_args(argv)))
 
 
 # --- output helpers ---------------------------------------------------------
@@ -175,8 +151,15 @@ def _fmt(x) -> str:
     return format(float(x) + 0.0, ".17g")
 
 
+def _open_output(path: str):
+    try:
+        return open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise UsageError(f"cannot write output file {path}: {exc}") from exc
+
+
 def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _open_output(path) as fh:
         fh.write(text)
 
 
@@ -187,7 +170,7 @@ def _write_csv(path: str, header: str, blocks) -> None:
     """The header, then each block, a tuple of equal-length columns, as %.17g
     rows, stacked and formatted by one template _ROWS_PER_WRITE rows at a
     time; + 0.0 folds negative zero as _fmt does."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _open_output(path) as fh:
         fh.write(header + "\n")
         for block in blocks:
             row = ",".join(["%.17g"] * len(block)) + "\n"
@@ -197,9 +180,12 @@ def _write_csv(path: str, header: str, blocks) -> None:
 
 
 def _prepare(spec: RunSpec):
-    cfg = validate_config(read_config(spec.config_path))
+    cfg = read_config(spec.config_path)
     mesh, pencil = discretize(cfg, spec.n1, spec.n2, spec.n3)
-    os.makedirs(spec.out_dir, exist_ok=True)
+    try:
+        os.makedirs(spec.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create output directory {spec.out_dir}: {exc}") from exc
     return cfg, mesh, pencil
 
 

@@ -106,6 +106,18 @@ def default_dt(cfg: StructureConfig) -> float:
     return 2e-3 * (cfg.l2 - cfg.l1)
 
 
+def _step_count(dt: float, t_final: float) -> int:
+    """round(t_final/dt), at least 1. ModelError unless dt and t_final are
+    finite and > 0 and t_final/dt does not overflow."""
+    for name, value in (("dt", dt), ("t_final", t_final)):
+        if not np.isfinite(value) or value <= 0:
+            raise ModelError(f"{name} must be finite and > 0, got {value}")
+    ratio = float(t_final) / float(dt)
+    if not math.isfinite(ratio):
+        raise ModelError(f"the step count t_final/dt overflows: t_final = {t_final}, dt = {dt}")
+    return max(1, round(ratio))
+
+
 def _band_product(ab: np.ndarray, dtype, out: np.ndarray | None = None):
     """Return x -> a @ x by banded BLAS in the run's dtype.
 
@@ -208,22 +220,17 @@ def simulate(
     An energy-only run's energy is bitwise the full run's,
     as both take it from the same 2 x 2 product. States are stored every
     snapshot_every steps (plus the initial and final one) when
-    snapshot_every > 0. A state whose length does not match the pencil, a
-    dt or t_final that is not finite and > 0, a negative snapshot_every,
+    snapshot_every > 0. A state whose length does not match the pencil,
+    a dt or t_final that _step_count refuses, a negative snapshot_every,
     or a step count whose record cannot be allocated raises ModelError,
     before the step matrix is factored. A failed factorization, or a step
     whose recorded energy is not finite, raises NumericalError: S and M
     have positive diagonals, so a non-finite entry of p or q makes it so.
     """
     _require_match(pencil, y0)
-    if not np.isfinite(dt) or dt <= 0:
-        raise ModelError(f"dt must be finite and > 0, got {dt}")
-    if not np.isfinite(t_final) or t_final <= 0:
-        raise ModelError(f"t_final must be finite and > 0, got {t_final}")
+    steps = _step_count(dt, t_final)
     if snapshot_every < 0:
         raise ModelError(f"snapshot_every must be >= 0, got {snapshot_every}")
-
-    steps = max(1, int(round(t_final / dt)))
     try:
         # np.empty refuses a count np.arange would turn into an empty array
         e_arr = np.empty(steps + 1)

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .model import ModelError, StructureConfig, validate_config
+from .model import ModelError, StructureConfig
 
 
 def _require_allocatable(length: int, what: str) -> None:
@@ -167,7 +167,6 @@ def build_mesh(cfg: StructureConfig, n1: int, n2: int, n3: int) -> Mesh:
     the junctions is built into the space rather than constrained. A count
     below 1 or too large to allocate raises ModelError.
     """
-    validate_config(cfg)
     for name, n in (("n1", n1), ("n2", n2), ("n3", n3)):
         if int(n) != n or n < 1:
             raise ModelError(f"{name} must be an integer >= 1, got {n}")
@@ -345,7 +344,6 @@ def assemble_pencil(cfg: StructureConfig, mesh: Mesh) -> SystemPencil:
     ModelError naming the member and the coefficient, with no numpy
     warning.
     """
-    validate_config(cfg)
     n = mesh.n_dofs
     members = [(_element_pairs(table), member, coefficient,
                 *(_element_stack(kind, nodes, member)

@@ -45,7 +45,12 @@ class DampingCase(enum.Enum):
 
 @dataclass(frozen=True)
 class StructureConfig:
-    """Geometry and damping coefficients of the composite structure."""
+    """Geometry and damping coefficients of the composite structure.
+
+    Valid by construction: construction, dataclasses.replace's included,
+    raises ModelError unless l0 < l1 < l2 < l3 with finite endpoints and
+    rho1, rho2, beta are finite and >= 0.
+    """
 
     l0: float
     l1: float
@@ -55,24 +60,16 @@ class StructureConfig:
     rho2: float
     beta: float
 
-
-def validate_config(cfg: StructureConfig) -> StructureConfig:
-    """Check a configuration and return it unchanged.
-
-    Raises ModelError unless l0 < l1 < l2 < l3 with finite endpoints and
-    rho1, rho2, beta are finite and >= 0.
-    Calling it twice is a no-op by construction.
-    """
-    ends = (cfg.l0, cfg.l1, cfg.l2, cfg.l3)
-    if not all(math.isfinite(x) for x in ends):
-        raise ModelError(f"interval endpoints must be finite, got {ends}")
-    if not (cfg.l0 < cfg.l1 < cfg.l2 < cfg.l3):
-        raise ModelError(f"interval endpoints must satisfy l0 < l1 < l2 < l3, got {ends}")
-    for name in ("rho1", "rho2", "beta"):
-        value = getattr(cfg, name)
-        if not math.isfinite(value) or value < 0:
-            raise ModelError(f"{name} must be finite and >= 0, got {value}")
-    return cfg
+    def __post_init__(self):
+        ends = (self.l0, self.l1, self.l2, self.l3)
+        if not all(math.isfinite(x) for x in ends):
+            raise ModelError(f"interval endpoints must be finite, got {ends}")
+        if not (self.l0 < self.l1 < self.l2 < self.l3):
+            raise ModelError(f"interval endpoints must satisfy l0 < l1 < l2 < l3, got {ends}")
+        for name in ("rho1", "rho2", "beta"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value < 0:
+                raise ModelError(f"{name} must be finite and >= 0, got {value}")
 
 
 def classify_damping(cfg: StructureConfig) -> DampingCase:
@@ -81,7 +78,6 @@ def classify_damping(cfg: StructureConfig) -> DampingCase:
     The comparison against zero is exact: a coefficient counts as "on" only
     when it is strictly positive. The four tags partition the valid space.
     """
-    validate_config(cfg)
     beams_on = cfg.rho1 > 0 and cfg.rho2 > 0
     beams_off = cfg.rho1 == 0 and cfg.rho2 == 0
     if beams_on and cfg.beta > 0:

@@ -6,17 +6,17 @@ import bsblab as bb
 
 @pytest.fixture(scope="session")
 def ddd_cfg():
-    return bb.validate_config(bb.StructureConfig(0.0, 1.0, 2.0, 3.0, 1.0, 1.0, 1.0))
+    return bb.StructureConfig(0.0, 1.0, 2.0, 3.0, 1.0, 1.0, 1.0)
 
 
 @pytest.fixture(scope="session")
 def udu_cfg():
-    return bb.validate_config(bb.StructureConfig(0.0, 1.0, 2.0, 3.0, 0.0, 0.0, 0.5))
+    return bb.StructureConfig(0.0, 1.0, 2.0, 3.0, 0.0, 0.0, 0.5)
 
 
 @pytest.fixture(scope="session")
 def cons_cfg():
-    return bb.validate_config(bb.StructureConfig(0.0, 1.0, 2.0, 3.0, 0.0, 0.0, 0.0))
+    return bb.StructureConfig(0.0, 1.0, 2.0, 3.0, 0.0, 0.0, 0.0)
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -72,7 +73,8 @@ def test_cross_validate_certifies_the_fully_damped_case(ddd_system):
     assert cert.r_squared >= 0.999
     assert rep.all_pass
     assert rep.mesh_counts == (10, 10, 10)
-    assert [r.name for r in rep.invariant_results] == ["dynamics.step_energy_balance"]
+    assert [r.name for r in rep.invariant_results] == [
+        "dynamics.step_energy_balance", "spectral.string_damping_spectrum_gap"]
 
 
 def test_cross_validate_on_the_conservative_twin(cons_system):
@@ -86,9 +88,7 @@ def test_cross_validate_on_the_conservative_twin(cons_system):
 
 def partial_damping_system():
     """Damping on the first beam only, on 8 elements per member."""
-    cfg = bb.validate_config(
-        bb.StructureConfig(0.0, 1.0, 2.0, 3.0, 1.0, 0.0, 0.0)
-    )
+    cfg = bb.StructureConfig(0.0, 1.0, 2.0, 3.0, 1.0, 0.0, 0.0)
     return (cfg, *bb.discretize(cfg, 8, 8, 8))
 
 
@@ -103,31 +103,18 @@ def test_cross_validate_with_partial_damping_declines_to_certify():
     assert rep.all_pass
 
 
-def test_cross_validate_reports_the_checks_each_regime_can_fail(udu_system, cons_system):
-    """The step balance on every config, the spectrum gap only when damping
-    is confined to the string: off UDU it could not fail."""
+def test_cross_validate_reports_the_checks_each_regime_can_fail(
+        ddd_system, udu_system, cons_system):
+    """The step balance on every config, the spectrum gap on DDD and UDU:
+    without damping it could not pass, and with damping on one beam alone
+    the real parts sit at roundoff of either sign."""
     balance, gap = "dynamics.step_energy_balance", "spectral.string_damping_spectrum_gap"
-    rep = bb.cross_validate(*udu_system)
-    assert [r.name for r in rep.invariant_results] == [balance, gap]
-    assert rep.invariant_results[1].residual == rep.certificate.abscissa < 0
+    for system in (ddd_system, udu_system):
+        rep = bb.cross_validate(*system)
+        assert [r.name for r in rep.invariant_results] == [balance, gap]
+        assert rep.invariant_results[1].residual == rep.certificate.abscissa < 0
     for system in (cons_system, partial_damping_system()):
         assert [r.name for r in bb.cross_validate(*system).invariant_results] == [balance]
-
-
-@pytest.mark.parametrize("n", [10, 40])
-def test_only_the_gap_row_sees_a_udu_pencil_without_damping(udu_cfg, n):
-    """A UDU config whose pencil lost its D band has its spectrum on the
-    axis. The certificate has nothing to fit and the step balance holds,
-    so the spectrum-gap row alone fails verify."""
-    mesh, pencil = bb.discretize(udu_cfg, n, n, n)
-    undamped = dataclasses.replace(pencil, d_band=np.zeros_like(pencil.d_band))
-    rep = bb.cross_validate(udu_cfg, mesh, undamped)
-    assert rep.certificate.verdict == "not_applicable"
-    balance, gap = rep.invariant_results
-    assert balance.name == "dynamics.step_energy_balance" and balance.passed
-    assert gap.name == "spectral.string_damping_spectrum_gap"
-    assert not gap.passed and gap.residual == 0.0
-    assert not rep.all_pass
 
 
 def test_an_unstable_pencil_fails_the_verdict(ddd_system):
@@ -146,7 +133,7 @@ def test_a_mode_at_the_spectrums_roundoff_gets_no_verdict(ddd_cfg):
     """Damping that dwarfs stiffness (rho1 = 1e10 at n = 4) leaves a slowest
     mode below eps max|mu|, which the spectrum does not resolve; it gets no
     certificate, not_applicable or other."""
-    cfg = bb.validate_config(dataclasses.replace(ddd_cfg, rho1=1e10))
+    cfg = dataclasses.replace(ddd_cfg, rho1=1e10)
     _, pencil = bb.discretize(cfg, 4, 4, 4)
     with pytest.raises(bb.ModelError, match="is roundoff of the spectrum's scale$"):
         bb.certify_decay(cfg, pencil)
@@ -187,7 +174,7 @@ def test_ddd_mode_run_decays_at_the_discrete_rate(n):
     exact energy rate of the trapezoidal map on that mode, to within the
     roundoff bound of oracle_bound."""
     for name in ("ddd", "udu"):
-        cfg = bb.validate_config(read_config(str(CONFIGS / f"{name}.cfg")))
+        cfg = read_config(str(CONFIGS / f"{name}.cfg"))
         _, pencil = bb.discretize(cfg, n, n, n)
         cert, _ = analysis._certify(cfg, pencil, None, None)
         assert cert == bb.certify_decay(cfg, pencil)
@@ -235,6 +222,40 @@ def test_explicit_dt_and_t_final_are_respected(ddd_system):
     cert = bb.certify_decay(cfg, pencil, dt=1e-3, t_final=2.0)
     assert cert.dt == 1e-3
     assert cert.t_final == 2.0
+
+
+# a dt or t_final, the other left to its default, and simulate's message
+BAD_RUN_PARAMETERS = [
+    *((dict(dt=dt), f"dt must be finite and > 0, got {dt}")
+      for dt in (0.0, -1.0, math.nan, math.inf)),
+    *((dict(t_final=t), f"t_final must be finite and > 0, got {t}")
+      for t in (0.0, -1.0, math.nan, math.inf)),
+    (dict(dt=5e-324), "the step count t_final/dt overflows: t_final = 10.0, dt = 5e-324"),
+]
+
+
+@pytest.mark.parametrize("name", ["ddd", "udu", "conservative"])
+def test_the_library_refuses_bad_run_parameters_before_the_eigensolve(name, monkeypatch):
+    """simulate, certify_decay and cross_validate raise the same ModelError
+    for a dt or t_final that is not finite and > 0, or whose ratio
+    t_final/dt overflows. simulate runs with default_dt and DEFAULT_T_FINAL
+    for the value not given, which the certificate's check takes too, and
+    the two analysis entry points refuse before any eigensolve."""
+    cfg = read_config(str(CONFIGS / f"{name}.cfg"))
+    mesh, pencil = bb.discretize(cfg, 4, 4, 4)
+    y0 = bb.interpolate(cfg, mesh)
+
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("the eigensolve ran")
+
+    monkeypatch.setattr(analysis, "eigenvalues", no_eigensolve)
+    for bad, message in BAD_RUN_PARAMETERS:
+        run = {"dt": bb.default_dt(cfg), "t_final": dynamics.DEFAULT_T_FINAL, **bad}
+        for call in (lambda: bb.simulate(pencil, y0, run["dt"], run["t_final"]),
+                     lambda: bb.certify_decay(cfg, pencil, **bad),
+                     lambda: bb.cross_validate(cfg, mesh, pencil, **bad)):
+            with pytest.raises(bb.ModelError, match=f"^{re.escape(message)}$"):
+                call()
 
 
 def test_a_resolving_dt_distorts_the_rate_by_at_most_a_quarter_percent():

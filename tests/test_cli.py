@@ -86,23 +86,12 @@ def test_parse_args_defaults(config_file, command):
 
 
 def test_parse_args_rejections(config_file):
+    """What argparse cannot use. Values it parses reach the package, which
+    makes every range check (test_an_out_of_range_value_exits_1...)."""
     bad = [
-        ["resolvent", "--config", config_file, "--lambda-steps", "0"],
-        ["resolvent", "--config", config_file, "--lambda-min", "2", "--lambda-max", "-2"],
-        ["simulate", "--config", config_file, "--dt", "0"],
-        ["simulate", "--config", config_file, "--dt", "inf"],
-        ["simulate", "--config", config_file, "--t-final", "inf"],
-        ["decay", "--config", config_file, "--dt", "inf"],
-        # the step count t_final/dt overflows, the default t_final included
-        ["simulate", "--config", config_file, "--dt", "1e-300", "--t-final", "1e300"],
-        ["decay", "--config", config_file, "--dt", "1e-300", "--t-final", "1e300"],
-        ["simulate", "--config", config_file, "--dt", "1e-320"],
-        ["decay", "--config", config_file, "--dt", "1e-320"],
-        ["verify", "--config", config_file, "--dt", "1e-320"],
-        ["verify", "--config", config_file, "--t-final", "nan"],
-        ["resolvent", "--config", config_file, "--lambda-max", "inf"],
-        ["resolvent", "--config", config_file, "--lambda-min=-inf"],
-        ["simulate", "--config", config_file, "--n2", "0"],
+        ["decay", "--config", config_file, "--dt", "abc"],
+        ["resolvent", "--config", config_file, "--lambda-steps", "2.5"],
+        ["simulate", "--config", config_file, "--n2", "two"],
         # no such flag: snapshots are written at the mesh nodes
         ["simulate", "--config", config_file, "--snapshot-points", "7"],
         ["verify", "--config", config_file, "--c4", "2"],  # no such flag
@@ -115,6 +104,48 @@ def test_parse_args_rejections(config_file):
     for argv in bad:
         with pytest.raises(UsageError):
             parse_args(argv)
+
+
+OVERFLOW = "the step count t_final/dt overflows: t_final = {}, dt = {}"
+# a value argparse parses but the package refuses, and the package's message
+OUT_OF_RANGE = [
+    (["resolvent", "--lambda-steps", "0"], "steps must be an integer >= 2, got 0"),
+    (["resolvent", "--lambda-steps", "1"], "steps must be an integer >= 2, got 1"),
+    (["resolvent", "--lambda-min", "2", "--lambda-max", "-2"],
+     "need lambda_min < lambda_max, got [2.0, -2.0]"),
+    (["resolvent", "--lambda-max", "inf"], "need lambda_min < lambda_max, got [-50.0, inf]"),
+    (["resolvent", "--lambda-min=-inf"], "need lambda_min < lambda_max, got [-inf, 50.0]"),
+    (["simulate", "--dt", "0"], "dt must be finite and > 0, got 0.0"),
+    (["simulate", "--dt", "inf"], "dt must be finite and > 0, got inf"),
+    (["simulate", "--t-final", "inf"], "t_final must be finite and > 0, got inf"),
+    (["decay", "--dt", "inf"], "dt must be finite and > 0, got inf"),
+    (["decay", "--dt", "nan"], "dt must be finite and > 0, got nan"),
+    (["verify", "--t-final", "nan"], "t_final must be finite and > 0, got nan"),
+    (["verify", "--t-final", "-1"], "t_final must be finite and > 0, got -1.0"),
+    # the step count t_final/dt overflows, the default t_final included
+    (["simulate", "--dt", "1e-300", "--t-final", "1e300"], OVERFLOW.format("1e+300", "1e-300")),
+    (["decay", "--dt", "1e-300", "--t-final", "1e300"], OVERFLOW.format("1e+300", "1e-300")),
+    (["simulate", "--dt", "1e-320"], OVERFLOW.format("10.0", "1e-320")),
+    (["decay", "--dt", "1e-320"], OVERFLOW.format("10.0", "1e-320")),
+    (["verify", "--dt", "1e-320"], OVERFLOW.format("10.0", "1e-320")),
+    (["simulate", "--snapshot-every", "-1"], "snapshot_every must be >= 0, got -1"),
+    (["simulate", "--n2", "0"], "n2 must be an integer >= 1, got 0"),
+    (["spectrum", "--n1", "0"], "n1 must be an integer >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("argv,message", OUT_OF_RANGE,
+                         ids=[" ".join(argv) for argv, _ in OUT_OF_RANGE])
+def test_an_out_of_range_value_exits_1_with_the_package_message(tmp_path, capsys, argv,
+                                                                 message):
+    """parse_args keeps no range check: each value reaches the package,
+    whose ModelError is one error line, exit 1, with no output file."""
+    config = str(Path(__file__).resolve().parents[1] / "configs" / "ddd.cfg")
+    mesh = [arg for flag in ("--n1", "--n2", "--n3") if flag not in argv for arg in (flag, "4")]
+    out = tmp_path / "out"
+    assert cli.main([*argv, *mesh, "--config", config, "--out-dir", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_no_subcommand_lists_all_five():
@@ -157,7 +188,7 @@ def test_snapshot_rows_are_the_deflection_dofs_at_the_nodes(tmp_path):
     junctions included, with the state's deflection DOFs there, read off
     the DOF map node by node, and 0 at the clamped ends."""
     config = str(Path(__file__).resolve().parents[1] / "configs" / "ddd.cfg")
-    cfg = bb.validate_config(read_config(config))
+    cfg = read_config(config)
     mesh, pencil = bb.discretize(cfg, 3, 4, 5)
     sim = bb.simulate(pencil, bb.interpolate(cfg, mesh),
                       0.002, 0.02, snapshot_every=4)
@@ -277,7 +308,7 @@ def test_resolvent_prints_the_lanczos_work_with_the_sup_last(tmp_path, capsys):
                      "--lambda-min", "-50", "--lambda-max", "50", "--lambda-steps", "41",
                      "--out-dir", str(tmp_path)]) == 0
     line = capsys.readouterr().out.splitlines()[0]
-    _, pencil = bb.discretize(bb.validate_config(read_config(config)), 10, 10, 10)
+    _, pencil = bb.discretize(read_config(config), 10, 10, 10)
     grid = spectral.axis_grid(-50.0, 50.0, 41)
     table = spectral.resolvent_sweep(spectral.eigenvalues(pencil), grid)
     # mirrored points share one Lanczos run, so each |lambda| counts once
@@ -386,9 +417,10 @@ def test_verify_passes_and_is_reproducible(tmp_path, config_file):
         "abscissa", "all_pass", "alpha_bound", "alpha_fit", "alpha_scheme", "dt",
         "invariant_results", "mesh", "r_squared", "regime", "t_final", "verdict",
     ]
-    # fully damped: the spectrum-gap check is for UDU only, so one row
-    assert [r["name"] for r in payload["invariant_results"]] == ["dynamics.step_energy_balance"]
-    assert p1.stdout.count("PASS") == 1
+    # fully damped: the step balance and the spectrum gap
+    assert [r["name"] for r in payload["invariant_results"]] == [
+        "dynamics.step_energy_balance", "spectral.string_damping_spectrum_gap"]
+    assert p1.stdout.count("PASS") == 2
     assert "FAIL" not in p1.stdout
     assert payload["all_pass"] is True
 
@@ -398,13 +430,13 @@ def test_verify_passes_on_the_shipped_configs_at_80_elements(tmp_path, name):
     """The step balance's roundoff grows with the mesh, and so does its
     derived bound: every shipped config passes at 80 elements per member.
     Each report lists the checks its config can fail: the spectrum gap
-    only on udu."""
+    on ddd and udu."""
     config = str(Path(__file__).resolve().parents[1] / "configs" / f"{name}.cfg")
     assert cli.main(["verify", "--config", config, "--n1", "80", "--n2", "80", "--n3", "80",
                      "--out-dir", str(tmp_path)]) == 0
     rows = json.loads((tmp_path / "report.json").read_text())["invariant_results"]
     assert [r["name"] for r in rows] == ["dynamics.step_energy_balance"] + (
-        ["spectral.string_damping_spectrum_gap"] if name == "udu" else [])
+        ["spectral.string_damping_spectrum_gap"] if name != "conservative" else [])
 
 
 @pytest.mark.filterwarnings("error")
@@ -415,7 +447,7 @@ def test_every_command_runs_on_the_smallest_mesh(tmp_path, name, command):
     2b + 1 > N and the banded products run on zero-padded rows. Every
     command exits 0 there with warnings as errors."""
     config = str(Path(__file__).resolve().parents[1] / "configs" / f"{name}.cfg")
-    _, pencil = bb.discretize(bb.validate_config(read_config(config)), 1, 1, 1)
+    _, pencil = bb.discretize(read_config(config), 1, 1, 1)
     assert (pencil.n_positions, pencil.bandwidth) == (4, 2)
     assert cli.main([command, "--config", config, "--n1", "1", "--n2", "1", "--n3", "1",
                      "--out-dir", str(tmp_path)]) == 0
@@ -461,8 +493,8 @@ def test_overflow_is_a_model_error(tmp_path, command, rho1):
 @pytest.mark.parametrize("command,t_final", [("simulate", []), ("decay", ["--t-final", "1"])])
 def test_a_step_count_whose_record_cannot_be_allocated_is_a_model_error(
         tmp_path, command, t_final):
-    """t_final/dt = 1e301 and 1e300 are finite, so the usage check passes
-    them, but numpy refuses a record that long without allocating: one
+    """t_final/dt = 1e301 and 1e300 are finite, so the step-count check
+    passes them, but numpy refuses a record that long without allocating: one
     error line naming the step count, exit 1."""
     config = str(Path(__file__).resolve().parents[1] / "configs" / "ddd.cfg")
     proc = run_cli(command, "--config", config, "--n1", "4", "--n2", "4", "--n3", "4",
@@ -533,11 +565,28 @@ def test_exit_code_for_usage_errors(tmp_path, config_file):
     proc = run_cli("spectrum", "--config", str(path))
     assert proc.returncode == 2
     assert "unknown key" in proc.stderr
-    proc = run_cli("resolvent", "--config", config_file, "--lambda-steps", "1")
+    proc = run_cli("decay", "--config", config_file, "--dt", "abc")
     assert proc.returncode == 2
-    proc = run_cli("simulate", "--config", config_file, "--dt", "inf")
-    assert proc.returncode == 2
-    assert "--dt must be finite" in proc.stderr
+    assert "argument --dt: invalid float value: 'abc'" in proc.stderr
+
+
+def test_an_unusable_out_dir_is_a_usage_error(tmp_path, config_file, capsys):
+    """An out-dir that is a file, one below a file, and one holding a
+    directory where the output file goes: one usage-error line naming the
+    path, exit 2, no traceback."""
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    (taken / "spectrum.csv").mkdir()
+    a_file = tmp_path / "a-file"
+    a_file.write_text("")
+    for out_dir, lead in ((a_file, f"cannot create output directory {a_file}: "),
+                          (a_file / "x", f"cannot create output directory {a_file / 'x'}: "),
+                          (taken, f"cannot write output file {taken / 'spectrum.csv'}: ")):
+        assert cli.main(["spectrum", "--config", config_file, "--n1", "2", "--n2", "2",
+                         "--n3", "2", "--out-dir", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: {lead}") and err.count("\n") == 1, err
+    assert a_file.read_text() == ""
 
 
 def test_run_function_returns_exit_codes(tmp_path, config_file):
@@ -588,7 +637,7 @@ def test_an_unresolved_dt_is_inconclusive(tmp_path, capsys):
     mode: decay exits 0 and writes inconclusive with the three fitted keys
     nan, and verify writes the same verdict, all_pass false, and exits 1."""
     config = str(Path(__file__).resolve().parents[1] / "configs" / "ddd.cfg")
-    _, pencil = bb.discretize(bb.validate_config(read_config(config)), 10, 10, 10)
+    _, pencil = bb.discretize(read_config(config), 10, 10, 10)
     dt = 1.01 * 0.1 / float(abs(spectral.eigenvalues(pencil).eigenvalues[-1]))
     args = ["--config", config, "--n1", "10", "--n2", "10", "--n3", "10", "--dt", repr(dt)]
     assert cli.main(["decay", *args, "--out-dir", str(tmp_path / "decay")]) == 0

@@ -496,7 +496,7 @@ def test_cross_term_bound(ddd_system, seed):
 
 
 def test_default_dt_follows_the_string_span():
-    cfg = bb.validate_config(bb.StructureConfig(0.0, 1.0, 6.0, 7.0, 1.0, 1.0, 1.0))
+    cfg = bb.StructureConfig(0.0, 1.0, 6.0, 7.0, 1.0, 1.0, 1.0)
     assert bb.default_dt(cfg) == pytest.approx(0.002 * 5.0, rel=1e-15)
 
 

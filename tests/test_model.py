@@ -16,7 +16,6 @@ from bsblab import (
     ModelError,
     StructureConfig,
     classify_damping,
-    validate_config,
 )
 
 
@@ -24,11 +23,12 @@ def make(l0=0.0, l1=1.0, l2=2.0, l3=3.0, rho1=1.0, rho2=1.0, beta=1.0):
     return StructureConfig(l0, l1, l2, l3, rho1, rho2, beta)
 
 
-def test_validate_returns_the_config_unchanged():
-    cfg = make()
-    assert validate_config(cfg) is cfg
-    # validation is idempotent
-    assert validate_config(validate_config(cfg)) is cfg
+def test_a_config_is_valid_by_construction():
+    """A valid config, by construction or by dataclasses.replace, holds its
+    fields as given; the invalid ones are the two tests below."""
+    cfg = make(rho1=0.0, rho2=2.0, beta=1e-300)
+    assert dataclasses.astuple(cfg) == (0.0, 1.0, 2.0, 3.0, 0.0, 2.0, 1e-300)
+    assert dataclasses.replace(cfg, beta=0.0) == make(rho1=0.0, rho2=2.0, beta=0.0)
 
 
 @pytest.mark.parametrize(
@@ -43,10 +43,12 @@ def test_validate_returns_the_config_unchanged():
     ],
 )
 def test_bad_ordering_rejected(kwargs):
+    """By construction and by dataclasses.replace of a valid config."""
     finite = all(math.isfinite(v) for v in kwargs.values())
     message = "satisfy l0 < l1 < l2 < l3" if finite else "be finite"
-    with pytest.raises(ModelError, match=f"^interval endpoints must {message}, got "):
-        validate_config(make(**kwargs))
+    for build in (make, lambda **kw: dataclasses.replace(make(), **kw)):
+        with pytest.raises(ModelError, match=f"^interval endpoints must {message}, got "):
+            build(**kwargs)
 
 
 @pytest.mark.parametrize(
@@ -54,13 +56,15 @@ def test_bad_ordering_rejected(kwargs):
     [dict(rho1=-1.0), dict(rho2=-1e-12), dict(beta=-0.5), dict(beta=math.nan)],
 )
 def test_bad_damping_rejected(kwargs):
+    """By construction and by dataclasses.replace of a valid config."""
     (name, value), = kwargs.items()
-    with pytest.raises(ModelError, match=f"^{name} must be finite and >= 0, got {value}$"):
-        validate_config(make(**kwargs))
+    for build in (make, lambda **kw: dataclasses.replace(make(), **kw)):
+        with pytest.raises(ModelError, match=f"^{name} must be finite and >= 0, got {value}$"):
+            build(**kwargs)
 
 
 def test_ordering_allows_negative_coordinates():
-    cfg = validate_config(make(l0=-2.0, l1=-1.0, l2=0.5, l3=4.0))
+    cfg = make(l0=-2.0, l1=-1.0, l2=0.5, l3=4.0)
     assert cfg.l0 == -2.0
 
 
@@ -136,9 +140,9 @@ def _lanczos_coefficient_overflows():
 ERRORS = {
     "ordering": (bb.ModelError, "interval endpoints must satisfy l0 < l1 < l2 < l3, "
                  "got (0.0, 2.0, 1.0, 3.0)",
-                 lambda s: validate_config(dataclasses.replace(s.cfg, l1=2.0, l2=1.0))),
+                 lambda s: dataclasses.replace(s.cfg, l1=2.0, l2=1.0)),
     "negative damping": (bb.ModelError, "beta must be finite and >= 0, got -1.0",
-                         lambda s: validate_config(dataclasses.replace(s.cfg, beta=-1.0))),
+                         lambda s: dataclasses.replace(s.cfg, beta=-1.0)),
     "zero elements": (bb.ModelError, "n2 must be an integer >= 1, got 0",
                       lambda s: bb.build_mesh(s.cfg, 1, 0, 1)),
     "zero length": (bb.ModelError, "beam-1: element length must be finite and > 0, got 0.0",

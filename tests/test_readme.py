@@ -35,8 +35,9 @@ def test_readme_library_example_runs(capsys):
     report = scope["report"]
     assert report.mesh_counts == (4, 4, 4)
     assert report.certificate == scope["cert"]
-    # the example structure is fully damped: one check it can fail
-    assert [r.name for r in report.invariant_results] == ["dynamics.step_energy_balance"]
+    # the example structure is fully damped: two checks it can fail
+    assert [r.name for r in report.invariant_results] == [
+        "dynamics.step_energy_balance", "spectral.string_damping_spectrum_gap"]
     assert report.all_pass
     assert '"invariant_results"' in capsys.readouterr().out
 
@@ -70,9 +71,9 @@ def test_readme_names_the_rows_of_each_regime():
     row = next(line for line in README.read_text().splitlines()
                if line.startswith("| verify | `report.json` |"))
     assert ("`dynamics.step_energy_balance` on every config, and "
-            "`spectral.string_damping_spectrum_gap` only on `UDU`") in row
+            "`spectral.string_damping_spectrum_gap` only on `DDD` and `UDU`") in row
     for name in ("ddd", "udu", "conservative"):
-        cfg = bb.validate_config(read_config(str(CONFIGS / f"{name}.cfg")))
+        cfg = read_config(str(CONFIGS / f"{name}.cfg"))
         report = bb.cross_validate(cfg, *bb.discretize(cfg, 4, 4, 4))
         assert all(f"`{r.name}`" in row for r in report.invariant_results)
 
